@@ -28,7 +28,6 @@ from .netmodel import (
     Traversal,
     branch_value,
     branch_values,
-    edge_load,
     edge_loads,
     enumerate_paths,
     flow_value,
@@ -82,7 +81,6 @@ __all__ = [
     "branch_values",
     "build_auxiliary",
     "compute_epsilon",
-    "edge_load",
     "edge_loads",
     "enumerate_paths",
     "find_hstar",

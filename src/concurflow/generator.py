@@ -1,8 +1,8 @@
 """Reproducible random instance generator.
 
 Draws a hybrid graph with capacities in [0.1, 2.0], picks commodity
-endpoint pairs that are actually connected, enumerates their simple paths,
-and truncates each commodity to the requested number of paths. Everything
+endpoint pairs that are actually connected, and enumerates the first
+requested number of simple paths of each commodity. Everything
 derives from one ``random.Random(seed)`` stream, so a fixed seed yields a
 byte-identical instance file.
 """
@@ -72,11 +72,11 @@ def _try_generate(rng, seed, n_nodes, n_edges, k, max_paths, bound_range, name):
         if (source, sink) in used_pairs:
             continue
         candidate = Commodity(1, source, sink, 1.0)
-        paths = enumerate_paths(probe, candidate, max_edges=n_nodes)
+        paths = enumerate_paths(probe, candidate, max_edges=n_nodes, limit=max_paths)
         if not paths:
             continue
         used_pairs.add((source, sink))
-        chosen.append((source, sink, paths[:max_paths]))
+        chosen.append((source, sink, paths))
     if len(chosen) < k:
         return None
 

@@ -19,6 +19,7 @@ parse/serialize round trip is the identity and files diff cleanly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .netmodel import (
@@ -122,8 +123,8 @@ def parse_instance(text: str) -> Instance:
             for endpoint in (tail, head):
                 if endpoint not in node_lines:
                     raise InstanceError(lineno, f"unknown node {endpoint!r}")
-            if cap < 0:
-                raise InstanceError(lineno, f"capacity must be >= 0, got {cap}")
+            if not (math.isfinite(cap) and cap >= 0):
+                raise InstanceError(lineno, f"capacity must be >= 0 and finite, got {cap}")
             edge_lines[eid] = lineno
             edges.append(Edge(eid, tail, head, cap, mode == "directed"))
         elif kind == "commodity":
@@ -136,8 +137,8 @@ def parse_instance(text: str) -> Instance:
                 bound = float(bound_text)
             except ValueError:
                 raise InstanceError(lineno, f"bad bound {bound_text!r}") from None
-            if not bound > 0:
-                raise InstanceError(lineno, f"bound must be positive, got {bound}")
+            if not (math.isfinite(bound) and bound > 0):
+                raise InstanceError(lineno, f"bound must be positive and finite, got {bound}")
             for endpoint in (source, sink):
                 if endpoint not in node_lines:
                     raise InstanceError(lineno, f"unknown node {endpoint!r}")

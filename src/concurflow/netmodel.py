@@ -4,7 +4,9 @@ A network couples a hybrid graph (every edge is individually directed or
 undirected) with per-edge capacities and a list of source/sink commodities.
 Flows live directly on explicit per-commodity path lists: a flow assigns a
 nonnegative value to each listed path, and an edge is feasible when the gross
-sum of the values of all paths using it stays within its capacity.
+sum of the values of all paths using it stays within its capacity. A path
+system compiles once into a ``PathMatrix``, the edge-by-path incidence that
+the exact LPs, the packing loop and the load accounting all read.
 
 Everything in this module is immutable after construction and safe to share
 across threads; the operations are pure functions.
@@ -12,7 +14,12 @@ across threads; the operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Hashable, Mapping, Sequence
+
+import numpy as np
 
 # Absolute slack allowed on every capacity comparison.
 CAP_TOLERANCE = 1e-9
@@ -33,8 +40,10 @@ class Edge:
     directed: bool
 
     def __post_init__(self) -> None:
-        if not self.capacity >= 0.0:
-            raise ModelError(f"edge {self.id!r}: capacity must be >= 0, got {self.capacity}")
+        if not (math.isfinite(self.capacity) and self.capacity >= 0.0):
+            raise ModelError(
+                f"edge {self.id!r}: capacity must be >= 0 and finite, got {self.capacity}"
+            )
 
     def other_end(self, node: str) -> str:
         return self.head if node == self.tail else self.tail
@@ -50,9 +59,9 @@ class Commodity:
     bound: float
 
     def __post_init__(self) -> None:
-        if not self.bound > 0.0:
+        if not (math.isfinite(self.bound) and self.bound > 0.0):
             raise ModelError(
-                f"commodity {self.index}: bound must be positive, got {self.bound}"
+                f"commodity {self.index}: bound must be positive and finite, got {self.bound}"
             )
 
 
@@ -62,7 +71,7 @@ class Network:
 
     Invariants enforced here: node and edge identifiers are unique, every
     edge endpoint and commodity endpoint names an existing node, and every
-    capacity is nonnegative.
+    capacity is finite and nonnegative.
     """
 
     nodes: tuple[str, ...]
@@ -133,9 +142,6 @@ class Path:
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(step.edge_id for step in self.steps)
 
-    def edge_id_set(self) -> frozenset[str]:
-        return frozenset(step.edge_id for step in self.steps)
-
 
 def validate_path(network: Network, path: Path) -> str | None:
     """Check every path rule; return ``None`` when valid, else the first violation.
@@ -199,6 +205,51 @@ def infer_traversals(network: Network, source: str, edge_ids: list[str] | tuple[
     return tuple(steps)
 
 
+@dataclass(frozen=True, eq=False)
+class PathMatrix:
+    """0/1 incidence of grouped paths: the one layout every LP and loop reads.
+
+    Columns are the paths in group order. ``a`` has one row per edge key in
+    ``edges`` (first use along the path steps) with capacities ``caps``;
+    ``g`` has one row per group. A path that walks an edge twice still
+    counts it once.
+    """
+
+    edges: tuple[Hashable, ...]
+    caps: np.ndarray
+    a: np.ndarray  # edges x paths, C order
+    g: np.ndarray  # groups x paths
+
+    @classmethod
+    def build(
+        cls,
+        capacities: Mapping[Hashable, float],
+        groups: Sequence[Sequence[Sequence[Hashable]]],
+    ) -> "PathMatrix":
+        for gi, group in enumerate(groups):
+            for j, path in enumerate(group):
+                if len(path) == 0:
+                    raise ValueError(f"empty path ({gi}, {j})")
+        paths = [path for group in groups for path in group]
+        keys = [key for path in paths for key in path]
+        edges = tuple(dict.fromkeys(keys))
+        try:
+            caps = [capacities[key] for key in edges]
+        except KeyError as exc:
+            raise ValueError(f"path uses edge {exc.args[0]!r} with no capacity entry") from None
+        row_of = {key: row for row, key in enumerate(edges)}
+        n = len(paths)
+        a = np.zeros((len(edges), n))
+        # Assignment, not a sum: a path that repeats an edge counts it once.
+        a[[row_of[key] for key in keys], np.repeat(np.arange(n), [len(p) for p in paths])] = 1.0
+        g = np.zeros((len(groups), n))
+        g[np.repeat(np.arange(len(groups)), [len(group) for group in groups]), np.arange(n)] = 1.0
+        caps_arr = np.array(caps, dtype=float)
+        for arr in (caps_arr, a, g):
+            arr.flags.writeable = False  # shared through PathSystem.matrix
+        return cls(edges, caps_arr, a, g)
+
+
 @dataclass(frozen=True)
 class PathSystem:
     """Per-commodity explicit path lists over one network.
@@ -238,17 +289,15 @@ class PathSystem:
     def path_count(self) -> int:
         return sum(len(group) for group in self.paths)
 
-    def edge_ids(self) -> tuple[str, ...]:
-        """Edges used by at least one path, in first-use order."""
-        seen: dict[str, None] = {}
-        for group in self.paths:
-            for path in group:
-                for step in path.steps:
-                    seen.setdefault(step.edge_id, None)
-        return tuple(seen)
+    @cached_property
+    def matrix(self) -> PathMatrix:
+        """Incidence over the edges the paths use, built on first access."""
+        caps = {edge.id: edge.capacity for edge in self.network.edges}
+        return PathMatrix.build(caps, self.edge_groups())
 
     def capacities(self) -> dict[str, float]:
-        return {eid: self.network.edge(eid).capacity for eid in self.edge_ids()}
+        """Capacities of the edges used by at least one path, in first-use order."""
+        return dict(zip(self.matrix.edges, self.matrix.caps.tolist()))
 
     def edge_groups(self) -> list[list[tuple[str, ...]]]:
         """Paths as plain edge-id tuples, grouped by commodity (solver input)."""
@@ -290,28 +339,19 @@ class Flow:
         return self.values[ci - 1][pi]
 
 
-def edge_load(flow: Flow, edge_id: str) -> float:
-    """Gross load on one edge: the sum of values of all paths using it.
-
-    A path counts once even if it walks an undirected edge in both
-    directions; traversal direction never enters the sum.
-    """
-    total = 0.0
-    for group, vals in zip(flow.system.paths, flow.values):
-        for path, v in zip(group, vals):
-            if edge_id in path.edge_id_set():
-                total += v
-    return total
+def _load_vector(flow: Flow) -> np.ndarray:
+    x = np.fromiter((v for vals in flow.values for v in vals), float, flow.system.path_count)
+    return flow.system.matrix.a @ x
 
 
 def edge_loads(flow: Flow) -> dict[str, float]:
-    """Loads for every edge of the path system, in first-use order."""
-    loads = {eid: 0.0 for eid in flow.system.edge_ids()}
-    for group, vals in zip(flow.system.paths, flow.values):
-        for path, v in zip(group, vals):
-            for eid in path.edge_id_set():
-                loads[eid] += v
-    return loads
+    """Gross load per edge of the path system, in first-use order.
+
+    A load is the sum of the values of all paths using the edge. A path
+    counts once even if it walks an undirected edge in both directions;
+    traversal direction never enters the sum.
+    """
+    return dict(zip(flow.system.matrix.edges, _load_vector(flow).tolist()))
 
 
 @dataclass(frozen=True)
@@ -326,16 +366,14 @@ class FeasibilityReport:
 
 def is_feasible(flow: Flow) -> FeasibilityReport:
     """Capacity check with ``CAP_TOLERANCE`` slack; reports the worst edge."""
-    worst_edge: str | None = None
-    worst_excess = 0.0
-    feasible = True
-    for eid, load in edge_loads(flow).items():
-        excess = load - flow.system.network.edge(eid).capacity
-        if worst_edge is None or excess > worst_excess:
-            worst_edge, worst_excess = eid, excess
-        if excess > CAP_TOLERANCE:
-            feasible = False
-    return FeasibilityReport(feasible, worst_edge, worst_excess)
+    matrix = flow.system.matrix
+    if not matrix.edges:
+        return FeasibilityReport(True, None, 0.0)
+    excess = _load_vector(flow) - matrix.caps
+    worst = int(np.argmax(excess))
+    return FeasibilityReport(
+        bool(excess[worst] <= CAP_TOLERANCE), matrix.edges[worst], float(excess[worst])
+    )
 
 
 def branch_value(flow: Flow, commodity_index: int) -> float:
@@ -372,13 +410,17 @@ def min_ratio(flow: Flow, bounds: tuple[float, ...] | list[float] | None = None)
     return min(branch_value(flow, i + 1) / bounds[i] for i in range(flow.system.k))
 
 
-def enumerate_paths(network: Network, commodity: Commodity, max_edges: int) -> list[Path]:
+def enumerate_paths(
+    network: Network, commodity: Commodity, max_edges: int, limit: int | None = None
+) -> list[Path]:
     """All simple source-to-sink paths with at most ``max_edges`` edges.
 
     Only positive-capacity edges are walked; directed edges only forward.
     The result is ordered lexicographically by edge-id sequence, which the
-    depth-first search yields directly by trying edges in id order. A
-    source equal to the sink enumerates closed walks.
+    depth-first search yields directly by trying edges in id order, so
+    ``limit`` stops the search once that many paths are found and returns
+    the first ``limit`` paths of the full list. A source equal to the sink
+    enumerates closed walks.
     """
     if max_edges < 1:
         raise ValueError(f"max_edges must be >= 1, got {max_edges}")
@@ -406,6 +448,8 @@ def enumerate_paths(network: Network, commodity: Commodity, max_edges: int) -> l
         if len(prefix) == max_edges:
             return
         for edge_id, forward, nxt in adjacency[node]:
+            if len(found) == limit:
+                return
             if nxt == sink and (nxt not in visited or sink == source):
                 found.append(Path(commodity.index, tuple(prefix) + (Traversal(edge_id, forward),)))
                 continue

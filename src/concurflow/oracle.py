@@ -14,7 +14,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .netmodel import Flow, PathSystem
+from .netmodel import Flow, PathMatrix, PathSystem
 from .simplex import SimplexError, solve_lp
 
 # Slack subtracted from the stage-1 ratio before stage 2 re-imposes it,
@@ -24,17 +24,6 @@ STAGE_SLACK = 1e-9
 
 class OracleError(RuntimeError):
     """The reference LP failed to solve; results must not be trusted."""
-
-
-@dataclass(frozen=True)
-class PathLP:
-    """Shape summary of an assembled path LP (introspection/debugging aid)."""
-
-    n_variables: int
-    n_capacity_rows: int
-    n_bound_rows: int
-    n_ratio_rows: int
-    objective: str
 
 
 @dataclass(frozen=True)
@@ -48,6 +37,39 @@ def _clip(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
+def _path_rows(
+    matrix: PathMatrix,
+    bounds: Sequence[float | None],
+    ratio: bool = False,
+    floor: float = 0.0,
+) -> list:
+    """The rows of every path LP here, all over one incidence matrix.
+
+    In order: one ``V_e <= cap_e`` row per edge; then, per group with a
+    bound that is neither ``None`` nor 0, ``V_g <= b_g``, followed when
+    ``floor > 0`` and the group has paths by ``V_g >= floor * b_g``; last,
+    with ``ratio``, one ``ratio * b_g - V_g <= 0`` row per group. With
+    ``ratio`` variable 0 is the ratio and the path columns follow.
+    """
+    a, g = matrix.a, matrix.g
+    if ratio:
+        a = np.hstack((np.zeros((a.shape[0], 1)), a))
+        g = np.hstack((np.zeros((g.shape[0], 1)), g))
+    rows = [(coeffs, "<=", cap) for coeffs, cap in zip(a, matrix.caps)]
+    for i, bound in enumerate(bounds):
+        if bound is None or bound == 0:
+            continue
+        rows.append((g[i], "<=", bound))
+        if floor > 0 and g[i].any():
+            rows.append((g[i], ">=", floor * bound))
+    if ratio:
+        for i, bound in enumerate(bounds):
+            coeffs = 0.0 - g[i]  # not -g[i]: absent paths keep a +0.0 coefficient
+            coeffs[0] = bound
+            rows.append((coeffs, "<=", 0.0))
+    return rows
+
+
 def lp_grouped_max(
     capacities: dict[Hashable, float],
     groups: Sequence[Sequence[Sequence[Hashable]]],
@@ -57,84 +79,38 @@ def lp_grouped_max(
 
     ``groups[g]`` is a list of paths, each a sequence of edge keys into
     ``capacities``; ``bounds[g]`` caps the group's total value (``None``
-    means unbounded). This is the engine behind the public solvers and is
-    also callable directly with synthetic path groups.
+    means unbounded, 0 drops the group). This is the engine behind the
+    public solvers and is also callable directly with synthetic path groups.
     """
-    if bounds is not None and len(bounds) != len(groups):
+    if bounds is None:
+        bounds = [None] * len(groups)
+    if len(bounds) != len(groups):
         raise ValueError("bounds length does not match the group count")
-    cols: list[tuple[int, int]] = []
-    col_edges: list[frozenset[Hashable]] = []
-    for g, group in enumerate(groups):
-        bound = None if bounds is None else bounds[g]
+    for g, bound in enumerate(bounds):
         if bound is not None and bound < 0:
             raise ValueError(f"negative bound {bound} for group {g}")
-        if bound == 0:
-            continue
-        for j, path in enumerate(group):
-            if len(path) == 0:
-                raise ValueError(f"empty path ({g}, {j})")
-            cols.append((g, j))
-            col_edges.append(frozenset(path))
-
-    values = [[0.0] * len(group) for group in groups]
-    if not cols:
-        return GroupedLpResult(0.0, tuple(tuple(v) for v in values), tuple(0.0 for _ in groups))
-
-    edge_order: dict[Hashable, int] = {}
-    for edges in col_edges:
-        for e in sorted(edges, key=repr):
-            edge_order.setdefault(e, len(edge_order))
-
-    n = len(cols)
-    rows = []
-    for e, _ in sorted(edge_order.items(), key=lambda item: item[1]):
-        coeffs = np.fromiter((1.0 if e in edges else 0.0 for edges in col_edges), float, n)
+    live = [group if bound != 0 else () for group, bound in zip(groups, bounds)]
+    matrix = PathMatrix.build(capacities, live)
+    n = matrix.a.shape[1]
+    flat = iter(())
+    if n:
         try:
-            cap = capacities[e]
-        except KeyError:
-            raise ValueError(f"path uses edge {e!r} with no capacity entry") from None
-        rows.append((coeffs, "<=", cap))
-    n_cap = len(rows)
-    if bounds is not None:
-        for g, bound in enumerate(bounds):
-            if bound is None or bound == 0:
-                continue
-            coeffs = np.fromiter((1.0 if cg == g else 0.0 for cg, _ in cols), float, n)
-            rows.append((coeffs, "<=", bound))
-
-    try:
-        res = solve_lp(np.ones(n), rows)
-    except SimplexError as exc:
-        raise OracleError(f"path LP failed: {exc}") from exc
-
-    x = _clip(res.x)
-    for (g, j), v in zip(cols, x):
-        values[g][j] = float(v)
-    group_totals = tuple(float(sum(v)) for v in values)
-    return GroupedLpResult(float(sum(group_totals)), tuple(tuple(v) for v in values), group_totals)
-
-
-def _flow_from_grouped(system: PathSystem, result: GroupedLpResult) -> Flow:
-    return Flow(system, result.values)
-
-
-def describe_lp(system: PathSystem, bounds: Sequence[float] | None, with_ratio: bool) -> PathLP:
-    """Build the shape descriptor for the LP a solver call would assemble."""
-    n = system.path_count + (1 if with_ratio else 0)
-    n_bounds = 0 if bounds is None else sum(1 for b in bounds if b is not None)
-    return PathLP(
-        n_variables=n,
-        n_capacity_rows=len(system.edge_ids()),
-        n_bound_rows=n_bounds,
-        n_ratio_rows=system.k if with_ratio else 0,
-        objective="max ratio" if with_ratio else "max total value",
+            res = solve_lp(np.ones(n), _path_rows(matrix, bounds))
+        except SimplexError as exc:
+            raise OracleError(f"path LP failed: {exc}") from exc
+        flat = iter(_clip(res.x).tolist())
+    values = tuple(
+        tuple(next(flat) if bound != 0 else 0.0 for _ in group)
+        for group, bound in zip(groups, bounds)
     )
+    group_totals = tuple(float(sum(v)) for v in values)
+    return GroupedLpResult(float(sum(group_totals)), values, group_totals)
 
 
 def lp_mmfp_exact(system: PathSystem) -> tuple[float, Flow]:
     """Exact maximum total path flow (no per-commodity bounds)."""
     result = lp_grouped_max(system.capacities(), system.edge_groups(), None)
-    return result.total, _flow_from_grouped(system, result)
+    return result.total, Flow(system, result.values)
 
 
 def lp_mmfpb_exact(system: PathSystem, bounds: Sequence[float] | None = None) -> tuple[float, Flow]:
@@ -150,43 +126,7 @@ def lp_mmfpb_exact(system: PathSystem, bounds: Sequence[float] | None = None) ->
         if not np.isfinite(b) or b < 0:
             raise ValueError(f"bounds must be finite and >= 0, got {b}")
     result = lp_grouped_max(system.capacities(), system.edge_groups(), bounds)
-    return result.total, _flow_from_grouped(system, result)
-
-
-def _ratio_lp_rows(system: PathSystem, bounds: Sequence[float]):
-    """Rows shared by the ratio LP: caps, V_i <= b_i, and V_i >= ratio*b_i.
-
-    Variable 0 is the ratio; path variables follow in (commodity, path)
-    order. Every row is a <= with nonnegative right-hand side, so the
-    simplex starts from the slack basis.
-    """
-    groups = system.edge_groups()
-    offsets = []
-    pos = 1
-    for group in groups:
-        offsets.append(pos)
-        pos += len(group)
-    n = pos
-    rows = []
-    edge_ids = system.edge_ids()
-    caps = system.capacities()
-    for eid in edge_ids:
-        coeffs = np.zeros(n)
-        for g, group in enumerate(groups):
-            for j, path in enumerate(group):
-                if eid in path:
-                    coeffs[offsets[g] + j] = 1.0
-        rows.append((coeffs, "<=", caps[eid]))
-    for g, group in enumerate(groups):
-        coeffs = np.zeros(n)
-        coeffs[offsets[g] : offsets[g] + len(group)] = 1.0
-        rows.append((coeffs, "<=", float(bounds[g])))
-    for g, group in enumerate(groups):
-        coeffs = np.zeros(n)
-        coeffs[0] = float(bounds[g])
-        coeffs[offsets[g] : offsets[g] + len(group)] = -1.0
-        rows.append((coeffs, "<=", 0.0))
-    return n, offsets, rows
+    return result.total, Flow(system, result.values)
 
 
 def lp_emcfp_lambda(system: PathSystem, bounds: Sequence[float] | None = None) -> float:
@@ -199,11 +139,10 @@ def lp_emcfp_lambda(system: PathSystem, bounds: Sequence[float] | None = None) -
     for b in bounds:
         if not b > 0:
             raise ValueError(f"bounds must be positive, got {b}")
-    n, _, rows = _ratio_lp_rows(system, bounds)
-    objective = np.zeros(n)
+    objective = np.zeros(system.path_count + 1)
     objective[0] = 1.0
     try:
-        res = solve_lp(objective, rows)
+        res = solve_lp(objective, _path_rows(system.matrix, bounds, ratio=True))
     except SimplexError as exc:
         raise OracleError(f"ratio LP failed: {exc}") from exc
     return float(min(max(res.value, 0.0), 1.0))
@@ -218,40 +157,16 @@ def lp_emcfpsc(system: PathSystem, bounds: Sequence[float] | None = None) -> tup
     if bounds is None:
         bounds = system.network.bounds()
     lam = lp_emcfp_lambda(system, bounds)
-    target = lam - STAGE_SLACK
-    groups = system.edge_groups()
-    offsets = []
-    pos = 0
-    for group in groups:
-        offsets.append(pos)
-        pos += len(group)
-    n = pos
+    n = system.path_count
     if n == 0:
         return lam, 0.0, Flow.zero(system)
-    rows = []
-    caps = system.capacities()
-    for eid in system.edge_ids():
-        coeffs = np.zeros(n)
-        for g, group in enumerate(groups):
-            for j, path in enumerate(group):
-                if eid in path:
-                    coeffs[offsets[g] + j] = 1.0
-        rows.append((coeffs, "<=", caps[eid]))
-    for g, group in enumerate(groups):
-        coeffs = np.zeros(n)
-        coeffs[offsets[g] : offsets[g] + len(group)] = 1.0
-        rows.append((coeffs, "<=", float(bounds[g])))
-        if target > 0 and group:
-            rows.append((coeffs.copy(), ">=", target * float(bounds[g])))
-        # An empty group forces ratio 0; no floor row to add.
-    objective = np.ones(n)
+    # An empty group forces ratio 0 and gets no floor row.
+    rows = _path_rows(system.matrix, bounds, floor=lam - STAGE_SLACK)
     try:
-        res = solve_lp(objective, rows)
+        res = solve_lp(np.ones(n), rows)
     except SimplexError as exc:
         raise OracleError(f"saturation LP failed: {exc}") from exc
     x = _clip(res.x)
-    dense = []
-    for g, group in enumerate(groups):
-        dense.append(tuple(float(v) for v in x[offsets[g] : offsets[g] + len(group)]))
-    flow = Flow(system, tuple(dense))
+    flat = iter(x.tolist())
+    flow = Flow(system, tuple(tuple(next(flat) for _ in group) for group in system.paths))
     return lam, float(x.sum()), flow

@@ -26,7 +26,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .netmodel import Flow, PathSystem
+from .netmodel import Flow, PathMatrix, PathSystem
 
 # Lengths renormalize by 2**-_RENORM_SHIFT whenever the scaled dual
 # objective passes 2**_RENORM_SHIFT; exact in binary floating point.
@@ -100,69 +100,35 @@ def pack_paths(
             return None
         return float(b)
 
-    # Assemble columns: real edges in first-use order, then one virtual
-    # bound edge per included bounded group.
-    edge_index: dict[Hashable, int] = {}
-    caps: list[float] = []
-    path_edge_lists: list[list[int]] = []
-    path_key: list[tuple[int, int]] = []
-    pending_virtual: list[tuple[int, float]] = []  # (group, bound) awaiting a virtual column
-    included_by_group: dict[int, list[int]] = {}
+    def usable(path) -> bool:
+        # A key missing from ``capacities`` passes here; the build reports it.
+        return not any(capacities.get(key, 1.0) <= 0.0 for key in path)
 
-    for g, group in enumerate(groups):
-        bound = group_bound(g)
-        if bound == 0.0:
-            continue
-        member_rows: list[int] = []
-        for j, path in enumerate(group):
-            if len(path) == 0:
-                raise ValueError(f"empty path ({g}, {j})")
-            cols = []
-            blocked = False
-            for key in path:
-                try:
-                    cap = capacities[key]
-                except KeyError:
-                    raise ValueError(f"path uses edge {key!r} with no capacity entry") from None
-                if cap <= 0.0:
-                    blocked = True
-                    break
-                if key not in edge_index:
-                    edge_index[key] = len(caps)
-                    caps.append(float(cap))
-                cols.append(edge_index[key])
-            if blocked:
-                continue
-            member_rows.append(len(path_edge_lists))
-            path_edge_lists.append(sorted(set(cols)))
-            path_key.append((g, j))
-        if member_rows and bound is not None:
-            included_by_group[g] = member_rows
-            pending_virtual.append((g, bound))
+    # Columns: the real edges, then one virtual bound edge per bounded group
+    # that keeps a path.
+    keep = [
+        [] if group_bound(g) == 0.0 else [j for j, path in enumerate(group) if usable(path)]
+        for g, group in enumerate(groups)
+    ]
+    matrix = PathMatrix.build(capacities, [[groups[g][j] for j in js] for g, js in enumerate(keep)])
+    path_key = [(g, j) for g, js in enumerate(keep) for j in js]
 
     values_dense = [[0.0] * len(group) for group in groups]
     zero_totals = tuple(0.0 for _ in groups)
-    if not path_edge_lists:
+    if not path_key:
         return PackingResult(
             tuple(tuple(v) for v in values_dense), zero_totals, 0.0, 0, None
         )
 
-    for g, bound in pending_virtual:
-        col = len(caps)
-        caps.append(bound)
-        for row in included_by_group[g]:
-            path_edge_lists[row].append(col)
-
-    n_paths = len(path_edge_lists)
-    m = len(caps)
+    bounded = [g for g, js in enumerate(keep) if js and group_bound(g) is not None]
+    cap_arr = np.concatenate((matrix.caps, [group_bound(g) for g in bounded]))
+    # C order matters: np.dot rounds differently on an F-order incidence.
+    incidence = np.ascontiguousarray(np.vstack((matrix.a, matrix.g[bounded])).T)
+    n_paths, m = incidence.shape
     config = FptasConfig.for_run(eps, m)
     eps_int = config.eps_int
 
-    cap_arr = np.array(caps)
-    incidence = np.zeros((n_paths, m))
-    for row, cols in enumerate(path_edge_lists):
-        incidence[row, cols] = 1.0
-    edge_cols = [np.array(cols, dtype=np.intp) for cols in path_edge_lists]
+    edge_cols = [np.flatnonzero(row) for row in incidence]
     bottleneck = np.array([cap_arr[cols].min() for cols in edge_cols])
 
     # Lengths with delta factored out; the true length is delta * 2**shift * stored.

@@ -18,19 +18,12 @@ subroutine can be substituted for deterministic trace tests.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Hashable, Protocol, Sequence
 
-from .netmodel import (
-    Edge,
-    Flow,
-    Network,
-    PathSystem,
-    branch_values,
-    flow_value,
-    min_ratio,
-)
+from .netmodel import Flow, PathSystem, branch_values, flow_value, min_ratio
 from .oracle import lp_grouped_max
 from .packing import pack_paths
 
@@ -78,15 +71,14 @@ def compute_epsilon(eta: float, bounds: Sequence[float]) -> float:
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     for b in bounds:
-        if not b > 0.0:
-            raise ValueError(f"bounds must be positive, got {b}")
+        if not (math.isfinite(b) and b > 0.0):
+            raise ValueError(f"bounds must be positive and finite, got {b}")
     return min(eta / sum(bounds), 0.5)
 
 
 @dataclass(frozen=True)
 class LstarResult:
     l_star: int
-    last_flow: Flow | None
     calls: int
 
 
@@ -101,14 +93,11 @@ def find_lstar(
 
     Stops at the first l >= 1 with ``l * eta > 1`` (no subroutine call) or
     with subroutine value strictly below ``sum(l*eta*b) / (1+eps)``.
-    Returns the terminal l, the flow of the last passing level (``None``
-    when the very first level already fails), and the number of
-    subroutine calls made.
+    Returns the terminal l and the number of subroutine calls made.
     """
     run = resolve_subroutine(subroutine)
     caps = system.capacities()
     groups = system.edge_groups()
-    last: GroupedResult | None = None
     calls = 0
     l = 0
     while True:
@@ -122,51 +111,37 @@ def find_lstar(
         target = sum(scaled) / (1.0 + eps)
         if result.total < target - BELOW_TOL:
             break
-        last = result
-    flow = Flow(system, last.values) if last is not None else None
-    return LstarResult(l, flow, calls)
+    return LstarResult(l, calls)
 
 
 @dataclass(frozen=True)
 class AuxNetwork:
     """Sink-splitting extension fixed by the outer search level.
 
-    Every commodity i gains a dedicated sink behind an edge of capacity
-    ``dedicated_bounds[i-1] = (l_star - 1) * eta * b_i`` and shares one
-    overflow sink behind an edge of capacity ``b_i - dedicated_bounds[i-1]``.
-    The subroutine sees ``k + 1`` groups: one per dedicated sink (bounded
-    by its capacity) plus a single aggregated overflow group whose bound is
-    the inner loop's moving budget. ``overflow_origin`` maps every
-    overflow-group position back to its (commodity, path index) source, so
-    the extension is a bijection over two copies of the base paths.
+    Every commodity i gains two edges at the end of its base paths: a
+    dedicated-sink edge ``("ded", i)`` of capacity
+    ``dedicated_bounds[i-1] = (l_star - 1) * eta * b_i`` and an
+    overflow-sink edge ``("ovf", i)`` of capacity
+    ``b_i - dedicated_bounds[i-1]``. Tuple keys never collide with the
+    string ids of the base edges. The subroutine sees ``k + 1`` groups: one
+    per dedicated sink (bounded by its capacity) plus a single aggregated
+    overflow group whose bound is the inner loop's moving budget.
+    ``overflow_origin`` maps every overflow-group position back to its
+    (commodity, path index) source, so the extension is a bijection over
+    two copies of the base paths.
     """
 
     base: PathSystem
-    network: Network
     eta: float
     l_star: int
     bounds0: tuple[float, ...]
     dedicated_bounds: tuple[float, ...]
-    dedicated_edges: tuple[str, ...]
-    overflow_edges: tuple[str, ...]
-    dedicated_sinks: tuple[str, ...]
-    overflow_sink: str
-    capacities: dict[str, float]
-    groups: tuple[tuple[tuple[str, ...], ...], ...]
+    capacities: dict[Hashable, float]
+    groups: tuple[tuple[tuple[Hashable, ...], ...], ...]
     overflow_origin: tuple[tuple[int, int], ...]
 
     def engine_bounds(self, overflow_bound: float) -> list[float]:
         return [*self.dedicated_bounds, overflow_bound]
-
-
-def _fresh_prefix(network: Network) -> str:
-    used = set(network.nodes) | {e.id for e in network.edges}
-    counter = 0
-    while True:
-        prefix = "aux:" if counter == 0 else f"aux{counter}:"
-        if not any(name.startswith(prefix) for name in used):
-            return prefix
-        counter += 1
 
 
 def build_auxiliary(
@@ -176,66 +151,41 @@ def build_auxiliary(
     eta: float,
 ) -> AuxNetwork:
     """Construct the sink-splitting extension for a finished outer search."""
-    network = system.network
     if l_star < 1:
         raise ValueError(f"l_star must be >= 1, got {l_star}")
-    if len(bounds0) != network.k:
+    if len(bounds0) != system.k:
         raise ValueError("bounds length does not match the commodity count")
     scale = (l_star - 1) * eta
     if scale > 1.0:
         raise ValueError(f"(l_star - 1) * eta = {scale} exceeds 1")
 
-    prefix = _fresh_prefix(network)
-    overflow_sink = f"{prefix}sink0"
-    dedicated_sinks = tuple(f"{prefix}sink{i}" for i in range(1, network.k + 1))
-    dedicated_edges = tuple(f"{prefix}ded{i}" for i in range(1, network.k + 1))
-    overflow_edges = tuple(f"{prefix}ovf{i}" for i in range(1, network.k + 1))
     dedicated_bounds = tuple(scale * b for b in bounds0)
-
-    new_edges = []
-    for i, com in enumerate(network.commodities):
-        new_edges.append(
-            Edge(dedicated_edges[i], com.sink, dedicated_sinks[i], dedicated_bounds[i], True)
-        )
-        new_edges.append(
-            Edge(overflow_edges[i], com.sink, overflow_sink, bounds0[i] - dedicated_bounds[i], True)
-        )
-    extended = Network(
-        nodes=network.nodes + dedicated_sinks + (overflow_sink,),
-        edges=network.edges + tuple(new_edges),
-        commodities=network.commodities,
-    )
-
     capacities = system.capacities()
-    for edge in new_edges:
-        capacities[edge.id] = edge.capacity
+    for i, (b, dedicated) in enumerate(zip(bounds0, dedicated_bounds), start=1):
+        capacities["ded", i] = dedicated
+        capacities["ovf", i] = b - dedicated
 
     base_groups = system.edge_groups()
     dedicated_groups = tuple(
-        tuple(path + (dedicated_edges[i],) for path in group)
-        for i, group in enumerate(base_groups)
+        tuple(path + (("ded", i),) for path in group)
+        for i, group in enumerate(base_groups, start=1)
     )
-    overflow_group = []
-    overflow_origin = []
-    for i, group in enumerate(base_groups):
-        for j, path in enumerate(group):
-            overflow_group.append(path + (overflow_edges[i],))
-            overflow_origin.append((i + 1, j))
+    overflow_group = tuple(
+        path + (("ovf", i),) for i, group in enumerate(base_groups, start=1) for path in group
+    )
+    overflow_origin = tuple(
+        (i, j) for i, group in enumerate(base_groups, start=1) for j in range(len(group))
+    )
 
     return AuxNetwork(
         base=system,
-        network=extended,
         eta=eta,
         l_star=l_star,
         bounds0=tuple(float(b) for b in bounds0),
         dedicated_bounds=dedicated_bounds,
-        dedicated_edges=dedicated_edges,
-        overflow_edges=overflow_edges,
-        dedicated_sinks=dedicated_sinks,
-        overflow_sink=overflow_sink,
         capacities=capacities,
-        groups=dedicated_groups + (tuple(overflow_group),),
-        overflow_origin=tuple(overflow_origin),
+        groups=dedicated_groups + (overflow_group,),
+        overflow_origin=overflow_origin,
     )
 
 

@@ -100,6 +100,15 @@ path c1 e3 e2
         with pytest.raises(InstanceError, match="bound must be positive"):
             parse_instance(text)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_numbers_name_line(self, token):
+        text = T1_TEXT.replace("1.0 directed", f"{token} directed")
+        with pytest.raises(InstanceError, match="line 5: capacity must be >= 0 and finite"):
+            parse_instance(text)
+        text = T1_TEXT.replace("commodity c2 s t 2.0", f"commodity c2 s t {token}")
+        with pytest.raises(InstanceError, match="line 7: bound must be positive and finite"):
+            parse_instance(text)
+
     def test_bad_capacity_token(self):
         text = T1_TEXT.replace("1.0 directed", "abc directed")
         with pytest.raises(InstanceError, match="bad capacity"):

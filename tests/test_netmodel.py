@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,7 @@ from concurflow.netmodel import (
     Traversal,
     branch_value,
     branch_values,
-    edge_load,
+    edge_loads,
     enumerate_paths,
     flow_value,
     infer_traversals,
@@ -21,6 +24,9 @@ from concurflow.netmodel import (
     min_ratio,
     validate_path,
 )
+from concurflow.generator import generate_instance
+from concurflow.oracle import lp_emcfpsc, lp_mmfp_exact
+from concurflow.packing import solve_mmfp
 from conftest import make_network, make_system
 
 
@@ -61,6 +67,13 @@ class TestConstruction:
             Commodity(1, "a", "b", 0.0)
         with pytest.raises(ModelError, match="bound"):
             Commodity(1, "a", "b", -1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_numbers_rejected(self, value):
+        with pytest.raises(ModelError, match="capacity must be >= 0 and finite"):
+            Edge("e", "a", "b", value, True)
+        with pytest.raises(ModelError, match="bound must be positive and finite"):
+            Commodity(1, "a", "b", value)
 
     def test_negative_flow_value_rejected(self, t1):
         with pytest.raises(ModelError, match="negative"):
@@ -142,16 +155,15 @@ class TestAccounting:
     def test_edge_load_sums_terms(self, chain_net):
         system = make_system(chain_net, [[["e1"], ["e2", "e3"]]])
         flow = Flow.from_mapping(system, {(1, 1): 0.3, (1, 0): 0.2})
-        assert edge_load(flow, "e2") == pytest.approx(0.3)
-        assert edge_load(flow, "e1") == pytest.approx(0.2)
+        assert edge_loads(flow) == pytest.approx({"e1": 0.2, "e2": 0.3, "e3": 0.3})
 
     def test_shared_edge_load(self, t1):
         flow = Flow(t1, ((0.3,), (0.2,)))
-        assert edge_load(flow, "e1") == pytest.approx(0.5)
+        assert edge_loads(flow) == pytest.approx({"e1": 0.5})
 
     def test_empty_flow_loads_zero(self, t1):
         flow = Flow.zero(t1)
-        assert edge_load(flow, "e1") == 0.0
+        assert edge_loads(flow) == {"e1": 0.0}
 
     def test_gross_sum_on_undirected_edge(self):
         net = make_network(
@@ -165,7 +177,30 @@ class TestAccounting:
             ),
         )
         flow = Flow(system, ((0.4,), (0.4,)))
-        assert edge_load(flow, "e") == pytest.approx(0.8)
+        assert edge_loads(flow) == pytest.approx({"e": 0.8})
+
+    def test_closed_walk_counts_edge_once(self):
+        # s -> v -> s over one undirected edge: the path uses e once.
+        net = make_network(["s", "v"], [("e", "s", "v", 1.0, False)], [("s", "s", 1.0)])
+        walk = Path(1, (Traversal("e", True), Traversal("e", False)))
+        system = PathSystem(net, ((walk,),))
+        assert edge_loads(Flow(system, ((0.4,),))) == {"e": 0.4}
+        assert lp_mmfp_exact(system)[0] == 1.0
+        assert flow_value(solve_mmfp(system, 0.1)) == pytest.approx(1.0, rel=0.1)
+        assert lp_emcfpsc(system)[:2] == (1.0, 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loads_match_summing_loop(self, seed):
+        # Reference: the per-path loop; a matrix product may sum in another order.
+        system = generate_instance(seed, 8, 14, 3, 6).path_system
+        rng = np.random.default_rng(seed)
+        flow = Flow(system, tuple(tuple(rng.random(len(g)).tolist()) for g in system.paths))
+        expected = {}
+        for group, vals in zip(system.paths, flow.values):
+            for path, v in zip(group, vals):
+                for eid in {step.edge_id for step in path.steps}:
+                    expected[eid] = expected.get(eid, 0.0) + v
+        assert edge_loads(flow) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_feasibility_boundary(self, t1):
         assert is_feasible(Flow(t1, ((1.0,), (0.0,))))
@@ -258,6 +293,14 @@ class TestEnumeratePaths:
         net = make_network(["s", "t"], [("e", "s", "t", 1, True)], [("s", "t", 1)])
         with pytest.raises(ValueError):
             enumerate_paths(net, net.commodities[0], 0)
+
+    @pytest.mark.parametrize("shape", [(6, 9, 2, 4), (8, 14, 3, 6), (10, 25, 3, 8)])
+    def test_limit_is_a_prefix(self, shape):
+        net = generate_instance(5, *shape).network
+        for com in net.commodities:
+            full = enumerate_paths(net, com, len(net.nodes))
+            for k in (1, 3, len(full)):
+                assert enumerate_paths(net, com, len(net.nodes), limit=k) == full[:k]
 
     def test_all_results_validate(self):
         net = make_network(

@@ -9,7 +9,6 @@ from concurflow.netmodel import (
     min_ratio,
 )
 from concurflow.oracle import (
-    describe_lp,
     lp_emcfp_lambda,
     lp_emcfpsc,
     lp_grouped_max,
@@ -165,14 +164,6 @@ class TestGroupedCore:
     def test_unknown_edge_rejected(self):
         with pytest.raises(ValueError, match="no capacity entry"):
             lp_grouped_max({"a": 1.0}, [[("zz",)]], None)
-
-    def test_descriptor(self, t1):
-        lp = describe_lp(t1, (1.0, 2.0), with_ratio=True)
-        assert lp.n_variables == 3
-        assert lp.n_capacity_rows == 1
-        assert lp.n_bound_rows == 2
-        assert lp.n_ratio_rows == 2
-        assert lp.objective == "max ratio"
 
 
 def _grid_system(scale=1.0):
