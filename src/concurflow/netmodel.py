@@ -237,6 +237,9 @@ class PathMatrix:
             caps = [capacities[key] for key in edges]
         except KeyError as exc:
             raise ValueError(f"path uses edge {exc.args[0]!r} with no capacity entry") from None
+        for key, cap in zip(edges, caps):
+            if not math.isfinite(cap):
+                raise ValueError(f"edge {key!r} has non-finite capacity {cap}")
         row_of = {key: row for row, key in enumerate(edges)}
         n = len(paths)
         a = np.zeros((len(edges), n))

@@ -9,6 +9,7 @@ path, solved by the in-package simplex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -87,6 +88,8 @@ def lp_grouped_max(
     if len(bounds) != len(groups):
         raise ValueError("bounds length does not match the group count")
     for g, bound in enumerate(bounds):
+        if bound is not None and math.isnan(bound):
+            raise ValueError(f"NaN bound for group {g}")
         if bound is not None and bound < 0:
             raise ValueError(f"negative bound {bound} for group {g}")
     live = [group if bound != 0 else () for group, bound in zip(groups, bounds)]

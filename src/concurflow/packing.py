@@ -14,7 +14,10 @@ own losses; the oracle-gap tests pin this down against the exact LP.
 Numerics: the canonical initial length scale ``delta`` underflows double
 precision once the internal epsilon gets small, so lengths are stored with
 ``delta`` factored out and the loop renormalizes by exact powers of two,
-tracking the dual objective in log space. All arithmetic is deterministic;
+tracking the dual objective in log space. Each path's length update is one
+precomputed row, ``1 + eps * bottleneck / cap`` on its edges and exactly 1.0
+elsewhere; multiplying the whole length vector by it is exact off the path,
+because ``x * 1.0 == x`` for every double. All arithmetic is deterministic;
 ties in path selection resolve to the lowest (group, path) index.
 """
 
@@ -89,6 +92,8 @@ def pack_paths(
         if len(bounds) != len(groups):
             raise ValueError("bounds length does not match the group count")
         for g, bound in enumerate(bounds):
+            if bound is not None and math.isnan(bound):
+                raise ValueError(f"NaN bound for group {g}")
             if bound is not None and not math.isinf(bound) and bound < 0:
                 raise ValueError(f"negative bound {bound} for group {g}")
 
@@ -101,8 +106,8 @@ def pack_paths(
         return float(b)
 
     def usable(path) -> bool:
-        # A key missing from ``capacities`` passes here; the build reports it.
-        return not any(capacities.get(key, 1.0) <= 0.0 for key in path)
+        # A missing key or a non-finite capacity passes here; the build reports it.
+        return not any(-math.inf < capacities.get(key, 1.0) <= 0.0 for key in path)
 
     # Columns: the real edges, then one virtual bound edge per bounded group
     # that keeps a path.
@@ -129,12 +134,17 @@ def pack_paths(
     eps_int = config.eps_int
 
     edge_cols = [np.flatnonzero(row) for row in incidence]
-    bottleneck = np.array([cap_arr[cols].min() for cols in edge_cols])
+    bottleneck = [cap_arr[cols].min().item() for cols in edge_cols]
+    # One length-growth row per path; see "Numerics" above for why it is exact.
+    grow = np.ones((n_paths, m))
+    for p, cols in enumerate(edge_cols):
+        grow[p, cols] = 1.0 + eps_int * (bottleneck[p] / cap_arr[cols])
 
     # Lengths with delta factored out; the true length is delta * 2**shift * stored.
     length = 1.0 / cap_arr
-    raw = np.zeros(n_paths)
+    raw = [0.0] * n_paths
     path_len = np.empty(n_paths)
+    dot, argmin = incidence.dot, path_len.argmin
 
     theta = -config.log_delta  # stop once log of the true dual objective >= 0
     dual = float(m)  # stored-scale dual objective, sum of cap * length
@@ -153,13 +163,12 @@ def pack_paths(
                 f"packing exceeded {config.max_iterations} iterations (m={m}, eps={eps})"
             )
         iterations += 1
-        np.dot(incidence, length, out=path_len)
-        p = int(np.argmin(path_len))
-        f = float(bottleneck[p])
+        dot(length, out=path_len)
+        p = argmin()
+        f = bottleneck[p]
         raw[p] += f
-        cols = edge_cols[p]
-        dual += eps_int * f * float(path_len[p])
-        length[cols] *= 1.0 + eps_int * (f / cap_arr[cols])
+        dual += eps_int * f * path_len.item(p)
+        length *= grow[p]
         if dual > renorm_cut:
             length *= 2.0**-_RENORM_SHIFT
             dual *= 2.0**-_RENORM_SHIFT
@@ -167,7 +176,7 @@ def pack_paths(
             stop_at = threshold()
 
     scale_down = math.log((1.0 + eps_int) * m) / (eps_int * math.log1p(eps_int))
-    values = raw / scale_down
+    values = np.array(raw) / scale_down
 
     # Clip once so feasibility holds exactly despite rounding in the scale.
     loads = incidence.T @ values

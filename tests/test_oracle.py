@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,18 @@ class TestGroupedCore:
     def test_unknown_edge_rejected(self):
         with pytest.raises(ValueError, match="no capacity entry"):
             lp_grouped_max({"a": 1.0}, [[("zz",)]], None)
+
+    @pytest.mark.parametrize("bounds, group", [([math.nan, None], 0), ([1.5, math.nan], 1)])
+    def test_nan_bound_rejected(self, bounds, group):
+        caps = {"a": 1.0, "b": 2.0}
+        groups = [[("a",), ("b",)], [("a", "b")]]
+        with pytest.raises(ValueError, match=f"NaN bound for group {group}"):
+            lp_grouped_max(caps, groups, bounds)
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+    def test_non_finite_capacity_rejected(self, cap):
+        with pytest.raises(ValueError, match="edge 'b' has non-finite capacity"):
+            lp_grouped_max({"a": 1.0, "b": cap}, [[("a",), ("a", "b")]], None)
 
 
 def _grid_system(scale=1.0):

@@ -1,13 +1,26 @@
+import math
+from typing import Hashable, Sequence
+
+import numpy as np
 import pytest
 
-from concurflow.netmodel import branch_values, flow_value, is_feasible
+from concurflow import generate_instance
+from concurflow.netmodel import PathMatrix, branch_values, flow_value, is_feasible
 from concurflow.oracle import lp_mmfp_exact, lp_mmfpb_exact
-from concurflow.packing import FptasConfig, PackingError, pack_paths, solve_mmfp, solve_mmfpb
-from conftest import make_network, make_system
+from concurflow.packing import (
+    _RENORM_SHIFT,
+    FptasConfig,
+    PackingError,
+    PackingResult,
+    pack_paths,
+    solve_mmfp,
+    solve_mmfpb,
+)
+from concurflow.solver import build_auxiliary
+from conftest import make_network, make_system, t1_system
 
 
-@pytest.fixture
-def diamond():
+def diamond_system():
     # Two commodities over a small diamond; several overlapping paths.
     net = make_network(
         ["s", "a", "b", "t"],
@@ -27,6 +40,11 @@ def diamond():
             [["e2", "e5", "e3"], ["e1", "e3"]],
         ],
     )
+
+
+@pytest.fixture
+def diamond():
+    return diamond_system()
 
 
 class TestUnbounded:
@@ -165,3 +183,175 @@ class TestIterationGrowth:
         monkeypatch.setattr(packing.FptasConfig, "for_run", starved)
         with pytest.raises(PackingError):
             solve_mmfp(diamond, 0.2)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bounds, group", [([math.nan, 1.0], 0), ([1.0, math.nan], 1)])
+    def test_nan_bound_rejected(self, t1, bounds, group):
+        with pytest.raises(ValueError, match=f"NaN bound for group {group}"):
+            pack_paths(t1.capacities(), t1.edge_groups(), bounds, 0.1)
+
+    def test_nan_bound_rejected_by_solve_mmfpb(self, t1):
+        with pytest.raises(ValueError, match="NaN bound"):
+            solve_mmfpb(t1, (math.nan, 1.0), 0.1)
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+    def test_non_finite_capacity_rejected(self, cap):
+        with pytest.raises(ValueError, match="edge 'e' has non-finite capacity"):
+            pack_paths({"e": cap}, [[("e",)]], None, 0.1)
+
+    def test_infinite_bound_means_unbounded(self, t1):
+        caps, groups = t1.capacities(), t1.edge_groups()
+        unbounded = pack_paths(caps, groups, [math.inf, None], 0.1)
+        assert unbounded == pack_paths(caps, groups, None, 0.1)
+
+
+# The packing loop as it stood before each path got a precomputed growth row:
+# it multiplies only the path's own edge lengths, one fresh factor array per
+# step. The current loop must reproduce it bit for bit.
+def reference_pack_paths(
+    capacities: dict[Hashable, float],
+    groups: Sequence[Sequence[Sequence[Hashable]]],
+    bounds: Sequence[float | None] | None,
+    eps: float,
+) -> PackingResult:
+    if not 0.0 < eps <= 0.5:
+        raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
+    if bounds is not None:
+        if len(bounds) != len(groups):
+            raise ValueError("bounds length does not match the group count")
+        for g, bound in enumerate(bounds):
+            if bound is not None and not math.isinf(bound) and bound < 0:
+                raise ValueError(f"negative bound {bound} for group {g}")
+
+    def group_bound(g: int) -> float | None:
+        if bounds is None:
+            return None
+        b = bounds[g]
+        if b is None or (isinstance(b, float) and math.isinf(b)):
+            return None
+        return float(b)
+
+    def usable(path) -> bool:
+        # A key missing from ``capacities`` passes here; the build reports it.
+        return not any(capacities.get(key, 1.0) <= 0.0 for key in path)
+
+    # Columns: the real edges, then one virtual bound edge per bounded group
+    # that keeps a path.
+    keep = [
+        [] if group_bound(g) == 0.0 else [j for j, path in enumerate(group) if usable(path)]
+        for g, group in enumerate(groups)
+    ]
+    matrix = PathMatrix.build(capacities, [[groups[g][j] for j in js] for g, js in enumerate(keep)])
+    path_key = [(g, j) for g, js in enumerate(keep) for j in js]
+
+    values_dense = [[0.0] * len(group) for group in groups]
+    zero_totals = tuple(0.0 for _ in groups)
+    if not path_key:
+        return PackingResult(
+            tuple(tuple(v) for v in values_dense), zero_totals, 0.0, 0, None
+        )
+
+    bounded = [g for g, js in enumerate(keep) if js and group_bound(g) is not None]
+    cap_arr = np.concatenate((matrix.caps, [group_bound(g) for g in bounded]))
+    # C order matters: np.dot rounds differently on an F-order incidence.
+    incidence = np.ascontiguousarray(np.vstack((matrix.a, matrix.g[bounded])).T)
+    n_paths, m = incidence.shape
+    config = FptasConfig.for_run(eps, m)
+    eps_int = config.eps_int
+
+    edge_cols = [np.flatnonzero(row) for row in incidence]
+    bottleneck = np.array([cap_arr[cols].min() for cols in edge_cols])
+
+    # Lengths with delta factored out; the true length is delta * 2**shift * stored.
+    length = 1.0 / cap_arr
+    raw = np.zeros(n_paths)
+    path_len = np.empty(n_paths)
+
+    theta = -config.log_delta  # stop once log of the true dual objective >= 0
+    dual = float(m)  # stored-scale dual objective, sum of cap * length
+    shifts = 0
+    renorm_cut = 2.0**_RENORM_SHIFT
+
+    def threshold() -> float:
+        exponent = theta - shifts * (_RENORM_SHIFT * math.log(2.0))
+        return math.exp(exponent) if exponent < 700.0 else math.inf
+
+    stop_at = threshold()
+    iterations = 0
+    while dual < stop_at:
+        if iterations >= config.max_iterations:
+            raise PackingError(
+                f"packing exceeded {config.max_iterations} iterations (m={m}, eps={eps})"
+            )
+        iterations += 1
+        np.dot(incidence, length, out=path_len)
+        p = int(np.argmin(path_len))
+        f = float(bottleneck[p])
+        raw[p] += f
+        cols = edge_cols[p]
+        dual += eps_int * f * float(path_len[p])
+        length[cols] *= 1.0 + eps_int * (f / cap_arr[cols])
+        if dual > renorm_cut:
+            length *= 2.0**-_RENORM_SHIFT
+            dual *= 2.0**-_RENORM_SHIFT
+            shifts += 1
+            stop_at = threshold()
+
+    scale_down = math.log((1.0 + eps_int) * m) / (eps_int * math.log1p(eps_int))
+    values = raw / scale_down
+
+    # Clip once so feasibility holds exactly despite rounding in the scale.
+    loads = incidence.T @ values
+    factor = 1.0
+    for col in range(m):
+        if loads[col] > cap_arr[col] > 0.0:
+            factor = min(factor, cap_arr[col] / loads[col])
+    if factor < 1.0:
+        values = values * factor
+
+    for (g, j), v in zip(path_key, values):
+        values_dense[g][j] = float(v)
+    group_totals = tuple(float(sum(row)) for row in values_dense)
+    return PackingResult(
+        tuple(tuple(row) for row in values_dense),
+        group_totals,
+        float(sum(group_totals)),
+        iterations,
+        config,
+    )
+
+
+def _system_case(system, bounds, eps):
+    return system.capacities(), system.edge_groups(), bounds, eps
+
+
+def _aux_case():
+    # A corpus instance's auxiliary groups: every base path appears twice, once
+    # per sink copy, so the cheapest-path choice meets exact ties.
+    system = generate_instance(1, 7, 11, 3, 4, bound_range=(0.2, 0.6)).path_system
+    aux = build_auxiliary(system, system.network.bounds(), 2, 0.2)
+    return aux.capacities, list(aux.groups), aux.engine_bounds(0.2), 0.2
+
+
+REFERENCE_CASES = {
+    "diamond-bounded": lambda: _system_case(diamond_system(), (0.7, 1.3), 0.1),
+    "diamond-unbounded": lambda: _system_case(diamond_system(), None, 0.05),
+    # Small enough that the lengths renormalize (three shifts of 2**-332).
+    "t1-renormalizing": lambda: _system_case(t1_system(), (1.0, 2.0), 0.004),
+    "diamond-zero-bound": lambda: _system_case(diamond_system(), (0.0, 1.3), 0.1),
+    "zero-capacity-path": lambda: ({"e1": 0.0, "e2": 1.0}, [[("e1",), ("e2",)]], [5.0], 0.1),
+    "aux-ties": _aux_case,
+}
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_bit_identical_to_reference(self, name):
+        args = REFERENCE_CASES[name]()
+        expected = reference_pack_paths(*args)
+        result = pack_paths(*args)
+        assert result.values == expected.values
+        assert result.group_totals == expected.group_totals
+        assert result.total == expected.total
+        assert result.iterations == expected.iterations
