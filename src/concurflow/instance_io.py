@@ -225,8 +225,9 @@ def serialize_solution(report: SolveReport, instance: Instance) -> str:
     lines.append(f"eps {_fmt(report.eps)}")
     lines.append(f"l_star {report.l_star}")
     lines.append(f"h_star {report.h_star}")
-    lines.append(f"outer_iterations {report.outer_iterations}")
-    lines.append(f"inner_iterations {report.inner_iterations}")
+    # Copies of l_star/h_star, kept for format compatibility.
+    lines.append(f"outer_iterations {report.l_star}")
+    lines.append(f"inner_iterations {report.h_star}")
     lines.append(f"subroutine_calls {report.subroutine_calls}")
     lines.append(f"value {_fmt(report.value)}")
     lines.append(f"value_lower {_fmt(report.value_lower)}")

@@ -8,6 +8,9 @@ sum of the values of all paths using it stays within its capacity. A path
 system compiles once into a ``PathMatrix``, the edge-by-path incidence that
 the exact LPs, the packing loop and the load accounting all read.
 
+``GroupedProblem`` is the one place that reads the grouped path input both
+bounded-flow engines take, and lays their results back out.
+
 Everything in this module is immutable after construction and safe to share
 across threads; the operations are pure functions.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -226,10 +230,6 @@ class PathMatrix:
         capacities: Mapping[Hashable, float],
         groups: Sequence[Sequence[Sequence[Hashable]]],
     ) -> "PathMatrix":
-        for gi, group in enumerate(groups):
-            for j, path in enumerate(group):
-                if len(path) == 0:
-                    raise ValueError(f"empty path ({gi}, {j})")
         paths = [path for group in groups for path in group]
         keys = [key for path in paths for key in path]
         edges = tuple(dict.fromkeys(keys))
@@ -238,8 +238,8 @@ class PathMatrix:
         except KeyError as exc:
             raise ValueError(f"path uses edge {exc.args[0]!r} with no capacity entry") from None
         for key, cap in zip(edges, caps):
-            if not math.isfinite(cap):
-                raise ValueError(f"edge {key!r} has non-finite capacity {cap}")
+            if not (math.isfinite(cap) and cap >= 0):
+                raise ValueError(f"edge {key!r} has capacity {cap}, not finite and >= 0")
         row_of = {key: row for row, key in enumerate(edges)}
         n = len(paths)
         a = np.zeros((len(edges), n))
@@ -251,6 +251,85 @@ class PathMatrix:
         for arr in (caps_arr, a, g):
             arr.flags.writeable = False  # shared through PathSystem.matrix
         return cls(edges, caps_arr, a, g)
+
+
+@dataclass(frozen=True)
+class GroupedResult:
+    """Per-path values in the input's group layout, with their sums.
+
+    ``iterations`` counts simplex pivots for the exact LP and loop steps for
+    the packing approximation.
+    """
+
+    values: tuple[tuple[float, ...], ...]
+    group_totals: tuple[float, ...]
+    total: float
+    iterations: int
+
+
+@dataclass(frozen=True, eq=False)
+class GroupedProblem:
+    """Checked grouped path input, compiled to the columns that can carry flow.
+
+    ``bounds`` holds one cap per group: ``None`` for unbounded (given as
+    ``None`` or ``+inf``), 0 for a group switched off; a NaN or negative
+    bound is rejected, and so is an empty path or an edge of a live group's
+    path whose capacity is missing, non-finite or negative. A path is kept
+    when its group is on and it crosses no zero-capacity edge. ``matrix``
+    covers only the kept paths, in input order, and ``keep`` marks them
+    among all input paths.
+    """
+
+    matrix: PathMatrix
+    bounds: tuple[float | None, ...]
+    keep: np.ndarray
+    sizes: tuple[int, ...]
+
+    @classmethod
+    def build(
+        cls,
+        capacities: Mapping[Hashable, float],
+        groups: Sequence[Sequence[Sequence[Hashable]]],
+        bounds: Sequence[float | None] | None,
+    ) -> "GroupedProblem":
+        if bounds is None:
+            bounds = [None] * len(groups)
+        if len(bounds) != len(groups):
+            raise ValueError("bounds length does not match the group count")
+        checked: list[float | None] = []
+        for g, bound in enumerate(bounds):
+            if bound is not None:
+                if math.isnan(bound):
+                    raise ValueError(f"NaN bound for group {g}")
+                if bound < 0:
+                    raise ValueError(f"negative bound {bound} for group {g}")
+                bound = None if math.isinf(bound) else float(bound)
+            checked.append(bound)
+        for g, group in enumerate(groups):
+            if not all(map(len, group)):
+                raise ValueError(f"empty path ({g}, {list(map(len, group)).index(0)})")
+        sizes = tuple(map(len, groups))
+        keep = np.repeat(np.array([bound != 0 for bound in checked], dtype=bool), sizes)
+        live = [group if bound != 0 else () for group, bound in zip(groups, checked)]
+        matrix = PathMatrix.build(capacities, live)
+        if not matrix.caps.all():
+            # Drop the paths over zero-capacity edges and build again, so that
+            # the edges follow their first use among the kept paths.
+            flags = ~matrix.a[matrix.caps == 0].any(axis=0)
+            keep[keep] = flags
+            kept = iter(flags.tolist())
+            live = [[path for path in group if next(kept)] for group in live]
+            matrix = PathMatrix.build(capacities, live)
+        return cls(matrix, tuple(checked), keep, sizes)
+
+    def result(self, x: Sequence[float], iterations: int) -> GroupedResult:
+        """Values ``x`` of the kept columns, laid out over all input paths."""
+        dense = np.zeros(self.keep.size)
+        dense[self.keep] = x
+        flat = iter(dense.tolist())
+        values = tuple(tuple(islice(flat, size)) for size in self.sizes)
+        group_totals = tuple(float(sum(row)) for row in values)
+        return GroupedResult(values, group_totals, float(sum(group_totals)), iterations)
 
 
 @dataclass(frozen=True)
@@ -327,19 +406,6 @@ class Flow:
     @classmethod
     def zero(cls, system: PathSystem) -> "Flow":
         return cls(system, tuple(tuple(0.0 for _ in group) for group in system.paths))
-
-    @classmethod
-    def from_mapping(cls, system: PathSystem, mapping: dict[tuple[int, int], float]) -> "Flow":
-        """Build a flow from a sparse ``{(commodity index, path index): value}`` map."""
-        dense = [[0.0] * len(group) for group in system.paths]
-        for (ci, pi), value in mapping.items():
-            if not (1 <= ci <= system.k and 0 <= pi < len(system.paths[ci - 1])):
-                raise ModelError(f"no path ({ci}, {pi}) in the system")
-            dense[ci - 1][pi] = value
-        return cls(system, tuple(tuple(row) for row in dense))
-
-    def value(self, ci: int, pi: int) -> float:
-        return self.values[ci - 1][pi]
 
 
 def _load_vector(flow: Flow) -> np.ndarray:

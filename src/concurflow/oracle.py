@@ -9,13 +9,11 @@ path, solved by the in-package simplex.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .netmodel import Flow, PathMatrix, PathSystem
+from .netmodel import Flow, GroupedProblem, GroupedResult, PathMatrix, PathSystem
 from .simplex import SimplexError, solve_lp
 
 # Slack subtracted from the stage-1 ratio before stage 2 re-imposes it,
@@ -25,13 +23,6 @@ STAGE_SLACK = 1e-9
 
 class OracleError(RuntimeError):
     """The reference LP failed to solve; results must not be trusted."""
-
-
-@dataclass(frozen=True)
-class GroupedLpResult:
-    total: float
-    values: tuple[tuple[float, ...], ...]
-    group_totals: tuple[float, ...]
 
 
 def _clip(x: np.ndarray) -> np.ndarray:
@@ -75,39 +66,24 @@ def lp_grouped_max(
     capacities: dict[Hashable, float],
     groups: Sequence[Sequence[Sequence[Hashable]]],
     bounds: Sequence[float | None] | None,
-) -> GroupedLpResult:
+) -> GroupedResult:
     """Maximize total value over grouped paths under edge caps and group bounds.
 
     ``groups[g]`` is a list of paths, each a sequence of edge keys into
-    ``capacities``; ``bounds[g]`` caps the group's total value (``None``
-    means unbounded, 0 drops the group). This is the engine behind the
-    public solvers and is also callable directly with synthetic path groups.
+    ``capacities``; ``bounds[g]`` caps the group's total value (``None`` or
+    ``+inf`` means unbounded, 0 drops the group). Input is read as by
+    :func:`pack_paths`, through ``GroupedProblem``. This is the engine behind
+    the public solvers and is also callable directly with synthetic groups.
     """
-    if bounds is None:
-        bounds = [None] * len(groups)
-    if len(bounds) != len(groups):
-        raise ValueError("bounds length does not match the group count")
-    for g, bound in enumerate(bounds):
-        if bound is not None and math.isnan(bound):
-            raise ValueError(f"NaN bound for group {g}")
-        if bound is not None and bound < 0:
-            raise ValueError(f"negative bound {bound} for group {g}")
-    live = [group if bound != 0 else () for group, bound in zip(groups, bounds)]
-    matrix = PathMatrix.build(capacities, live)
-    n = matrix.a.shape[1]
-    flat = iter(())
-    if n:
-        try:
-            res = solve_lp(np.ones(n), _path_rows(matrix, bounds))
-        except SimplexError as exc:
-            raise OracleError(f"path LP failed: {exc}") from exc
-        flat = iter(_clip(res.x).tolist())
-    values = tuple(
-        tuple(next(flat) if bound != 0 else 0.0 for _ in group)
-        for group, bound in zip(groups, bounds)
-    )
-    group_totals = tuple(float(sum(v)) for v in values)
-    return GroupedLpResult(float(sum(group_totals)), values, group_totals)
+    problem = GroupedProblem.build(capacities, groups, bounds)
+    n = problem.matrix.a.shape[1]
+    if not n:
+        return problem.result([], 0)
+    try:
+        res = solve_lp(np.ones(n), _path_rows(problem.matrix, problem.bounds))
+    except SimplexError as exc:
+        raise OracleError(f"path LP failed: {exc}") from exc
+    return problem.result(_clip(res.x), res.iterations)
 
 
 def lp_mmfp_exact(system: PathSystem) -> tuple[float, Flow]:
@@ -124,10 +100,8 @@ def lp_mmfpb_exact(system: PathSystem, bounds: Sequence[float] | None = None) ->
     """
     if bounds is None:
         bounds = system.network.bounds()
-    bounds = [float(b) for b in bounds]
-    for b in bounds:
-        if not np.isfinite(b) or b < 0:
-            raise ValueError(f"bounds must be finite and >= 0, got {b}")
+    if np.inf in bounds:  # lp_grouped_max would read it as unbounded
+        raise ValueError("bounds must be finite, got inf")
     result = lp_grouped_max(system.capacities(), system.edge_groups(), bounds)
     return result.total, Flow(system, result.values)
 

@@ -29,7 +29,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .netmodel import Flow, PathMatrix, PathSystem
+from .netmodel import Flow, GroupedProblem, GroupedResult, PathSystem
 
 # Lengths renormalize by 2**-_RENORM_SHIFT whenever the scaled dual
 # objective passes 2**_RENORM_SHIFT; exact in binary floating point.
@@ -63,70 +63,31 @@ class FptasConfig:
         return cls(eps, eps_int, log_delta, max_iterations)
 
 
-@dataclass(frozen=True)
-class PackingResult:
-    values: tuple[tuple[float, ...], ...]
-    group_totals: tuple[float, ...]
-    total: float
-    iterations: int
-    config: FptasConfig | None
-
-
 def pack_paths(
     capacities: dict[Hashable, float],
     groups: Sequence[Sequence[Sequence[Hashable]]],
     bounds: Sequence[float | None] | None,
     eps: float,
-) -> PackingResult:
+) -> GroupedResult:
     """Approximately maximize total value over grouped paths.
 
     ``groups[g]`` lists paths as sequences of edge keys into ``capacities``;
-    ``bounds[g]`` caps the group total (``None`` for unbounded, ``0`` shuts
-    the group off). Paths crossing a zero-capacity edge can never carry
-    flow and are dropped up front. Returns values aligned with the input
-    group/path layout.
+    ``bounds[g]`` caps the group total (``None`` or ``+inf`` for unbounded,
+    ``0`` shuts the group off). ``GroupedProblem`` checks the input and drops
+    the paths that cannot carry flow; values come back in the input layout.
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
-    if bounds is not None:
-        if len(bounds) != len(groups):
-            raise ValueError("bounds length does not match the group count")
-        for g, bound in enumerate(bounds):
-            if bound is not None and math.isnan(bound):
-                raise ValueError(f"NaN bound for group {g}")
-            if bound is not None and not math.isinf(bound) and bound < 0:
-                raise ValueError(f"negative bound {bound} for group {g}")
-
-    def group_bound(g: int) -> float | None:
-        if bounds is None:
-            return None
-        b = bounds[g]
-        if b is None or (isinstance(b, float) and math.isinf(b)):
-            return None
-        return float(b)
-
-    def usable(path) -> bool:
-        # A missing key or a non-finite capacity passes here; the build reports it.
-        return not any(-math.inf < capacities.get(key, 1.0) <= 0.0 for key in path)
+    problem = GroupedProblem.build(capacities, groups, bounds)
+    matrix = problem.matrix
+    if not matrix.a.shape[1]:
+        return problem.result([], 0)
 
     # Columns: the real edges, then one virtual bound edge per bounded group
     # that keeps a path.
-    keep = [
-        [] if group_bound(g) == 0.0 else [j for j, path in enumerate(group) if usable(path)]
-        for g, group in enumerate(groups)
-    ]
-    matrix = PathMatrix.build(capacities, [[groups[g][j] for j in js] for g, js in enumerate(keep)])
-    path_key = [(g, j) for g, js in enumerate(keep) for j in js]
-
-    values_dense = [[0.0] * len(group) for group in groups]
-    zero_totals = tuple(0.0 for _ in groups)
-    if not path_key:
-        return PackingResult(
-            tuple(tuple(v) for v in values_dense), zero_totals, 0.0, 0, None
-        )
-
-    bounded = [g for g, js in enumerate(keep) if js and group_bound(g) is not None]
-    cap_arr = np.concatenate((matrix.caps, [group_bound(g) for g in bounded]))
+    has_paths = matrix.g.any(axis=1)
+    bounded = [g for g, b in enumerate(problem.bounds) if b is not None and has_paths[g]]
+    cap_arr = np.concatenate((matrix.caps, [problem.bounds[g] for g in bounded]))
     # C order matters: np.dot rounds differently on an F-order incidence.
     incidence = np.ascontiguousarray(np.vstack((matrix.a, matrix.g[bounded])).T)
     n_paths, m = incidence.shape
@@ -187,16 +148,7 @@ def pack_paths(
     if factor < 1.0:
         values = values * factor
 
-    for (g, j), v in zip(path_key, values):
-        values_dense[g][j] = float(v)
-    group_totals = tuple(float(sum(row)) for row in values_dense)
-    return PackingResult(
-        tuple(tuple(row) for row in values_dense),
-        group_totals,
-        float(sum(group_totals)),
-        iterations,
-        config,
-    )
+    return problem.result(values, iterations)
 
 
 def solve_mmfp(system: PathSystem, eps: float) -> Flow:
@@ -207,7 +159,5 @@ def solve_mmfp(system: PathSystem, eps: float) -> Flow:
 
 def solve_mmfpb(system: PathSystem, bounds: Sequence[float], eps: float) -> Flow:
     """Like :func:`solve_mmfp` but with per-commodity value caps ``bounds``."""
-    if len(bounds) != system.k:
-        raise ValueError("bounds length does not match the commodity count")
     result = pack_paths(system.capacities(), system.edge_groups(), list(bounds), eps)
     return Flow(system, result.values)

@@ -8,7 +8,8 @@ longer nearly saturate the scaled demands, fixing the terminal count
 dedicated sink (capacity pinned to the certified per-commodity share) and
 one shared overflow sink; an inner search grows the overflow budget in
 steps of ``eta`` until value stops keeping up, fixing ``h_star``. The
-auxiliary flow projects back onto the original paths, giving an output
+auxiliary network is two copies of the base path columns, one per sink
+kind, and projection adds each path's two copies, giving an output
 whose total value, per-commodity caps, and worst service ratio are all
 sandwiched by closed-form functions of ``l_star``, ``h_star`` and ``eta``.
 
@@ -21,9 +22,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Hashable, Protocol, Sequence
+from itertools import islice
+from typing import Callable, Hashable, Sequence
 
-from .netmodel import Flow, PathSystem, branch_values, flow_value, min_ratio
+from .netmodel import Flow, GroupedResult, PathSystem, branch_values, flow_value, min_ratio
 from .oracle import lp_grouped_max
 from .packing import pack_paths
 
@@ -32,26 +34,11 @@ from .packing import pack_paths
 BELOW_TOL = 1e-12
 
 
-class GroupedResult(Protocol):
-    values: tuple[tuple[float, ...], ...]
-    group_totals: tuple[float, ...]
-    total: float
-
-
 Subroutine = Callable[[dict, list, list, float], GroupedResult]
 
-
-def _fptas_subroutine(caps, groups, bounds, eps):
-    return pack_paths(caps, groups, bounds, eps)
-
-
-def _oracle_subroutine(caps, groups, bounds, eps):
-    return lp_grouped_max(caps, groups, bounds)
-
-
 _SUBROUTINES: dict[str, Subroutine] = {
-    "fptas": _fptas_subroutine,
-    "oracle": _oracle_subroutine,
+    "fptas": pack_paths,
+    "oracle": lambda caps, groups, bounds, eps: lp_grouped_max(caps, groups, bounds),
 }
 
 
@@ -118,30 +105,20 @@ def find_lstar(
 class AuxNetwork:
     """Sink-splitting extension fixed by the outer search level.
 
-    Every commodity i gains two edges at the end of its base paths: a
-    dedicated-sink edge ``("ded", i)`` of capacity
-    ``dedicated_bounds[i-1] = (l_star - 1) * eta * b_i`` and an
-    overflow-sink edge ``("ovf", i)`` of capacity
-    ``b_i - dedicated_bounds[i-1]``. Tuple keys never collide with the
-    string ids of the base edges. The subroutine sees ``k + 1`` groups: one
-    per dedicated sink (bounded by its capacity) plus a single aggregated
-    overflow group whose bound is the inner loop's moving budget.
-    ``overflow_origin`` maps every overflow-group position back to its
-    (commodity, path index) source, so the extension is a bijection over
-    two copies of the base paths.
+    It is two copies of the base path columns, each with one extra edge key
+    per commodity i at the end of its paths. The dedicated copy ends in
+    ``("ded", i)`` of capacity ``dedicated_bounds[i-1] = (l_star - 1) * eta
+    * b_i``, the overflow copy in ``("ovf", i)`` of capacity ``b_i -
+    dedicated_bounds[i-1]``. Tuple keys never collide with the string ids of
+    the base edges. The subroutine sees ``k + 1`` groups: one per dedicated
+    sink (bounded by its capacity) plus a single overflow group, the base
+    paths in commodity order, whose bound is the inner loop's moving budget.
     """
 
     base: PathSystem
-    eta: float
-    l_star: int
-    bounds0: tuple[float, ...]
     dedicated_bounds: tuple[float, ...]
     capacities: dict[Hashable, float]
     groups: tuple[tuple[tuple[Hashable, ...], ...], ...]
-    overflow_origin: tuple[tuple[int, int], ...]
-
-    def engine_bounds(self, overflow_bound: float) -> list[float]:
-        return [*self.dedicated_bounds, overflow_bound]
 
 
 def build_auxiliary(
@@ -173,20 +150,7 @@ def build_auxiliary(
     overflow_group = tuple(
         path + (("ovf", i),) for i, group in enumerate(base_groups, start=1) for path in group
     )
-    overflow_origin = tuple(
-        (i, j) for i, group in enumerate(base_groups, start=1) for j in range(len(group))
-    )
-
-    return AuxNetwork(
-        base=system,
-        eta=eta,
-        l_star=l_star,
-        bounds0=tuple(float(b) for b in bounds0),
-        dedicated_bounds=dedicated_bounds,
-        capacities=capacities,
-        groups=dedicated_groups + (overflow_group,),
-        overflow_origin=overflow_origin,
-    )
+    return AuxNetwork(system, dedicated_bounds, capacities, dedicated_groups + (overflow_group,))
 
 
 @dataclass(frozen=True)
@@ -214,7 +178,7 @@ def find_hstar(
     run = resolve_subroutine(subroutine)
     caps = aux.capacities
     groups = list(aux.groups)
-    current = run(caps, groups, aux.engine_bounds(0.0), eps)
+    current = run(caps, groups, [*aux.dedicated_bounds, 0.0], eps)
     calls = 1
     sum_dedicated = sum(aux.dedicated_bounds)
     h = 0
@@ -223,7 +187,7 @@ def find_hstar(
         budget = h * eta
         if budget > sum_b0:
             break
-        result = run(caps, groups, aux.engine_bounds(budget), eps)
+        result = run(caps, groups, [*aux.dedicated_bounds, budget], eps)
         calls += 1
         target = (sum_dedicated + budget) / (1.0 + eps)
         if result.total < target - BELOW_TOL:
@@ -236,12 +200,14 @@ def project_flow(aux_values: Sequence[Sequence[float]], aux: AuxNetwork) -> Flow
     """Collapse an auxiliary flow back onto the original paths.
 
     Each original path receives the sum of its dedicated and overflow
-    copies; totals and per-commodity values are conserved exactly.
+    copies; the overflow group is cut into per-commodity slices by the base
+    group lengths. Totals and per-commodity values are conserved exactly.
     """
-    dense = [list(map(float, group_vals)) for group_vals in aux_values[:-1]]
-    for (ci, pj), value in zip(aux.overflow_origin, aux_values[-1]):
-        dense[ci - 1][pj] += float(value)
-    return Flow(aux.base, tuple(tuple(row) for row in dense))
+    overflow = iter(aux_values[-1])
+    return Flow(aux.base, tuple(
+        tuple(float(d) + float(o) for d, o in zip(dedicated, islice(overflow, len(group))))
+        for dedicated, group in zip(aux_values, aux.base.paths)
+    ))
 
 
 @dataclass(frozen=True)
@@ -260,8 +226,6 @@ class SolveReport:
     min_ratio_value: float
     min_ratio_lower: float
     min_ratio_upper: float
-    outer_iterations: int
-    inner_iterations: int
     subroutine_calls: int
     wall_time_s: float
 
@@ -309,8 +273,6 @@ def solve(
         min_ratio_value=min_ratio(flow, bounds0),
         min_ratio_lower=(l_star - 1) * eta - 2 * eta / min(bounds0),
         min_ratio_upper=l_star * eta,
-        outer_iterations=l_star,
-        inner_iterations=h_star,
         subroutine_calls=outer.calls + inner.calls,
         wall_time_s=time.perf_counter() - started,
     )

@@ -9,6 +9,8 @@ from concurflow.netmodel import (
     Commodity,
     Edge,
     Flow,
+    GroupedProblem,
+    GroupedResult,
     ModelError,
     Network,
     Path,
@@ -154,7 +156,7 @@ class TestInferTraversals:
 class TestAccounting:
     def test_edge_load_sums_terms(self, chain_net):
         system = make_system(chain_net, [[["e1"], ["e2", "e3"]]])
-        flow = Flow.from_mapping(system, {(1, 1): 0.3, (1, 0): 0.2})
+        flow = Flow(system, ((0.2, 0.3),))
         assert edge_loads(flow) == pytest.approx({"e1": 0.2, "e2": 0.3, "e3": 0.3})
 
     def test_shared_edge_load(self, t1):
@@ -240,6 +242,20 @@ class TestAccounting:
     def test_min_ratio_uses_commodity_bounds(self, t1):
         flow = Flow(t1, ((0.5,), (0.5,)))
         assert min_ratio(flow) == pytest.approx(0.25)
+
+
+class TestGroupedProblem:
+    def test_keeps_paths_that_can_carry_flow(self):
+        # The path over zero-capacity "z" and the switched-off group drop out;
+        # edges follow first use among the kept paths only.
+        caps = {"z": 0.0, "b": 1.0, "a": 2.0}
+        problem = GroupedProblem.build(caps, [[("z", "b"), ("a", "b")], [("b",)]], [math.inf, 0])
+        assert problem.bounds == (None, 0.0)
+        assert problem.matrix.edges == ("a", "b")
+        assert problem.keep.tolist() == [False, True, False]
+        assert problem.result(np.array([0.5]), 3) == GroupedResult(
+            ((0.0, 0.5), (0.0,)), (0.5, 0.0), 0.5, 3
+        )
 
 
 class TestEnumeratePaths:

@@ -17,6 +17,7 @@ from concurflow.oracle import (
     lp_mmfp_exact,
     lp_mmfpb_exact,
 )
+from concurflow.packing import pack_paths
 from conftest import make_network, make_system, t1_system, t2_system, t3_system
 
 
@@ -163,21 +164,51 @@ class TestGroupedCore:
         res = lp_grouped_max({}, [[], []], None)
         assert res.total == 0.0
 
+    # Malformed input is rejected alike by both engines: one front door reads it.
     def test_unknown_edge_rejected(self):
-        with pytest.raises(ValueError, match="no capacity entry"):
-            lp_grouped_max({"a": 1.0}, [[("zz",)]], None)
+        assert "edge 'zz' with no capacity entry" in _rejected_alike({"a": 1.0}, [[("zz",)]], None)
 
     @pytest.mark.parametrize("bounds, group", [([math.nan, None], 0), ([1.5, math.nan], 1)])
     def test_nan_bound_rejected(self, bounds, group):
         caps = {"a": 1.0, "b": 2.0}
         groups = [[("a",), ("b",)], [("a", "b")]]
-        with pytest.raises(ValueError, match=f"NaN bound for group {group}"):
-            lp_grouped_max(caps, groups, bounds)
+        assert _rejected_alike(caps, groups, bounds) == f"NaN bound for group {group}"
 
     @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
     def test_non_finite_capacity_rejected(self, cap):
-        with pytest.raises(ValueError, match="edge 'b' has non-finite capacity"):
-            lp_grouped_max({"a": 1.0, "b": cap}, [[("a",), ("a", "b")]], None)
+        message = _rejected_alike({"a": 1.0, "b": cap}, [[("a",), ("a", "b")]], None)
+        assert message == f"edge 'b' has capacity {cap}, not finite and >= 0"
+
+    @pytest.mark.parametrize(
+        "caps, groups, bounds, message",
+        [
+            ({"a": 1.0}, [[("a",)]], [1.0, 2.0], "bounds length does not match the group count"),
+            ({"a": 1.0}, [[("a",)]], [-0.5], "negative bound -0.5 for group 0"),
+            ({"a": 1.0}, [[("a",)], []], [1.0, -math.inf], "negative bound -inf for group 1"),
+            (
+                {"a": -1.0, "b": 1.0}, [[("a",), ("b",)]], None,
+                "edge 'a' has capacity -1.0, not finite and >= 0",
+            ),
+            ({"z": 0.0, "a": 1.0}, [[("z",), ()]], None, "empty path (0, 1)"),
+        ],
+        ids=["bounds-length", "negative-bound", "minus-inf-bound", "negative-cap", "empty-path"],
+    )
+    def test_malformed_input_rejected(self, caps, groups, bounds, message):
+        assert _rejected_alike(caps, groups, bounds) == message
+
+
+def _rejected_alike(caps, groups, bounds) -> str:
+    """The message both engines raise on the same input; type and text must agree."""
+    errors = []
+    for engine in (
+        lambda: lp_grouped_max(caps, groups, bounds),
+        lambda: pack_paths(caps, groups, bounds, 0.1),
+    ):
+        with pytest.raises(ValueError) as info:
+            engine()
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    return errors[0][1]
 
 
 def _grid_system(scale=1.0):

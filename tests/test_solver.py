@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from concurflow.instance_io import Instance, parse_solution, serialize_solution
 from concurflow.netmodel import branch_values, flow_value, is_feasible
 from concurflow.oracle import lp_emcfpsc
 from concurflow.solver import (
@@ -95,15 +96,16 @@ class TestAuxiliary:
         assert len(aux.groups) == t2.k + 1
         assert sum(len(g) for g in aux.groups[:-1]) == t2.path_count
         assert len(aux.groups[-1]) == t2.path_count
-        assert len(set(aux.overflow_origin)) == t2.path_count
         # Extended paths append exactly one new edge key to the originals.
         base = t2.edge_groups()
         for i, group in enumerate(aux.groups[:-1], start=1):
             for j, path in enumerate(group):
                 assert path[:-1] == base[i - 1][j]
                 assert path[-1] == ("ded", i)
-        for (i, j), path in zip(aux.overflow_origin, aux.groups[-1]):
-            assert path == base[i - 1][j] + (("ovf", i),)
+        # The overflow group is the base paths again, in commodity order.
+        assert list(aux.groups[-1]) == [
+            path + (("ovf", i),) for i, group in enumerate(base, start=1) for path in group
+        ]
 
     def test_colliding_ids_solve_like_plain_names(self):
         def solved(node, edge):
@@ -159,8 +161,8 @@ class TestProjection:
         aux = build_auxiliary(t1, (1.0, 2.0), 3, 0.1)
         aux_values = ((0.2,), (0.0,), (0.3, 0.1))
         flow = project_flow(aux_values, aux)
-        assert flow.value(1, 0) == pytest.approx(0.5)
-        assert flow.value(2, 0) == pytest.approx(0.1)
+        assert flow.values[0][0] == pytest.approx(0.5)
+        assert flow.values[1][0] == pytest.approx(0.1)
 
     def test_zero_projects_to_zero(self, t1):
         aux = build_auxiliary(t1, (1.0, 2.0), 2, 0.1)
@@ -174,15 +176,14 @@ class TestProjection:
         aux_total = sum(map(sum, res.aux_values))
         flow = project_flow(res.aux_values, aux)
         assert flow_value(flow) == pytest.approx(aux_total, abs=1e-12)
-        # Per-commodity: dedicated + overflow copies.
-        for i in range(1, t2.k + 1):
-            dedicated = sum(res.aux_values[i - 1])
-            overflow = sum(
-                v
-                for (ci, _), v in zip(aux.overflow_origin, res.aux_values[-1])
-                if ci == i
-            )
-            assert branch_values(flow)[i - 1] == pytest.approx(dedicated + overflow, abs=1e-12)
+        # Per-commodity: dedicated + overflow copies; the overflow group holds
+        # each commodity's paths in turn.
+        start = 0
+        for i, group in enumerate(t2.paths):
+            dedicated = sum(res.aux_values[i])
+            overflow = sum(res.aux_values[-1][start:start + len(group)])
+            start += len(group)
+            assert branch_values(flow)[i] == pytest.approx(dedicated + overflow, abs=1e-12)
 
 
 def assert_certificates(report, system, bounds):
@@ -271,8 +272,11 @@ class TestSolveEndToEnd:
 
     def test_report_counts_match(self, t2):
         report = solve(t2, 0.1, subroutine="oracle")
-        assert report.outer_iterations == report.l_star
-        assert report.inner_iterations == report.h_star
+        instance = Instance("t2", None, t2.network, t2, ("c1", "c2"))
+        counters = parse_solution(serialize_solution(report, instance)).counters
+        # The solution file keeps these two lines for format compatibility.
+        assert counters["outer_iterations"] == report.l_star
+        assert counters["inner_iterations"] == report.h_star
         assert report.wall_time_s >= 0.0
 
 
