@@ -9,19 +9,24 @@ system compiles once into a ``PathMatrix``, the edge-by-path incidence that
 the exact LPs, the packing loop and the load accounting all read.
 
 ``GroupedProblem`` is the one place that reads the grouped path input both
-bounded-flow engines take, and lays their results back out.
+bounded-flow engines take, and lays their results back out. A search
+compiles its path system once into ``GroupedPaths`` and passes that as the
+engines' ``groups``; each call then checks only its bounds and reuses the
+columns built for its live groups.
 
 Everything in this module is immutable after construction and safe to share
-across threads; the operations are pure functions.
+across threads (``GroupedPaths`` only fills a cache of equal values); the
+operations are pure functions.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Hashable, Mapping, Sequence
+from types import MappingProxyType
 
 import numpy as np
 
@@ -209,6 +214,18 @@ def infer_traversals(network: Network, source: str, edge_ids: list[str] | tuple[
     return tuple(steps)
 
 
+def _edge_caps(capacities: Mapping[Hashable, float], edges: Sequence[Hashable]) -> list[float]:
+    """Capacities of ``edges``; a missing, non-finite or negative one is rejected by name."""
+    try:
+        caps = [capacities[key] for key in edges]
+    except KeyError as exc:
+        raise ValueError(f"path uses edge {exc.args[0]!r} with no capacity entry") from None
+    for key, cap in zip(edges, caps):
+        if not (math.isfinite(cap) and cap >= 0):
+            raise ValueError(f"edge {key!r} has capacity {cap}, not finite and >= 0")
+    return caps
+
+
 @dataclass(frozen=True, eq=False)
 class PathMatrix:
     """0/1 incidence of grouped paths: the one layout every LP and loop reads.
@@ -233,13 +250,7 @@ class PathMatrix:
         paths = [path for group in groups for path in group]
         keys = [key for path in paths for key in path]
         edges = tuple(dict.fromkeys(keys))
-        try:
-            caps = [capacities[key] for key in edges]
-        except KeyError as exc:
-            raise ValueError(f"path uses edge {exc.args[0]!r} with no capacity entry") from None
-        for key, cap in zip(edges, caps):
-            if not (math.isfinite(cap) and cap >= 0):
-                raise ValueError(f"edge {key!r} has capacity {cap}, not finite and >= 0")
+        caps = _edge_caps(capacities, edges)
         row_of = {key: row for row, key in enumerate(edges)}
         n = len(paths)
         a = np.zeros((len(edges), n))
@@ -258,13 +269,75 @@ class GroupedResult:
     """Per-path values in the input's group layout, with their sums.
 
     ``iterations`` counts simplex pivots for the exact LP and loop steps for
-    the packing approximation.
+    the packing approximation. ``upper`` is a proven upper bound on the
+    optimum: the total itself for the exact LP, the final dual bound for
+    packing.
     """
 
     values: tuple[tuple[float, ...], ...]
     group_totals: tuple[float, ...]
     total: float
     iterations: int
+    upper: float
+
+
+@dataclass(frozen=True, eq=False)
+class GroupedPaths(Sequence):
+    """Grouped paths compiled once over a snapshot of their capacities.
+
+    A search asks the same question about one path system with changing
+    bounds only, so it builds this once and passes it as the ``groups`` of
+    every engine call, with ``capacities`` (the read-only snapshot) beside
+    it. Building checks every path once: none is empty, and every edge has
+    a finite, nonnegative capacity entry. ``usable`` marks the paths that
+    cross no zero-capacity edge (``None`` when all do). The columns of each
+    live-group mask are built on first use and kept.
+    """
+
+    capacities: Mapping[Hashable, float]
+    groups: tuple[tuple[tuple[Hashable, ...], ...], ...]
+    sizes: tuple[int, ...]
+    usable: np.ndarray | None
+    _columns: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def build(
+        cls,
+        capacities: Mapping[Hashable, float],
+        groups: Sequence[Sequence[Sequence[Hashable]]],
+    ) -> "GroupedPaths":
+        groups = tuple(tuple(map(tuple, group)) for group in groups)
+        for g, group in enumerate(groups):
+            if not all(map(len, group)):
+                raise ValueError(f"empty path ({g}, {list(map(len, group)).index(0)})")
+        edges = tuple(dict.fromkeys(key for group in groups for path in group for key in path))
+        zero_keys = {key for key, cap in zip(edges, _edge_caps(capacities, edges)) if cap == 0}
+        usable = None
+        if zero_keys:
+            paths = [path for group in groups for path in group]
+            usable = np.array([zero_keys.isdisjoint(path) for path in paths], dtype=bool)
+        return cls(MappingProxyType(dict(capacities)), groups, tuple(map(len, groups)), usable)
+
+    def __getitem__(self, index):
+        return self.groups[index]
+
+    def __len__(self) -> int:
+        return len(self.groups)
+
+    def columns(self, live: tuple[bool, ...]) -> tuple[PathMatrix, np.ndarray]:
+        """The incidence over the kept paths of the live groups, and ``keep``."""
+        cached = self._columns.get(live)
+        if cached is None:
+            keep = np.repeat(np.array(live, dtype=bool), self.sizes)
+            if self.usable is not None:
+                keep &= self.usable
+            kept = iter(keep.tolist())
+            matrix = PathMatrix.build(
+                self.capacities, [[path for path in group if next(kept)] for group in self.groups]
+            )
+            keep.flags.writeable = False
+            cached = self._columns[live] = (matrix, keep)
+        return cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,11 +346,10 @@ class GroupedProblem:
 
     ``bounds`` holds one cap per group: ``None`` for unbounded (given as
     ``None`` or ``+inf``), 0 for a group switched off; a NaN or negative
-    bound is rejected, and so is an empty path or an edge of a live group's
-    path whose capacity is missing, non-finite or negative. A path is kept
-    when its group is on and it crosses no zero-capacity edge. ``matrix``
-    covers only the kept paths, in input order, and ``keep`` marks them
-    among all input paths.
+    bound is rejected. A path is kept when its group is on and it crosses no
+    zero-capacity edge. ``matrix`` covers only the kept paths, in input
+    order (so its edges follow their first use among them), and ``keep``
+    marks them among all input paths.
     """
 
     matrix: PathMatrix
@@ -292,6 +364,11 @@ class GroupedProblem:
         groups: Sequence[Sequence[Sequence[Hashable]]],
         bounds: Sequence[float | None] | None,
     ) -> "GroupedProblem":
+        """Read one engine call's input.
+
+        ``groups`` built as ``GroupedPaths`` over this very ``capacities``
+        mapping is reused; any other input is checked and compiled afresh.
+        """
         if bounds is None:
             bounds = [None] * len(groups)
         if len(bounds) != len(groups):
@@ -305,31 +382,26 @@ class GroupedProblem:
                     raise ValueError(f"negative bound {bound} for group {g}")
                 bound = None if math.isinf(bound) else float(bound)
             checked.append(bound)
-        for g, group in enumerate(groups):
-            if not all(map(len, group)):
-                raise ValueError(f"empty path ({g}, {list(map(len, group)).index(0)})")
-        sizes = tuple(map(len, groups))
-        keep = np.repeat(np.array([bound != 0 for bound in checked], dtype=bool), sizes)
-        live = [group if bound != 0 else () for group, bound in zip(groups, checked)]
-        matrix = PathMatrix.build(capacities, live)
-        if not matrix.caps.all():
-            # Drop the paths over zero-capacity edges and build again, so that
-            # the edges follow their first use among the kept paths.
-            flags = ~matrix.a[matrix.caps == 0].any(axis=0)
-            keep[keep] = flags
-            kept = iter(flags.tolist())
-            live = [[path for path in group if next(kept)] for group in live]
-            matrix = PathMatrix.build(capacities, live)
-        return cls(matrix, tuple(checked), keep, sizes)
+        if not (isinstance(groups, GroupedPaths) and groups.capacities is capacities):
+            groups = GroupedPaths.build(capacities, groups)
+        matrix, keep = groups.columns(tuple(bound != 0 for bound in checked))
+        return cls(matrix, tuple(checked), keep, groups.sizes)
 
-    def result(self, x: Sequence[float], iterations: int) -> GroupedResult:
-        """Values ``x`` of the kept columns, laid out over all input paths."""
+    def result(
+        self, x: Sequence[float], iterations: int, upper: float | None = None
+    ) -> GroupedResult:
+        """Values ``x`` of the kept columns, laid out over all input paths.
+
+        ``upper`` defaults to the total, for an engine that solves exactly.
+        """
         dense = np.zeros(self.keep.size)
         dense[self.keep] = x
         flat = iter(dense.tolist())
         values = tuple(tuple(islice(flat, size)) for size in self.sizes)
         group_totals = tuple(float(sum(row)) for row in values)
-        return GroupedResult(values, group_totals, float(sum(group_totals)), iterations)
+        total = float(sum(group_totals))
+        upper = total if upper is None else upper
+        return GroupedResult(values, group_totals, total, iterations, upper)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ _RENORM_SHIFT = 332
 
 
 class PackingError(RuntimeError):
-    """Iteration cap exceeded; the run is aborted rather than left looping."""
+    """Iteration cap exceeded, or a result short of its own dual bound."""
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,11 @@ def pack_paths(
     ``bounds[g]`` caps the group total (``None`` or ``+inf`` for unbounded,
     ``0`` shuts the group off). ``GroupedProblem`` checks the input and drops
     the paths that cannot carry flow; values come back in the input layout.
+
+    The final lengths certify the result: ``upper = D(l)/alpha(l)``, the
+    capacity-weighted length over the shortest path length, bounds the
+    optimum by weak duality, and a total below ``upper/(1+eps)`` raises
+    ``PackingError``.
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
@@ -136,6 +141,9 @@ def pack_paths(
             shifts += 1
             stop_at = threshold()
 
+    # Weak duality bound; the ratio does not depend on the stored scale.
+    upper = float(cap_arr @ length) / dot(length).min().item()
+
     scale_down = math.log((1.0 + eps_int) * m) / (eps_int * math.log1p(eps_int))
     values = np.array(raw) / scale_down
 
@@ -148,7 +156,12 @@ def pack_paths(
     if factor < 1.0:
         values = values * factor
 
-    return problem.result(values, iterations)
+    result = problem.result(values, iterations, upper)
+    if result.total < upper / (1.0 + eps):
+        raise PackingError(
+            f"packing total {result.total} is below its dual bound {upper} / (1 + {eps})"
+        )
+    return result
 
 
 def solve_mmfp(system: PathSystem, eps: float) -> Flow:

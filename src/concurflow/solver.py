@@ -14,7 +14,9 @@ whose total value, per-commodity caps, and worst service ratio are all
 sandwiched by closed-form functions of ``l_star``, ``h_star`` and ``eta``.
 
 The subroutine is the packing approximation by default; an exact LP
-subroutine can be substituted for deterministic trace tests.
+subroutine can be substituted for deterministic trace tests. Only the
+bounds change between the calls of one search, so each search compiles its
+path system once (``GroupedPaths``) and every call reuses those columns.
 """
 
 from __future__ import annotations
@@ -23,9 +25,17 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
-from .netmodel import Flow, GroupedResult, PathSystem, branch_values, flow_value, min_ratio
+from .netmodel import (
+    Flow,
+    GroupedPaths,
+    GroupedResult,
+    PathSystem,
+    branch_values,
+    flow_value,
+    min_ratio,
+)
 from .oracle import lp_grouped_max
 from .packing import pack_paths
 
@@ -34,7 +44,10 @@ from .packing import pack_paths
 BELOW_TOL = 1e-12
 
 
-Subroutine = Callable[[dict, list, list, float], GroupedResult]
+# Called as (capacities, groups, bounds, eps). The searches pass a
+# ``GroupedPaths`` as ``groups`` and its ``capacities`` snapshot beside it,
+# so the engines compile the path system once per search.
+Subroutine = Callable[[Mapping, Sequence, list, float], GroupedResult]
 
 _SUBROUTINES: dict[str, Subroutine] = {
     "fptas": pack_paths,
@@ -83,8 +96,7 @@ def find_lstar(
     Returns the terminal l and the number of subroutine calls made.
     """
     run = resolve_subroutine(subroutine)
-    caps = system.capacities()
-    groups = system.edge_groups()
+    paths = GroupedPaths.build(system.capacities(), system.edge_groups())
     calls = 0
     l = 0
     while True:
@@ -93,7 +105,7 @@ def find_lstar(
             break
         scale = l * eta
         scaled = [scale * b for b in bounds]
-        result = run(caps, groups, scaled, eps)
+        result = run(paths.capacities, paths, scaled, eps)
         calls += 1
         target = sum(scaled) / (1.0 + eps)
         if result.total < target - BELOW_TOL:
@@ -113,12 +125,16 @@ class AuxNetwork:
     the base edges. The subroutine sees ``k + 1`` groups: one per dedicated
     sink (bounded by its capacity) plus a single overflow group, the base
     paths in commodity order, whose bound is the inner loop's moving budget.
+    ``groups`` is compiled once for the whole inner search.
     """
 
     base: PathSystem
     dedicated_bounds: tuple[float, ...]
-    capacities: dict[Hashable, float]
-    groups: tuple[tuple[tuple[Hashable, ...], ...], ...]
+    groups: GroupedPaths
+
+    @property
+    def capacities(self) -> Mapping[Hashable, float]:
+        return self.groups.capacities
 
 
 def build_auxiliary(
@@ -150,7 +166,8 @@ def build_auxiliary(
     overflow_group = tuple(
         path + (("ovf", i),) for i, group in enumerate(base_groups, start=1) for path in group
     )
-    return AuxNetwork(system, dedicated_bounds, capacities, dedicated_groups + (overflow_group,))
+    groups = GroupedPaths.build(capacities, dedicated_groups + (overflow_group,))
+    return AuxNetwork(system, dedicated_bounds, groups)
 
 
 @dataclass(frozen=True)
@@ -176,8 +193,7 @@ def find_hstar(
     last passing budget.
     """
     run = resolve_subroutine(subroutine)
-    caps = aux.capacities
-    groups = list(aux.groups)
+    caps, groups = aux.capacities, aux.groups
     current = run(caps, groups, [*aux.dedicated_bounds, 0.0], eps)
     calls = 1
     sum_dedicated = sum(aux.dedicated_bounds)

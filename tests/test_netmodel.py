@@ -9,6 +9,7 @@ from concurflow.netmodel import (
     Commodity,
     Edge,
     Flow,
+    GroupedPaths,
     GroupedProblem,
     GroupedResult,
     ModelError,
@@ -254,8 +255,18 @@ class TestGroupedProblem:
         assert problem.matrix.edges == ("a", "b")
         assert problem.keep.tolist() == [False, True, False]
         assert problem.result(np.array([0.5]), 3) == GroupedResult(
-            ((0.0, 0.5), (0.0,)), (0.5, 0.0), 0.5, 3
+            ((0.0, 0.5), (0.0,)), (0.5, 0.0), 0.5, 3, 0.5
         )
+
+    def test_compiled_paths_reused_only_with_their_own_snapshot(self):
+        caps = {"a": 1.0, "b": 1.0}
+        paths = GroupedPaths.build(caps, [[("a",), ("b",)]])
+        caps["a"] = 0.0  # the caller's dict changes; the snapshot does not
+        assert paths.capacities == {"a": 1.0, "b": 1.0}
+        reused = GroupedProblem.build(paths.capacities, paths, None)
+        assert reused.keep.tolist() == [True, True]
+        assert GroupedProblem.build(paths.capacities, paths, [2.0]).matrix is reused.matrix
+        assert GroupedProblem.build(caps, paths, None).keep.tolist() == [False, True]
 
 
 class TestEnumeratePaths:

@@ -190,8 +190,15 @@ class TestGroupedCore:
                 "edge 'a' has capacity -1.0, not finite and >= 0",
             ),
             ({"z": 0.0, "a": 1.0}, [[("z",), ()]], None, "empty path (0, 1)"),
+            (
+                {"a": 1.0}, [[("a",)], [("q",)]], [None, 0],
+                "path uses edge 'q' with no capacity entry",
+            ),
         ],
-        ids=["bounds-length", "negative-bound", "minus-inf-bound", "negative-cap", "empty-path"],
+        ids=[
+            "bounds-length", "negative-bound", "minus-inf-bound", "negative-cap", "empty-path",
+            "switched-off-group-missing-cap",
+        ],
     )
     def test_malformed_input_rejected(self, caps, groups, bounds, message):
         assert _rejected_alike(caps, groups, bounds) == message

@@ -183,6 +183,20 @@ class TestIterationGrowth:
         with pytest.raises(PackingError):
             solve_mmfp(diamond, 0.2)
 
+    def test_early_stop_fails_its_certificate(self, monkeypatch, diamond):
+        import concurflow.packing as packing
+
+        real = FptasConfig.for_run
+
+        def stop_at_once(cls_eps, m):
+            cfg = real(cls_eps, m)
+            # A start scale above 1 is past the stop threshold before any step.
+            return FptasConfig(cfg.eps_user, cfg.eps_int, 1.0, cfg.max_iterations)
+
+        monkeypatch.setattr(packing.FptasConfig, "for_run", stop_at_once)
+        with pytest.raises(PackingError, match="below its dual bound"):
+            solve_mmfp(diamond, 0.2)
+
 
 class TestNonFinite:
     def test_nan_bound_rejected_by_solve_mmfpb(self, t1):
@@ -353,3 +367,12 @@ class TestReferenceLoop:
         assert result.group_totals == expected.group_totals
         assert result.total == expected.total
         assert result.iterations == expected.iterations
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_dual_bound_brackets_the_optimum(self, name):
+        caps, groups, bounds, eps = REFERENCE_CASES[name]()
+        result = pack_paths(caps, groups, bounds, eps)
+        optimum = lp_grouped_max(caps, groups, bounds).total
+        # Slack for the simplex's rounding only.
+        assert optimum <= result.upper * (1 + 1e-9)
+        assert result.upper <= result.total * (1 + eps)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from concurflow.instance_io import Instance, parse_solution, serialize_solution
-from concurflow.netmodel import branch_values, flow_value, is_feasible
+from concurflow.netmodel import PathMatrix, branch_values, flow_value, is_feasible
 from concurflow.oracle import lp_emcfpsc
 from concurflow.solver import (
     build_auxiliary,
@@ -14,7 +14,7 @@ from concurflow.solver import (
     resolve_subroutine,
     solve,
 )
-from conftest import make_network, make_system
+from conftest import make_network, make_system, t1_system, t2_system, t3_system
 
 
 def single_edge_system(cap, bound):
@@ -235,18 +235,27 @@ class TestSolveEndToEnd:
         assert report.h_star == oracle_report.h_star == 2
         assert_certificates(report, t1, (1.0, 2.0))
 
-    def test_custom_callable_subroutine(self, t3):
+    def test_custom_callable_subroutine(self):
         from concurflow.oracle import lp_grouped_max
 
-        calls = []
+        # t3 runs the outer search to l_star = 5. On t1 at eta 0.5 the first
+        # level fails, so l_star = 1 and the inner search switches off its
+        # dedicated groups.
+        for system, eta, l_star in ((t3_system(), 0.25, 5), (t1_system(), 0.5, 1)):
+            calls = []
 
-        def probe(caps, groups, bounds, eps):
-            calls.append(len(groups))
-            return lp_grouped_max(caps, groups, bounds)
+            def probe(caps, groups, bounds, eps):
+                calls.append(len(groups))
+                return lp_grouped_max(caps, groups, bounds)
 
-        report = solve(t3, 0.25, subroutine=probe)
-        assert report.subroutine_calls == len(calls)
-        assert set(calls) == {1, 2}  # outer: k groups, inner: k + 1
+            report = solve(system, eta, subroutine=probe)
+            assert report.subroutine_calls == len(calls)
+            assert set(calls) == {system.k, system.k + 1}  # outer: k groups, inner: k + 1
+            named = solve(system, eta, subroutine="oracle")
+            assert named.l_star == l_star
+            ids = tuple(f"c{i}" for i in range(1, system.k + 1))
+            instance = Instance("x", None, system.network, system, ids)
+            assert serialize_solution(report, instance) == serialize_solution(named, instance)
 
     def test_validation(self, t1):
         with pytest.raises(ValueError):
@@ -278,6 +287,37 @@ class TestSolveEndToEnd:
         assert counters["outer_iterations"] == report.l_star
         assert counters["inner_iterations"] == report.h_star
         assert report.wall_time_s >= 0.0
+
+
+class TestCompileOnce:
+    """Each search compiles its path system once, whatever the entry point."""
+
+    @pytest.mark.parametrize("subroutine", ["oracle", "fptas", "callable"])
+    def test_one_build_per_live_mask(self, monkeypatch, subroutine):
+        from concurflow.oracle import lp_grouped_max
+
+        if subroutine == "callable":
+
+            def subroutine(caps, groups, bounds, eps):
+                return lp_grouped_max(caps, groups, bounds)
+
+        build = PathMatrix.build.__func__
+        builds = []
+
+        def counted(cls, capacities, groups):
+            builds.append(1)
+            return build(cls, capacities, groups)
+
+        monkeypatch.setattr(PathMatrix, "build", classmethod(counted))
+        counts, calls = {}, {}
+        for eta in (0.1, 0.05):
+            del builds[:]
+            report = solve(t2_system(), eta, subroutine=subroutine)
+            counts[eta], calls[eta] = len(builds), report.subroutine_calls
+        assert calls[0.05] > calls[0.1]
+        # The system's own matrix, the outer search's one live mask, and the
+        # inner search's two: overflow off on the first call, then on.
+        assert counts[0.1] == counts[0.05] == 1 + 1 + 2
 
 
 def test_resolve_subroutine_passthrough():
