@@ -13,8 +13,12 @@ by whitespace, ``#`` starting a comment. Records:
 
 Path lines list raw edge ids; orientation over undirected edges is
 inferred by chaining nodes from the commodity source. Parse errors carry
-the 1-based line number. Serialization renders floats with ``repr`` so a
-parse/serialize round trip is the identity and files diff cleanly.
+the 1-based line number, also when a path breaks a rule that the path
+system checks (it ends off its sink, repeats a node, crosses a
+zero-capacity edge, or repeats an earlier path of its commodity); that
+line is looked up only once the error is raised. Serialization renders
+floats with ``repr`` so a parse/serialize round trip is the identity and
+files diff cleanly.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .netmodel import (
     ModelError,
     Network,
     Path,
+    PathRuleError,
     PathSystem,
     infer_traversals,
 )
@@ -98,8 +103,9 @@ def parse_instance(text: str) -> Instance:
             name = args[0]
         elif kind == "seed":
             try:
-                seed = int(args[0])
-            except (IndexError, ValueError):
+                (seed_text,) = args
+                seed = int(seed_text)
+            except ValueError:
                 raise InstanceError(lineno, "seed takes one integer") from None
         elif kind == "node":
             if len(args) != 1:
@@ -153,7 +159,7 @@ def parse_instance(text: str) -> Instance:
             for eid in edge_ids:
                 if eid not in edge_lines:
                     raise InstanceError(lineno, f"unknown edge id {eid!r}")
-            path_rows.append((lineno, cid, list(edge_ids)))
+            path_rows.append((lineno, cid, edge_ids))
         else:
             raise InstanceError(lineno, f"unknown record {kind!r}")
 
@@ -177,6 +183,7 @@ def parse_instance(text: str) -> Instance:
     commodity_ids = tuple(cid for cid, *_ in commodity_rows)
     index_of = {cid: i for i, cid in enumerate(commodity_ids, start=1)}
     groups: list[list[Path]] = [[] for _ in commodity_rows]
+    group_lines: list[list[int]] = [[] for _ in commodity_rows]
     for lineno, cid, edge_ids in path_rows:
         ci = index_of[cid]
         source = network.commodities[ci - 1].source
@@ -185,9 +192,12 @@ def parse_instance(text: str) -> Instance:
         except ModelError as exc:
             raise InstanceError(lineno, f"path for {cid!r}: {exc}") from None
         groups[ci - 1].append(Path(ci, steps))
+        group_lines[ci - 1].append(lineno)
 
     try:
         system = PathSystem(network, tuple(tuple(g) for g in groups))
+    except PathRuleError as exc:
+        raise InstanceError(group_lines[exc.commodity - 1][exc.index], str(exc)) from None
     except ModelError as exc:
         raise InstanceError(None, str(exc)) from None
     return Instance(name, seed, network, system, commodity_ids)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,19 @@ CAP_TOLERANCE = 1e-9
 
 class ModelError(ValueError):
     """A network, path system, or flow violates a structural rule."""
+
+
+class PathRuleError(ModelError):
+    """A listed path breaks a path-system rule.
+
+    ``commodity`` (1-based) and ``index`` (0-based, within the commodity's
+    list) locate the path, so a parser can name its line.
+    """
+
+    def __init__(self, message: str, commodity: int, index: int):
+        super().__init__(message)
+        self.commodity = commodity
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -87,6 +101,10 @@ class Network:
     edges: tuple[Edge, ...]
     commodities: tuple[Commodity, ...]
     _edge_map: dict[str, Edge] = field(init=False, repr=False, compare=False)
+    # Per edge id: (tail, head, directed, its forward and backward Traversal),
+    # so infer_traversals reads plain tuples and every path of this network
+    # shares one step object per edge and direction.
+    _walks: dict[str, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         node_set = set()
@@ -111,6 +129,10 @@ class Network:
                 if endpoint not in node_set:
                     raise ModelError(f"commodity {com.index}: unknown node {endpoint!r}")
         object.__setattr__(self, "_edge_map", edge_map)
+        object.__setattr__(self, "_walks", {
+            e.id: (e.tail, e.head, e.directed, Traversal(e.id, True), Traversal(e.id, False))
+            for e in self.edges
+        })
 
     @property
     def k(self) -> int:
@@ -129,12 +151,13 @@ class Network:
         return tuple(c.bound for c in self.commodities)
 
 
-@dataclass(frozen=True)
-class Traversal:
+class Traversal(NamedTuple):
     """One step along a path: an edge plus the direction it is walked in.
 
     ``forward`` means tail-to-head; undirected edges may be walked either
-    way, directed edges only forward.
+    way, directed edges only forward. A named tuple, so hashing and
+    comparing paths of steps runs in C; it equals the plain tuple
+    ``(edge_id, forward)``.
     """
 
     edge_id: str
@@ -149,7 +172,7 @@ class Path:
     steps: tuple[Traversal, ...]
 
     def edge_ids(self) -> tuple[str, ...]:
-        return tuple(step.edge_id for step in self.steps)
+        return tuple([step.edge_id for step in self.steps])
 
 
 def validate_path(network: Network, path: Path) -> str | None:
@@ -159,35 +182,40 @@ def validate_path(network: Network, path: Path) -> str | None:
     known edge walked in a legal direction that chains onto the previous
     step (positions are 1-based in messages); the walk runs source to sink;
     all nodes are pairwise distinct except that source may equal sink; every
-    edge has positive capacity.
+    edge has positive capacity. One pass over the steps collects what the
+    later rules need.
     """
     if not 1 <= path.commodity <= len(network.commodities):
         return f"unknown commodity index {path.commodity}"
     com = network.commodities[path.commodity - 1]
     if not path.steps:
         return "empty path"
+    edges = network._edge_map
     current = com.source
     sequence = [current]
-    for pos, step in enumerate(path.steps, start=1):
-        if not network.has_edge(step.edge_id):
-            return f"unknown edge id {step.edge_id!r} at position {pos}"
-        edge = network.edge(step.edge_id)
-        if edge.directed and not step.forward:
-            return f"directed edge {edge.id!r} walked backwards at position {pos}"
-        start, end = (edge.tail, edge.head) if step.forward else (edge.head, edge.tail)
+    zero = None  # the first zero-capacity step, reported only if all else holds
+    for pos, (edge_id, forward) in enumerate(path.steps, start=1):
+        edge = edges.get(edge_id)
+        if edge is None:
+            return f"unknown edge id {edge_id!r} at position {pos}"
+        if forward:
+            start, end = edge.tail, edge.head
+        elif edge.directed:
+            return f"directed edge {edge_id!r} walked backwards at position {pos}"
+        else:
+            start, end = edge.head, edge.tail
         if start != current:
             return f"broken chain at position {pos}"
         current = end
-        sequence.append(current)
-    if sequence[-1] != com.sink:
-        return f"path ends at {sequence[-1]!r}, expected sink {com.sink!r}"
+        sequence.append(end)
+        if zero is None and not edge.capacity > 0.0:
+            zero = f"zero-capacity edge {edge_id!r} at position {pos}"
+    if current != com.sink:
+        return f"path ends at {current!r}, expected sink {com.sink!r}"
     # All nodes pairwise distinct, except the first and last may coincide.
-    if len(set(sequence[:-1])) != len(sequence) - 1 or len(set(sequence[1:])) != len(sequence) - 1:
+    if len(set(sequence)) != len(sequence) - (sequence[0] == current):
         return "repeated node on path"
-    for pos, step in enumerate(path.steps, start=1):
-        if not network.edge(step.edge_id).capacity > 0.0:
-            return f"zero-capacity edge {step.edge_id!r} at position {pos}"
-    return None
+    return zero
 
 
 def infer_traversals(network: Network, source: str, edge_ids: list[str] | tuple[str, ...]) -> tuple[Traversal, ...]:
@@ -195,22 +223,25 @@ def infer_traversals(network: Network, source: str, edge_ids: list[str] | tuple[
 
     Directed edges must depart from their tail; an undirected edge is
     oriented away from the current node. Raises ``ModelError`` with a
-    1-based position when the sequence does not chain.
+    1-based position when the sequence does not chain. The steps are the
+    network's shared ``Traversal`` objects.
     """
+    walks = network._walks
     current = source
     steps: list[Traversal] = []
     for pos, edge_id in enumerate(edge_ids, start=1):
-        if not network.has_edge(edge_id):
+        walk = walks.get(edge_id)
+        if walk is None:
             raise ModelError(f"unknown edge id {edge_id!r} at position {pos}")
-        edge = network.edge(edge_id)
-        if edge.tail == current:
-            forward = True
-        elif not edge.directed and edge.head == current:
-            forward = False
+        tail, head, directed, forward, backward = walk
+        if tail == current:
+            steps.append(forward)
+            current = head
+        elif not directed and head == current:
+            steps.append(backward)
+            current = tail
         else:
             raise ModelError(f"broken chain at position {pos}")
-        steps.append(Traversal(edge_id, forward))
-        current = edge.head if forward else edge.tail
     return tuple(steps)
 
 
@@ -310,7 +341,7 @@ class GroupedPaths(Sequence):
         for g, group in enumerate(groups):
             if not all(map(len, group)):
                 raise ValueError(f"empty path ({g}, {list(map(len, group)).index(0)})")
-        edges = tuple(dict.fromkeys(key for group in groups for path in group for key in path))
+        edges = tuple(dict.fromkeys([key for group in groups for path in group for key in path]))
         zero_keys = {key for key, cap in zip(edges, _edge_caps(capacities, edges)) if cap == 0}
         usable = None
         if zero_keys:
@@ -409,7 +440,8 @@ class PathSystem:
     """Per-commodity explicit path lists over one network.
 
     Every listed path must validate and paths are distinct within their
-    commodity. Commodities may carry empty lists.
+    commodity. Commodities may carry empty lists. A path that breaks a rule
+    raises ``PathRuleError``, which locates it.
     """
 
     network: Network
@@ -420,20 +452,20 @@ class PathSystem:
             raise ModelError(
                 f"path system lists {len(self.paths)} commodities, network has {self.network.k}"
             )
+        network = self.network
         for i, group in enumerate(self.paths, start=1):
             seen = set()
-            for path in group:
+            for j, path in enumerate(group):
                 if path.commodity != i:
-                    raise ModelError(
-                        f"path filed under commodity {i} carries index {path.commodity}"
+                    raise PathRuleError(
+                        f"path filed under commodity {i} carries index {path.commodity}", i, j
                     )
-                violation = validate_path(self.network, path)
+                violation = validate_path(network, path)
                 if violation is not None:
-                    raise ModelError(f"commodity {i}: invalid path ({violation})")
-                key = path.steps
-                if key in seen:
-                    raise ModelError(f"commodity {i}: duplicate path {path.edge_ids()}")
-                seen.add(key)
+                    raise PathRuleError(f"commodity {i}: invalid path ({violation})", i, j)
+                if path.steps in seen:
+                    raise PathRuleError(f"commodity {i}: duplicate path {path.edge_ids()}", i, j)
+                seen.add(path.steps)
 
     @property
     def k(self) -> int:
@@ -449,13 +481,20 @@ class PathSystem:
         caps = {edge.id: edge.capacity for edge in self.network.edges}
         return PathMatrix.build(caps, self.edge_groups())
 
+    @cached_property
+    def _edge_groups(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
+        return tuple(tuple([path.edge_ids() for path in group]) for group in self.paths)
+
     def capacities(self) -> dict[str, float]:
         """Capacities of the edges used by at least one path, in first-use order."""
         return dict(zip(self.matrix.edges, self.matrix.caps.tolist()))
 
-    def edge_groups(self) -> list[list[tuple[str, ...]]]:
-        """Paths as plain edge-id tuples, grouped by commodity (solver input)."""
-        return [[path.edge_ids() for path in group] for group in self.paths]
+    def edge_groups(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
+        """Paths as plain edge-id tuples, grouped by commodity (solver input).
+
+        Built on the first call; every later call returns the same tuples.
+        """
+        return self._edge_groups
 
 
 @dataclass(frozen=True)

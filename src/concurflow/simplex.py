@@ -5,6 +5,11 @@ Built for desk-scale problems (at most a few hundred variables and rows),
 where the plain tableau method in double precision is robust. Bland's
 entering/leaving rule precludes cycling, so every solve terminates; the
 iteration cap only guards against pathological floating-point behaviour.
+
+The basis is an index array. Each iteration prices every column with one
+vector-matrix product, takes the first eligible column, and breaks
+ratio-test ties on the lowest basic index; a pivot is one outer-product
+update written into a buffer allocated once per solve.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ PIVOT_TOL = 1e-9
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
 EQUAL = "=="
+_SENSES = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
+# Per sense, the coefficient of the row's slack column; 0.0 means none. A row
+# multiplied by -1 swaps <= and >=, which negates it.
+_SLACK_SIGNS = (1.0, -1.0, 0.0)
 
 
 class SimplexError(RuntimeError):
@@ -52,56 +61,42 @@ def solve_lp(
 
     a = np.zeros((m, n))
     b = np.zeros(m)
-    senses = []
+    signs = np.empty(m)
     for i, (coeffs, sense, rhs) in enumerate(rows):
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.size > n:
             raise ValueError("constraint row longer than the objective")
         a[i, : coeffs.size] = coeffs
         b[i] = rhs
-        if sense not in (LESS_EQUAL, GREATER_EQUAL, EQUAL):
+        if sense not in _SENSES:
             raise ValueError(f"unknown sense {sense!r}")
-        senses.append(sense)
+        signs[i] = _SLACK_SIGNS[_SENSES.index(sense)]
 
-    # Normalize to nonnegative right-hand sides.
-    for i in range(m):
-        if b[i] < 0:
-            a[i] *= -1.0
-            b[i] = -b[i]
-            if senses[i] == LESS_EQUAL:
-                senses[i] = GREATER_EQUAL
-            elif senses[i] == GREATER_EQUAL:
-                senses[i] = LESS_EQUAL
+    # Normalize to nonnegative right-hand sides; <= and >= swap on those rows.
+    flip = (b < 0).nonzero()[0]
+    a[flip] *= -1.0
+    b[flip] = -b[flip]
+    signs[flip] *= -1.0
 
-    # Column layout: structural | slack/surplus | artificial.
-    n_slack = sum(1 for s in senses if s != EQUAL)
-    n_art = sum(1 for s in senses if s != LESS_EQUAL)
-    ncols = n + n_slack + n_art
+    # Column layout: structural | slack/surplus | artificial | rhs. The rows
+    # with a slack (<=, >=) or an artificial (>=, ==) take the columns of
+    # that block in row order; a row's artificial, if any, starts basic.
+    slack_rows = (signs != 0.0).nonzero()[0]
+    art_rows = (signs <= 0.0).nonzero()[0]
+    art_start = n + slack_rows.size
+    slack_cols = np.arange(n, art_start)
+    art_cols = np.arange(art_start, art_start + art_rows.size)
+    ncols = art_start + art_rows.size
     tableau = np.zeros((m, ncols + 1))
     tableau[:, :n] = a
     tableau[:, -1] = b
-
-    basis = [-1] * m
-    slack_col = n
-    art_col = n + n_slack
-    art_cols = []
-    for i, sense in enumerate(senses):
-        if sense == LESS_EQUAL:
-            tableau[i, slack_col] = 1.0
-            basis[i] = slack_col
-            slack_col += 1
-        elif sense == GREATER_EQUAL:
-            tableau[i, slack_col] = -1.0
-            slack_col += 1
-            tableau[i, art_col] = 1.0
-            basis[i] = art_col
-            art_cols.append(art_col)
-            art_col += 1
-        else:
-            tableau[i, art_col] = 1.0
-            basis[i] = art_col
-            art_cols.append(art_col)
-            art_col += 1
+    tableau[slack_rows, slack_cols] = signs[slack_rows]
+    tableau[art_rows, art_cols] = 1.0
+    basis = np.empty(m, dtype=np.intp)
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols
+    body, rhs = tableau[:, :ncols], tableau[:, -1]
+    update = np.empty_like(tableau)
 
     if max_iterations is None:
         max_iterations = 2000 + 200 * (m + ncols)
@@ -111,7 +106,8 @@ def solve_lp(
         tableau[row] /= tableau[row, col]
         factors = tableau[:, col].copy()
         factors[row] = 0.0
-        tableau[...] -= np.outer(factors, tableau[row])
+        np.multiply(factors[:, None], tableau[row], out=update)  # np.outer, no allocation
+        tableau[...] -= update
         # Keep the pivot column numerically exact.
         tableau[:, col] = 0.0
         tableau[row, col] = 1.0
@@ -123,51 +119,44 @@ def solve_lp(
             if iterations > max_iterations:
                 raise SimplexError("iteration cap exceeded; solve stalled")
             iterations += 1
-            cb = costs[basis]
-            reduced = costs - cb @ tableau[:, :ncols]
+            reduced = costs - costs[basis] @ body
             reduced[basis] = 0.0
-            candidates = np.flatnonzero(allowed & (reduced > OPTIMALITY_TOL))
+            candidates = (allowed & (reduced > OPTIMALITY_TOL)).nonzero()[0]
             if candidates.size == 0:
                 return
             col = int(candidates[0])  # Bland: smallest eligible index.
             column = tableau[:, col]
-            rows_ok = np.flatnonzero(column > PIVOT_TOL)
+            rows_ok = (column > PIVOT_TOL).nonzero()[0]
             if rows_ok.size == 0:
                 raise SimplexError("unbounded objective")
-            ratios = tableau[rows_ok, -1] / column[rows_ok]
-            best = ratios.min()
-            tied = rows_ok[np.flatnonzero(ratios <= best + 1e-12)]
-            leave = int(min(tied, key=lambda r: basis[r]))  # Bland on ties.
-            pivot(leave, col)
+            ratios = rhs[rows_ok] / column[rows_ok]
+            tied = rows_ok[ratios <= ratios.min() + 1e-12]
+            pivot(min(tied.tolist(), key=basis.item), col)  # Bland on ties.
 
     allowed = np.ones(ncols, dtype=bool)
-    if art_cols:
+    if art_cols.size:
         art_mask = np.zeros(ncols, dtype=bool)
         art_mask[art_cols] = True
         phase1_costs = np.zeros(ncols)
         phase1_costs[art_cols] = -1.0
         run_phase(phase1_costs, allowed)
-        art_total = sum(tableau[i, -1] for i in range(m) if basis[i] in set(art_cols))
+        # Python's sum, in row order: the rounding of the feasibility test.
+        art_total = sum(rhs[art_mask[basis]].tolist())
         if art_total > FEASIBILITY_TOL * (1.0 + float(np.max(b, initial=0.0))):
             raise SimplexError("infeasible constraint system")
+        allowed = ~art_mask
         # Drive leftover artificial basics out on any usable structural column.
-        for i in range(m):
-            if not art_mask[basis[i]]:
-                continue
-            row_cols = np.flatnonzero(
-                (~art_mask) & (np.abs(tableau[i, :ncols]) > PIVOT_TOL)
-            )
+        for i in art_mask[basis].nonzero()[0].tolist():
+            row_cols = (allowed & (np.abs(body[i]) > PIVOT_TOL)).nonzero()[0]
             if row_cols.size:
                 pivot(i, int(row_cols[0]))
             # Otherwise the row is redundant; the artificial stays basic at 0.
-        allowed = ~art_mask
 
     phase2_costs = np.zeros(ncols)
     phase2_costs[:n] = c
     run_phase(phase2_costs, allowed)
 
     x = np.zeros(ncols)
-    for i in range(m):
-        x[basis[i]] = tableau[i, -1]
+    x[basis] = rhs
     solution = x[:n]
     return LpResult(solution, float(c @ solution), iterations)

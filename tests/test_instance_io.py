@@ -131,6 +131,52 @@ path c1 e1 e2
         assert steps[0].forward is False
         assert steps[1].forward is True
 
+    def test_seed_takes_one_integer(self):
+        text = T1_TEXT.replace("name t1\n", "name t1\nseed 1 2\n")
+        with pytest.raises(InstanceError, match="^line 3: seed takes one integer$"):
+            parse_instance(text)
+        assert parse_instance(text.replace("seed 1 2", "seed 7")).seed == 7
+
+    # Paths of c2 come before and after c1's, so a line must be found through
+    # the commodity's own list, not the file order of all paths.
+    PATH_RULES_TEXT = """\
+format concurflow-instance 1
+node a
+node b
+node c
+node d
+edge e1 a b 1.0 undirected
+edge e2 b c 1.0 undirected
+edge e3 c a 1.0 undirected
+edge e4 a d 0.0 undirected
+edge e5 d c 1.0 undirected
+commodity c1 a b 1.0
+commodity c2 a c 1.0
+path c2 e3
+path c1 e1
+path c2 e1 e2
+"""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (
+                "path c1 e1 e2",
+                "commodity 1: invalid path (path ends at 'c', expected sink 'b')",
+            ),
+            ("path c1 e1 e2 e3 e1", "commodity 1: invalid path (repeated node on path)"),
+            ("path c2 e4 e5", "commodity 2: invalid path (zero-capacity edge 'e4' at position 1)"),
+            ("path c2 e1 e2", "commodity 2: duplicate path ('e1', 'e2')"),
+        ],
+        ids=["wrong-sink", "repeated-node", "zero-capacity", "duplicate"],
+    )
+    def test_path_rule_names_line(self, line, message):
+        text = self.PATH_RULES_TEXT + line + "\npath c1 e3 e2\n"
+        with pytest.raises(InstanceError) as info:
+            parse_instance(text)
+        assert str(info.value) == f"line 16: {message}"
+        assert info.value.line == 16
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self, fixtures):

@@ -153,6 +153,14 @@ class TestInferTraversals:
         with pytest.raises(ModelError, match="broken chain at position 2"):
             infer_traversals(chain_net, "s", ["e2", "e2"])
 
+    def test_steps_are_shared_named_tuples(self, chain_net):
+        first = infer_traversals(chain_net, "s", ["e2", "e3"])
+        again = infer_traversals(chain_net, "s", ["e2", "e3"])
+        assert all(a is b for a, b in zip(first, again))
+        # A Traversal is a named tuple: it equals, and hashes like, its plain tuple.
+        assert first == (("e2", True), ("e3", True))
+        assert hash(first[0]) == hash(("e2", True))
+
 
 class TestAccounting:
     def test_edge_load_sums_terms(self, chain_net):
@@ -417,6 +425,97 @@ def small_network_and_path(draw):
 def test_validate_path_matches_brute_force(case):
     net, path = case
     assert (validate_path(net, path) is None) == brute_force_path_check(net, path)
+
+
+# The two path checks as they stood before they became one lean pass each:
+# two method calls per step, a separate pass for capacities, and a fresh
+# Traversal per step. The current ones must give the same verdicts, the same
+# first violation and the same steps.
+def reference_validate_path(network: Network, path: Path) -> str | None:
+    """Check every path rule; return ``None`` when valid, else the first violation.
+
+    Rules, in checking order: the commodity index exists; every step names a
+    known edge walked in a legal direction that chains onto the previous
+    step (positions are 1-based in messages); the walk runs source to sink;
+    all nodes are pairwise distinct except that source may equal sink; every
+    edge has positive capacity.
+    """
+    if not 1 <= path.commodity <= len(network.commodities):
+        return f"unknown commodity index {path.commodity}"
+    com = network.commodities[path.commodity - 1]
+    if not path.steps:
+        return "empty path"
+    current = com.source
+    sequence = [current]
+    for pos, step in enumerate(path.steps, start=1):
+        if not network.has_edge(step.edge_id):
+            return f"unknown edge id {step.edge_id!r} at position {pos}"
+        edge = network.edge(step.edge_id)
+        if edge.directed and not step.forward:
+            return f"directed edge {edge.id!r} walked backwards at position {pos}"
+        start, end = (edge.tail, edge.head) if step.forward else (edge.head, edge.tail)
+        if start != current:
+            return f"broken chain at position {pos}"
+        current = end
+        sequence.append(current)
+    if sequence[-1] != com.sink:
+        return f"path ends at {sequence[-1]!r}, expected sink {com.sink!r}"
+    # All nodes pairwise distinct, except the first and last may coincide.
+    if len(set(sequence[:-1])) != len(sequence) - 1 or len(set(sequence[1:])) != len(sequence) - 1:
+        return "repeated node on path"
+    for pos, step in enumerate(path.steps, start=1):
+        if not network.edge(step.edge_id).capacity > 0.0:
+            return f"zero-capacity edge {step.edge_id!r} at position {pos}"
+    return None
+
+
+def reference_infer_traversals(network: Network, source: str, edge_ids: list[str] | tuple[str, ...]) -> tuple[Traversal, ...]:
+    """Orient a raw edge-id sequence by chaining nodes from ``source``.
+
+    Directed edges must depart from their tail; an undirected edge is
+    oriented away from the current node. Raises ``ModelError`` with a
+    1-based position when the sequence does not chain.
+    """
+    current = source
+    steps: list[Traversal] = []
+    for pos, edge_id in enumerate(edge_ids, start=1):
+        if not network.has_edge(edge_id):
+            raise ModelError(f"unknown edge id {edge_id!r} at position {pos}")
+        edge = network.edge(edge_id)
+        if edge.tail == current:
+            forward = True
+        elif not edge.directed and edge.head == current:
+            forward = False
+        else:
+            raise ModelError(f"broken chain at position {pos}")
+        steps.append(Traversal(edge_id, forward))
+        current = edge.head if forward else edge.tail
+    return tuple(steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_network_and_path())
+def test_validate_path_matches_reference(case):
+    net, path = case
+    assert validate_path(net, path) == reference_validate_path(net, path)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ModelError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_network_and_path())
+def test_infer_traversals_matches_reference(case):
+    net, path = case
+    source = net.commodities[0].source
+    edge_ids = path.edge_ids()
+    assert _outcome(infer_traversals, net, source, edge_ids) == _outcome(
+        reference_infer_traversals, net, source, edge_ids
+    )
 
 
 @st.composite
