@@ -11,11 +11,14 @@ instance and evaluates the five certified checks:
 
 A check passes when its margin is no worse than the stated tolerance; a
 failing check in a row is meant to be impossible to miss (the CLI exits
-nonzero). Rows render to a fixed, documented CSV column set.
+nonzero). Rows render to a fixed, documented CSV column set, quoted by the
+``csv`` module's minimal rule.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import time
 import warnings
 from dataclasses import dataclass
@@ -218,4 +221,7 @@ def row_to_csv(row: CompareRow) -> str:
         f"{row.oracle_seconds:.6f}",
         row.status,
     ]
-    return ",".join(fields)
+    # Minimal quoting: only a name with a comma or quote is quoted.
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(fields)
+    return out.getvalue()

@@ -24,6 +24,7 @@ files diff cleanly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .netmodel import (
@@ -42,6 +43,9 @@ FORMAT_INSTANCE = "concurflow-instance"
 FORMAT_SOLUTION = "concurflow-solution"
 FORMAT_VERSION = "1"
 
+# What ends a token: whitespace as ``str.split`` reads it, and the comment sign.
+_NOT_IN_TOKEN = re.compile(r"[\s#]")
+
 
 class InstanceError(ValueError):
     """Malformed instance or solution text; carries a line number."""
@@ -54,13 +58,39 @@ class InstanceError(ValueError):
 
 @dataclass(frozen=True)
 class Instance:
-    """A parsed instance: the model plus file-level naming metadata."""
+    """A parsed instance: the model plus file-level naming metadata.
+
+    The name and every node, edge and commodity id must be one token (not
+    empty, no whitespace, no ``#``), and there is one distinct commodity id
+    per commodity, so that ``serialize_instance`` writes text that
+    ``parse_instance`` reads back. A breach raises ``ValueError`` naming the
+    field.
+    """
 
     name: str
     seed: int | None
     network: Network
     path_system: PathSystem
     commodity_ids: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        ids = self.commodity_ids
+        fields = (
+            ("name", (self.name,)),
+            ("network node id", self.network.nodes),
+            ("network edge id", [edge.id for edge in self.network.edges]),
+            ("commodity_ids", ids),
+        )
+        for label, tokens in fields:
+            if all(tokens) and not _NOT_IN_TOKEN.search("".join(tokens)):
+                continue
+            bad = next(token for token in tokens if not token or _NOT_IN_TOKEN.search(token))
+            raise ValueError(f"{label}: {bad!r} is not one token without whitespace or '#'")
+        if len(ids) != self.k:
+            raise ValueError(f"commodity_ids: {len(ids)} ids for {self.k} commodities")
+        if len(set(ids)) != len(ids):
+            repeated = next(cid for cid in ids if ids.count(cid) > 1)
+            raise ValueError(f"commodity_ids: {repeated!r} is repeated")
 
     @property
     def k(self) -> int:

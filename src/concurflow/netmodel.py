@@ -4,15 +4,14 @@ A network couples a hybrid graph (every edge is individually directed or
 undirected) with per-edge capacities and a list of source/sink commodities.
 Flows live directly on explicit per-commodity path lists: a flow assigns a
 nonnegative value to each listed path, and an edge is feasible when the gross
-sum of the values of all paths using it stays within its capacity. A path
-system compiles once into a ``PathMatrix``, the edge-by-path incidence that
-the exact LPs, the packing loop and the load accounting all read.
+sum of the values of all paths using it stays within its capacity.
 
-``GroupedProblem`` is the one place that reads the grouped path input both
-bounded-flow engines take, and lays their results back out. A search
-compiles its path system once into ``GroupedPaths`` and passes that as the
-engines' ``groups``; each call then checks only its bounds and reuses the
-columns built for its live groups.
+A path system compiles once, into ``PathSystem.grouped``: ``GroupedPaths``
+checks the capacities it snapshots and builds one ``PathMatrix`` (the
+edge-by-path incidence) per live-group mask. ``GroupedProblem`` is the one
+place that reads the grouped path input both bounded-flow engines take, and
+lays their results back out; given a ``GroupedPaths`` with its own
+``capacities``, a call checks only its bounds and reuses those columns.
 
 Everything in this module is immutable after construction and safe to share
 across threads (``GroupedPaths`` only fills a cache of equal values); the
@@ -67,9 +66,6 @@ class Edge:
             raise ModelError(
                 f"edge {self.id!r}: capacity must be >= 0 and finite, got {self.capacity}"
             )
-
-    def other_end(self, node: str) -> str:
-        return self.head if node == self.tail else self.tail
 
 
 @dataclass(frozen=True)
@@ -172,7 +168,8 @@ class Path:
     steps: tuple[Traversal, ...]
 
     def edge_ids(self) -> tuple[str, ...]:
-        return tuple([step.edge_id for step in self.steps])
+        # Indexed, not ``.edge_id``: a plain ``(edge_id, forward)`` step validates too.
+        return tuple([step[0] for step in self.steps])
 
 
 def validate_path(network: Network, path: Path) -> str | None:
@@ -245,18 +242,6 @@ def infer_traversals(network: Network, source: str, edge_ids: list[str] | tuple[
     return tuple(steps)
 
 
-def _edge_caps(capacities: Mapping[Hashable, float], edges: Sequence[Hashable]) -> list[float]:
-    """Capacities of ``edges``; a missing, non-finite or negative one is rejected by name."""
-    try:
-        caps = [capacities[key] for key in edges]
-    except KeyError as exc:
-        raise ValueError(f"path uses edge {exc.args[0]!r} with no capacity entry") from None
-    for key, cap in zip(edges, caps):
-        if not (math.isfinite(cap) and cap >= 0):
-            raise ValueError(f"edge {key!r} has capacity {cap}, not finite and >= 0")
-    return caps
-
-
 @dataclass(frozen=True, eq=False)
 class PathMatrix:
     """0/1 incidence of grouped paths: the one layout every LP and loop reads.
@@ -264,7 +249,7 @@ class PathMatrix:
     Columns are the paths in group order. ``a`` has one row per edge key in
     ``edges`` (first use along the path steps) with capacities ``caps``;
     ``g`` has one row per group. A path that walks an edge twice still
-    counts it once.
+    counts it once. Only ``GroupedPaths.columns`` builds one, over checked capacities.
     """
 
     edges: tuple[Hashable, ...]
@@ -281,7 +266,6 @@ class PathMatrix:
         paths = [path for group in groups for path in group]
         keys = [key for path in paths for key in path]
         edges = tuple(dict.fromkeys(keys))
-        caps = _edge_caps(capacities, edges)
         row_of = {key: row for row, key in enumerate(edges)}
         n = len(paths)
         a = np.zeros((len(edges), n))
@@ -289,7 +273,7 @@ class PathMatrix:
         a[[row_of[key] for key in keys], np.repeat(np.arange(n), [len(p) for p in paths])] = 1.0
         g = np.zeros((len(groups), n))
         g[np.repeat(np.arange(len(groups)), [len(group) for group in groups]), np.arange(n)] = 1.0
-        caps_arr = np.array(caps, dtype=float)
+        caps_arr = np.array([capacities[key] for key in edges], dtype=float)
         for arr in (caps_arr, a, g):
             arr.flags.writeable = False  # shared through PathSystem.matrix
         return cls(edges, caps_arr, a, g)
@@ -317,12 +301,12 @@ class GroupedPaths(Sequence):
     """Grouped paths compiled once over a snapshot of their capacities.
 
     A search asks the same question about one path system with changing
-    bounds only, so it builds this once and passes it as the ``groups`` of
-    every engine call, with ``capacities`` (the read-only snapshot) beside
-    it. Building checks every path once: none is empty, and every edge has
-    a finite, nonnegative capacity entry. ``usable`` marks the paths that
-    cross no zero-capacity edge (``None`` when all do). The columns of each
-    live-group mask are built on first use and kept.
+    bounds only, so it passes one of these as the ``groups`` of every engine
+    call, with ``capacities`` (the read-only snapshot) beside it. Building
+    checks every path once, switched-off groups included: none is empty, and
+    every edge has a finite, nonnegative capacity entry. ``usable`` marks the
+    paths that cross no zero-capacity edge (``None`` when all do). The
+    columns of each live-group mask are built on first use and kept.
     """
 
     capacities: Mapping[Hashable, float]
@@ -342,7 +326,14 @@ class GroupedPaths(Sequence):
             if not all(map(len, group)):
                 raise ValueError(f"empty path ({g}, {list(map(len, group)).index(0)})")
         edges = tuple(dict.fromkeys([key for group in groups for path in group for key in path]))
-        zero_keys = {key for key, cap in zip(edges, _edge_caps(capacities, edges)) if cap == 0}
+        try:
+            caps = [capacities[key] for key in edges]
+        except KeyError as exc:
+            raise ValueError(f"path uses edge {exc.args[0]!r} with no capacity entry") from None
+        for key, cap in zip(edges, caps):
+            if not (math.isfinite(cap) and cap >= 0):
+                raise ValueError(f"edge {key!r} has capacity {cap}, not finite and >= 0")
+        zero_keys = {key for key, cap in zip(edges, caps) if cap == 0}
         usable = None
         if zero_keys:
             paths = [path for group in groups for path in group]
@@ -441,7 +432,9 @@ class PathSystem:
 
     Every listed path must validate and paths are distinct within their
     commodity. Commodities may carry empty lists. A path that breaks a rule
-    raises ``PathRuleError``, which locates it.
+    raises ``PathRuleError``, which locates it. A step may be a ``Traversal``
+    or the plain tuple it equals. The system compiles once, into
+    ``grouped``; ``matrix``, ``capacities()`` and ``edge_groups()`` read it.
     """
 
     network: Network
@@ -476,25 +469,28 @@ class PathSystem:
         return sum(len(group) for group in self.paths)
 
     @cached_property
-    def matrix(self) -> PathMatrix:
-        """Incidence over the edges the paths use, built on first access."""
-        caps = {edge.id: edge.capacity for edge in self.network.edges}
-        return PathMatrix.build(caps, self.edge_groups())
+    def grouped(self) -> GroupedPaths:
+        """The paths as edge-id groups, compiled once, on first use.
 
-    @cached_property
-    def _edge_groups(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
-        return tuple(tuple([path.edge_ids() for path in group]) for group in self.paths)
+        The capacity snapshot holds the edges the paths use, in first-use order.
+        """
+        groups = [[path.edge_ids() for path in group] for group in self.paths]
+        edges = self.network._edge_map
+        used = dict.fromkeys([key for group in groups for path in group for key in path])
+        return GroupedPaths.build({key: float(edges[key].capacity) for key in used}, groups)
+
+    @property
+    def matrix(self) -> PathMatrix:
+        """Incidence over the edges the paths use: ``grouped``'s all-groups columns."""
+        return self.grouped.columns((True,) * self.k)[0]
 
     def capacities(self) -> dict[str, float]:
-        """Capacities of the edges used by at least one path, in first-use order."""
-        return dict(zip(self.matrix.edges, self.matrix.caps.tolist()))
+        """A fresh dict of the capacities of the edges the paths use, in first-use order."""
+        return dict(self.grouped.capacities)
 
     def edge_groups(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
-        """Paths as plain edge-id tuples, grouped by commodity (solver input).
-
-        Built on the first call; every later call returns the same tuples.
-        """
-        return self._edge_groups
+        """Paths as plain edge-id tuples, grouped by commodity (solver input)."""
+        return self.grouped.groups
 
 
 @dataclass(frozen=True)

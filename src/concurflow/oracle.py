@@ -88,7 +88,7 @@ def lp_grouped_max(
 
 def lp_mmfp_exact(system: PathSystem) -> tuple[float, Flow]:
     """Exact maximum total path flow (no per-commodity bounds)."""
-    result = lp_grouped_max(system.capacities(), system.edge_groups(), None)
+    result = lp_grouped_max(system.grouped.capacities, system.grouped, None)
     return result.total, Flow(system, result.values)
 
 
@@ -102,7 +102,7 @@ def lp_mmfpb_exact(system: PathSystem, bounds: Sequence[float] | None = None) ->
         bounds = system.network.bounds()
     if np.inf in bounds:  # lp_grouped_max would read it as unbounded
         raise ValueError("bounds must be finite, got inf")
-    result = lp_grouped_max(system.capacities(), system.edge_groups(), bounds)
+    result = lp_grouped_max(system.grouped.capacities, system.grouped, bounds)
     return result.total, Flow(system, result.values)
 
 

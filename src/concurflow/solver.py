@@ -15,8 +15,8 @@ sandwiched by closed-form functions of ``l_star``, ``h_star`` and ``eta``.
 
 The subroutine is the packing approximation by default; an exact LP
 subroutine can be substituted for deterministic trace tests. Only the
-bounds change between the calls of one search, so each search compiles its
-path system once (``GroupedPaths``) and every call reuses those columns.
+bounds change between the calls of one search, so its calls all reuse one
+compiled path system: ``PathSystem.grouped``, or the auxiliary groups.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ BELOW_TOL = 1e-12
 
 # Called as (capacities, groups, bounds, eps). The searches pass a
 # ``GroupedPaths`` as ``groups`` and its ``capacities`` snapshot beside it,
-# so the engines compile the path system once per search.
+# so the engines reuse its compiled columns on every call.
 Subroutine = Callable[[Mapping, Sequence, list, float], GroupedResult]
 
 _SUBROUTINES: dict[str, Subroutine] = {
@@ -96,7 +96,7 @@ def find_lstar(
     Returns the terminal l and the number of subroutine calls made.
     """
     run = resolve_subroutine(subroutine)
-    paths = GroupedPaths.build(system.capacities(), system.edge_groups())
+    paths = system.grouped
     calls = 0
     l = 0
     while True:

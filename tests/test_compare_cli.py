@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from concurflow.cli import cli_main
@@ -42,6 +44,16 @@ class TestRunCompare:
         row = run_compare(t1_instance, 0.1, subroutine="oracle")
         assert len(csv_header().split(",")) == len(CSV_COLUMNS)
         assert len(row_to_csv(row).split(",")) == len(CSV_COLUMNS)
+
+    def test_csv_quotes_only_names_that_need_it(self):
+        name = 'a,"b"'
+        row = run_compare(instance_from_system(t1_system(), name), 0.1, subroutine="oracle")
+        line = row_to_csv(row)
+        (fields,) = csv.reader([line])
+        assert len(fields) == len(CSV_COLUMNS)
+        assert fields[0] == name
+        # Every other field is written as it stands, so plain rows keep their bytes.
+        assert line == '"a,""b""",' + ",".join(fields[1:])
 
     def test_oracle_failure_marks_row(self, t1_instance, monkeypatch):
         import concurflow.compare as compare_mod

@@ -8,8 +8,9 @@ from concurflow.instance_io import (
     serialize_instance,
     serialize_solution,
 )
+from concurflow.netmodel import Path, PathSystem
 from concurflow.solver import solve
-from conftest import t1_system, t2_system, t3_system
+from conftest import make_network, make_system, t1_system, t2_system, t3_system
 
 T1_TEXT = """\
 format concurflow-instance 1
@@ -198,6 +199,52 @@ class TestRoundTrip:
         assert "0.30000000000000004" in serialize_instance(inst)
 
 
+class TestInstanceFields:
+    """Only what ``parse_instance`` can read back is accepted, naming the field."""
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("my inst", "name: 'my inst'"), ("", "name: ''"), ("a#b", "name: 'a#b'")],
+        ids=["whitespace", "empty", "hash"],
+    )
+    def test_name_must_be_one_token(self, name, message):
+        with pytest.raises(ValueError, match=message):
+            instance_from_system(t1_system(), name)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (("c 1", "c2"), "commodity_ids: 'c 1' is not one token"),
+            (("", "c2"), "commodity_ids: '' is not one token"),
+            (("c1", "#c2"), "commodity_ids: '#c2' is not one token"),
+            (("c1", "c1"), "commodity_ids: 'c1' is repeated"),
+            (("c1",), "commodity_ids: 1 ids for 2 commodities"),
+        ],
+        ids=["whitespace", "empty", "hash", "repeated", "short"],
+    )
+    def test_commodity_ids(self, ids, message):
+        with pytest.raises(ValueError, match=message):
+            instance_from_system(t1_system(), "t1", ids)
+
+    @pytest.mark.parametrize(
+        "node, edge, message",
+        [
+            ("s t", "e1", "network node id: 's t' is not one token"),
+            ("s", "e#1", "network edge id: 'e#1' is not one token"),
+        ],
+        ids=["node-whitespace", "edge-hash"],
+    )
+    def test_network_ids(self, node, edge, message):
+        net = make_network([node, "t"], [(edge, node, "t", 1.0, True)], [(node, "t", 1.0)])
+        with pytest.raises(ValueError, match=message):
+            instance_from_system(make_system(net, [[[edge]]]), "x")
+
+    def test_accepted_instance_round_trips(self):
+        inst = instance_from_system(t2_system(), 'a,"b"', ("c,1", 'c"2'))
+        text = serialize_instance(inst)
+        assert serialize_instance(parse_instance(text)) == text
+
+
 class TestSolutionFile:
     def test_values_reproduced_exactly(self, fixtures):
         inst = fixtures[0]
@@ -221,6 +268,22 @@ class TestSolutionFile:
         inst = fixtures[2]
         report = solve(inst.path_system, 0.25, subroutine="oracle")
         assert "wall" not in serialize_solution(report, inst)
+
+    def test_plain_tuple_steps_solve_alike(self):
+        # A plain (edge_id, forward) step validates like a Traversal, so every
+        # reader must take it too.
+        system = t2_system()
+        plain = PathSystem(system.network, tuple(
+            tuple(Path(p.commodity, tuple(tuple(step) for step in p.steps)) for p in group)
+            for group in system.paths
+        ))
+        assert type(plain.paths[0][0].steps[0]) is tuple
+        texts = []
+        for each in (system, plain):
+            inst = instance_from_system(each, "t2")
+            report = solve(each, 0.1, subroutine="oracle")
+            texts.append((serialize_instance(inst), serialize_solution(report, inst)))
+        assert texts[0] == texts[1]
 
     def test_malformed_solution_rejected(self):
         with pytest.raises(InstanceError, match="missing 'format"):

@@ -4,7 +4,8 @@ import pytest
 
 from concurflow.instance_io import Instance, parse_solution, serialize_solution
 from concurflow.netmodel import PathMatrix, branch_values, flow_value, is_feasible
-from concurflow.oracle import lp_emcfpsc
+from concurflow.oracle import lp_emcfpsc, lp_grouped_max, lp_mmfp_exact, lp_mmfpb_exact
+from concurflow.packing import solve_mmfp, solve_mmfpb
 from concurflow.solver import (
     build_auxiliary,
     compute_epsilon,
@@ -289,35 +290,69 @@ class TestSolveEndToEnd:
         assert report.wall_time_s >= 0.0
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts ``PathMatrix.build`` calls; the list grows by one per build."""
+    build = PathMatrix.build.__func__
+    counted_builds = []
+
+    def counted(cls, capacities, groups):
+        counted_builds.append(1)
+        return build(cls, capacities, groups)
+
+    monkeypatch.setattr(PathMatrix, "build", classmethod(counted))
+    return counted_builds
+
+
 class TestCompileOnce:
-    """Each search compiles its path system once, whatever the entry point."""
+    """Each path system compiles once, whatever the entry point."""
 
     @pytest.mark.parametrize("subroutine", ["oracle", "fptas", "callable"])
-    def test_one_build_per_live_mask(self, monkeypatch, subroutine):
-        from concurflow.oracle import lp_grouped_max
-
+    def test_one_build_per_live_mask(self, builds, subroutine):
         if subroutine == "callable":
 
             def subroutine(caps, groups, bounds, eps):
                 return lp_grouped_max(caps, groups, bounds)
 
-        build = PathMatrix.build.__func__
-        builds = []
-
-        def counted(cls, capacities, groups):
-            builds.append(1)
-            return build(cls, capacities, groups)
-
-        monkeypatch.setattr(PathMatrix, "build", classmethod(counted))
         counts, calls = {}, {}
         for eta in (0.1, 0.05):
             del builds[:]
             report = solve(t2_system(), eta, subroutine=subroutine)
             counts[eta], calls[eta] = len(builds), report.subroutine_calls
         assert calls[0.05] > calls[0.1]
-        # The system's own matrix, the outer search's one live mask, and the
-        # inner search's two: overflow off on the first call, then on.
-        assert counts[0.1] == counts[0.05] == 1 + 1 + 2
+        # The outer search's one live mask, which is the system's own matrix,
+        # and the inner search's two: overflow off on the first call, then on.
+        assert counts[0.1] == counts[0.05] == 1 + 2
+
+    def test_system_matrix_is_the_outer_searchs(self, builds):
+        system = t2_system()
+        outer = []
+
+        def subroutine(caps, groups, bounds, eps):
+            if len(groups) == system.k:
+                outer.append((caps, groups))
+            return lp_grouped_max(caps, groups, bounds)
+
+        solve(system, 0.1, subroutine=subroutine)
+        assert outer
+        for caps, groups in outer:
+            assert caps is system.grouped.capacities and groups is system.grouped
+        done = len(builds)
+        assert system.matrix is system.grouped.columns((True,) * system.k)[0]
+        assert len(builds) == done
+
+    def test_repeated_wrapper_calls_build_nothing(self, builds):
+        system = t2_system()
+        bounds = (0.4, 0.7)
+        solve_mmfpb(system, bounds, 0.1)
+        lp_mmfpb_exact(system, bounds)
+        assert len(builds) == 1
+        for _ in range(3):
+            solve_mmfpb(system, bounds, 0.1)
+            lp_mmfpb_exact(system, bounds)
+            solve_mmfp(system, 0.1)
+            lp_mmfp_exact(system)
+        assert len(builds) == 1
 
 
 def test_resolve_subroutine_passthrough():
