@@ -11,7 +11,10 @@ For every case of the four perfbench workloads (or those named with
   and flow values);
 - ``mmfpb`` workloads: the ``repr`` of the ``solve_mmfpb`` values;
 - every ``solve_lp`` call the case makes, as its pivot count and a digest
-  of the bytes of ``x``; and the ``iterations`` of every ``pack_paths`` call.
+  of the bytes of ``x``; the ``iterations`` of every ``pack_paths`` call;
+  and the layout of every engine call, taken from ``GroupedProblem.build``,
+  as a digest of the matrix ``edges``, the bytes of ``caps``, ``a`` and
+  ``g`` (with their shapes) and ``keep``.
 
 The cases come from ``perfbench/workloads.py`` of this checkout, imported
 read-only; the program comes from ``--src``. So the check of a change
@@ -41,19 +44,39 @@ class _Clock:
         pass
 
 
+def layout_digest(problem) -> str:
+    """A digest of one engine call's layout: edges, caps, a, g and keep."""
+    matrix = problem.matrix
+    digest = hashlib.sha256(repr((matrix.edges, matrix.a.shape, matrix.g.shape)).encode())
+    for arr in (matrix.caps, matrix.a, matrix.g, problem.keep):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
 @contextmanager
 def recording(calls: list):
-    """Append one entry to ``calls`` for each ``solve_lp`` and ``pack_paths`` call.
+    """Append one entry to ``calls`` per ``solve_lp``, ``pack_paths`` and layout.
 
     ``oracle`` and ``solve_mmfpb`` look both names up at call time; ``solve``
-    binds its named subroutines at import, so its table is patched too.
+    binds its named subroutines at import, so its table is patched too. Both
+    engines read their input through ``GroupedProblem.build``, a classmethod
+    patched on the class.
     """
+    import concurflow.netmodel
     import concurflow.oracle
     import concurflow.packing
     import concurflow.solver
 
     solve_lp = concurflow.oracle.solve_lp
     pack_paths = concurflow.packing.pack_paths
+    problem_class = concurflow.netmodel.GroupedProblem
+    build = problem_class.__dict__["build"]
+    bound_build = problem_class.build
+
+    def layout(cls, *args, **kwargs):
+        problem = bound_build(*args, **kwargs)
+        calls.append(["layout", layout_digest(problem)])
+        return problem
 
     def lp(*args, **kwargs):
         result = solve_lp(*args, **kwargs)
@@ -69,12 +92,14 @@ def recording(calls: list):
     saved = dict(table)
     concurflow.oracle.solve_lp = lp
     concurflow.packing.pack_paths = pack
+    problem_class.build = classmethod(layout)
     table["fptas"] = pack
     try:
         yield
     finally:
         concurflow.oracle.solve_lp = solve_lp
         concurflow.packing.pack_paths = pack_paths
+        problem_class.build = build
         table.update(saved)
 
 

@@ -7,9 +7,9 @@ nonnegative value to each listed path, and an edge is feasible when the gross
 sum of the values of all paths using it stays within its capacity.
 
 A path system compiles once, into ``PathSystem.grouped``: ``GroupedPaths``
-checks the capacities it snapshots and builds one ``PathMatrix`` (the
-edge-by-path incidence) per live-group mask. ``GroupedProblem`` is the one
-place that reads the grouped path input both bounded-flow engines take, and
+walks the edge keys once and lays out each live-group mask's ``PathMatrix``
+(the edge-by-path incidence) from integer step rows. ``GroupedProblem`` is
+the one reader of the grouped path input both bounded-flow engines take, and
 lays their results back out; given a ``GroupedPaths`` with its own
 ``capacities``, a call checks only its bounds and reuses those columns.
 
@@ -21,10 +21,11 @@ operations are pure functions.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, count, islice
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -246,37 +247,16 @@ def infer_traversals(network: Network, source: str, edge_ids: list[str] | tuple[
 class PathMatrix:
     """0/1 incidence of grouped paths: the one layout every LP and loop reads.
 
-    Columns are the paths in group order. ``a`` has one row per edge key in
-    ``edges`` (first use along the path steps) with capacities ``caps``;
-    ``g`` has one row per group. A path that walks an edge twice still
-    counts it once. Only ``GroupedPaths.columns`` builds one, over checked capacities.
+    Columns are the kept paths in group order. ``a`` has one row per edge key
+    in ``edges`` (first use along their steps) with capacities ``caps``; ``g``
+    has one row per group. A path that walks an edge twice still counts it
+    once. A read-only record that only ``GroupedPaths.columns`` creates.
     """
 
     edges: tuple[Hashable, ...]
     caps: np.ndarray
     a: np.ndarray  # edges x paths, C order
     g: np.ndarray  # groups x paths
-
-    @classmethod
-    def build(
-        cls,
-        capacities: Mapping[Hashable, float],
-        groups: Sequence[Sequence[Sequence[Hashable]]],
-    ) -> "PathMatrix":
-        paths = [path for group in groups for path in group]
-        keys = [key for path in paths for key in path]
-        edges = tuple(dict.fromkeys(keys))
-        row_of = {key: row for row, key in enumerate(edges)}
-        n = len(paths)
-        a = np.zeros((len(edges), n))
-        # Assignment, not a sum: a path that repeats an edge counts it once.
-        a[[row_of[key] for key in keys], np.repeat(np.arange(n), [len(p) for p in paths])] = 1.0
-        g = np.zeros((len(groups), n))
-        g[np.repeat(np.arange(len(groups)), [len(group) for group in groups]), np.arange(n)] = 1.0
-        caps_arr = np.array([capacities[key] for key in edges], dtype=float)
-        for arr in (caps_arr, a, g):
-            arr.flags.writeable = False  # shared through PathSystem.matrix
-        return cls(edges, caps_arr, a, g)
 
 
 @dataclass(frozen=True)
@@ -302,16 +282,22 @@ class GroupedPaths(Sequence):
 
     A search asks the same question about one path system with changing
     bounds only, so it passes one of these as the ``groups`` of every engine
-    call, with ``capacities`` (the read-only snapshot) beside it. Building
-    checks every path once, switched-off groups included: none is empty, and
-    every edge has a finite, nonnegative capacity entry. ``usable`` marks the
-    paths that cross no zero-capacity edge (``None`` when all do). The
-    columns of each live-group mask are built on first use and kept.
+    call, with ``capacities`` (a read-only snapshot) beside it. Building is
+    the one walk over the edge keys: it numbers the used ``edges`` (with
+    ``caps``) in first use, keeps every path's step ``rows`` (``lengths``
+    steps each), and checks every path, switched-off groups included: none
+    is empty, and every edge has a finite, nonnegative capacity entry.
+    ``usable`` marks the paths that cross no zero-capacity edge (``None``
+    when all do). Each live-group mask's columns are laid out on first use.
     """
 
     capacities: Mapping[Hashable, float]
     groups: tuple[tuple[tuple[Hashable, ...], ...], ...]
     sizes: tuple[int, ...]
+    edges: tuple[Hashable, ...]
+    caps: np.ndarray
+    rows: np.ndarray
+    lengths: np.ndarray
     usable: np.ndarray | None
     _columns: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -325,7 +311,11 @@ class GroupedPaths(Sequence):
         for g, group in enumerate(groups):
             if not all(map(len, group)):
                 raise ValueError(f"empty path ({g}, {list(map(len, group)).index(0)})")
-        edges = tuple(dict.fromkeys([key for group in groups for path in group for key in path]))
+        paths = list(chain.from_iterable(groups))
+        lengths = np.fromiter(map(len, paths), int, len(paths))
+        row_of = defaultdict(count().__next__)  # an unseen key takes the next row
+        rows = np.fromiter(map(row_of.__getitem__, chain.from_iterable(paths)), int, lengths.sum())
+        edges = tuple(row_of)
         try:
             caps = [capacities[key] for key in edges]
         except KeyError as exc:
@@ -333,12 +323,15 @@ class GroupedPaths(Sequence):
         for key, cap in zip(edges, caps):
             if not (math.isfinite(cap) and cap >= 0):
                 raise ValueError(f"edge {key!r} has capacity {cap}, not finite and >= 0")
-        zero_keys = {key for key, cap in zip(edges, caps) if cap == 0}
+        cap_arr = np.array(caps, dtype=float)
         usable = None
-        if zero_keys:
-            paths = [path for group in groups for path in group]
-            usable = np.array([zero_keys.isdisjoint(path) for path in paths], dtype=bool)
-        return cls(MappingProxyType(dict(capacities)), groups, tuple(map(len, groups)), usable)
+        if 0 in caps:
+            usable = np.ones(lengths.size, dtype=bool)
+            usable[np.repeat(np.arange(lengths.size), lengths)[cap_arr[rows] == 0]] = False
+        for arr in (cap_arr, rows, lengths):
+            arr.flags.writeable = False
+        snapshot = MappingProxyType(dict(capacities))
+        return cls(snapshot, groups, tuple(map(len, groups)), edges, cap_arr, rows, lengths, usable)
 
     def __getitem__(self, index):
         return self.groups[index]
@@ -353,11 +346,20 @@ class GroupedPaths(Sequence):
             keep = np.repeat(np.array(live, dtype=bool), self.sizes)
             if self.usable is not None:
                 keep &= self.usable
-            kept = iter(keep.tolist())
-            matrix = PathMatrix.build(
-                self.capacities, [[path for path in group if next(kept)] for group in self.groups]
-            )
-            keep.flags.writeable = False
+            lengths = self.lengths[keep]
+            rows = self.rows[np.repeat(keep, self.lengths)]
+            # Edges in first use among the kept steps; unused ones sort last.
+            first = np.full(len(self.edges), rows.size)
+            np.minimum.at(first, rows, np.arange(rows.size))
+            used = first.argsort()[: np.count_nonzero(first < rows.size)]
+            a = np.zeros((len(self.edges), lengths.size))
+            # Assignment, not a sum: a path that repeats an edge counts it once.
+            a[rows, np.repeat(np.arange(lengths.size), lengths)] = 1.0
+            a, caps = a[used], self.caps[used]
+            g = np.eye(len(self.sizes)).repeat(self.sizes, axis=1).compress(keep, axis=1)
+            for arr in (caps, a, g, keep):
+                arr.flags.writeable = False  # shared by every call on this mask
+            matrix = PathMatrix(tuple(map(self.edges.__getitem__, used.tolist())), caps, a, g)
             cached = self._columns[live] = (matrix, keep)
         return cached
 
@@ -472,12 +474,10 @@ class PathSystem:
     def grouped(self) -> GroupedPaths:
         """The paths as edge-id groups, compiled once, on first use.
 
-        The capacity snapshot holds the edges the paths use, in first-use order.
+        The capacity snapshot holds every network edge.
         """
         groups = [[path.edge_ids() for path in group] for group in self.paths]
-        edges = self.network._edge_map
-        used = dict.fromkeys([key for group in groups for path in group for key in path])
-        return GroupedPaths.build({key: float(edges[key].capacity) for key in used}, groups)
+        return GroupedPaths.build({e.id: float(e.capacity) for e in self.network.edges}, groups)
 
     @property
     def matrix(self) -> PathMatrix:
@@ -486,7 +486,7 @@ class PathSystem:
 
     def capacities(self) -> dict[str, float]:
         """A fresh dict of the capacities of the edges the paths use, in first-use order."""
-        return dict(self.grouped.capacities)
+        return dict(zip(self.grouped.edges, self.grouped.caps.tolist()))
 
     def edge_groups(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
         """Paths as plain edge-id tuples, grouped by commodity (solver input)."""
@@ -593,7 +593,8 @@ def enumerate_paths(
 
     Only positive-capacity edges are walked; directed edges only forward.
     The result is ordered lexicographically by edge-id sequence, which the
-    depth-first search yields directly by trying edges in id order, so
+    depth-first search (on an explicit stack, so no path length meets the
+    recursion limit) yields directly by trying edges in id order, so
     ``limit`` stops the search once that many paths are found and returns
     the first ``limit`` paths of the full list. A source equal to the sink
     enumerates closed walks.
@@ -619,23 +620,25 @@ def enumerate_paths(
     found: list[Path] = []
     prefix: list[Traversal] = []
     visited = {source}
-
-    def walk(node: str) -> None:
-        if len(prefix) == max_edges:
-            return
-        for edge_id, forward, nxt in adjacency[node]:
+    # One frame per node on the current prefix: the node and its untried steps.
+    stack = [(source, iter(adjacency[source]))]
+    while stack:
+        for edge_id, forward, nxt in stack[-1][1]:
             if len(found) == limit:
-                return
+                return found
             if nxt == sink and (nxt not in visited or sink == source):
-                found.append(Path(commodity.index, tuple(prefix) + (Traversal(edge_id, forward),)))
+                found.append(Path(commodity.index, (*prefix, Traversal(edge_id, forward))))
                 continue
-            if nxt in visited:
+            # A prefix of max_edges steps takes no further step.
+            if nxt in visited or len(stack) == max_edges:
                 continue
             prefix.append(Traversal(edge_id, forward))
             visited.add(nxt)
-            walk(nxt)
-            visited.remove(nxt)
-            prefix.pop()
-
-    walk(source)
+            stack.append((nxt, iter(adjacency[nxt])))
+            break
+        else:
+            node, _ = stack.pop()
+            if stack:
+                visited.remove(node)
+                prefix.pop()
     return found

@@ -113,6 +113,8 @@ def lp_emcfp_lambda(system: PathSystem, bounds: Sequence[float] | None = None) -
     """
     if bounds is None:
         bounds = system.network.bounds()
+    if len(bounds) != system.k:
+        raise ValueError("bounds length does not match the commodity count")
     for b in bounds:
         if not b > 0:
             raise ValueError(f"bounds must be positive, got {b}")

@@ -49,9 +49,10 @@ def solve_lp(
 ) -> LpResult:
     """Maximize ``objective . x`` over ``rows`` of (coefficients, sense, rhs).
 
-    Coefficient vectors may be shorter than the variable count; missing
-    entries are zero. Raises ``SimplexError`` for infeasible or unbounded
-    problems and when the iteration cap is exceeded.
+    Every coefficient vector has one entry per variable; a row of any other
+    length or with an unknown sense raises ``ValueError``. Raises
+    ``SimplexError`` for infeasible or unbounded problems and when the
+    iteration cap is exceeded.
     """
     c = np.asarray(objective, dtype=float)
     n = c.size
@@ -59,18 +60,17 @@ def solve_lp(
     if m == 0:
         raise SimplexError("no constraint rows; problem is unbounded or trivial")
 
-    a = np.zeros((m, n))
-    b = np.zeros(m)
-    signs = np.empty(m)
-    for i, (coeffs, sense, rhs) in enumerate(rows):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.size > n:
+    coeffs, senses, rhs = zip(*rows)
+    for size, sense in zip(map(len, coeffs), senses):
+        if size > n:
             raise ValueError("constraint row longer than the objective")
-        a[i, : coeffs.size] = coeffs
-        b[i] = rhs
+        if size < n:
+            raise ValueError("constraint row shorter than the objective")
         if sense not in _SENSES:
             raise ValueError(f"unknown sense {sense!r}")
-        signs[i] = _SLACK_SIGNS[_SENSES.index(sense)]
+    a = np.array(coeffs, dtype=float)
+    b = np.array(rhs, dtype=float)
+    signs = np.array([_SLACK_SIGNS[_SENSES.index(sense)] for sense in senses])
 
     # Normalize to nonnegative right-hand sides; <= and >= swap on those rows.
     flip = (b < 0).nonzero()[0]

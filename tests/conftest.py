@@ -1,3 +1,6 @@
+from collections.abc import Hashable, Mapping, Sequence
+
+import numpy as np
 import pytest
 
 from concurflow.netmodel import (
@@ -5,6 +8,7 @@ from concurflow.netmodel import (
     Edge,
     Network,
     Path,
+    PathMatrix,
     PathSystem,
     infer_traversals,
 )
@@ -19,6 +23,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def reference_layout(
+    capacities: Mapping[Hashable, float],
+    groups: Sequence[Sequence[Sequence[Hashable]]],
+) -> PathMatrix:
+    """The former ``PathMatrix.build``, verbatim: the reference for ``GroupedPaths.columns``.
+
+    It lays out the given paths by walking their edge keys, with edges in
+    first use along the steps.
+    """
+    paths = [path for group in groups for path in group]
+    keys = [key for path in paths for key in path]
+    edges = tuple(dict.fromkeys(keys))
+    row_of = {key: row for row, key in enumerate(edges)}
+    n = len(paths)
+    a = np.zeros((len(edges), n))
+    # Assignment, not a sum: a path that repeats an edge counts it once.
+    a[[row_of[key] for key in keys], np.repeat(np.arange(n), [len(p) for p in paths])] = 1.0
+    g = np.zeros((len(groups), n))
+    g[np.repeat(np.arange(len(groups)), [len(group) for group in groups]), np.arange(n)] = 1.0
+    caps_arr = np.array([capacities[key] for key in edges], dtype=float)
+    for arr in (caps_arr, a, g):
+        arr.flags.writeable = False  # shared through PathSystem.matrix
+    return PathMatrix(edges, caps_arr, a, g)
 
 
 def make_network(nodes, edges, commodities):

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concurflow.netmodel import (
@@ -30,7 +31,7 @@ from concurflow.netmodel import (
 from concurflow.generator import generate_instance
 from concurflow.oracle import lp_emcfpsc, lp_mmfp_exact
 from concurflow.packing import solve_mmfp
-from conftest import make_network, make_system
+from conftest import make_network, make_system, reference_layout
 
 
 @pytest.fixture
@@ -277,6 +278,45 @@ class TestGroupedProblem:
         assert GroupedProblem.build(caps, paths, None).keep.tolist() == [False, True]
 
 
+# --- GroupedPaths.columns against the former key-walking layout ---
+
+# String ids beside the auxiliary network's tuple keys.
+EDGE_KEYS = ("a", "b", "c", "d", ("ded", 1), ("ovf", 1), ("ded", 2))
+
+
+@st.composite
+def grouped_input(draw):
+    """Capacities (some zero) and groups (some empty); paths may repeat an edge."""
+    caps = {key: draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) for key in EDGE_KEYS}
+    path = st.lists(st.sampled_from(EDGE_KEYS), min_size=1, max_size=5).map(tuple)
+    groups = draw(st.lists(st.lists(path, max_size=4), max_size=4))
+    return caps, groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_input())
+@example(({"a": 1.0, "b": 0.0, ("ded", 1): 2.0}, [[("b", "a")], [], [("a", ("ded", 1), "a")]]))
+@example(({"a": 1.0, "b": 1.0, ("ovf", 1): 0.0}, [[("b",)], [("a", "b"), (("ovf", 1), "a")]]))
+def test_columns_match_reference_layout(case):
+    caps, groups = case
+    paths = GroupedPaths.build(caps, groups)
+    zero = {key for group in groups for path in group for key in path if caps[key] == 0}
+    usable = [zero.isdisjoint(path) for group in groups for path in group]
+    # Every live mask, switched-off groups included.
+    for live in itertools.product((False, True), repeat=len(groups)):
+        matrix, keep = paths.columns(live)
+        expected_keep = [on and ok for on, ok in zip(np.repeat(live, paths.sizes), usable)]
+        assert keep.tolist() == expected_keep
+        kept = iter(expected_keep)
+        ref = reference_layout(caps, [[path for path in group if next(kept)] for group in groups])
+        assert matrix.edges == ref.edges
+        for name in ("caps", "a", "g"):
+            got, want = getattr(matrix, name), getattr(ref, name)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
+
+
 class TestEnumeratePaths:
     def test_single_edge(self):
         net = make_network(["s", "t"], [("e", "s", "t", 1, True)], [("s", "t", 1)])
@@ -336,6 +376,15 @@ class TestEnumeratePaths:
             full = enumerate_paths(net, com, len(net.nodes))
             for k in (1, 3, len(full)):
                 assert enumerate_paths(net, com, len(net.nodes), limit=k) == full[:k]
+
+    def test_long_chain_needs_no_recursion(self):
+        # 1099 steps deep: a search that recursed once per edge overflowed here.
+        nodes = [f"n{i}" for i in range(1100)]
+        edges = [(f"e{i:04d}", nodes[i], nodes[i + 1], 1, True) for i in range(1099)]
+        net = make_network(nodes, edges, [("n0", "n1099", 1)])
+        (path,) = enumerate_paths(net, net.commodities[0], 1100, limit=1)
+        assert path.edge_ids() == tuple(e[0] for e in edges)
+        assert enumerate_paths(net, net.commodities[0], 1098) == []
 
     def test_all_results_validate(self):
         net = make_network(

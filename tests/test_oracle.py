@@ -75,6 +75,13 @@ class TestRatio:
         with pytest.raises(ValueError):
             lp_emcfp_lambda(t1, (0.0, 1.0))
 
+    @pytest.mark.parametrize("bounds", [(1.0,), (1.0, 2.0, 3.0)], ids=["short", "long"])
+    @pytest.mark.parametrize("solver", [lp_emcfp_lambda, lp_emcfpsc], ids=["lambda", "emcfpsc"])
+    def test_bounds_length_checked(self, t1, solver, bounds):
+        # t1 is the README's two-commodity example: one bound would have read ratio 1.0.
+        with pytest.raises(ValueError, match="^bounds length does not match the commodity count$"):
+            solver(t1, bounds)
+
 
 class TestTwoStage:
     def test_golden_t1(self):

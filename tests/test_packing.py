@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from concurflow import generate_instance
-from concurflow.netmodel import PathMatrix, branch_values, flow_value, is_feasible
+from concurflow.netmodel import branch_values, flow_value, is_feasible
 from concurflow.oracle import lp_grouped_max, lp_mmfp_exact, lp_mmfpb_exact
 from concurflow.packing import (
     _RENORM_SHIFT,
@@ -17,7 +17,7 @@ from concurflow.packing import (
     solve_mmfpb,
 )
 from concurflow.solver import build_auxiliary
-from conftest import make_network, make_system, t1_system
+from conftest import make_network, make_system, reference_layout, t1_system
 
 
 def diamond_system():
@@ -254,7 +254,9 @@ def reference_pack_paths(
         [] if group_bound(g) == 0.0 else [j for j, path in enumerate(group) if usable(path)]
         for g, group in enumerate(groups)
     ]
-    matrix = PathMatrix.build(capacities, [[groups[g][j] for j in js] for g, js in enumerate(keep)])
+    matrix = reference_layout(
+        capacities, [[groups[g][j] for j in js] for g, js in enumerate(keep)]
+    )
     path_key = [(g, j) for g, js in enumerate(keep) for j in js]
 
     values_dense = [[0.0] * len(group) for group in groups]

@@ -52,9 +52,14 @@ def test_byte_identity_records_every_call(tmp_path):
     for record in records:
         kinds = {call[0] for call in record["calls"]}
         if record["workload"] == "packing-fullrun":
-            assert kinds == {"pack"} and "solve_mmfpb" in record
+            assert kinds == {"pack", "layout"} and "solve_mmfpb" in record
         else:
             assert record["solution"].startswith("format concurflow-solution 1\n")
-            assert "lp" in kinds and "lp_emcfpsc" in record
+            assert {"lp", "layout"} <= kinds and "lp_emcfpsc" in record
+        layouts = [call for call in record["calls"] if call[0] == "layout"]
+        assert all(len(call) == 2 and len(call[1]) == 64 for call in layouts)
+        if record["workload"] in ("fptas-search", "packing-fullrun"):
+            # One layout digest per engine call; here every engine call packs.
+            assert len(layouts) == sum(call[0] == "pack" for call in record["calls"])
         if record["workload"] == "fptas-search":
             assert "pack" in kinds

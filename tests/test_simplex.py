@@ -335,9 +335,6 @@ PHASE_AND_EDGE_LPS = {
         [1.0, 1.0, 0.0],
         [([1, 1, 0], "==", 2.0), ([0, 0, 1], "==", 1.0), ([1, 1, 1], "==", 3.0)],
     ),
-    "short-rows-padded": (
-        [1.0, 1.0, 1.0], [([1], "<=", 1.0), ([0, 1], "<=", 2.0), ([1, 1, 1], "<=", 2.5)]
-    ),
     "degenerate-ties": (
         [1.0, 1.0, 1.0, 1.0],
         [([1, 1, 0, 0], "<=", 1.0), ([1, 0, 1, 0], "<=", 1.0), ([0, 1, 0, 1], "<=", 1.0),
@@ -348,6 +345,9 @@ PHASE_AND_EDGE_LPS = {
     "no-rows": ([1.0], []),
     "row-too-long": ([1.0], [([1, 1], "<=", 1.0)]),
     "unknown-sense": ([1.0], [([1], "<", 1.0)]),
+    # The first bad row decides, and within one row its length before its sense.
+    "long-row-with-unknown-sense": ([1.0], [([1], "<=", 1.0), ([1, 1], "<", 1.0)]),
+    "unknown-sense-before-long-row": ([1.0], [([1], "<", 1.0), ([1, 1], "<=", 1.0)]),
 }
 
 ITERATION_CAP_LP = (
@@ -388,6 +388,20 @@ def _captured_lps(system, etas):
             solve(system, eta, subroutine="oracle")
         lp_emcfpsc(system)
     return captured
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [([1], "<=", 1.0), ([0, 1], "<=", 2.0), ([1, 1, 1], "<=", 2.5)],
+        [([1, 1, 1], "<=", 2.5), ([1, 1], "<", 1.0)],
+    ],
+    ids=["short-first", "short-before-unknown-sense"],
+)
+def test_short_row_rejected(rows):
+    # Every row carries one coefficient per variable; short rows are not padded.
+    with pytest.raises(ValueError, match="^constraint row shorter than the objective$"):
+        solve_lp([1.0, 1.0, 1.0], rows)
 
 
 class TestReferenceSolver:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import concurflow.netmodel
 from concurflow.instance_io import Instance, parse_solution, serialize_solution
 from concurflow.netmodel import PathMatrix, branch_values, flow_value, is_feasible
 from concurflow.oracle import lp_emcfpsc, lp_grouped_max, lp_mmfp_exact, lp_mmfpb_exact
@@ -292,15 +293,14 @@ class TestSolveEndToEnd:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts ``PathMatrix.build`` calls; the list grows by one per build."""
-    build = PathMatrix.build.__func__
+    """Counts layouts: one entry per ``PathMatrix`` that ``GroupedPaths.columns`` lays out."""
     counted_builds = []
 
-    def counted(cls, capacities, groups):
+    def counted(*fields):
         counted_builds.append(1)
-        return build(cls, capacities, groups)
+        return PathMatrix(*fields)
 
-    monkeypatch.setattr(PathMatrix, "build", classmethod(counted))
+    monkeypatch.setattr(concurflow.netmodel, "PathMatrix", counted)
     return counted_builds
 
 
