@@ -14,7 +14,7 @@ lays their results back out; given a ``GroupedPaths`` with its own
 ``capacities``, a call checks only its bounds and reuses those columns.
 
 Everything in this module is immutable after construction and safe to share
-across threads (``GroupedPaths`` only fills a cache of equal values); the
+across threads (``GroupedPaths`` only fills caches of equal values); the
 operations are pure functions.
 """
 
@@ -288,7 +288,8 @@ class GroupedPaths(Sequence):
     steps each), and checks every path, switched-off groups included: none
     is empty, and every edge has a finite, nonnegative capacity entry.
     ``usable`` marks the paths that cross no zero-capacity edge (``None``
-    when all do). Each live-group mask's columns are laid out on first use.
+    when all do). Each live-group mask's columns are laid out on first use,
+    and the exact engine keeps each bound pattern's LP in ``_lps``.
     """
 
     capacities: Mapping[Hashable, float]
@@ -300,6 +301,7 @@ class GroupedPaths(Sequence):
     lengths: np.ndarray
     usable: np.ndarray | None
     _columns: dict = field(default_factory=dict, init=False, repr=False)
+    _lps: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(
@@ -373,13 +375,15 @@ class GroupedProblem:
     bound is rejected. A path is kept when its group is on and it crosses no
     zero-capacity edge. ``matrix`` covers only the kept paths, in input
     order (so its edges follow their first use among them), and ``keep``
-    marks them among all input paths.
+    marks them among all input paths. ``lps`` belongs to the compiled paths:
+    the exact engine keeps there what it assembles for later calls.
     """
 
     matrix: PathMatrix
     bounds: tuple[float | None, ...]
     keep: np.ndarray
     sizes: tuple[int, ...]
+    lps: dict
 
     @classmethod
     def build(
@@ -409,7 +413,7 @@ class GroupedProblem:
         if not (isinstance(groups, GroupedPaths) and groups.capacities is capacities):
             groups = GroupedPaths.build(capacities, groups)
         matrix, keep = groups.columns(tuple(bound != 0 for bound in checked))
-        return cls(matrix, tuple(checked), keep, groups.sizes)
+        return cls(matrix, tuple(checked), keep, groups.sizes, groups._lps)
 
     def result(
         self, x: Sequence[float], iterations: int, upper: float | None = None

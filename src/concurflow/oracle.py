@@ -4,7 +4,10 @@ Desk-scale solvers used to verify everything the approximation pipeline
 certifies: maximum total path flow with per-commodity caps, the best worst
 service ratio, and the two-stage variant that saturates total value at the
 optimal ratio. All of them reduce to small dense LPs with one variable per
-path, solved by the in-package simplex.
+path, solved by the in-package simplex. A search asks ``lp_grouped_max`` the
+same LP under new bounds on every call, so each bound pattern of a compiled
+path system assembles its rows once, and the simplex copies its initial
+tableau from the layout's own incidence.
 """
 
 from __future__ import annotations
@@ -74,13 +77,30 @@ def lp_grouped_max(
     ``+inf`` means unbounded, 0 drops the group). Input is read as by
     :func:`pack_paths`, through ``GroupedProblem``. This is the engine behind
     the public solvers and is also callable directly with synthetic groups.
+    Given a ``GroupedPaths``, a call reuses the edge rows and coefficient
+    blocks that the first call with the same off, unbounded and bounded
+    groups built, and adds only the new bounds.
     """
     problem = GroupedProblem.build(capacities, groups, bounds)
     n = problem.matrix.a.shape[1]
     if not n:
         return problem.result([], 0)
+    # The rows of _path_rows(problem.matrix, problem.bounds). The edge rows and
+    # the coefficient blocks (the layout's own ``a``, then the bounded rows of
+    # ``g``) depend only on which groups are off, unbounded or bounded, so
+    # they are kept per pattern; only the bounds are new.
+    pattern = tuple(None if bound is None else bound > 0 for bound in problem.bounds)
+    cached = problem.lps.get(pattern)
+    if cached is None:
+        matrix = problem.matrix
+        group_rows = matrix.g[[i for i, bounded in enumerate(pattern) if bounded]]
+        group_rows.flags.writeable = False
+        cached = problem.lps[pattern] = (_path_rows(matrix, ()), (matrix.a, group_rows))
+    edge_rows, blocks = cached
+    g = problem.matrix.g
+    rows = edge_rows + [(g[i], "<=", bound) for i, bound in enumerate(problem.bounds) if bound]
     try:
-        res = solve_lp(np.ones(n), _path_rows(problem.matrix, problem.bounds))
+        res = solve_lp(np.ones(n), rows, blocks=blocks)
     except SimplexError as exc:
         raise OracleError(f"path LP failed: {exc}") from exc
     return problem.result(_clip(res.x), res.iterations)

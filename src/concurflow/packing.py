@@ -58,8 +58,11 @@ class FptasConfig:
         if not 0.0 < eps <= 0.5:
             raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
         eps_int = min(eps / 3.0, 0.5)
+        try:
+            max_iterations = 10 * math.ceil(m * math.log(m + 1) / eps_int**2) + 100
+        except (ZeroDivisionError, OverflowError):  # eps_int**2 underflows, or the cap overflows
+            raise ValueError(f"eps {eps} is too small: the packing iteration cap is not finite") from None
         log_delta = math.log1p(eps_int) - math.log((1.0 + eps_int) * m) / eps_int
-        max_iterations = 10 * math.ceil(m * math.log(m + 1) / eps_int**2) + 100
         return cls(eps, eps_int, log_delta, max_iterations)
 
 

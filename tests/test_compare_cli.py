@@ -96,6 +96,11 @@ class TestCliSolve:
     def test_bad_eta(self, t1_file):
         assert cli_main(["solve", "--input", t1_file, "--eta", "1.5"]) == 1
 
+    def test_eta_too_small_for_packing(self, t1_file, capsys):
+        # The derived eps leaves the packing iteration cap infinite: a usage error.
+        assert cli_main(["solve", "--input", t1_file, "--eta", "1e-300"]) == 1
+        assert "is too small" in capsys.readouterr().err
+
     def test_unknown_flag(self, t1_file, capsys):
         code = cli_main(["solve", "--input", t1_file, "--eta", "0.1", "--frobnicate"])
         assert code == 1

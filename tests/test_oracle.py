@@ -1,10 +1,14 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from concurflow import generate_instance
 from concurflow.netmodel import (
     Flow,
+    GroupedPaths,
     branch_values,
     flow_value,
     is_feasible,
@@ -166,6 +170,40 @@ class TestGroupedCore:
         res = lp_grouped_max(caps, groups, [1.5, None])
         assert res.total == pytest.approx(2.25, abs=1e-9)
         assert res.group_totals[0] <= 1.5 + 1e-9
+
+    def test_reuse_keeps_bound_patterns_apart(self):
+        # The same live groups with a different one bounded, and as many rows:
+        # a compiled system answers every pattern, in any order, as a fresh
+        # compile of plain input does.
+        caps = {"a": 1.0, "b": 2.0}
+        groups = [[("a",), ("b",)], [("a", "b")]]
+        paths = GroupedPaths.build(caps, groups)
+        patterns = [[0.5, None], [None, 0.25], [0.5, 0.25], [1.5, None], [None, 0.75], [None, None]]
+        for bounds in patterns + patterns[::-1]:
+            assert lp_grouped_max(paths.capacities, paths, bounds) == lp_grouped_max(caps, groups, bounds)
+
+    def test_one_compiled_system_serves_threads(self):
+        # Threads race to assemble and reuse each bound pattern's LP (wide
+        # enough for row updates) on one GroupedPaths; each gets a fresh
+        # compile's result.
+        system = generate_instance(3, 16, 50, 8, 25).path_system
+        caps, groups = system.capacities(), system.edge_groups()
+        patterns = [[scale * b for b in system.network.bounds()] for scale in (0.1, 0.3, 0.6)]
+        patterns.append([None, *patterns[0][1:]])
+        expected = [lp_grouped_max(caps, groups, bounds) for bounds in patterns]
+        paths = GroupedPaths.build(caps, groups)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(lp_grouped_max, paths.capacities, paths, bounds)
+                    for _ in range(3) for bounds in patterns
+                ]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected * 3
 
     def test_empty_groups(self):
         res = lp_grouped_max({}, [[], []], None)

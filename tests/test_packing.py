@@ -77,6 +77,12 @@ class TestUnbounded:
             with pytest.raises(ValueError):
                 solve_mmfp(t1, eps)
 
+    @pytest.mark.parametrize("eps", [1e-160, 1e-170, 1e-300, 5e-324])
+    def test_eps_too_small_for_a_finite_cap(self, t1, eps):
+        # 1e-160 overflowed the iteration cap; from about 1e-170 eps_int**2 is 0.
+        with pytest.raises(ValueError, match=f"^eps {eps} is too small: "):
+            pack_paths(t1.capacities(), t1.edge_groups(), None, eps)
+
 
 class TestBounded:
     def test_shared_edge_with_bounds(self, t1):

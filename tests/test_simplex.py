@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import concurflow.oracle
+import concurflow.simplex
 from concurflow import generate_instance, lp_emcfpsc, solve
 from concurflow.simplex import (
     EQUAL,
@@ -10,6 +11,7 @@ from concurflow.simplex import (
     LESS_EQUAL,
     OPTIMALITY_TOL,
     PIVOT_TOL,
+    ROW_UPDATE_MIN_COLUMNS,
     LpResult,
     SimplexError,
     solve_lp,
@@ -350,6 +352,35 @@ PHASE_AND_EDGE_LPS = {
     "unknown-sense-before-long-row": ([1.0], [([1], "<", 1.0), ([1, 1], "<=", 1.0)]),
 }
 
+def _unit(n, j, value=1.0):
+    row = np.zeros(n)
+    row[j] = value
+    return row
+
+
+# Wide enough for row updates, each with a right-hand side or pivot row that
+# the full update treats differently from a skipped row.
+_W = ROW_UPDATE_MIN_COLUMNS + 2
+WIDE_EDGE_LPS = {
+    # x0 and x1 enter on degenerate -0.0 rows. When x0 enters, the full update
+    # turns x1's -0.0 right-hand side into +0.0, which x1 then reads.
+    "minus-zero-rhs": (
+        _unit(_W, 0) + _unit(_W, 1),
+        [(_unit(_W, 0), "<=", -0.0), (_unit(_W, 1), "<=", -0.0), (np.ones(_W), "<=", 5.0)],
+    ),
+    # The artificial of -x1 == 0 stays basic through phase 1. The drive-out
+    # divides its +0.0 right-hand side by -1, and x1 stays basic at that value.
+    "drive-out-on-negative-entry": (
+        np.ones(_W), [(np.ones(_W), "<=", 4.0), (_unit(_W, 1, -1.0), "==", 0.0)]
+    ),
+    # 1e300 / 2e-9 overflows, and the full update turns x1's row into NaN,
+    # on which the rest of the solve runs.
+    "non-finite-pivot-row": (
+        _unit(_W, 0) + _unit(_W, 1),
+        [(_unit(_W, 0, 2e-9), "<=", 1e300), (_unit(_W, 1), "<=", 1.0)],
+    ),
+}
+
 ITERATION_CAP_LP = (
     [1.0, 1.0, 1.0], [([1, 0, 0], "<=", 1.0), ([0, 1, 0], "<=", 1.0), ([0, 0, 1], "<=", 1.0)]
 )
@@ -374,13 +405,50 @@ def _random_lps(count=300, seed=11):
     return lps
 
 
+def _wide_random_lps(count=40, seed=5):
+    """LPs with more than ``ROW_UPDATE_MIN_COLUMNS`` columns, so pivots update rows.
+
+    Sparse integer rows of every sense with right-hand sides in -3..3 (the
+    negative ones flipped), mostly under a budget row, now and then a -0.0 right-hand side, a repeated
+    row (degenerate ties) or a ``-x_j == 0`` or ``-x_j >= 0`` row, whose
+    artificial stays basic through phase 1 and is driven out on the -1.
+    """
+    rng = np.random.default_rng(seed)
+    senses = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
+    lps = []
+    for _ in range(count):
+        n = int(rng.integers(ROW_UPDATE_MIN_COLUMNS + 1, ROW_UPDATE_MIN_COLUMNS + 30))
+        # Most get a budget row, without which nearly every one is unbounded.
+        rows = [(np.ones(n), LESS_EQUAL, 5.0)] if rng.random() < 0.7 else []
+        for _ in range(int(rng.integers(4, 14))):
+            coeffs = rng.integers(-2, 3, size=n) * (rng.random(n) < 0.08)
+            rhs = float(rng.integers(-3, 4))
+            roll = rng.random()
+            if roll < 0.1:
+                rhs = -0.0
+            elif roll < 0.2 and rows:
+                coeffs, rhs = rows[-1][0], rows[-1][2]
+            elif roll < 0.3:
+                coeffs = np.zeros(n)
+                coeffs[rng.integers(0, n)] = -1.0
+                rhs = 0.0
+            rows.append((coeffs.astype(float), senses[rng.integers(0, 3)], rhs))
+        lps.append((rng.integers(-2, 3, size=n).astype(float), rows))
+    return lps
+
+
 def _captured_lps(system, etas):
-    """Every LP the oracle subroutine and ``lp_emcfpsc`` hand the simplex for ``system``."""
+    """Every LP the oracle subroutine and ``lp_emcfpsc`` hand the simplex for ``system``.
+
+    One ``(objective, rows, result, blocks)`` entry per call: ``result`` is
+    what the oracle got, ``blocks`` what it passed (or ``None``).
+    """
     captured = []
 
     def recording(objective, rows, *args, **kwargs):
-        captured.append((objective, rows))
-        return solve_lp(objective, rows, *args, **kwargs)
+        result = solve_lp(objective, rows, *args, **kwargs)
+        captured.append((objective, rows, result, kwargs.get("blocks")))
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(concurflow.oracle, "solve_lp", recording)
@@ -432,15 +500,65 @@ class TestReferenceSolver:
             "unbounded objective",
         }
 
+    def test_wide_random_lps_match_reference(self):
+        kinds = set()
+        for objective, rows in _wide_random_lps():
+            expected = _outcome(reference_solve_lp, objective, rows)
+            assert _outcome(solve_lp, objective, rows) == expected
+            kinds.add(expected[1] if expected[0] is SimplexError else "solved")
+        assert kinds == {"solved", "infeasible constraint system", "unbounded objective"}
+
+    def test_row_updates_on_every_lp_match_reference(self, monkeypatch):
+        # With no width threshold, every pivot of these small LPs, flipped rows,
+        # -0.0 right-hand sides and drive-outs included, may take the row update.
+        monkeypatch.setattr(concurflow.simplex, "ROW_UPDATE_MIN_COLUMNS", 0)
+        lps = [*_existing_lps().values(), *PHASE_AND_EDGE_LPS.values(), *_random_lps()]
+        for objective, rows in lps:
+            expected = _outcome(reference_solve_lp, objective, rows)
+            assert _outcome(solve_lp, objective, rows) == expected
+
+    @pytest.mark.parametrize("name", sorted(WIDE_EDGE_LPS))
+    def test_wide_edge_lps_match_reference(self, name):
+        objective, rows = WIDE_EDGE_LPS[name]
+        with np.errstate(all="ignore"):  # the overflow and its NaN are the point
+            expected = _outcome(reference_solve_lp, objective, rows)
+            assert _outcome(solve_lp, objective, rows) == expected
+
+    @pytest.mark.parametrize("width", [3, ROW_UPDATE_MIN_COLUMNS + 20])
+    def test_blocks_match_reference(self, width):
+        # Coefficients passed as two blocks, under new right-hand sides: zero
+        # ones (degenerate), -0.0 ones, and a negative one, which the rows serve.
+        rng = np.random.default_rng(width)
+        coeffs = (rng.integers(0, 3, size=(6, width)) * (rng.random((6, width)) < 0.3)).astype(float)
+        objective = rng.integers(1, 3, size=width).astype(float)
+        blocks = (coeffs[:4], coeffs[4:])
+        rhs_sets = [[2.0, 1.0, 3.0, 1.0, 2.0, 2.0], [0.0, 1.0, 0.0, 1.0, 2.0, 0.0],
+                    [-0.0, -0.0, 1.0, -0.0, 0.5, 1.0], [1.0, 1.0, -1.0, 2.0, 2.0, 1.0],
+                    [2.5, 0.5, 1.5, 1.0, 0.25, 3.0]]
+        for rhs in rhs_sets:
+            rows = [(row, LESS_EQUAL, b) for row, b in zip(coeffs, rhs)]
+            expected = _outcome(reference_solve_lp, objective, rows)
+            assert _outcome(solve_lp, objective, rows, blocks=blocks) == expected
+
+    def test_blocks_of_other_rows_rejected(self):
+        rows = [([1.0, 0.0], LESS_EQUAL, 1.0), ([0.0, 1.0], LESS_EQUAL, 1.0)]
+        with pytest.raises(ValueError, match="^coefficient blocks do not match the rows$"):
+            solve_lp([1.0, 1.0], rows, blocks=(np.eye(2)[:1],))
+
     @pytest.mark.parametrize(
         "args, etas",
         [((0, 7, 11, 3, 4), (0.05, 0.2)), ((3, 16, 50, 8, 25), (0.1,))],
         ids=["corpus-shape", "200-paths"],
     )
     def test_oracle_lps_match_reference(self, args, etas):
+        # What the oracle got, mostly from blocks kept within a search, is
+        # what the reference and the rows alone make of the same LP.
         system = generate_instance(*args).path_system
         lps = _captured_lps(system, etas)
         assert len(lps) > len(etas)
-        for objective, rows in lps:
+        kept = [id(blocks) for *_, blocks in lps if blocks is not None]
+        assert len(kept) - len(set(kept)) > len(lps) // 2
+        for objective, rows, result, _ in lps:
             expected = _outcome(reference_solve_lp, objective, rows)
+            assert (result.iterations, result.x.tobytes(), result.value) == expected
             assert _outcome(solve_lp, objective, rows) == expected
