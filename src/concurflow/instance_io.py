@@ -309,39 +309,41 @@ _SOLUTION_COUNTERS = ("l_star", "h_star", "outer_iterations", "inner_iterations"
 
 
 def parse_solution(text: str) -> SolutionData:
-    instance = ""
+    """Read a solution file; each record at most once, every number finite."""
+    named: dict[str, str] = {}
     scalars: dict[str, float] = {}
     counters: dict[str, int] = {}
     branches: dict[str, float] = {}
     flows: dict[tuple[str, int], float] = {}
-    saw_format = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        kind, args = tokens[0], tokens[1:]
+        kind, *args = line.split()
         try:
-            if kind == "format":
-                if args != [FORMAT_SOLUTION, FORMAT_VERSION]:
-                    raise InstanceError(lineno, f"unsupported format {' '.join(args)!r}")
-                saw_format = True
-            elif kind == "instance":
-                instance = args[0]
+            if kind == "format" and args != [FORMAT_SOLUTION, FORMAT_VERSION]:
+                raise InstanceError(lineno, f"unsupported format {' '.join(args)!r}")
+            if kind in ("format", "instance"):
+                table, key, value = named, kind, args[0]
             elif kind in _SOLUTION_SCALARS:
-                scalars[kind] = float(args[0])
+                table, key, value = scalars, kind, float(args[0])
             elif kind in _SOLUTION_COUNTERS:
-                counters[kind] = int(args[0])
+                table, key, value = counters, kind, int(args[0])
             elif kind == "branch":
-                branches[args[0]] = float(args[1])
+                table, key, value = branches, args[0], float(args[1])
             elif kind == "flow":
-                flows[(args[0], int(args[1]))] = float(args[2])
+                table, key, value = flows, (args[0], int(args[1])), float(args[2])
             else:
                 raise InstanceError(lineno, f"unknown record {kind!r}")
         except (IndexError, ValueError) as exc:
             if isinstance(exc, InstanceError):
                 raise
             raise InstanceError(lineno, f"malformed {kind!r} record") from None
-    if not saw_format:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InstanceError(lineno, f"{kind} must be finite, got {value}")
+        if key in table:
+            raise InstanceError(lineno, f"repeated {kind!r} record")
+        table[key] = value
+    if "format" not in named:
         raise InstanceError(None, f"missing 'format {FORMAT_SOLUTION} {FORMAT_VERSION}' header")
-    return SolutionData(instance, scalars, counters, branches, flows)
+    return SolutionData(named.get("instance", ""), scalars, counters, branches, flows)

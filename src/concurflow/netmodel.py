@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Hashable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, count, islice
 from types import MappingProxyType
@@ -277,31 +277,41 @@ class GroupedResult:
 
 
 @dataclass(frozen=True, eq=False)
-class GroupedPaths(Sequence):
+class GroupedPaths:
     """Grouped paths compiled once over a snapshot of their capacities.
 
     A search asks the same question about one path system with changing
     bounds only, so it passes one of these as the ``groups`` of every engine
-    call, with ``capacities`` (a read-only snapshot) beside it. Building is
-    the one walk over the edge keys: it numbers the used ``edges`` (with
-    ``caps``) in first use, keeps every path's step ``rows`` (``lengths``
-    steps each), and checks every path, switched-off groups included: none
-    is empty, and every edge has a finite, nonnegative capacity entry.
-    ``usable`` marks the paths that cross no zero-capacity edge (``None``
-    when all do). Each live-group mask's columns are laid out on first use,
-    and the exact engine keeps each bound pattern's LP in ``_lps``.
+    call, with ``capacities`` beside it. The paths are integer step ``rows``
+    into ``edges``, ``lengths`` steps per path and ``sizes`` paths per group;
+    ``build`` numbers them in the one walk over edge keys, where no path may
+    be empty. Construction snapshots ``capacities`` read-only and reads every
+    edge's ``caps`` from it, each finite and nonnegative. Each live-group
+    mask's columns are laid out on first use; the exact engine keeps each
+    bound pattern's LP in ``lps``.
     """
 
     capacities: Mapping[Hashable, float]
-    groups: tuple[tuple[tuple[Hashable, ...], ...], ...]
     sizes: tuple[int, ...]
     edges: tuple[Hashable, ...]
-    caps: np.ndarray
     rows: np.ndarray
     lengths: np.ndarray
-    usable: np.ndarray | None
+    caps: np.ndarray = field(init=False)
     _columns: dict = field(default_factory=dict, init=False, repr=False)
-    _lps: dict = field(default_factory=dict, init=False, repr=False)
+    lps: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        try:
+            caps = [self.capacities[key] for key in self.edges]
+        except KeyError as exc:
+            raise ValueError(f"path uses edge {exc.args[0]!r} with no capacity entry") from None
+        for key, cap in zip(self.edges, caps):
+            if not (math.isfinite(cap) and cap >= 0):
+                raise ValueError(f"edge {key!r} has capacity {cap}, not finite and >= 0")
+        object.__setattr__(self, "capacities", MappingProxyType(dict(self.capacities)))
+        object.__setattr__(self, "caps", np.array(caps, dtype=float))
+        for arr in (self.caps, self.rows, self.lengths):
+            arr.flags.writeable = False
 
     @classmethod
     def build(
@@ -317,37 +327,19 @@ class GroupedPaths(Sequence):
         lengths = np.fromiter(map(len, paths), int, len(paths))
         row_of = defaultdict(count().__next__)  # an unseen key takes the next row
         rows = np.fromiter(map(row_of.__getitem__, chain.from_iterable(paths)), int, lengths.sum())
-        edges = tuple(row_of)
-        try:
-            caps = [capacities[key] for key in edges]
-        except KeyError as exc:
-            raise ValueError(f"path uses edge {exc.args[0]!r} with no capacity entry") from None
-        for key, cap in zip(edges, caps):
-            if not (math.isfinite(cap) and cap >= 0):
-                raise ValueError(f"edge {key!r} has capacity {cap}, not finite and >= 0")
-        cap_arr = np.array(caps, dtype=float)
-        usable = None
-        if 0 in caps:
-            usable = np.ones(lengths.size, dtype=bool)
-            usable[np.repeat(np.arange(lengths.size), lengths)[cap_arr[rows] == 0]] = False
-        for arr in (cap_arr, rows, lengths):
-            arr.flags.writeable = False
-        snapshot = MappingProxyType(dict(capacities))
-        return cls(snapshot, groups, tuple(map(len, groups)), edges, cap_arr, rows, lengths, usable)
-
-    def __getitem__(self, index):
-        return self.groups[index]
+        return cls(capacities, tuple(map(len, groups)), tuple(row_of), rows, lengths)
 
     def __len__(self) -> int:
-        return len(self.groups)
+        return len(self.sizes)
 
     def columns(self, live: tuple[bool, ...]) -> tuple[PathMatrix, np.ndarray]:
         """The incidence over the kept paths of the live groups, and ``keep``."""
         cached = self._columns.get(live)
         if cached is None:
             keep = np.repeat(np.array(live, dtype=bool), self.sizes)
-            if self.usable is not None:
-                keep &= self.usable
+            if not self.caps.all():  # drop the paths over a zero-capacity edge
+                path_of = np.repeat(np.arange(keep.size), self.lengths)
+                keep[path_of[self.caps[self.rows] == 0]] = False
             lengths = self.lengths[keep]
             rows = self.rows[np.repeat(keep, self.lengths)]
             # Edges in first use among the kept steps; unused ones sort last.
@@ -375,15 +367,14 @@ class GroupedProblem:
     bound is rejected. A path is kept when its group is on and it crosses no
     zero-capacity edge. ``matrix`` covers only the kept paths, in input
     order (so its edges follow their first use among them), and ``keep``
-    marks them among all input paths. ``lps`` belongs to the compiled paths:
-    the exact engine keeps there what it assembles for later calls.
+    marks them among all input paths. ``paths`` is the compiled input the
+    columns come from.
     """
 
+    paths: GroupedPaths
     matrix: PathMatrix
     bounds: tuple[float | None, ...]
     keep: np.ndarray
-    sizes: tuple[int, ...]
-    lps: dict
 
     @classmethod
     def build(
@@ -395,7 +386,8 @@ class GroupedProblem:
         """Read one engine call's input.
 
         ``groups`` built as ``GroupedPaths`` over this very ``capacities``
-        mapping is reused; any other input is checked and compiled afresh.
+        mapping is reused; one beside another mapping is re-read against it
+        from its step rows, and any other input is checked and compiled afresh.
         """
         if bounds is None:
             bounds = [None] * len(groups)
@@ -410,10 +402,12 @@ class GroupedProblem:
                     raise ValueError(f"negative bound {bound} for group {g}")
                 bound = None if math.isinf(bound) else float(bound)
             checked.append(bound)
-        if not (isinstance(groups, GroupedPaths) and groups.capacities is capacities):
+        if not isinstance(groups, GroupedPaths):
             groups = GroupedPaths.build(capacities, groups)
+        elif groups.capacities is not capacities:  # its step rows, read against this mapping
+            groups = replace(groups, capacities=capacities)
         matrix, keep = groups.columns(tuple(bound != 0 for bound in checked))
-        return cls(matrix, tuple(checked), keep, groups.sizes, groups._lps)
+        return cls(groups, matrix, tuple(checked), keep)
 
     def result(
         self, x: Sequence[float], iterations: int, upper: float | None = None
@@ -425,7 +419,7 @@ class GroupedProblem:
         dense = np.zeros(self.keep.size)
         dense[self.keep] = x
         flat = iter(dense.tolist())
-        values = tuple(tuple(islice(flat, size)) for size in self.sizes)
+        values = tuple(tuple(islice(flat, size)) for size in self.paths.sizes)
         group_totals = tuple(float(sum(row)) for row in values)
         total = float(sum(group_totals))
         upper = total if upper is None else upper
@@ -493,8 +487,8 @@ class PathSystem:
         return dict(zip(self.grouped.edges, self.grouped.caps.tolist()))
 
     def edge_groups(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
-        """Paths as plain edge-id tuples, grouped by commodity (solver input)."""
-        return self.grouped.groups
+        """Paths as plain edge-id tuples, grouped by commodity (engine input)."""
+        return tuple(tuple(path.edge_ids() for path in group) for group in self.paths)
 
 
 @dataclass(frozen=True)

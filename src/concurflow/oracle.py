@@ -90,12 +90,12 @@ def lp_grouped_max(
     # ``g``) depend only on which groups are off, unbounded or bounded, so
     # they are kept per pattern; only the bounds are new.
     pattern = tuple(None if bound is None else bound > 0 for bound in problem.bounds)
-    cached = problem.lps.get(pattern)
+    cached = problem.paths.lps.get(pattern)
     if cached is None:
         matrix = problem.matrix
         group_rows = matrix.g[[i for i, bounded in enumerate(pattern) if bounded]]
         group_rows.flags.writeable = False
-        cached = problem.lps[pattern] = (_path_rows(matrix, ()), (matrix.a, group_rows))
+        cached = problem.paths.lps[pattern] = (_path_rows(matrix, ()), (matrix.a, group_rows))
     edge_rows, blocks = cached
     g = problem.matrix.g
     rows = edge_rows + [(g[i], "<=", bound) for i, bound in enumerate(problem.bounds) if bound]
@@ -129,15 +129,15 @@ def lp_mmfpb_exact(system: PathSystem, bounds: Sequence[float] | None = None) ->
 def lp_emcfp_lambda(system: PathSystem, bounds: Sequence[float] | None = None) -> float:
     """Exact best worst-case service ratio ``max min_i V_i / b_i`` with V_i <= b_i.
 
-    A commodity with an empty path list pins the ratio to zero.
+    Bounds must be positive and finite; an empty path list pins the ratio to zero.
     """
     if bounds is None:
         bounds = system.network.bounds()
     if len(bounds) != system.k:
         raise ValueError("bounds length does not match the commodity count")
     for b in bounds:
-        if not b > 0:
-            raise ValueError(f"bounds must be positive, got {b}")
+        if not 0 < b < np.inf:
+            raise ValueError(f"bounds must be positive and finite, got {b}")
     objective = np.zeros(system.path_count + 1)
     objective[0] = 1.0
     try:

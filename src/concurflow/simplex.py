@@ -51,12 +51,12 @@ class LpResult:
     iterations: int
 
 
-def solve_lp(
-    objective,
-    rows,
-    max_iterations: int | None = None,
-    blocks: Sequence[np.ndarray] | None = None,
-) -> LpResult:
+def _iteration_cap(m: int, ncols: int) -> int:
+    """Pricing rounds allowed to one solve of ``m`` rows and ``ncols`` columns."""
+    return 2000 + 200 * (m + ncols)
+
+
+def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpResult:
     """Maximize ``objective . x`` over ``rows`` of (coefficients, sense, rhs).
 
     Every coefficient vector has one entry per variable; a row of any other
@@ -140,8 +140,7 @@ def solve_lp(
     skip_zero_rows = ncols >= ROW_UPDATE_MIN_COLUMNS
     update = None  # one pivot's products, allocated on the first pivot
 
-    if max_iterations is None:
-        max_iterations = 2000 + 200 * (m + ncols)
+    max_iterations = _iteration_cap(m, ncols)
     iterations = 0
 
     def pivot(row: int, col: int) -> None:

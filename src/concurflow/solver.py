@@ -8,9 +8,9 @@ longer nearly saturate the scaled demands, fixing the terminal count
 dedicated sink (capacity pinned to the certified per-commodity share) and
 one shared overflow sink; an inner search grows the overflow budget in
 steps of ``eta`` until value stops keeping up, fixing ``h_star``. The
-auxiliary network is two copies of the base path columns, one per sink
-kind, and projection adds each path's two copies, giving an output
-whose total value, per-commodity caps, and worst service ratio are all
+auxiliary network is two copies of the base system's compiled step rows,
+one per sink kind, and projection adds each path's two copies, giving an
+output whose total value, per-commodity caps, and worst service ratio are all
 sandwiched by closed-form functions of ``l_star``, ``h_star`` and ``eta``.
 
 The subroutine is the packing approximation by default; an exact LP
@@ -26,6 +26,8 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Hashable, Mapping, Sequence
+
+import numpy as np
 
 from .netmodel import (
     Flow,
@@ -117,15 +119,14 @@ def find_lstar(
 class AuxNetwork:
     """Sink-splitting extension fixed by the outer search level.
 
-    It is two copies of the base path columns, each with one extra edge key
-    per commodity i at the end of its paths. The dedicated copy ends in
-    ``("ded", i)`` of capacity ``dedicated_bounds[i-1] = (l_star - 1) * eta
-    * b_i``, the overflow copy in ``("ovf", i)`` of capacity ``b_i -
-    dedicated_bounds[i-1]``. Tuple keys never collide with the string ids of
-    the base edges. The subroutine sees ``k + 1`` groups: one per dedicated
-    sink (bounded by its capacity) plus a single overflow group, the base
-    paths in commodity order, whose bound is the inner loop's moving budget.
-    ``groups`` is compiled once for the whole inner search.
+    ``groups`` is the base system's step rows twice, with a sink row after
+    each path of commodity i: ``("ded", i)`` of capacity
+    ``dedicated_bounds[i-1] = (l_star - 1) * eta * b_i`` in the dedicated
+    copy, ``("ovf", i)`` of capacity ``b_i - dedicated_bounds[i-1]`` in the
+    overflow copy. Tuple keys never collide with the string ids of the base
+    edges. The subroutine sees ``k + 1`` groups: one per dedicated sink
+    (bounded by its capacity) plus a single overflow group, the base paths
+    in commodity order, whose bound is the inner loop's moving budget.
     """
 
     base: PathSystem
@@ -158,15 +159,16 @@ def build_auxiliary(
         capacities["ded", i] = dedicated
         capacities["ovf", i] = b - dedicated
 
-    base_groups = system.edge_groups()
-    dedicated_groups = tuple(
-        tuple(path + (("ded", i),) for path in group)
-        for i, group in enumerate(base_groups, start=1)
-    )
-    overflow_group = tuple(
-        path + (("ovf", i),) for i, group in enumerate(base_groups, start=1) for path in group
-    )
-    groups = GroupedPaths.build(capacities, dedicated_groups + (overflow_group,))
+    # Each path of the two copies takes its steps, then its sink's row: the
+    # dedicated sinks' rows follow the base edges, the overflow ones k on.
+    base, k, n = system.grouped, system.k, system.path_count
+    sinks = np.repeat(np.arange(len(base.edges), len(base.edges) + 2 * k), base.sizes * 2)
+    lengths = np.concatenate((base.lengths, base.lengths))
+    rows = np.repeat(sinks, lengths + 1)  # every place of a path holds its sink row,
+    steps = np.arange(2 * base.rows.size) + np.repeat(np.arange(2 * n), lengths)
+    rows[steps] = np.concatenate((base.rows, base.rows))  # then the steps fill all but the last
+    labels = tuple((kind, i) for kind in ("ded", "ovf") for i in range(1, k + 1))
+    groups = GroupedPaths(capacities, base.sizes + (n,), base.edges + labels, rows, lengths + 1)
     return AuxNetwork(system, dedicated_bounds, groups)
 
 

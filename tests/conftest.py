@@ -50,6 +50,31 @@ def reference_layout(
     return PathMatrix(edges, caps_arr, a, g)
 
 
+
+def reference_aux_groups(system, bounds0, l_star: int, eta: float):
+    """The former ``build_auxiliary`` key-tuple construction, verbatim.
+
+    Returns its capacity mapping and its groups: every base path extended by
+    ``("ded", i)`` per commodity group, then all of them by ``("ovf", i)``
+    as the one overflow group.
+    """
+    scale = (l_star - 1) * eta
+    dedicated_bounds = tuple(scale * b for b in bounds0)
+    capacities = system.capacities()
+    for i, (b, dedicated) in enumerate(zip(bounds0, dedicated_bounds), start=1):
+        capacities["ded", i] = dedicated
+        capacities["ovf", i] = b - dedicated
+
+    base_groups = system.edge_groups()
+    dedicated_groups = tuple(
+        tuple(path + (("ded", i),) for path in group)
+        for i, group in enumerate(base_groups, start=1)
+    )
+    overflow_group = tuple(
+        path + (("ovf", i),) for i, group in enumerate(base_groups, start=1) for path in group
+    )
+    return capacities, dedicated_groups + (overflow_group,)
+
 def make_network(nodes, edges, commodities):
     """edges: (id, tail, head, cap, directed); commodities: (source, sink, bound)."""
     return Network(

@@ -290,3 +290,32 @@ class TestSolutionFile:
             parse_solution("value 1.0\n")
         with pytest.raises(InstanceError, match="line 2: malformed"):
             parse_solution("format concurflow-solution 1\nflow c1 zero\n")
+
+    @pytest.mark.parametrize(
+        "record", ["value nan", "eta inf", "flow c1 0 inf", "branch c1 -inf", "min_ratio NaN"]
+    )
+    def test_non_finite_number_rejected(self, record):
+        kind, number = record.split()[0], float(record.split()[-1])
+        with pytest.raises(InstanceError, match=f"^line 3: {kind} must be finite, got {number}$"):
+            parse_solution(f"format concurflow-solution 1\ninstance x\n{record}\n")
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("l_star 3", "l_star 4"),
+            ("value 1.0", "value 1.0"),
+            ("instance x", "instance y"),
+            ("branch c1 0.5", "branch c1 0.25"),
+            ("flow c1 0 0.5", "flow c1 00 0.5"),
+        ],
+    )
+    def test_repeated_record_rejected(self, first, second):
+        kind = first.split()[0]
+        text = f"format concurflow-solution 1\n{first}\nbranch c2 1.0\n{second}\n"
+        with pytest.raises(InstanceError, match=f"^line 4: repeated '{kind}' record$"):
+            parse_solution(text)
+
+    def test_repeated_header_rejected(self):
+        text = "format concurflow-solution 1\nformat concurflow-solution 1\n"
+        with pytest.raises(InstanceError, match="^line 2: repeated 'format' record$"):
+            parse_solution(text)

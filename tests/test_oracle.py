@@ -79,6 +79,13 @@ class TestRatio:
         with pytest.raises(ValueError):
             lp_emcfp_lambda(t1, (0.0, 1.0))
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("solver", [lp_emcfp_lambda, lp_emcfpsc], ids=["lambda", "emcfpsc"])
+    def test_non_finite_bound_rejected(self, t1, solver, bound):
+        # An infinite bound would enter a ratio row and run the simplex through NaN.
+        with pytest.raises(ValueError, match=f"^bounds must be positive and finite, got {bound}$"):
+            solver(t1, (1.0, bound))
+
     @pytest.mark.parametrize("bounds", [(1.0,), (1.0, 2.0, 3.0)], ids=["short", "long"])
     @pytest.mark.parametrize("solver", [lp_emcfp_lambda, lp_emcfpsc], ids=["lambda", "emcfpsc"])
     def test_bounds_length_checked(self, t1, solver, bounds):

@@ -17,7 +17,7 @@ from concurflow.packing import (
     solve_mmfpb,
 )
 from concurflow.solver import build_auxiliary
-from conftest import make_network, make_system, reference_layout, t1_system
+from conftest import make_network, make_system, reference_aux_groups, reference_layout, t1_system
 
 
 def diamond_system():
@@ -350,8 +350,9 @@ def _aux_case():
     # A corpus instance's auxiliary groups: every base path appears twice, once
     # per sink copy, so the cheapest-path choice meets exact ties.
     system = generate_instance(1, 7, 11, 3, 4, bound_range=(0.2, 0.6)).path_system
+    caps, groups = reference_aux_groups(system, system.network.bounds(), 2, 0.2)
     aux = build_auxiliary(system, system.network.bounds(), 2, 0.2)
-    return aux.capacities, list(aux.groups), [*aux.dedicated_bounds, 0.2], 0.2
+    return caps, groups, [*aux.dedicated_bounds, 0.2], 0.2
 
 
 REFERENCE_CASES = {

@@ -480,11 +480,12 @@ class TestReferenceSolver:
         assert _outcome(solve_lp, objective, rows) == expected
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 3])
-    def test_iteration_cap_matches_reference(self, cap):
+    def test_iteration_cap_matches_reference(self, cap, monkeypatch):
         # Three pivots and one optimality test: a cap below 3 stops the solve.
         objective, rows = ITERATION_CAP_LP
         expected = _outcome(reference_solve_lp, objective, rows, max_iterations=cap)
-        assert _outcome(solve_lp, objective, rows, max_iterations=cap) == expected
+        monkeypatch.setattr(concurflow.simplex, "_iteration_cap", lambda m, ncols: cap)
+        assert _outcome(solve_lp, objective, rows) == expected
         assert (expected[0] is SimplexError) == (cap < 3)
 
     def test_random_lps_match_reference(self):

@@ -3,8 +3,9 @@ import math
 import pytest
 
 import concurflow.netmodel
+from concurflow import generate_instance
 from concurflow.instance_io import Instance, parse_solution, serialize_solution
-from concurflow.netmodel import PathMatrix, branch_values, flow_value, is_feasible
+from concurflow.netmodel import GroupedPaths, PathMatrix, branch_values, flow_value, is_feasible
 from concurflow.oracle import lp_emcfpsc, lp_grouped_max, lp_mmfp_exact, lp_mmfpb_exact
 from concurflow.packing import solve_mmfp, solve_mmfpb
 from concurflow.solver import (
@@ -16,7 +17,14 @@ from concurflow.solver import (
     resolve_subroutine,
     solve,
 )
-from conftest import make_network, make_system, t1_system, t2_system, t3_system
+from conftest import (
+    make_network,
+    make_system,
+    reference_aux_groups,
+    t1_system,
+    t2_system,
+    t3_system,
+)
 
 
 def single_edge_system(cap, bound):
@@ -93,21 +101,31 @@ class TestAuxiliary:
         assert aux.capacities["e1"] == 0.5
         assert aux.capacities["e2"] == 1.0
 
-    def test_group_layout_is_a_double_copy(self, t2):
-        aux = build_auxiliary(t2, (1.0, 1.0), 2, 0.1)
-        assert len(aux.groups) == t2.k + 1
-        assert sum(len(g) for g in aux.groups[:-1]) == t2.path_count
-        assert len(aux.groups[-1]) == t2.path_count
-        # Extended paths append exactly one new edge key to the originals.
-        base = t2.edge_groups()
-        for i, group in enumerate(aux.groups[:-1], start=1):
-            for j, path in enumerate(group):
-                assert path[:-1] == base[i - 1][j]
-                assert path[-1] == ("ded", i)
-        # The overflow group is the base paths again, in commodity order.
-        assert list(aux.groups[-1]) == [
-            path + (("ovf", i),) for i, group in enumerate(base, start=1) for path in group
-        ]
+    @pytest.mark.parametrize("l_star", [1, 3, 5])
+    @pytest.mark.parametrize("name", ["t2", "generated"])
+    def test_layouts_match_key_tuple_construction(self, name, l_star):
+        # l_star = 1 leaves every dedicated capacity 0; at l_star = 5 with
+        # eta = 0.25 the level is saturated and every overflow capacity is 0.
+        if name == "t2":
+            system = t2_system()
+        else:
+            system = generate_instance(1, 7, 11, 3, 4, bound_range=(0.2, 0.6)).path_system
+        bounds0 = system.network.bounds()
+        aux = build_auxiliary(system, bounds0, l_star, 0.25)
+        ref_caps, ref_groups = reference_aux_groups(system, bounds0, l_star, 0.25)
+        assert list(aux.capacities.items()) == list(ref_caps.items())
+        assert len(aux.groups) == len(ref_groups) == system.k + 1
+        ref = GroupedPaths.build(ref_caps, ref_groups)
+        # The inner search's live masks: overflow off on its first call, then on.
+        dedicated_live = tuple(bound != 0 for bound in aux.dedicated_bounds)
+        for live in (dedicated_live + (False,), dedicated_live + (True,)):
+            (matrix, keep), (want, want_keep) = aux.groups.columns(live), ref.columns(live)
+            assert matrix.edges == want.edges
+            pairs = [(matrix.caps, want.caps), (matrix.a, want.a), (matrix.g, want.g), (keep, want_keep)]
+            for got, expected in pairs:
+                assert got.shape == expected.shape and got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
+            assert keep.any() == (live[-1] or l_star > 1)
 
     def test_colliding_ids_solve_like_plain_names(self):
         def solved(node, edge):
