@@ -14,8 +14,12 @@ lays their results back out; given a ``GroupedPaths`` with its own
 ``capacities``, a call checks only its bounds and reuses those columns.
 
 Everything in this module is immutable after construction and safe to share
-across threads (``GroupedPaths`` only fills caches of equal values); the
-operations are pure functions.
+across threads; the operations are pure functions. ``GroupedPaths`` fills
+caches, each entry set once to a value any caller would have computed: the
+layouts, and the exact engine's LP of each bound pattern. That LP's pivot
+paths grow with each new right-hand side, one finished branch per
+``dict.setdefault``, and a replayed solve gives the bits of a cold one, so no
+result depends on which calls came first.
 """
 
 from __future__ import annotations
@@ -288,7 +292,7 @@ class GroupedPaths:
     be empty. Construction snapshots ``capacities`` read-only and reads every
     edge's ``caps`` from it, each finite and nonnegative. Each live-group
     mask's columns are laid out on first use; the exact engine keeps each
-    bound pattern's LP in ``lps``.
+    bound pattern's LP, with its recorded pivot paths, in ``lps``.
     """
 
     capacities: Mapping[Hashable, float]

@@ -7,7 +7,8 @@ optimal ratio. All of them reduce to small dense LPs with one variable per
 path, solved by the in-package simplex. A search asks ``lp_grouped_max`` the
 same LP under new bounds on every call, so each bound pattern of a compiled
 path system assembles its rows once, and the simplex copies its initial
-tableau from the layout's own incidence.
+tableau from the layout's own incidence. The pattern's ``RowBlocks`` also
+keep the pivot paths of its solves, which later bounds replay.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .netmodel import Flow, GroupedProblem, GroupedResult, PathMatrix, PathSystem
-from .simplex import SimplexError, solve_lp
+from .simplex import RowBlocks, SimplexError, solve_lp
 
 # Slack subtracted from the stage-1 ratio before stage 2 re-imposes it,
 # absorbing stage-1 rounding so the stage-2 region never comes up empty.
@@ -95,7 +96,8 @@ def lp_grouped_max(
         matrix = problem.matrix
         group_rows = matrix.g[[i for i, bounded in enumerate(pattern) if bounded]]
         group_rows.flags.writeable = False
-        cached = problem.paths.lps[pattern] = (_path_rows(matrix, ()), (matrix.a, group_rows))
+        blocks = RowBlocks((matrix.a, group_rows))
+        cached = problem.paths.lps[pattern] = (_path_rows(matrix, ()), blocks)
     edge_rows, blocks = cached
     g = problem.matrix.g
     rows = edge_rows + [(g[i], "<=", bound) for i, bound in enumerate(problem.bounds) if bound]

@@ -15,6 +15,25 @@ of every row. Both give the same bits (the comment at ``skip_zero_rows`` says
 why). A caller that solves one set of ``<=`` rows under changing right-hand
 sides may pass their coefficients as the blocks it already holds, and the
 initial tableau is copied from those.
+
+Passed as ``RowBlocks``, the blocks also keep the pivot path of each solve,
+and a later right-hand side replays it without a tableau. From the slack
+basis the body after a sequence of pivots does not depend on the
+right-hand side: a pivot's body update reads none. Pricing reads ``costs``
+and the body, and so do the eligible rows of the entering column. So every
+choice but the leaving row follows from the pivots before it, and the
+rounds of all solves form a tree that branches only on the ratio test. A
+walk down it repeats each ratio test on the recorded entering column and
+each right-hand-side update ``rhs_r - f_r * (rhs_p / p)`` on the recorded
+factors: the same operations on the same operands as a cold solve, so
+pivots, ``x`` and ``value`` are the same bits. That holds while the update
+form stays the one the path was recorded in. A walk stops, and the solve
+goes on cold from the pivots it proved, where a divided pivot right-hand
+side is -0.0, not finite or past ``REPLAY_LIMIT``. The recorded divided
+pivot row's square sum was at most ``REPLAY_LIMIT ** 2``, so the finiteness
+test at ``skip_zero_rows`` passes too, and the row update never ends on a
+walked pivot. Paths are recorded only up to their first pivot that a walk
+would stop at.
 """
 
 from __future__ import annotations
@@ -38,6 +57,9 @@ _SENSES = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
 _SLACK_SIGNS = (1.0, -1.0, 0.0)
 # Tableaux with at least this many columns update only the rows a pivot changes.
 ROW_UPDATE_MIN_COLUMNS = 128
+# Largest right-hand side a replayed solve divides or starts from; its square
+# and a recorded row's square sum stay far from overflow.
+REPLAY_LIMIT = 1e150
 
 
 class SimplexError(RuntimeError):
@@ -49,6 +71,77 @@ class LpResult:
     x: np.ndarray
     value: float
     iterations: int
+
+
+class RowBlocks(tuple):
+    """Coefficient blocks of one set of ``<=`` rows, with their recorded pivot paths.
+
+    Stacked top to bottom the arrays are the rows' coefficients. ``roots``
+    maps an objective and update form to the first round of every solve
+    over these blocks, a tree that ``solve_lp`` walks and extends. A branch
+    is built in full before one ``dict.setdefault`` installs it, and every
+    branch holds what a cold solve computes, so the blocks may be shared
+    across threads.
+    """
+
+    def __new__(cls, arrays: Sequence[np.ndarray]) -> RowBlocks:
+        blocks = super().__new__(cls, arrays)
+        blocks.roots = {}
+        return blocks
+
+
+class _Round:
+    """One pricing round of a recorded solve.
+
+    ``col`` entered, or is -1 in a final round, whose ``basis`` gives ``x``.
+    ``rows`` are the rows with a positive entry in ``col``, ordered by their
+    basic variable (Bland's tie-break), and ``column`` those entries.
+    ``leaving`` maps each leaving row taken so far to its pivot element, the
+    rows its update changes (a slice for all), their factors and the next
+    round.
+    """
+
+    __slots__ = ("col", "rows", "column", "basis", "leaving")
+
+    def __init__(self, col: int, rows=None, column=None, basis=None) -> None:
+        self.col = col
+        self.rows = rows
+        self.column = column
+        self.basis = basis
+        self.leaving: dict = {}
+
+
+def _replays(r: float) -> bool:
+    """Whether a walk may take a pivot whose divided right-hand side is ``r``."""
+    return -REPLAY_LIMIT <= r <= REPLAY_LIMIT and not (r == 0.0 and math.copysign(1.0, r) < 0.0)
+
+
+def _walk(node: _Round, rhs: np.ndarray) -> tuple[_Round, list]:
+    """Follow the recorded rounds from ``node`` under ``rhs``, updated in place.
+
+    Returns the round the walk stopped at and the ``(row, col)`` pivots it
+    took: a final round, or one whose leaving row has no recorded branch or
+    takes a pivot that ``_replays`` refuses.
+    """
+    pivots = []
+    while node.col >= 0:
+        ratios = rhs.take(node.rows) / node.column
+        low = ratios.min()
+        if not math.isfinite(low):
+            break  # the cold solve's tie set may be empty
+        row = node.rows.item((ratios <= low + 1e-12).argmax())
+        branch = node.leaving.get(row)
+        if branch is None:
+            break
+        p, hit, factors, child = branch
+        r = rhs.item(row) / p
+        if not _replays(r):
+            break
+        rhs[row] = r
+        rhs[hit] -= factors * r
+        pivots.append((row, node.col))
+        node = child
+    return node, pivots
 
 
 def _iteration_cap(m: int, ncols: int) -> int:
@@ -69,6 +162,10 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
     rows under changing right-hand sides passes the arrays it keeps, and
     unless a right-hand side is negative the initial tableau is copied from
     them, not from the rows. The pivots and results are the same bits.
+    Given as ``RowBlocks``, the solve first walks the pivot paths recorded
+    with them, returns without a tableau if a path runs to its end, and
+    otherwise continues cold from the pivots the walk proved and records
+    the new branch.
     """
     c = np.asarray(objective, dtype=float)
     n = c.size
@@ -78,16 +175,33 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
 
     coeffs, senses, rhs = zip(*rows)
     b = np.array(rhs, dtype=float)
+    walked: list = []  # (row, col) pivots a replay proved
+    rounds = None
+    recording = False
     if blocks is not None and not (b < 0).any():
-        # Every row is <= with its slack basic: copy in the blocks and slacks.
+        if sum(map(len, blocks)) != m:
+            raise ValueError("coefficient blocks do not match the rows")
         ncols = n + m
+        if isinstance(blocks, RowBlocks) and b.max() <= REPLAY_LIMIT:
+            key = (c.tobytes(), ncols >= ROW_UPDATE_MIN_COLUMNS)
+            anchor = blocks.roots.get(key)
+            if anchor is not None:
+                replayed = b.copy()
+                anchor, walked = _walk(anchor, replayed)
+                if anchor.col < 0:
+                    x = np.zeros(ncols)
+                    x[anchor.basis] = replayed
+                    solution = x[:n]
+                    return LpResult(solution, float(c @ solution), len(walked) + 1)
+            # This solve's rounds from ``anchor`` on (from a new root if
+            # None), and the (row, branch) by which each but the last left.
+            recording, rounds, branches = True, [], []
+        # Every row is <= with its slack basic: copy in the blocks and slacks.
         tableau = np.zeros((m, ncols + 1))
         top = 0
         for block in blocks:
             tableau[top : top + len(block), :n] = block
             top += len(block)
-        if top != m:
-            raise ValueError("coefficient blocks do not match the rows")
         basis = np.arange(n, ncols)
         tableau[np.arange(m), basis] = 1.0
         tableau[:, -1] = b
@@ -141,7 +255,7 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
     update = None  # one pivot's products, allocated on the first pivot
 
     max_iterations = _iteration_cap(m, ncols)
-    iterations = 0
+    iterations = len(walked)
 
     def pivot(row: int, col: int) -> None:
         nonlocal skip_zero_rows, update
@@ -171,7 +285,7 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
         basis[row] = col
 
     def run_phase(costs: np.ndarray, allowed: np.ndarray) -> None:
-        nonlocal iterations
+        nonlocal iterations, recording
         while True:
             if iterations > max_iterations:
                 raise SimplexError("iteration cap exceeded; solve stalled")
@@ -180,15 +294,35 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
             reduced[basis] = 0.0
             candidates = (allowed & (reduced > OPTIMALITY_TOL)).nonzero()[0]
             if candidates.size == 0:
+                if recording:
+                    rounds.append(_Round(-1, basis=basis.copy()))
                 return
             col = int(candidates[0])  # Bland: smallest eligible index.
             column = tableau[:, col]
             rows_ok = (column > PIVOT_TOL).nonzero()[0]
             if rows_ok.size == 0:
                 raise SimplexError("unbounded objective")
-            ratios = rhs[rows_ok] / column[rows_ok]
+            entries = column[rows_ok]
+            ratios = rhs[rows_ok] / entries
             tied = rows_ok[ratios <= ratios.min() + 1e-12]
-            pivot(min(tied.tolist(), key=basis.item), col)  # Bland on ties.
+            row = min(tied.tolist(), key=basis.item)  # Bland on ties.
+            if not recording:
+                pivot(row, col)
+                continue
+            order = basis[rows_ok].argsort()
+            rounds.append(_Round(col, rows_ok[order], entries[order]))
+            p = column.item(row)
+            r = rhs.item(row) / p
+            factors = column.copy()
+            factors[row] = 0.0
+            wide = skip_zero_rows
+            hit = factors.nonzero()[0] if wide else slice(None)
+            pivot(row, col)
+            line = tableau[row]
+            if _replays(r) and (not wide or line @ line <= REPLAY_LIMIT**2):
+                branches.append((row, (p, hit, factors[hit])))
+            else:
+                recording = False  # a walk stops here, or the update form changed
 
     allowed = np.ones(ncols, dtype=bool)
     if art_cols.size:
@@ -211,7 +345,18 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
 
     phase2_costs = np.zeros(ncols)
     phase2_costs[:n] = c
+    for row, col in walked:
+        pivot(row, col)
     run_phase(phase2_costs, allowed)
+
+    if rounds and (anchor is None or branches):
+        for i, (row, branch) in enumerate(branches):
+            rounds[i].leaving[row] = (*branch, rounds[i + 1])
+        if anchor is None:
+            blocks.roots.setdefault(key, rounds[0])
+        else:  # rounds[0] repeats ``anchor``
+            row = branches[0][0]
+            anchor.leaving.setdefault(row, rounds[0].leaving[row])
 
     x = np.zeros(ncols)
     x[basis] = rhs

@@ -68,13 +68,17 @@ def resolve_subroutine(subroutine: str | Subroutine) -> Subroutine:
         ) from None
 
 
+def _check_bounds(bounds: Sequence[float]) -> None:
+    for b in bounds:
+        if not (math.isfinite(b) and b > 0.0):
+            raise ValueError(f"bounds must be positive and finite, got {b}")
+
+
 def compute_epsilon(eta: float, bounds: Sequence[float]) -> float:
     """Subroutine accuracy derived once from the quantum and total demand."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    for b in bounds:
-        if not (math.isfinite(b) and b > 0.0):
-            raise ValueError(f"bounds must be positive and finite, got {b}")
+    _check_bounds(bounds)
     return min(eta / sum(bounds), 0.5)
 
 
@@ -149,6 +153,7 @@ def build_auxiliary(
         raise ValueError(f"l_star must be >= 1, got {l_star}")
     if len(bounds0) != system.k:
         raise ValueError("bounds length does not match the commodity count")
+    _check_bounds(bounds0)
     scale = (l_star - 1) * eta
     if scale > 1.0:
         raise ValueError(f"(l_star - 1) * eta = {scale} exceeds 1")

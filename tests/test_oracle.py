@@ -212,6 +212,39 @@ class TestGroupedCore:
             sys.setswitchinterval(interval)
         assert results == expected * 3
 
+    def test_threads_extend_one_pattern_s_pivot_paths(self):
+        # Four threads solve one bound pattern under twelve scalings, each in
+        # its own order, so they walk and extend its recorded pivot paths
+        # together; each gets a fresh compile's result.
+        system = generate_instance(3, 16, 50, 8, 25).path_system
+        caps, groups = system.capacities(), system.edge_groups()
+        bounds = system.network.bounds()
+        patterns = [[scale * b for b in bounds] for scale in np.linspace(0.05, 0.6, 12)]
+        expected = [lp_grouped_max(caps, groups, bounds) for bounds in patterns]
+        paths = GroupedPaths.build(caps, groups)
+
+        def solve_all(start):
+            order = list(range(start, 12)) + list(range(start))
+            return {i: lp_grouped_max(paths.capacities, paths, patterns[i]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(solve_all, start) for start in (0, 3, 6, 9)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert [result[i] for i in range(12)] == expected
+        ((_, blocks),) = paths.lps.values()
+        (root,) = blocks.roots.values()
+
+        def ends(node):
+            return 1 if node.col < 0 else sum(ends(child) for *_, child in node.leaving.values())
+
+        assert ends(root) > 1  # the scalings took more than one path
+
     def test_empty_groups(self):
         res = lp_grouped_max({}, [[], []], None)
         assert res.total == 0.0

@@ -63,3 +63,22 @@ def test_byte_identity_records_every_call(tmp_path):
             assert len(layouts) == sum(call[0] == "pack" for call in record["calls"])
         if record["workload"] == "fptas-search":
             assert "pack" in kinds
+
+
+def test_ab_compare_runs_both_sides():
+    src = str(ROOT / "src")
+    args = ("--a", src, "--b", src, "--workload", "corpus-oracle", "--rounds", "2", "--limit", "3")
+    proc = run_script("ab_compare.py", *args)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "corpus-oracle seed 1: 3 cases x 2 rounds, outputs equal"
+    assert [line[:2] for line in lines[1:3]] == ["A ", "B "]
+    assert all("median" in line and "p75" in line and "mean" in line for line in lines[1:3])
+    assert lines[3].startswith("median per-operation ratio B/A: ")
+
+
+def test_ab_compare_rejects_unknown_workload():
+    src = str(ROOT / "src")
+    proc = run_script("ab_compare.py", "--a", src, "--b", src, "--workload", "nope")
+    assert proc.returncode == 2
+    assert "unknown workload 'nope'" in proc.stderr

@@ -11,8 +11,10 @@ from concurflow.simplex import (
     LESS_EQUAL,
     OPTIMALITY_TOL,
     PIVOT_TOL,
+    REPLAY_LIMIT,
     ROW_UPDATE_MIN_COLUMNS,
     LpResult,
+    RowBlocks,
     SimplexError,
     solve_lp,
 )
@@ -458,6 +460,64 @@ def _captured_lps(system, etas):
     return captured
 
 
+def _replay_case(width, seed):
+    """Coefficients, objective and a sequence of right-hand sides for replays.
+
+    Eight sparse integer rows, every column with an entry in one of the first
+    seven, the last a copy of row 1 (its ratios tie with row 1's); at most
+    eight priced columns. The right-hand sides: a base, the base again and halved (both
+    take its path to the end), the base with one entry 0 (degenerate ties),
+    tripled or -0.0, all zeros, and the base with one entry 1e300.
+    """
+    rng = np.random.default_rng(seed)
+    m = 8
+    coeffs = (rng.integers(1, 3, size=(m, width)) * (rng.random((m, width)) < 0.3)).astype(float)
+    coeffs[rng.integers(0, m - 1, size=width), np.arange(width)] += 1.0
+    coeffs[-1] = coeffs[1]
+    objective = np.zeros(width)
+    priced = min(8, width)
+    objective[rng.choice(width, size=priced, replace=False)] = rng.integers(1, 3, size=priced)
+    base = rng.integers(1, 4, size=m).astype(float)
+    sequence = [base, base.copy(), 0.5 * base]
+    for j in range(m):
+        for value in (0.0, 3.0 * base[j], -0.0):
+            rhs = base.copy()
+            rhs[j] = value
+            sequence.append(rhs)
+    big = base.copy()
+    big[2] = 1e300
+    return coeffs, objective, [*sequence, np.zeros(m), big]
+
+
+def _replay_kind(blocks, rhs, iterations):
+    """How a solve of ``iterations`` rounds under ``rhs`` uses the paths recorded so far."""
+    root = next(iter(blocks.roots.values()), None)
+    if root is None or not rhs.max() <= REPLAY_LIMIT:
+        return "cold"
+    node, pivots = concurflow.simplex._walk(root, rhs.copy())
+    if node.col < 0:
+        return "full walk"
+    if len(pivots) == iterations - 2:
+        return "leaves at the last pivot"
+    return "leaves at the first pivot" if not pivots else "leaves in the middle"
+
+
+def _basis_broken_ties(root, rhs):
+    """Rounds on the recorded path of ``rhs`` where the basis, not the row order, breaks a tie."""
+    count, node, rhs = 0, root, rhs.copy()
+    while node.col >= 0:
+        ratios = rhs[node.rows] / node.column
+        tied = node.rows[ratios <= ratios.min() + 1e-12]
+        count += int(tied[0] != tied.min())
+        branch = node.leaving.get(int(tied[0]))
+        if branch is None:
+            break
+        p, hit, factors, node = branch
+        rhs[tied[0]] /= p
+        rhs[hit] -= factors * rhs[tied[0]]
+    return count
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -563,3 +623,42 @@ class TestReferenceSolver:
             expected = _outcome(reference_solve_lp, objective, rows)
             assert (result.iterations, result.x.tobytes(), result.value) == expected
             assert _outcome(solve_lp, objective, rows) == expected
+
+
+class TestReplay:
+    @pytest.mark.parametrize(
+        "width, seed", [(6, 3), (ROW_UPDATE_MIN_COLUMNS + 2, 8)], ids=["full-update", "row-update"]
+    )
+    def test_replays_match_reference(self, width, seed):
+        # One set of blocks under a sequence of right-hand sides: forward,
+        # reversed, and each on fresh blocks. Every solve is the reference's.
+        coeffs, objective, sequence = _replay_case(width, seed)
+        assert (width + len(coeffs) >= ROW_UPDATE_MIN_COLUMNS) == (width > 6)
+
+        def rows(rhs):
+            return [(row, LESS_EQUAL, b) for row, b in zip(coeffs, rhs)]
+
+        def solved(blocks, rhs):
+            return _outcome(solve_lp, objective, rows(rhs), blocks=blocks)
+
+        with np.errstate(over="ignore"):  # 1e300 overflows the row check of a cold solve
+            expected = [_outcome(reference_solve_lp, objective, rows(rhs)) for rhs in sequence]
+            blocks = RowBlocks((coeffs[:3], coeffs[3:]))
+            kinds = set()
+            for rhs, outcome in zip(sequence, expected):
+                kinds.add(_replay_kind(blocks, rhs, outcome[0]))
+                assert solved(blocks, rhs) == outcome
+            backward = RowBlocks((coeffs[:5], coeffs[5:]))
+            for rhs, outcome in zip(sequence[::-1], expected[::-1]):
+                assert solved(backward, rhs) == outcome
+            for rhs, outcome in zip(sequence, expected):
+                fresh = RowBlocks((coeffs,))
+                assert solved(fresh, rhs) == outcome
+                # 1e300 is past the replay limit: the solve is cold and records nothing.
+                assert (fresh.roots == {}) == (rhs.max() > REPLAY_LIMIT)
+        assert kinds == {
+            "cold", "full walk", "leaves at the first pivot", "leaves in the middle",
+            "leaves at the last pivot",
+        }
+        root = next(iter(blocks.roots.values()))
+        assert sum(_basis_broken_ties(root, rhs) for rhs in sequence[:-1]) > 0

@@ -101,6 +101,13 @@ class TestAuxiliary:
         assert aux.capacities["e1"] == 0.5
         assert aux.capacities["e2"] == 1.0
 
+    @pytest.mark.parametrize("bound", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("l_star", [1, 2])
+    def test_bad_bound_rejected(self, t1, bound, l_star):
+        # Named as solve names it, not as a capacity of an internal sink edge.
+        with pytest.raises(ValueError, match=f"^bounds must be positive and finite, got {bound}$"):
+            build_auxiliary(t1, (bound, 2.0), l_star, 0.1)
+
     @pytest.mark.parametrize("l_star", [1, 3, 5])
     @pytest.mark.parametrize("name", ["t2", "generated"])
     def test_layouts_match_key_tuple_construction(self, name, l_star):
