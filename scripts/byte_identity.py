@@ -6,6 +6,8 @@
 For every case of the four perfbench workloads (or those named with
 ``--workloads``) at each seed, it writes one JSON record with:
 
+- a digest of the parsed path system: every step's ``(edge_id, forward)``
+  and the compiled ``grouped.edges``, ``rows`` and ``lengths``;
 - ``compare`` workloads: the ``serialize_solution`` text of the workload's
   named subroutine and the ``repr`` of ``lp_emcfpsc`` (ratio, total value
   and flow values);
@@ -49,6 +51,19 @@ def layout_digest(problem) -> str:
     matrix = problem.matrix
     digest = hashlib.sha256(repr((matrix.edges, matrix.a.shape, matrix.g.shape)).encode())
     for arr in (matrix.caps, matrix.a, matrix.g, problem.keep):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def system_digest(system) -> str:
+    """A digest of one parsed path system: its oriented steps and compiled rows."""
+    grouped = system.grouped
+    steps = [
+        [[(step[0], step[1]) for step in path.steps] for path in group] for group in system.paths
+    ]
+    arrays = (grouped.rows, grouped.lengths)
+    digest = hashlib.sha256(repr((steps, grouped.edges, [a.dtype.str for a in arrays])).encode())
+    for arr in arrays:
         digest.update(arr.tobytes())
     return digest.hexdigest()
 
@@ -110,6 +125,7 @@ def case_record(workload, case) -> dict:
     with recording(calls):
         instance = concurflow.parse_instance(case.text)
         system = instance.path_system
+        parsed = system_digest(system)
         bounds = system.network.bounds()
         if workload.kind == "compare":
             report = concurflow.solve(system, case.param, subroutine=workload.subroutine)
@@ -121,7 +137,7 @@ def case_record(workload, case) -> dict:
         else:
             flow = concurflow.solve_mmfpb(system, bounds, case.param)
             outputs = {"solve_mmfpb": repr(flow.values)}
-    return {"case": case.key, **outputs, "calls": calls}
+    return {"case": case.key, "system": parsed, **outputs, "calls": calls}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,7 +10,7 @@ Two experiments on fixed instances:
 
 import argparse
 
-from concurflow.netmodel import Commodity, Edge, Network, Path, PathSystem, infer_traversals
+from concurflow.netmodel import Commodity, Edge, Network, PathSystem
 from concurflow.packing import pack_paths
 from concurflow.solver import solve
 
@@ -24,13 +24,7 @@ def two_lane_system():
         ),
         commodities=(Commodity(1, "s1", "t1", 1.0), Commodity(2, "s2", "t2", 1.0)),
     )
-    return PathSystem(
-        net,
-        (
-            (Path(1, infer_traversals(net, "s1", ["e1"])),),
-            (Path(2, infer_traversals(net, "s2", ["e2"])),),
-        ),
-    )
+    return PathSystem(net, ((("e1",),), (("e2",),)))
 
 
 def diamond_system():
@@ -45,15 +39,9 @@ def diamond_system():
         ),
         commodities=(Commodity(1, "s", "t", 1.0), Commodity(2, "s", "t", 2.0)),
     )
-    lanes = [["e1", "e3"], ["e2", "e4"], ["e1", "e5", "e4"]]
-    alt = [["e2", "e5", "e3"], ["e1", "e3"]]
-    return PathSystem(
-        net,
-        (
-            tuple(Path(1, infer_traversals(net, "s", ids)) for ids in lanes),
-            tuple(Path(2, infer_traversals(net, "s", ids)) for ids in alt),
-        ),
-    )
+    lanes = (("e1", "e3"), ("e2", "e4"), ("e1", "e5", "e4"))
+    alt = (("e2", "e5", "e3"), ("e1", "e3"))
+    return PathSystem(net, (lanes, alt))
 
 
 def main():

@@ -11,12 +11,15 @@ by whitespace, ``#`` starting a comment. Records:
     commodity <id> <source> <sink> <bound>
     path <commodity-id> <edge-id> [<edge-id> ...]
 
-Path lines list raw edge ids; orientation over undirected edges is
-inferred by chaining nodes from the commodity source. Parse errors carry
-the 1-based line number, also when a path breaks a rule that the path
-system checks (it ends off its sink, repeats a node, crosses a
-zero-capacity edge, or repeats an earlier path of its commodity); that
-line is looked up only once the error is raised. Serialization renders
+Path lines list raw edge ids, which the parser hands to ``PathSystem`` as
+they are: its one walk over each path orients it (over undirected edges by
+chaining nodes from the commodity source), checks every path rule and
+numbers its edges. Parse errors carry the 1-based line number. An unknown
+edge id is reported at its own line as soon as it is read. A path that does
+not chain, ends off its sink, repeats a node, crosses a zero-capacity edge
+or repeats an earlier path of its commodity is reported once the file is
+read (the first line in the file that does not chain before any other), and
+its line is looked up only once the error is raised. Serialization renders
 floats with ``repr`` so a parse/serialize round trip is the identity and
 files diff cleanly.
 """
@@ -32,7 +35,6 @@ from .netmodel import (
     Edge,
     ModelError,
     Network,
-    Path,
     PathRuleError,
     PathSystem,
     infer_traversals,
@@ -111,10 +113,10 @@ def parse_instance(text: str) -> Instance:
     nodes: list[str] = []
     node_lines: dict[str, int] = {}
     edges: list[Edge] = []
-    edge_lines: dict[str, int] = {}
+    edge_ids_known: set[str] = set()
     commodity_rows: list[tuple[str, str, str, float]] = []
     commodity_line: dict[str, int] = {}
-    path_rows: list[tuple[int, str, list[str]]] = []
+    path_rows: list[tuple[int, str, tuple[str, ...]]] = []
     saw_format = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -123,7 +125,17 @@ def parse_instance(text: str) -> Instance:
             continue
         tokens = line.split()
         kind, args = tokens[0], tokens[1:]
-        if kind == "format":
+        if kind == "path":  # first: most lines of a file are paths
+            if len(args) < 2:
+                raise InstanceError(lineno, "path takes: commodity-id edge-id...")
+            cid, edge_ids = args[0], tuple(args[1:])
+            if cid not in commodity_line:
+                raise InstanceError(lineno, f"unknown commodity id {cid!r}")
+            if not edge_ids_known.issuperset(edge_ids):
+                unknown = next(eid for eid in edge_ids if eid not in edge_ids_known)
+                raise InstanceError(lineno, f"unknown edge id {unknown!r}")
+            path_rows.append((lineno, cid, edge_ids))
+        elif kind == "format":
             if args != [FORMAT_INSTANCE, FORMAT_VERSION]:
                 raise InstanceError(lineno, f"unsupported format {' '.join(args)!r}")
             saw_format = True
@@ -148,7 +160,7 @@ def parse_instance(text: str) -> Instance:
             if len(args) != 5:
                 raise InstanceError(lineno, "edge takes: id tail head capacity directed|undirected")
             eid, tail, head, cap_text, mode = args
-            if eid in edge_lines:
+            if eid in edge_ids_known:
                 raise InstanceError(lineno, f"duplicate edge id {eid!r}")
             if mode not in ("directed", "undirected"):
                 raise InstanceError(lineno, f"edge mode must be directed|undirected, got {mode!r}")
@@ -161,7 +173,7 @@ def parse_instance(text: str) -> Instance:
                     raise InstanceError(lineno, f"unknown node {endpoint!r}")
             if not (math.isfinite(cap) and cap >= 0):
                 raise InstanceError(lineno, f"capacity must be >= 0 and finite, got {cap}")
-            edge_lines[eid] = lineno
+            edge_ids_known.add(eid)
             edges.append(Edge(eid, tail, head, cap, mode == "directed"))
         elif kind == "commodity":
             if len(args) != 4:
@@ -180,16 +192,6 @@ def parse_instance(text: str) -> Instance:
                     raise InstanceError(lineno, f"unknown node {endpoint!r}")
             commodity_line[cid] = lineno
             commodity_rows.append((cid, source, sink, bound))
-        elif kind == "path":
-            if len(args) < 2:
-                raise InstanceError(lineno, "path takes: commodity-id edge-id...")
-            cid, edge_ids = args[0], args[1:]
-            if cid not in commodity_line:
-                raise InstanceError(lineno, f"unknown commodity id {cid!r}")
-            for eid in edge_ids:
-                if eid not in edge_lines:
-                    raise InstanceError(lineno, f"unknown edge id {eid!r}")
-            path_rows.append((lineno, cid, edge_ids))
         else:
             raise InstanceError(lineno, f"unknown record {kind!r}")
 
@@ -212,21 +214,24 @@ def parse_instance(text: str) -> Instance:
 
     commodity_ids = tuple(cid for cid, *_ in commodity_rows)
     index_of = {cid: i for i, cid in enumerate(commodity_ids, start=1)}
-    groups: list[list[Path]] = [[] for _ in commodity_rows]
+    groups: list[list[tuple[str, ...]]] = [[] for _ in commodity_rows]
     group_lines: list[list[int]] = [[] for _ in commodity_rows]
     for lineno, cid, edge_ids in path_rows:
-        ci = index_of[cid]
-        source = network.commodities[ci - 1].source
-        try:
-            steps = infer_traversals(network, source, edge_ids)
-        except ModelError as exc:
-            raise InstanceError(lineno, f"path for {cid!r}: {exc}") from None
-        groups[ci - 1].append(Path(ci, steps))
-        group_lines[ci - 1].append(lineno)
+        ci = index_of[cid] - 1
+        groups[ci].append(edge_ids)
+        group_lines[ci].append(lineno)
 
     try:
-        system = PathSystem(network, tuple(tuple(g) for g in groups))
+        system = PathSystem(network, tuple(map(tuple, groups)))
     except PathRuleError as exc:
+        # The walk goes commodity by commodity; a path that does not chain
+        # is reported first, and the first such line in file order.
+        for lineno, cid, edge_ids in path_rows:
+            source = network.commodities[index_of[cid] - 1].source
+            try:
+                infer_traversals(network, source, edge_ids)
+            except ModelError as chain:
+                raise InstanceError(lineno, f"path for {cid!r}: {chain}") from None
         raise InstanceError(group_lines[exc.commodity - 1][exc.index], str(exc)) from None
     except ModelError as exc:
         raise InstanceError(None, str(exc)) from None

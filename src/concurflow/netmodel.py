@@ -6,9 +6,13 @@ Flows live directly on explicit per-commodity path lists: a flow assigns a
 nonnegative value to each listed path, and an edge is feasible when the gross
 sum of the values of all paths using it stays within its capacity.
 
-A path system compiles once, into ``PathSystem.grouped``: ``GroupedPaths``
-walks the edge keys once and lays out each live-group mask's ``PathMatrix``
-(the edge-by-path incidence) from integer step rows. ``GroupedProblem`` is
+A path system is checked in one walk over each path: ``PathSystem``
+orients a path given as raw edge ids, applies every path rule and records
+each step's edge number. It compiles once, into ``PathSystem.grouped``, from
+those numbers; ``GroupedPaths`` lays out each live-group mask's
+``PathMatrix`` (the edge-by-path incidence) from integer step rows, and
+``GroupedPaths.build`` compiles grouped edge keys for the engines' other
+callers, in one walk over the keys. ``GroupedProblem`` is
 the one reader of the grouped path input both bounded-flow engines take, and
 lays their results back out; given a ``GroupedPaths`` with its own
 ``capacities``, a call checks only its bounds and reuses those columns.
@@ -18,8 +22,8 @@ across threads; the operations are pure functions. ``GroupedPaths`` fills
 caches, each entry set once to a value any caller would have computed: the
 layouts, and the exact engine's LP of each bound pattern. That LP's pivot
 paths grow with each new right-hand side, one finished branch per
-``dict.setdefault``, and a replayed solve gives the bits of a cold one, so no
-result depends on which calls came first.
+``dict.setdefault``, up to a fixed number of rounds, and a replayed solve
+gives the bits of a cold one, so no result depends on which calls came first.
 """
 
 from __future__ import annotations
@@ -102,10 +106,12 @@ class Network:
     edges: tuple[Edge, ...]
     commodities: tuple[Commodity, ...]
     _edge_map: dict[str, Edge] = field(init=False, repr=False, compare=False)
-    # Per edge id: (tail, head, directed, its forward and backward Traversal),
-    # so infer_traversals reads plain tuples and every path of this network
-    # shares one step object per edge and direction.
+    # Per edge id: (tail, head, directed, its forward and backward Traversal,
+    # its position in ``edges``), so the path walks read plain tuples and
+    # every path of this network shares one step object per edge and direction.
     _walks: dict[str, tuple] = field(init=False, repr=False, compare=False)
+    # Positions in ``edges`` of the edges without positive capacity.
+    _zero: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         node_set = set()
@@ -131,9 +137,12 @@ class Network:
                     raise ModelError(f"commodity {com.index}: unknown node {endpoint!r}")
         object.__setattr__(self, "_edge_map", edge_map)
         object.__setattr__(self, "_walks", {
-            e.id: (e.tail, e.head, e.directed, Traversal(e.id, True), Traversal(e.id, False))
-            for e in self.edges
+            e.id: (e.tail, e.head, e.directed, Traversal(e.id, True), Traversal(e.id, False), n)
+            for n, e in enumerate(self.edges)
         })
+        object.__setattr__(self, "_zero", frozenset(
+            n for n, e in enumerate(self.edges) if not e.capacity > 0.0
+        ))
 
     @property
     def k(self) -> int:
@@ -177,6 +186,92 @@ class Path:
         return tuple([step[0] for step in self.steps])
 
 
+def _move_table(network: Network) -> dict[str, dict[str, tuple]]:
+    """Per node and edge id leaving it: (the node it reaches, the step, the edge's position).
+
+    The steps are the network's shared ``Traversal`` objects; a loop is
+    walked forward.
+    """
+    moves: dict[str, dict[str, tuple]] = {node: {} for node in network.nodes}
+    for tail, head, directed, forward, backward, n in network._walks.values():
+        moves[tail][forward.edge_id] = (head, forward, n)
+        if not directed and head != tail:
+            moves[head][forward.edge_id] = (tail, backward, n)
+    return moves
+
+
+def _walk(
+    network: Network,
+    source: str,
+    sink: str | None,
+    steps: Sequence,
+    moves: dict[str, dict[str, tuple]] | None,
+    rows: list[int],
+) -> tuple[str | None, tuple]:
+    """Check a path's steps from ``source`` to ``sink`` in one walk.
+
+    Without ``moves`` the steps are ``(edge_id, forward)`` pairs: each must
+    name a known edge, walked in a legal direction, that chains onto the
+    previous step. With the network's ``_move_table`` they are raw edge ids,
+    each oriented away from the current node (a directed edge only from its
+    tail). Then, unless ``sink`` is None, come the rules of the whole path,
+    in ``validate_path``'s order. Appends each step's position in
+    ``network.edges`` to ``rows``. Returns the first violation (``None`` if
+    none; positions are 1-based) and the oriented steps.
+    """
+    first = len(rows)
+    current = source
+    nodes = [current]
+    visit, record = nodes.append, rows.append  # bound once: the loops run per step
+    walks = network._walks
+    if moves is None:
+        for edge_id, forward in steps:
+            walk = walks.get(edge_id)
+            if walk is None:
+                return f"unknown edge id {edge_id!r} at position {len(nodes)}", steps
+            tail, head, directed, _, _, number = walk
+            if forward:
+                start, end = tail, head
+            elif directed:
+                return f"directed edge {edge_id!r} walked backwards at position {len(nodes)}", steps
+            else:
+                start, end = head, tail
+            if start != current:
+                return f"broken chain at position {len(nodes)}", steps
+            current = end
+            visit(end)
+            record(number)
+    else:
+        taken = []
+        take = taken.append
+        try:
+            for edge_id in steps:
+                current, step, number = moves[current][edge_id]
+                take(step)
+                visit(current)
+                record(number)
+        except KeyError:  # no such edge leaves the current node, or no such node
+            if edge_id in walks:
+                return f"broken chain at position {len(nodes)}", steps
+            return f"unknown edge id {edge_id!r} at position {len(nodes)}", steps
+        steps = tuple(taken)
+    if sink is None:
+        return None, steps
+    if not steps:
+        return "empty path", steps
+    if current != sink:
+        return f"path ends at {current!r}, expected sink {sink!r}", steps
+    # All nodes pairwise distinct, except the first and last may coincide.
+    if len(set(nodes)) != len(nodes) - (source == current):
+        return "repeated node on path", steps
+    zero = network._zero
+    if zero and not zero.isdisjoint(rows[first:]):
+        for pos, number in enumerate(rows[first:], start=1):
+            if number in zero:
+                return f"zero-capacity edge {network.edges[number].id!r} at position {pos}", steps
+    return None, steps
+
+
 def validate_path(network: Network, path: Path) -> str | None:
     """Check every path rule; return ``None`` when valid, else the first violation.
 
@@ -184,40 +279,13 @@ def validate_path(network: Network, path: Path) -> str | None:
     known edge walked in a legal direction that chains onto the previous
     step (positions are 1-based in messages); the walk runs source to sink;
     all nodes are pairwise distinct except that source may equal sink; every
-    edge has positive capacity. One pass over the steps collects what the
-    later rules need.
+    edge has positive capacity. The rules after the first take one walk over
+    the steps, the one ``PathSystem`` makes.
     """
     if not 1 <= path.commodity <= len(network.commodities):
         return f"unknown commodity index {path.commodity}"
     com = network.commodities[path.commodity - 1]
-    if not path.steps:
-        return "empty path"
-    edges = network._edge_map
-    current = com.source
-    sequence = [current]
-    zero = None  # the first zero-capacity step, reported only if all else holds
-    for pos, (edge_id, forward) in enumerate(path.steps, start=1):
-        edge = edges.get(edge_id)
-        if edge is None:
-            return f"unknown edge id {edge_id!r} at position {pos}"
-        if forward:
-            start, end = edge.tail, edge.head
-        elif edge.directed:
-            return f"directed edge {edge_id!r} walked backwards at position {pos}"
-        else:
-            start, end = edge.head, edge.tail
-        if start != current:
-            return f"broken chain at position {pos}"
-        current = end
-        sequence.append(end)
-        if zero is None and not edge.capacity > 0.0:
-            zero = f"zero-capacity edge {edge_id!r} at position {pos}"
-    if current != com.sink:
-        return f"path ends at {current!r}, expected sink {com.sink!r}"
-    # All nodes pairwise distinct, except the first and last may coincide.
-    if len(set(sequence)) != len(sequence) - (sequence[0] == current):
-        return "repeated node on path"
-    return zero
+    return _walk(network, com.source, com.sink, path.steps, None, [])[0]
 
 
 def infer_traversals(network: Network, source: str, edge_ids: list[str] | tuple[str, ...]) -> tuple[Traversal, ...]:
@@ -228,23 +296,17 @@ def infer_traversals(network: Network, source: str, edge_ids: list[str] | tuple[
     1-based position when the sequence does not chain. The steps are the
     network's shared ``Traversal`` objects.
     """
-    walks = network._walks
-    current = source
-    steps: list[Traversal] = []
-    for pos, edge_id in enumerate(edge_ids, start=1):
-        walk = walks.get(edge_id)
-        if walk is None:
-            raise ModelError(f"unknown edge id {edge_id!r} at position {pos}")
-        tail, head, directed, forward, backward = walk
-        if tail == current:
-            steps.append(forward)
-            current = head
-        elif not directed and head == current:
-            steps.append(backward)
-            current = tail
-        else:
-            raise ModelError(f"broken chain at position {pos}")
-    return tuple(steps)
+    violation, steps = _walk(network, source, None, edge_ids, _move_table(network), [])
+    if violation is not None:
+        raise ModelError(violation)
+    return steps
+
+
+def _first_use(rows: np.ndarray, count: int) -> np.ndarray:
+    """The numbers in ``range(count)`` that ``rows`` holds, in order of first use."""
+    first = np.full(count, rows.size)
+    np.minimum.at(first, rows, np.arange(rows.size))
+    return first.argsort()[: np.count_nonzero(first < rows.size)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,10 +408,7 @@ class GroupedPaths:
                 keep[path_of[self.caps[self.rows] == 0]] = False
             lengths = self.lengths[keep]
             rows = self.rows[np.repeat(keep, self.lengths)]
-            # Edges in first use among the kept steps; unused ones sort last.
-            first = np.full(len(self.edges), rows.size)
-            np.minimum.at(first, rows, np.arange(rows.size))
-            used = first.argsort()[: np.count_nonzero(first < rows.size)]
+            used = _first_use(rows, len(self.edges))
             a = np.zeros((len(self.edges), lengths.size))
             # Assignment, not a sum: a path that repeats an edge counts it once.
             a[rows, np.repeat(np.arange(lengths.size), lengths)] = 1.0
@@ -435,14 +494,21 @@ class PathSystem:
     """Per-commodity explicit path lists over one network.
 
     Every listed path must validate and paths are distinct within their
-    commodity. Commodities may carry empty lists. A path that breaks a rule
-    raises ``PathRuleError``, which locates it. A step may be a ``Traversal``
-    or the plain tuple it equals. The system compiles once, into
-    ``grouped``; ``matrix``, ``capacities()`` and ``edge_groups()`` read it.
+    commodity. Commodities may carry empty lists. A path is a ``Path``, whose
+    steps are a tuple of ``Traversal``s or of the plain tuples they equal, or
+    a tuple of raw edge ids, which is oriented as ``infer_traversals`` does
+    and stored as a ``Path``; after construction ``paths`` holds ``Path``s
+    only. Construction walks each path once: the walk applies
+    ``validate_path``'s rules, in its order and with its messages, and
+    records each step's edge number, from which ``grouped`` compiles on first
+    use. A path that breaks a rule raises ``PathRuleError``, which locates it.
+    ``matrix``, ``capacities()`` and ``edge_groups()`` read ``grouped``.
     """
 
     network: Network
     paths: tuple[tuple[Path, ...], ...]
+    # Every step's position in ``network.edges``, path after path.
+    _rows: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.paths) != self.network.k:
@@ -450,19 +516,47 @@ class PathSystem:
                 f"path system lists {len(self.paths)} commodities, network has {self.network.k}"
             )
         network = self.network
-        for i, group in enumerate(self.paths, start=1):
+        rows: list[int] = []
+        moves = None  # built for the first path of raw edge ids
+        groups = []
+        for i, (group, com) in enumerate(zip(self.paths, network.commodities), start=1):
             seen = set()
+            kept = []
             for j, path in enumerate(group):
-                if path.commodity != i:
+                if isinstance(path, tuple):
+                    if moves is None:
+                        moves = _move_table(network)
+                    violation, steps = _walk(network, com.source, com.sink, path, moves, rows)
+                    path = Path(i, steps)
+                elif isinstance(path, Path):
+                    if path.commodity != i:
+                        raise PathRuleError(
+                            f"path filed under commodity {i} carries index {path.commodity}", i, j
+                        )
+                    if not isinstance(path.steps, tuple):  # its steps are hashed below
+                        raise PathRuleError(
+                            f"commodity {i}: the steps of path {j + 1} are a "
+                            f"{type(path.steps).__name__}, not a tuple",
+                            i,
+                            j,
+                        )
+                    violation, steps = _walk(network, com.source, com.sink, path.steps, None, rows)
+                else:
                     raise PathRuleError(
-                        f"path filed under commodity {i} carries index {path.commodity}", i, j
+                        f"commodity {i}: path {j + 1} is a {type(path).__name__}, "
+                        "not a Path or a tuple of edge ids",
+                        i,
+                        j,
                     )
-                violation = validate_path(network, path)
                 if violation is not None:
                     raise PathRuleError(f"commodity {i}: invalid path ({violation})", i, j)
-                if path.steps in seen:
+                if steps in seen:
                     raise PathRuleError(f"commodity {i}: duplicate path {path.edge_ids()}", i, j)
-                seen.add(path.steps)
+                seen.add(steps)
+                kept.append(path)
+            groups.append(tuple(kept))
+        object.__setattr__(self, "paths", tuple(groups))
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def k(self) -> int:
@@ -474,12 +568,25 @@ class PathSystem:
 
     @cached_property
     def grouped(self) -> GroupedPaths:
-        """The paths as edge-id groups, compiled once, on first use.
+        """The paths compiled once, on first use, from the steps' edge numbers.
 
-        The capacity snapshot holds every network edge.
+        Edges are renumbered in first use along the steps, as
+        ``GroupedPaths.build`` numbers keys. The capacity snapshot holds every
+        network edge.
         """
-        groups = [[path.edge_ids() for path in group] for group in self.paths]
-        return GroupedPaths.build({e.id: float(e.capacity) for e in self.network.edges}, groups)
+        edges = self.network.edges
+        steps = np.fromiter(self._rows, int, len(self._rows))
+        used = _first_use(steps, len(edges))
+        row_of = np.zeros(len(edges), int)
+        row_of[used] = np.arange(used.size)
+        lengths = [len(path.steps) for group in self.paths for path in group]
+        return GroupedPaths(
+            {e.id: float(e.capacity) for e in edges},
+            tuple(map(len, self.paths)),
+            tuple([edges[n].id for n in used.tolist()]),
+            row_of[steps],
+            np.fromiter(lengths, int, len(lengths)),
+        )
 
     @property
     def matrix(self) -> PathMatrix:

@@ -33,7 +33,8 @@ side is -0.0, not finite or past ``REPLAY_LIMIT``. The recorded divided
 pivot row's square sum was at most ``REPLAY_LIMIT ** 2``, so the finiteness
 test at ``skip_zero_rows`` passes too, and the row update never ends on a
 walked pivot. Paths are recorded only up to their first pivot that a walk
-would stop at.
+would stop at, and a tree stops growing at ``REPLAY_ROUNDS`` rounds: later
+solves still walk it, and go on cold without recording where it ends.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ ROW_UPDATE_MIN_COLUMNS = 128
 # Largest right-hand side a replayed solve divides or starts from; its square
 # and a recorded row's square sum stay far from overflow.
 REPLAY_LIMIT = 1e150
+# Rounds one ``RowBlocks`` tree keeps, about 0.5 MB at 53 rows. A search
+# records at most a few dozen; the cap bounds a system solved for its whole
+# life under ever new right-hand sides.
+REPLAY_ROUNDS = 256
 
 
 class SimplexError(RuntimeError):
@@ -78,15 +83,18 @@ class RowBlocks(tuple):
 
     Stacked top to bottom the arrays are the rows' coefficients. ``roots``
     maps an objective and update form to the first round of every solve
-    over these blocks, a tree that ``solve_lp`` walks and extends. A branch
-    is built in full before one ``dict.setdefault`` installs it, and every
-    branch holds what a cold solve computes, so the blocks may be shared
-    across threads.
+    over these blocks, a tree that ``solve_lp`` walks and extends while it
+    holds fewer than ``REPLAY_ROUNDS`` rounds; ``rounds`` counts them. A
+    branch is built in full before one ``dict.setdefault`` installs it, and
+    every branch holds what a cold solve computes, so the blocks may be
+    shared across threads. There the count may miss a concurrent branch,
+    which lets the tree pass the cap by that branch; no result depends on it.
     """
 
     def __new__(cls, arrays: Sequence[np.ndarray]) -> RowBlocks:
         blocks = super().__new__(cls, arrays)
         blocks.roots = {}
+        blocks.rounds = 0
         return blocks
 
 
@@ -195,7 +203,7 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
                     return LpResult(solution, float(c @ solution), len(walked) + 1)
             # This solve's rounds from ``anchor`` on (from a new root if
             # None), and the (row, branch) by which each but the last left.
-            recording, rounds, branches = True, [], []
+            recording, rounds, branches = blocks.rounds < REPLAY_ROUNDS, [], []
         # Every row is <= with its slack basic: copy in the blocks and slacks.
         tableau = np.zeros((m, ncols + 1))
         top = 0
@@ -357,6 +365,7 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
         else:  # rounds[0] repeats ``anchor``
             row = branches[0][0]
             anchor.leaving.setdefault(row, rounds[0].leaving[row])
+        blocks.rounds += len(branches) + (anchor is None)
 
     x = np.zeros(ncols)
     x[basis] = rhs

@@ -1,6 +1,12 @@
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from concurflow.instance_io import (
+    FORMAT_INSTANCE,
+    FORMAT_VERSION,
     Instance,
     InstanceError,
     parse_instance,
@@ -8,7 +14,17 @@ from concurflow.instance_io import (
     serialize_instance,
     serialize_solution,
 )
-from concurflow.netmodel import Path, PathSystem
+from concurflow.netmodel import (
+    Commodity,
+    Edge,
+    ModelError,
+    Network,
+    Path,
+    PathRuleError,
+    PathSystem,
+    enumerate_paths,
+    infer_traversals,
+)
 from concurflow.solver import solve
 from conftest import make_network, make_system, t1_system, t2_system, t3_system
 
@@ -319,3 +335,237 @@ class TestSolutionFile:
         text = "format concurflow-solution 1\nformat concurflow-solution 1\n"
         with pytest.raises(InstanceError, match="^line 2: repeated 'format' record$"):
             parse_solution(text)
+
+
+# --- parse_instance against the parser as it stood before paths reached the
+# path system as raw edge ids: it oriented every path line in file order with
+# infer_traversals, then built the system from Paths. Kept verbatim. ---
+
+
+def reference_parse_instance(text: str) -> Instance:
+    """Parse instance text into a validated :class:`Instance`."""
+    name = "unnamed"
+    seed: int | None = None
+    nodes: list[str] = []
+    node_lines: dict[str, int] = {}
+    edges: list[Edge] = []
+    edge_lines: dict[str, int] = {}
+    commodity_rows: list[tuple[str, str, str, float]] = []
+    commodity_line: dict[str, int] = {}
+    path_rows: list[tuple[int, str, list[str]]] = []
+    saw_format = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kind, args = tokens[0], tokens[1:]
+        if kind == "format":
+            if args != [FORMAT_INSTANCE, FORMAT_VERSION]:
+                raise InstanceError(lineno, f"unsupported format {' '.join(args)!r}")
+            saw_format = True
+        elif kind == "name":
+            if len(args) != 1:
+                raise InstanceError(lineno, "name takes exactly one token")
+            name = args[0]
+        elif kind == "seed":
+            try:
+                (seed_text,) = args
+                seed = int(seed_text)
+            except ValueError:
+                raise InstanceError(lineno, "seed takes one integer") from None
+        elif kind == "node":
+            if len(args) != 1:
+                raise InstanceError(lineno, "node takes exactly one id")
+            if args[0] in node_lines:
+                raise InstanceError(lineno, f"duplicate node id {args[0]!r}")
+            node_lines[args[0]] = lineno
+            nodes.append(args[0])
+        elif kind == "edge":
+            if len(args) != 5:
+                raise InstanceError(lineno, "edge takes: id tail head capacity directed|undirected")
+            eid, tail, head, cap_text, mode = args
+            if eid in edge_lines:
+                raise InstanceError(lineno, f"duplicate edge id {eid!r}")
+            if mode not in ("directed", "undirected"):
+                raise InstanceError(lineno, f"edge mode must be directed|undirected, got {mode!r}")
+            try:
+                cap = float(cap_text)
+            except ValueError:
+                raise InstanceError(lineno, f"bad capacity {cap_text!r}") from None
+            for endpoint in (tail, head):
+                if endpoint not in node_lines:
+                    raise InstanceError(lineno, f"unknown node {endpoint!r}")
+            if not (math.isfinite(cap) and cap >= 0):
+                raise InstanceError(lineno, f"capacity must be >= 0 and finite, got {cap}")
+            edge_lines[eid] = lineno
+            edges.append(Edge(eid, tail, head, cap, mode == "directed"))
+        elif kind == "commodity":
+            if len(args) != 4:
+                raise InstanceError(lineno, "commodity takes: id source sink bound")
+            cid, source, sink, bound_text = args
+            if cid in commodity_line:
+                raise InstanceError(lineno, f"duplicate commodity id {cid!r}")
+            try:
+                bound = float(bound_text)
+            except ValueError:
+                raise InstanceError(lineno, f"bad bound {bound_text!r}") from None
+            if not (math.isfinite(bound) and bound > 0):
+                raise InstanceError(lineno, f"bound must be positive and finite, got {bound}")
+            for endpoint in (source, sink):
+                if endpoint not in node_lines:
+                    raise InstanceError(lineno, f"unknown node {endpoint!r}")
+            commodity_line[cid] = lineno
+            commodity_rows.append((cid, source, sink, bound))
+        elif kind == "path":
+            if len(args) < 2:
+                raise InstanceError(lineno, "path takes: commodity-id edge-id...")
+            cid, edge_ids = args[0], args[1:]
+            if cid not in commodity_line:
+                raise InstanceError(lineno, f"unknown commodity id {cid!r}")
+            for eid in edge_ids:
+                if eid not in edge_lines:
+                    raise InstanceError(lineno, f"unknown edge id {eid!r}")
+            path_rows.append((lineno, cid, edge_ids))
+        else:
+            raise InstanceError(lineno, f"unknown record {kind!r}")
+
+    if not saw_format:
+        raise InstanceError(None, f"missing 'format {FORMAT_INSTANCE} {FORMAT_VERSION}' header")
+    if not commodity_rows:
+        raise InstanceError(None, "instance declares no commodities")
+
+    try:
+        network = Network(
+            nodes=tuple(nodes),
+            edges=tuple(edges),
+            commodities=tuple(
+                Commodity(i, s, t, b)
+                for i, (_, s, t, b) in enumerate(commodity_rows, start=1)
+            ),
+        )
+    except ModelError as exc:
+        raise InstanceError(None, str(exc)) from None
+
+    commodity_ids = tuple(cid for cid, *_ in commodity_rows)
+    index_of = {cid: i for i, cid in enumerate(commodity_ids, start=1)}
+    groups: list[list[Path]] = [[] for _ in commodity_rows]
+    group_lines: list[list[int]] = [[] for _ in commodity_rows]
+    for lineno, cid, edge_ids in path_rows:
+        ci = index_of[cid]
+        source = network.commodities[ci - 1].source
+        try:
+            steps = infer_traversals(network, source, edge_ids)
+        except ModelError as exc:
+            raise InstanceError(lineno, f"path for {cid!r}: {exc}") from None
+        groups[ci - 1].append(Path(ci, steps))
+        group_lines[ci - 1].append(lineno)
+
+    try:
+        system = PathSystem(network, tuple(tuple(g) for g in groups))
+    except PathRuleError as exc:
+        raise InstanceError(group_lines[exc.commodity - 1][exc.index], str(exc)) from None
+    except ModelError as exc:
+        raise InstanceError(None, str(exc)) from None
+    return Instance(name, seed, network, system, commodity_ids)
+
+
+# Lines that break the format or a path rule, each at the place it is drawn to.
+MALFORMED_LINES = [
+    "path c1",
+    "path nosuch e0",
+    "widget x",
+    "node v0",
+    "edge e0 v0 v1 1.0 directed",
+    "commodity c1 v0 v1 1.0",
+    "seed x",
+]
+
+
+@st.composite
+def instance_text(draw):
+    """A small instance whose path lines interleave across commodities, with
+    up to two bad path lines or malformed lines among them."""
+    nodes = [f"v{i}" for i in range(draw(st.integers(min_value=2, max_value=5)))]
+    edges = [
+        (f"e{i}", draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)),
+         draw(st.sampled_from(["0.0", "1.0", "2.5"])),
+         draw(st.sampled_from(["directed", "undirected"])))
+        for i in range(draw(st.integers(min_value=1, max_value=7)))
+    ]
+    ends = [(draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)))
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    network = Network(
+        tuple(nodes),
+        tuple(Edge(e, t, h, float(c), m == "directed") for e, t, h, c, m in edges),
+        tuple(Commodity(i, s, t, 1.0) for i, (s, t) in enumerate(ends, start=1)),
+    )
+    paths = []
+    for com in network.commodities:
+        for path in enumerate_paths(network, com, len(nodes), limit=3):
+            paths.append(f"path c{com.index} {' '.join(path.edge_ids())}")
+    paths = draw(st.permutations(paths))
+    ids = [edge[0] for edge in edges] + ["zz"]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        kind = draw(st.sampled_from(["malformed", "random", "chained", "duplicate", "prefix"]))
+        c = draw(st.integers(min_value=1, max_value=len(ends)))
+        if kind == "malformed":
+            line = draw(st.sampled_from(MALFORMED_LINES))
+        elif kind == "random":
+            walk = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4))
+            line = f"path c{c} " + " ".join(walk)
+        elif kind == "chained" or not paths:
+            # A walk from the source that chains: it may end off the sink,
+            # repeat a node or cross a zero-capacity edge.
+            current, walk = ends[c - 1][0], []
+            for _ in range(draw(st.integers(min_value=1, max_value=4))):
+                leaving = [
+                    e for e in edges
+                    if e[1] == current or (e[4] == "undirected" and e[2] == current)
+                ]
+                if not leaving:
+                    break
+                edge = draw(st.sampled_from(leaving))
+                walk.append(edge[0])
+                current = edge[2] if edge[1] == current else edge[1]
+            line = f"path c{c} " + " ".join(walk or ["zz"])
+        elif kind == "duplicate":
+            line = draw(st.sampled_from(paths))
+        else:  # a valid path cut short, or left with its commodity id only
+            line = draw(st.sampled_from(paths)).rsplit(" ", 1)[0]
+        paths.insert(draw(st.integers(min_value=0, max_value=len(paths))), line)
+    head = [f"format {FORMAT_INSTANCE} {FORMAT_VERSION}", "name gen"]
+    head += [f"node {node}" for node in nodes]
+    head += [f"edge {' '.join(edge)}" for edge in edges]
+    head += [f"commodity c{i} {s} {t} 1.0" for i, (s, t) in enumerate(ends, start=1)]
+    return "\n".join(head + paths) + "\n"
+
+
+def parse_outcome(parse, text):
+    try:
+        instance = parse(text)
+    except InstanceError as exc:
+        return str(exc), exc.line
+    steps = [[[(s.edge_id, s.forward) for s in path.steps] for path in group]
+             for group in instance.path_system.paths]
+    return instance, steps
+
+
+UNKNOWN_EDGE_THEN_MALFORMED = T1_TEXT + "path c1 e9\npath c1\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_text())
+@example(UNKNOWN_EDGE_THEN_MALFORMED)
+@example(T1_TEXT.replace("path c1 e1", "path c2 e1\npath c1 e1 e1"))
+# A path of c1 ends off its sink; a later one of c2 does not chain.
+@example(TestParse.PATH_RULES_TEXT + "path c1 e1 e2\npath c2 e2\n")
+def test_parse_matches_reference_parser(text):
+    assert parse_outcome(parse_instance, text) == parse_outcome(reference_parse_instance, text)
+
+
+def test_unknown_edge_raises_at_its_line_before_a_later_malformed_line():
+    with pytest.raises(InstanceError) as info:
+        parse_instance(UNKNOWN_EDGE_THEN_MALFORMED)
+    assert (str(info.value), info.value.line) == ("line 10: unknown edge id 'e9'", 10)

@@ -16,6 +16,7 @@ from concurflow.netmodel import (
     ModelError,
     Network,
     Path,
+    PathRuleError,
     PathSystem,
     Traversal,
     branch_value,
@@ -86,6 +87,48 @@ class TestConstruction:
     def test_duplicate_path_rejected(self, t1):
         with pytest.raises(ModelError, match="duplicate path"):
             make_system(t1.network, [[["e1"], ["e1"]], [["e1"]]])
+
+    def test_list_steps_rejected_naming_the_path(self):
+        net = make_network(["s", "t"], [("e", "s", "t", 1.0, True)], [("s", "t", 1.0)])
+        with pytest.raises(PathRuleError) as info:
+            PathSystem(net, ((Path(1, (Traversal("e"),)), Path(1, [Traversal("e")])),))
+        assert str(info.value) == "commodity 1: the steps of path 2 are a list, not a tuple"
+        assert (info.value.commodity, info.value.index) == (1, 1)
+
+
+class TestRawPaths:
+    def test_oriented_into_shared_steps(self):
+        net = make_network(
+            ["a", "b", "c"],
+            [("e1", "b", "a", 1.0, False), ("e2", "b", "c", 1.0, True)],
+            [("a", "c", 1)],
+        )
+        given = Path(1, (Traversal("e1", False), Traversal("e2")))
+        system = PathSystem(net, [[("e1", "e2")]])
+        assert system.paths == ((given,),)
+        assert type(system.paths) is tuple and type(system.paths[0]) is tuple
+        shared = infer_traversals(net, "a", ("e1", "e2"))
+        assert system.paths[0][0].steps == shared
+        assert all(a is b for a, b in zip(system.paths[0][0].steps, shared))
+        with pytest.raises(PathRuleError, match=r"^commodity 1: duplicate path \('e1', 'e2'\)$"):
+            PathSystem(net, ((given, ("e1", "e2")),))
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("e3", "e2"), "commodity 1: invalid path (broken chain at position 1)"),
+            (("e2", "e9"), "commodity 1: invalid path (unknown edge id 'e9' at position 2)"),
+            ((), "commodity 1: invalid path (empty path)"),
+            (("e2",), "commodity 1: invalid path (path ends at 'u', expected sink 't')"),
+            (["e1"], "commodity 1: path 2 is a list, not a Path or a tuple of edge ids"),
+        ],
+        ids=["broken-chain", "unknown-edge", "empty", "wrong-sink", "list"],
+    )
+    def test_rule_breaks_located(self, chain_net, path, message):
+        with pytest.raises(PathRuleError) as info:
+            PathSystem(chain_net, ((("e1",), path),))
+        assert str(info.value) == message
+        assert (info.value.commodity, info.value.index) == (1, 1)
 
 
 class TestValidatePath:
@@ -600,3 +643,75 @@ def test_min_ratio_bounds_every_commodity(flow):
     value = min_ratio(flow)
     assert all(value <= r for r in ratios)
     assert any(value == r for r in ratios)
+
+
+# --- PathSystem over raw edge ids against orienting, then validating ---
+
+
+@st.composite
+def raw_path_system(draw):
+    """A small network with 1-3 commodities, each with a few raw edge-id paths."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(min_value=2, max_value=5)))]
+    edges = [
+        Edge(f"e{i}", draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)),
+             draw(st.sampled_from([0.0, 1.0, 2.0])), draw(st.booleans()))
+        for i in range(draw(st.integers(min_value=1, max_value=7)))
+    ]
+    coms = tuple(
+        Commodity(i, draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)), 1.0)
+        for i in range(1, draw(st.integers(min_value=1, max_value=3)) + 1)
+    )
+    net = Network(tuple(nodes), tuple(edges), coms)
+    ids = [e.id for e in edges] + ["bogus"]
+    groups = []
+    for com in coms:
+        valid = [p.edge_ids() for p in enumerate_paths(net, com, len(nodes), limit=4)]
+        garbage = st.lists(st.sampled_from(ids), max_size=4).map(tuple)
+        group = draw(st.lists(st.sampled_from(valid) if valid else garbage, max_size=3))
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            group.insert(draw(st.integers(min_value=0, max_value=len(group))), draw(garbage))
+        groups.append(tuple(group))
+    return net, tuple(groups)
+
+
+def reference_raw_system(network, groups):
+    """Each path oriented, then checked, in commodity order: the first violation or the Paths."""
+    paths = []
+    for i, group in enumerate(groups, start=1):
+        seen, kept = set(), []
+        for ids in group:
+            try:
+                steps = reference_infer_traversals(network, network.commodities[i - 1].source, ids)
+            except ModelError as exc:
+                return f"commodity {i}: invalid path ({exc})"
+            violation = reference_validate_path(network, Path(i, steps))
+            if violation is not None:
+                return f"commodity {i}: invalid path ({violation})"
+            if steps in seen:
+                return f"commodity {i}: duplicate path {tuple(ids)}"
+            seen.add(steps)
+            kept.append(Path(i, steps))
+        paths.append(tuple(kept))
+    return tuple(paths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_path_system())
+def test_raw_paths_match_orienting_then_validating(case):
+    net, groups = case
+    expected = reference_raw_system(net, groups)
+    if isinstance(expected, str):
+        with pytest.raises(PathRuleError) as info:
+            PathSystem(net, groups)
+        assert str(info.value) == expected
+        return
+    system = PathSystem(net, groups)
+    assert system.paths == expected
+    # The compiled form from the walk's edge numbers is the one built by keys.
+    caps = {e.id: e.capacity for e in net.edges}
+    ref = GroupedPaths.build(caps, system.edge_groups())
+    got = system.grouped
+    assert (got.edges, got.sizes, dict(got.capacities)) == (ref.edges, ref.sizes, caps)
+    for name in ("rows", "lengths", "caps"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

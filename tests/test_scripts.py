@@ -49,6 +49,15 @@ def test_byte_identity_records_every_call(tmp_path):
     records = json.loads(out.read_text())
     workloads = ("corpus-oracle", "fptas-search", "packing-fullrun", "large-oracle")
     assert [r["workload"] for r in records] == [name for name in workloads for _ in range(2)]
+    # The cases of one instance text differ only in eta or eps, so they share
+    # a system digest; two relabelled copies of one instance do not.
+    by_instance = {}
+    for record in records:
+        key = (record["workload"], record["case"].split("@")[0])
+        assert len(record["system"]) == 64
+        assert by_instance.setdefault(key, record["system"]) == record["system"]
+    large = [r["system"] for r in records if r["workload"] == "large-oracle"]
+    assert large[0] != large[1]
     for record in records:
         kinds = {call[0] for call in record["calls"]}
         if record["workload"] == "packing-fullrun":

@@ -1,9 +1,13 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import concurflow.oracle
 import concurflow.simplex
 from concurflow import generate_instance, lp_emcfpsc, solve
+from concurflow.oracle import lp_grouped_max, lp_mmfpb_exact
 from concurflow.simplex import (
     EQUAL,
     FEASIBILITY_TOL,
@@ -12,6 +16,7 @@ from concurflow.simplex import (
     OPTIMALITY_TOL,
     PIVOT_TOL,
     REPLAY_LIMIT,
+    REPLAY_ROUNDS,
     ROW_UPDATE_MIN_COLUMNS,
     LpResult,
     RowBlocks,
@@ -662,3 +667,39 @@ class TestReplay:
         }
         root = next(iter(blocks.roots.values()))
         assert sum(_basis_broken_ties(root, rhs) for rhs in sequence[:-1]) > 0
+
+
+def _tree_rounds(blocks: RowBlocks) -> int:
+    """The rounds recorded in ``blocks``' trees, counted by walking them."""
+    stack, count = list(blocks.roots.values()), 0
+    while stack:
+        node = stack.pop()
+        count += 1
+        stack.extend(branch[-1] for branch in node.leaving.values())
+    return count
+
+
+def test_replay_tree_stops_growing_at_its_cap():
+    # One 480-path system solved all its life under ever new bounds. Uncapped,
+    # its tree held about 4.8 MB after these 1000 calls.
+    system = generate_instance(3, 16, 50, 8, 60).path_system
+    base = system.network.bounds()
+    rng = np.random.default_rng(5)
+    lp_mmfpb_exact(system, base)  # the layout and the LP's rows, before measuring
+    ((_, blocks),) = system.grouped.lps.values()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        for call in range(1000):
+            bounds = [b * 10 ** rng.uniform(-2, 1) for b in base]
+            total, flow = lp_mmfpb_exact(system, bounds)
+            if call % 10 == 0 or call >= 990:
+                fresh = replace(system.grouped)  # the same rows, no recorded paths
+                result = lp_grouped_max(fresh.capacities, fresh, bounds)
+                assert (total, flow.values) == (result.total, result.values)
+        held = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
+    # The install that reaches the cap adds one solve's rounds, and no more follow.
+    assert REPLAY_ROUNDS <= blocks.rounds == _tree_rounds(blocks) < REPLAY_ROUNDS + 100
