@@ -22,6 +22,14 @@ The cases come from ``perfbench/workloads.py`` of this checkout, imported
 read-only; the program comes from ``--src``. So the check of a change
 against its parent is two runs, one per ``--src``, and one ``cmp`` of the
 two files. ``--limit`` keeps the first few cases of each workload and seed.
+
+When the files differ, ``--diff`` says where:
+
+    python3 scripts/byte_identity.py --diff parent.json change.json
+
+prints, per workload, the cases whose ``system``, ``lp_emcfpsc``,
+``solve_mmfpb`` or call list differ, and the solution lines that differ,
+counted by their first word. It exits 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from itertools import zip_longest
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -140,14 +149,52 @@ def case_record(workload, case) -> dict:
     return {"case": case.key, "system": parsed, **outputs, "calls": calls}
 
 
+def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
+    """Per workload, what differs between two record lists; and whether anything does."""
+    fields = ("system", "lp_emcfpsc", "solve_mmfpb", "calls")
+    index = lambda records: {(r["workload"], r["seed"], r["case"]): r for r in records}  # noqa: E731
+    a_cases, b_cases = index(a), index(b)
+    lines, differs = [], False
+    for workload in dict.fromkeys(r["workload"] for r in a + b):
+        keys = [key for key in {**a_cases, **b_cases} if key[0] == workload]
+        shared = [key for key in keys if key in a_cases and key in b_cases]
+        counts = dict.fromkeys(fields, 0)
+        words: dict[str, int] = {}
+        for key in shared:
+            ra, rb = a_cases[key], b_cases[key]
+            for field in fields:
+                counts[field] += ra.get(field) != rb.get(field)
+            texts = (ra.get("solution", ""), rb.get("solution", ""))
+            for la, lb in zip_longest(*(text.splitlines() for text in texts), fillvalue=""):
+                if la != lb:
+                    word = (la or lb).split(" ", 1)[0]
+                    words[word] = words.get(word, 0) + 1
+        only = len(keys) - len(shared)
+        differs = differs or only > 0 or any(counts.values()) or bool(words)
+        parts = ", ".join(f"{field} {count}" for field, count in counts.items())
+        solution = ", ".join(f"{word} {count}" for word, count in words.items()) or "none"
+        lines.append(
+            f"{workload}: {len(shared)} cases in both, {only} in one only; "
+            f"cases differing in {parts}; solution lines differing: {solution}"
+        )
+    return lines, differs
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, help="src/ of the checkout under test")
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--src", help="src/ of the checkout under test")
+    parser.add_argument("--seeds", type=int, nargs="+")
     parser.add_argument("--workloads", nargs="+", help="default: all perfbench workloads")
     parser.add_argument("--limit", type=int, help="first cases per workload and seed")
     parser.add_argument("--out", help="output file (default: stdout)")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two output files")
     args = parser.parse_args(argv)
+    if args.diff:
+        lines, differs = diff_lines(*(json.loads(Path(name).read_text()) for name in args.diff))
+        print("\n".join(lines))
+        return int(differs)
+    if args.src is None or args.seeds is None:
+        parser.error("--src and --seeds are required unless --diff is given")
     src = Path(args.src).resolve()
     if not (src / "concurflow" / "__init__.py").is_file():
         print(f"byte_identity: no concurflow sources at {src}", file=sys.stderr)

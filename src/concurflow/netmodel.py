@@ -211,11 +211,12 @@ def _walk(
     """Check a path's steps from ``source`` to ``sink`` in one walk.
 
     Without ``moves`` the steps are ``(edge_id, forward)`` pairs: each must
-    name a known edge, walked in a legal direction, that chains onto the
-    previous step. With the network's ``_move_table`` they are raw edge ids,
-    each oriented away from the current node (a directed edge only from its
-    tail). Then, unless ``sink`` is None, come the rules of the whole path,
-    in ``validate_path``'s order. Appends each step's position in
+    be such a pair, not a string, and name a known edge, walked in a legal
+    direction, that chains onto the previous step. With the network's
+    ``_move_table`` they are raw edge ids, each oriented away from the
+    current node (a directed edge only from its tail). Then, unless
+    ``sink`` is None, come the rules of the whole path, in
+    ``validate_path``'s order. Appends each step's position in
     ``network.edges`` to ``rows``. Returns the first violation (``None`` if
     none; positions are 1-based) and the oriented steps.
     """
@@ -225,22 +226,29 @@ def _walk(
     visit, record = nodes.append, rows.append  # bound once: the loops run per step
     walks = network._walks
     if moves is None:
-        for edge_id, forward in steps:
-            walk = walks.get(edge_id)
-            if walk is None:
-                return f"unknown edge id {edge_id!r} at position {len(nodes)}", steps
-            tail, head, directed, _, _, number = walk
-            if forward:
-                start, end = tail, head
-            elif directed:
-                return f"directed edge {edge_id!r} walked backwards at position {len(nodes)}", steps
-            else:
-                start, end = head, tail
-            if start != current:
-                return f"broken chain at position {len(nodes)}", steps
-            current = end
-            visit(end)
-            record(number)
+        step, text = None, str
+        try:
+            for step in steps:
+                if step.__class__ is text:  # a raw id: unpacking would split it into characters
+                    raise TypeError
+                edge_id, forward = step
+                walk = walks.get(edge_id)
+                if walk is None:
+                    return f"unknown edge id {edge_id!r} at position {len(nodes)}", steps
+                tail, head, directed, _, _, number = walk
+                if forward:
+                    start, end = tail, head
+                elif directed:
+                    return f"directed edge {edge_id!r} walked backwards at position {len(nodes)}", steps
+                else:
+                    start, end = head, tail
+                if start != current:
+                    return f"broken chain at position {len(nodes)}", steps
+                current = end
+                visit(end)
+                record(number)
+        except (TypeError, ValueError):  # the step is no (edge_id, forward) pair
+            return f"step {step!r} at position {len(nodes)} is not an (edge_id, forward) pair", steps
     else:
         taken = []
         take = taken.append
@@ -275,9 +283,10 @@ def _walk(
 def validate_path(network: Network, path: Path) -> str | None:
     """Check every path rule; return ``None`` when valid, else the first violation.
 
-    Rules, in checking order: the commodity index exists; every step names a
-    known edge walked in a legal direction that chains onto the previous
-    step (positions are 1-based in messages); the walk runs source to sink;
+    Rules, in checking order: the commodity index exists; every step is an
+    ``(edge_id, forward)`` pair (a raw edge-id string is not) that names a
+    known edge walked in a legal direction and chains onto the previous step
+    (positions are 1-based in messages); the walk runs source to sink;
     all nodes are pairwise distinct except that source may equal sink; every
     edge has positive capacity. The rules after the first take one walk over
     the steps, the one ``PathSystem`` makes.

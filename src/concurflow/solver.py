@@ -13,6 +13,13 @@ one per sink kind, and projection adds each path's two copies, giving an
 output whose total value, per-commodity caps, and worst service ratio are all
 sandwiched by closed-form functions of ``l_star``, ``h_star`` and ``eta``.
 
+The inner search needs no call of its own at budget 0: there the
+auxiliary problem is the outer search's last passing call, with the
+dedicated copies carrying its values and the overflow copy nothing, so
+``solve`` hands that flow from one search to the other. It meets the
+dedicated bounds and passed the outer test at level ``l_star - 1``, all
+that the value and ratio floors ask of the result when ``h_star = 1``.
+
 The subroutine is the packing approximation by default; an exact LP
 subroutine can be substituted for deterministic trace tests. Only the
 bounds change between the calls of one search, so its calls all reuse one
@@ -86,6 +93,9 @@ def compute_epsilon(eta: float, bounds: Sequence[float]) -> float:
 class LstarResult:
     l_star: int
     calls: int
+    # Per-path values of the last passing call, level ``l_star - 1``; all
+    # zeros when no level passed, as the engines return under zero bounds.
+    values: tuple[tuple[float, ...], ...]
 
 
 def find_lstar(
@@ -99,10 +109,12 @@ def find_lstar(
 
     Stops at the first l >= 1 with ``l * eta > 1`` (no subroutine call) or
     with subroutine value strictly below ``sum(l*eta*b) / (1+eps)``.
-    Returns the terminal l and the number of subroutine calls made.
+    Returns the terminal l, the number of subroutine calls made and the
+    flow of the last level that passed.
     """
     run = resolve_subroutine(subroutine)
     paths = system.grouped
+    values = tuple((0.0,) * size for size in paths.sizes)
     calls = 0
     l = 0
     while True:
@@ -116,7 +128,8 @@ def find_lstar(
         target = sum(scaled) / (1.0 + eps)
         if result.total < target - BELOW_TOL:
             break
-    return LstarResult(l, calls)
+        values = result.values
+    return LstarResult(l, calls, values)
 
 
 @dataclass(frozen=True)
@@ -190,19 +203,31 @@ def find_hstar(
     eps: float,
     sum_b0: float,
     subroutine: str | Subroutine = "fptas",
+    start: Sequence[Sequence[float]] | None = None,
 ) -> HstarResult:
     """Inner search: first overflow budget the auxiliary value cannot keep up with.
 
-    The loop is seeded with a zero-overflow solve so a result exists even
-    when the very first budget fails. Stops at the first h >= 1 with
-    ``h * eta > sum_b0`` or with subroutine value strictly below
-    ``(sum(dedicated bounds) + h*eta) / (1+eps)``; returns the flow of the
-    last passing budget.
+    Stops at the first h >= 1 with ``h * eta > sum_b0`` or with subroutine
+    value strictly below ``(sum(dedicated bounds) + h*eta) / (1+eps)``;
+    returns the flow of the last passing budget. At budget 0 the auxiliary
+    problem is the base system's under the dedicated bounds, the outer
+    search's call at level ``l_star - 1``, so its flow, ``start`` (per-path
+    values of the base groups, ``LstarResult.values``), is the result when
+    the very first budget fails: the dedicated copies carry it and the
+    overflow copy carries zeros; a ``start`` of another shape raises
+    ``ValueError``. Without ``start`` one counted call on
+    ``aux.base.grouped`` computes it.
     """
     run = resolve_subroutine(subroutine)
+    calls = 0
+    if start is None:
+        base = aux.base.grouped
+        start = run(base.capacities, base, list(aux.dedicated_bounds), eps).values
+        calls += 1
+    elif [len(group) for group in start] != [len(group) for group in aux.base.paths]:
+        raise ValueError("start must hold one value per path of each commodity")
+    values = (*start, (0.0,) * aux.base.path_count)
     caps, groups = aux.capacities, aux.groups
-    current = run(caps, groups, [*aux.dedicated_bounds, 0.0], eps)
-    calls = 1
     sum_dedicated = sum(aux.dedicated_bounds)
     h = 0
     while True:
@@ -215,8 +240,8 @@ def find_hstar(
         target = (sum_dedicated + budget) / (1.0 + eps)
         if result.total < target - BELOW_TOL:
             break
-        current = result
-    return HstarResult(h, current.values, calls)
+        values = result.values
+    return HstarResult(h, values, calls)
 
 
 def project_flow(aux_values: Sequence[Sequence[float]], aux: AuxNetwork) -> Flow:
@@ -277,7 +302,7 @@ def solve(
 
     outer = find_lstar(system, bounds0, eta, eps, run)
     aux = build_auxiliary(system, bounds0, outer.l_star, eta)
-    inner = find_hstar(aux, eta, eps, sum(bounds0), run)
+    inner = find_hstar(aux, eta, eps, sum(bounds0), run, start=outer.values)
     flow = project_flow(inner.aux_values, aux)
 
     sum_b = sum(bounds0)

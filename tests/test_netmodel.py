@@ -95,6 +95,22 @@ class TestConstruction:
         assert str(info.value) == "commodity 1: the steps of path 2 are a list, not a tuple"
         assert (info.value.commodity, info.value.index) == (1, 1)
 
+    @pytest.mark.parametrize("step", ["a1", "e10", "e1"], ids=["names-edge-a", "three-chars", "two-chars"])
+    def test_string_step_rejected(self, step):
+        # Each string is an edge id of this network, and "a1" unpacks into
+        # ("a", "1"), edge a walked forward: none may be read as a step.
+        net = make_network(
+            ["s", "t"],
+            [(eid, "s", "t", 1.0, True) for eid in ("a", "e", "e1", "e10")],
+            [("s", "t", 1.0)],
+        )
+        violation = f"step {step!r} at position 1 is not an (edge_id, forward) pair"
+        assert validate_path(net, Path(1, (step,))) == violation
+        with pytest.raises(PathRuleError) as info:
+            PathSystem(net, ((("e1",), Path(1, (step,))),))
+        assert str(info.value) == f"commodity 1: invalid path ({violation})"
+        assert (info.value.commodity, info.value.index) == (1, 1)
+
 
 class TestRawPaths:
     def test_oriented_into_shared_steps(self):

@@ -74,6 +74,35 @@ def test_byte_identity_records_every_call(tmp_path):
             assert "pack" in kinds
 
 
+def test_byte_identity_diff_counts_what_differs(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ("--src", str(ROOT / "src"), "--seeds", "1", "--limit", "1", "--out", str(a))
+    proc = run_script("byte_identity.py", *args, "--workloads", "corpus-oracle", "packing-fullrun")
+    assert proc.returncode == 0, proc.stderr
+    proc = run_script("byte_identity.py", "--diff", str(a), str(a))
+    assert proc.returncode == 0, proc.stderr
+    none = "system 0, lp_emcfpsc 0, solve_mmfpb 0, calls 0; solution lines differing: none"
+    assert proc.stdout.splitlines() == [
+        f"{name}: 1 cases in both, 0 in one only; cases differing in {none}"
+        for name in ("corpus-oracle", "packing-fullrun")
+    ]
+    records = json.loads(a.read_text())
+    corpus, packing = records
+    corpus["calls"] = corpus["calls"][1:]
+    corpus["solution"] = corpus["solution"].replace("\nsubroutine_calls ", "\nsubroutine_calls 9")
+    corpus["solution"] = corpus["solution"].replace("\nflow ", "\nflow x", 2)
+    packing["solve_mmfpb"] += " "
+    b.write_text(json.dumps(records + [{**packing, "seed": 2}]))
+    proc = run_script("byte_identity.py", "--diff", str(a), str(b))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "corpus-oracle: 1 cases in both, 0 in one only; cases differing in system 0, "
+        "lp_emcfpsc 0, solve_mmfpb 0, calls 1; solution lines differing: subroutine_calls 1, flow 2",
+        "packing-fullrun: 1 cases in both, 1 in one only; cases differing in system 0, "
+        "lp_emcfpsc 0, solve_mmfpb 1, calls 0; solution lines differing: none",
+    ]
+
+
 def test_ab_compare_runs_both_sides():
     src = str(ROOT / "src")
     args = ("--a", src, "--b", src, "--workload", "corpus-oracle", "--rounds", "2", "--limit", "3")

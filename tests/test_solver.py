@@ -180,7 +180,92 @@ class TestInnerSearch:
         aux = build_auxiliary(system, (1.0,), outer.l_star, 0.6)
         res = find_hstar(aux, 0.6, eps, 1.0, "oracle")
         assert res.h_star == 2  # budget 1.2 overshoots the total demand 1.0
-        assert res.calls == 2  # seed solve plus h=1
+        assert res.calls == 2  # the budget-0 flow on the base system, then h=1
+
+    def test_misshapen_start_rejected(self, t1):
+        aux = build_auxiliary(t1, (1.0, 2.0), 3, 0.1)
+        eps = compute_epsilon(0.1, (1.0, 2.0))
+        for start in (((0.1,),), ((0.1,), ()), ((0.1,), (0.2,), (0.0, 0.0))):
+            with pytest.raises(ValueError, match="one value per path of each commodity"):
+                find_hstar(aux, 0.1, eps, 3.0, "oracle", start=start)
+
+
+def generated_system(seed):
+    return generate_instance(seed, 6, 9, 2, 3, bound_range=(0.2, 0.6)).path_system
+
+
+def start_cases():
+    """(system, eta) pairs: t1 at l_star 4 and 1, t2, and generated systems."""
+    cases = [(t1_system(), 0.1), (t1_system(), 0.5), (t2_system(), 0.1)]
+    return cases + [(generated_system(seed), eta) for seed in (1, 4, 8) for eta in (0.2, 0.3)]
+
+
+# Systems whose inner search stops at h_star = 1 under both engines: the
+# first overflow budget fails, so the solve's flow is the budget-0 flow.
+HSTAR_ONE = [(4, 0.2), (6, 0.2), (11, 0.2)]
+
+
+@pytest.mark.parametrize("engine", ["oracle", "fptas"])
+class TestInnerStart:
+    """The inner search starts from the outer search's last passing flow."""
+
+    def test_solve_makes_no_call_at_budget_zero(self, engine):
+        run = resolve_subroutine(engine)
+        for system, eta in start_cases():
+            outer, inner = [], []
+
+            def probe(caps, groups, bounds, eps):
+                if len(groups) == system.k + 1:
+                    inner.append(bounds[-1])
+                else:
+                    outer.append(bounds)
+                return run(caps, groups, bounds, eps)
+
+            report = solve(system, eta, subroutine=probe)
+            assert report.subroutine_calls == len(outer) + len(inner)
+            # One call per level l with l * eta <= 1, and none on the base
+            # system for budget 0.
+            assert len(outer) == report.l_star - (report.l_star * eta > 1.0)
+            assert inner
+            assert inner == [h * eta for h in range(1, len(inner) + 1)]
+            assert len(inner) in (report.h_star - 1, report.h_star)
+
+    @pytest.mark.parametrize("seed, eta", HSTAR_ONE)
+    def test_hstar_one_flow_is_the_outer_flow(self, engine, seed, eta):
+        system = generated_system(seed)
+        report = solve(system, eta, subroutine=engine)
+        assert report.h_star == 1
+        outer = find_lstar(system, report.bounds0, eta, report.eps, engine)
+        assert outer.l_star == report.l_star >= 2
+        assert repr(report.flow.values) == repr(outer.values)
+        # The outer search's last passing call, at level l_star - 1.
+        scale, base = (outer.l_star - 1) * eta, system.grouped
+        bounds = [scale * b for b in report.bounds0]
+        last = resolve_subroutine(engine)(base.capacities, base, bounds, report.eps)
+        assert repr(outer.values) == repr(last.values)
+        assert_certificates(report, system, report.bounds0)
+
+    def test_omitted_start_costs_one_call(self, engine):
+        for system, eta in start_cases():
+            bounds = system.network.bounds()
+            eps = compute_epsilon(eta, bounds)
+            outer = find_lstar(system, bounds, eta, eps, engine)
+            aux = build_auxiliary(system, bounds, outer.l_star, eta)
+            given = find_hstar(aux, eta, eps, sum(bounds), engine, start=outer.values)
+            computed = find_hstar(aux, eta, eps, sum(bounds), engine)
+            assert repr(computed.aux_values) == repr(given.aux_values)
+            assert computed.h_star == given.h_star
+            assert computed.calls == given.calls + 1
+
+    def test_level_one_starts_from_zero(self, engine, t1):
+        eps = compute_epsilon(0.5, (1.0, 2.0))
+        outer = find_lstar(t1, (1.0, 2.0), 0.5, eps, engine)
+        assert outer.l_star == 1 and outer.calls == 1
+        assert outer.values == ((0.0,), (0.0,))
+        # What the engines return when every bound is 0, bit for bit.
+        base = t1.grouped
+        zero = resolve_subroutine(engine)(base.capacities, base, [0.0, 0.0], eps)
+        assert repr(zero.values) == repr(outer.values)
 
 
 class TestProjection:
@@ -236,7 +321,7 @@ class TestSolveEndToEnd:
         assert report.h_star == 3
         assert report.value == pytest.approx(1.0, abs=1e-9)
         assert report.eps == pytest.approx(0.05 / 3)
-        assert report.subroutine_calls == 11
+        assert report.subroutine_calls == 10  # 7 outer + 3 inner, budget 0 none
         assert_certificates(report, t1, (1.0, 2.0))
 
     def test_disjoint_instance(self, t2):
@@ -346,8 +431,8 @@ class TestCompileOnce:
             counts[eta], calls[eta] = len(builds), report.subroutine_calls
         assert calls[0.05] > calls[0.1]
         # The outer search's one live mask, which is the system's own matrix,
-        # and the inner search's two: overflow off on the first call, then on.
-        assert counts[0.1] == counts[0.05] == 1 + 2
+        # and the inner search's one, overflow on: budget 0 makes no call.
+        assert counts[0.1] == counts[0.05] == 1 + 1
 
     def test_system_matrix_is_the_outer_searchs(self, builds):
         system = t2_system()
