@@ -28,8 +28,10 @@ When the files differ, ``--diff`` says where:
     python3 scripts/byte_identity.py --diff parent.json change.json
 
 prints, per workload, the cases whose ``system``, ``lp_emcfpsc``,
-``solve_mmfpb`` or call list differ, and the solution lines that differ,
-counted by their first word. It exits 1 when anything differs.
+``solve_mmfpb`` or call list differ; of the differing call lists, those
+that differ only in the iterations of ``pack`` entries, with the number of
+such entries and their iterations on each side; and the solution lines
+that differ, counted by their first word. It exits 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -81,10 +83,12 @@ def system_digest(system) -> str:
 def recording(calls: list):
     """Append one entry to ``calls`` per ``solve_lp``, ``pack_paths`` and layout.
 
-    ``oracle`` and ``solve_mmfpb`` look both names up at call time; ``solve``
-    binds its named subroutines at import, so its table is patched too. Both
-    engines read their input through ``GroupedProblem.build``, a classmethod
-    patched on the class.
+    ``oracle``, ``solve_mmfpb`` and ``solve``'s named subroutines look both
+    names up at call time, so what ``solve`` runs is recorded, early stops
+    included. A checkout whose ``solve`` binds ``pack_paths`` itself into its
+    table of subroutines gets that entry replaced too. Both engines read
+    their input through ``GroupedProblem.build``, a classmethod patched on
+    the class.
     """
     import concurflow.netmodel
     import concurflow.oracle
@@ -117,7 +121,8 @@ def recording(calls: list):
     concurflow.oracle.solve_lp = lp
     concurflow.packing.pack_paths = pack
     problem_class.build = classmethod(layout)
-    table["fptas"] = pack
+    if table.get("fptas") is pack_paths:
+        table["fptas"] = pack
     try:
         yield
     finally:
@@ -149,6 +154,14 @@ def case_record(workload, case) -> dict:
     return {"case": case.key, "system": parsed, **outputs, "calls": calls}
 
 
+def pack_pairs(a: list, b: list) -> list[tuple[list, list]]:
+    """The differing entry pairs of two call lists if all are ``pack`` entries, else none."""
+    pairs = [(x, y) for x, y in zip(a, b) if x != y]
+    if len(a) != len(b) or not all(x[0] == y[0] == "pack" for x, y in pairs):
+        return []
+    return pairs
+
+
 def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
     """Per workload, what differs between two record lists; and whether anything does."""
     fields = ("system", "lp_emcfpsc", "solve_mmfpb", "calls")
@@ -159,11 +172,18 @@ def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
         keys = [key for key in {**a_cases, **b_cases} if key[0] == workload]
         shared = [key for key in keys if key in a_cases and key in b_cases]
         counts = dict.fromkeys(fields, 0)
+        packs = [0, 0, 0, 0]  # cases, entries, iterations in a, in b
         words: dict[str, int] = {}
         for key in shared:
             ra, rb = a_cases[key], b_cases[key]
             for field in fields:
                 counts[field] += ra.get(field) != rb.get(field)
+            pairs = pack_pairs(ra["calls"], rb["calls"])
+            if pairs:
+                packs[0] += 1
+                packs[1] += len(pairs)
+                packs[2] += sum(x[1] for x, _ in pairs)
+                packs[3] += sum(y[1] for _, y in pairs)
             texts = (ra.get("solution", ""), rb.get("solution", ""))
             for la, lb in zip_longest(*(text.splitlines() for text in texts), fillvalue=""):
                 if la != lb:
@@ -175,7 +195,9 @@ def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
         solution = ", ".join(f"{word} {count}" for word, count in words.items()) or "none"
         lines.append(
             f"{workload}: {len(shared)} cases in both, {only} in one only; "
-            f"cases differing in {parts}; solution lines differing: {solution}"
+            f"cases differing in {parts}; calls differing only in pack iterations: "
+            f"{packs[0]} cases, {packs[1]} entries, {packs[2]} -> {packs[3]} iterations; "
+            f"solution lines differing: {solution}"
         )
     return lines, differs
 

@@ -24,6 +24,11 @@ The subroutine is the packing approximation by default; an exact LP
 subroutine can be substituted for deterministic trace tests. Only the
 bounds change between the calls of one search, so its calls all reuse one
 compiled path system: ``PathSystem.grouped``, or the auxiliary groups.
+Each search call asks one question, whether the total reaches
+``sum(bounds)/(1+eps)``, so the default subroutine hands the packing loop
+that target: a call whose full run is sure to fall short stops early (see
+``packing``), and a call that passes is a full run. Levels, call counts and
+flows are those of full runs.
 """
 
 from __future__ import annotations
@@ -45,8 +50,7 @@ from .netmodel import (
     flow_value,
     min_ratio,
 )
-from .oracle import lp_grouped_max
-from .packing import pack_paths
+from . import oracle, packing
 
 # Strict "value fell below target" comparisons use this absolute slack;
 # exact equality counts as still passing.
@@ -55,13 +59,30 @@ BELOW_TOL = 1e-12
 
 # Called as (capacities, groups, bounds, eps). The searches pass a
 # ``GroupedPaths`` as ``groups`` and its ``capacities`` snapshot beside it,
-# so the engines reuse its compiled columns on every call.
+# so the engines reuse its compiled columns on every call. A search reads
+# only whether the total reaches ``sum(bounds)/(1+eps)`` (less
+# ``BELOW_TOL``), and keeps the flow of a call that does.
 Subroutine = Callable[[Mapping, Sequence, list, float], GroupedResult]
 
-_SUBROUTINES: dict[str, Subroutine] = {
-    "fptas": pack_paths,
-    "oracle": lambda caps, groups, bounds, eps: lp_grouped_max(caps, groups, bounds),
-}
+
+def _fptas(capacities: Mapping, groups: Sequence, bounds: list, eps: float) -> GroupedResult:
+    """The packing engine, stopped once its full run is sure to fail the search's test.
+
+    A call that passes is the full run, and one that stops is below the
+    test as the full run would be, so the searches see the full runs'
+    verdicts and flows.
+    """
+    target = sum(bounds) / (1.0 + eps) - BELOW_TOL
+    return packing.pack_paths(capacities, groups, bounds, eps, target=target)
+
+
+def _oracle(capacities: Mapping, groups: Sequence, bounds: list, eps: float) -> GroupedResult:
+    return oracle.lp_grouped_max(capacities, groups, bounds)
+
+
+# Both look their engine up in its module at call time, so a patched
+# ``packing.pack_paths`` or ``oracle.lp_grouped_max`` reaches ``solve``.
+_SUBROUTINES: dict[str, Subroutine] = {"fptas": _fptas, "oracle": _oracle}
 
 
 def resolve_subroutine(subroutine: str | Subroutine) -> Subroutine:

@@ -1,12 +1,15 @@
 import math
+import re
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concurflow import generate_instance
-from concurflow.netmodel import branch_values, flow_value, is_feasible
+from concurflow.netmodel import Flow, branch_values, flow_value, is_feasible
 from concurflow.oracle import lp_grouped_max, lp_mmfp_exact, lp_mmfpb_exact
 from concurflow.packing import (
     _RENORM_SHIFT,
@@ -162,6 +165,19 @@ class TestDeterminism:
         assert result.iterations > 0
 
 
+def starved_cap(monkeypatch, cap):
+    """Make every packing run's iteration cap ``cap``."""
+    import concurflow.packing as packing
+
+    real = FptasConfig.for_run
+
+    def for_run(cls_eps, m):
+        cfg = real(cls_eps, m)
+        return FptasConfig(cfg.eps_user, cfg.eps_int, cfg.log_delta, cap)
+
+    monkeypatch.setattr(packing.FptasConfig, "for_run", for_run)
+
+
 class TestIterationGrowth:
     def test_quadratic_scaling_in_inverse_eps(self, diamond):
         caps = diamond.capacities()
@@ -177,15 +193,7 @@ class TestIterationGrowth:
         assert config.max_iterations > 12 / 0.1**2
 
     def test_iteration_cap_raises(self, monkeypatch, diamond):
-        import concurflow.packing as packing
-
-        real = FptasConfig.for_run
-
-        def starved(cls_eps, m):
-            cfg = real(cls_eps, m)
-            return FptasConfig(cfg.eps_user, cfg.eps_int, cfg.log_delta, 1)
-
-        monkeypatch.setattr(packing.FptasConfig, "for_run", starved)
+        starved_cap(monkeypatch, 1)
         with pytest.raises(PackingError):
             solve_mmfp(diamond, 0.2)
 
@@ -385,3 +393,72 @@ class TestReferenceLoop:
         # Slack for the simplex's rounding only.
         assert optimum <= result.upper * (1 + 1e-9)
         assert result.upper <= result.total * (1 + eps)
+
+
+@st.composite
+def grouped_cases(draw):
+    """Small raw grouped inputs: 2-5 edges, 1-3 groups of 1-3 paths, mixed bounds."""
+    caps = {f"e{i}": draw(st.floats(0.25, 2.0)) for i in range(draw(st.integers(2, 5)))}
+    path = st.lists(st.sampled_from(sorted(caps)), min_size=1, max_size=3, unique=True)
+    groups = draw(st.lists(st.lists(path.map(tuple), min_size=1, max_size=3), min_size=1, max_size=3))
+    bound = st.one_of(st.none(), st.floats(0.25, 2.0))
+    bounds = draw(st.lists(bound, min_size=len(groups), max_size=len(groups)))
+    return caps, groups, bounds, draw(st.sampled_from([0.2, 0.3, 0.5]))
+
+
+class TestStoppingEarly:
+    """With ``target``, a run stops once its full run is sure to end below it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=grouped_cases(), factor=st.floats(0.9, 1.3))
+    def test_full_run_or_a_stop_below_target(self, case, factor):
+        full = pack_paths(*case)
+        target = full.total * factor
+        result = pack_paths(*case, target=target)
+        if repr(result) != repr(full):
+            assert full.total < target and result.total < target
+            assert result.iterations < full.iterations
+            # Slack for the simplex's rounding only.
+            assert lp_grouped_max(*case[:3]).total <= result.upper * (1 + 1e-9)
+
+    @pytest.mark.parametrize("factor", [1.01, 1.05, 2.0])
+    def test_stops_short_of_an_unreachable_target(self, diamond, factor):
+        # The optimum is 1.6, about 1.2% above the full run's 1.5805, so a 1%
+        # higher target can stop only on the reach bound.
+        caps, groups, bounds = diamond.capacities(), diamond.edge_groups(), (0.7, 1.3)
+        full = pack_paths(caps, groups, bounds, 0.1)
+        optimum = lp_grouped_max(caps, groups, bounds).total
+        result = pack_paths(caps, groups, bounds, 0.1, target=full.total * factor)
+        assert result.iterations < full.iterations
+        assert result.total < full.total * factor
+        assert optimum <= result.upper * (1 + 1e-9)
+        assert is_feasible(Flow(diamond, result.values))
+
+    @pytest.mark.parametrize("eps, iterations", [(0.3, 416), (0.1, 3677)])
+    def test_cap_at_the_full_run_count(self, monkeypatch, diamond, eps, iterations):
+        # 416 is 13 blocks of 32 steps; 3677 ends 29 steps into a block.
+        caps, groups, bounds = diamond.capacities(), diamond.edge_groups(), (0.7, 1.3)
+        full = pack_paths(caps, groups, bounds, eps)
+        assert full.iterations == iterations
+        starved_cap(monkeypatch, iterations)
+        assert repr(pack_paths(caps, groups, bounds, eps)) == repr(full)
+        starved_cap(monkeypatch, iterations - 1)
+        with pytest.raises(PackingError, match=f"^packing exceeded {iterations - 1} iterations "):
+            pack_paths(caps, groups, bounds, eps)
+
+    def test_cap_message_reports_progress(self, monkeypatch, diamond):
+        caps, groups, bounds = diamond.capacities(), diamond.edge_groups(), (0.7, 1.3)
+        optimum = lp_grouped_max(caps, groups, bounds).total
+        starved_cap(monkeypatch, 1000)
+        with pytest.raises(PackingError) as raised:
+            pack_paths(caps, groups, bounds, 0.1)
+        match = re.fullmatch(
+            r"packing exceeded 1000 iterations \(m=7, eps=0\.1\): log-scale progress (\S+), "
+            r"scaled total (\S+), dual bound (\S+)",
+            str(raised.value),
+        )
+        assert match, str(raised.value)
+        progress, total, upper = map(float, match.groups())
+        # 1000 of the full run's 3677 steps.
+        assert 0.0 < progress < 1.0
+        assert 0.0 < total < optimum <= upper * (1 + 1e-9)

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under scripts/, each in its own interpreter."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -81,7 +82,10 @@ def test_byte_identity_diff_counts_what_differs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     proc = run_script("byte_identity.py", "--diff", str(a), str(a))
     assert proc.returncode == 0, proc.stderr
-    none = "system 0, lp_emcfpsc 0, solve_mmfpb 0, calls 0; solution lines differing: none"
+    none = (
+        "system 0, lp_emcfpsc 0, solve_mmfpb 0, calls 0; calls differing only in pack "
+        "iterations: 0 cases, 0 entries, 0 -> 0 iterations; solution lines differing: none"
+    )
     assert proc.stdout.splitlines() == [
         f"{name}: 1 cases in both, 0 in one only; cases differing in {none}"
         for name in ("corpus-oracle", "packing-fullrun")
@@ -97,10 +101,72 @@ def test_byte_identity_diff_counts_what_differs(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines() == [
         "corpus-oracle: 1 cases in both, 0 in one only; cases differing in system 0, "
-        "lp_emcfpsc 0, solve_mmfpb 0, calls 1; solution lines differing: subroutine_calls 1, flow 2",
+        "lp_emcfpsc 0, solve_mmfpb 0, calls 1; calls differing only in pack iterations: "
+        "0 cases, 0 entries, 0 -> 0 iterations; solution lines differing: subroutine_calls 1, flow 2",
         "packing-fullrun: 1 cases in both, 1 in one only; cases differing in system 0, "
-        "lp_emcfpsc 0, solve_mmfpb 1, calls 0; solution lines differing: none",
+        "lp_emcfpsc 0, solve_mmfpb 1, calls 0; calls differing only in pack iterations: "
+        "0 cases, 0 entries, 0 -> 0 iterations; solution lines differing: none",
     ]
+
+
+def test_byte_identity_diff_counts_pack_iterations(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ("--src", str(ROOT / "src"), "--seeds", "1", "--limit", "3", "--out", str(a))
+    proc = run_script("byte_identity.py", *args, "--workloads", "fptas-search")
+    assert proc.returncode == 0, proc.stderr
+    records = json.loads(a.read_text())
+    packs = [
+        [i for i, call in enumerate(record["calls"]) if call[0] == "pack"] for record in records
+    ]
+    assert all(len(found) >= 2 for found in packs)
+    # Fewer iterations in two pack entries of the first case; in the second,
+    # in one pack entry and one layout digest, which is not a pack-only change.
+    first, second = (record["calls"] for record in records[:2])
+    iterations = [first[i][1] for i in packs[0][:2]]
+    for i in packs[0][:2]:
+        first[i][1] -= 7
+    second[packs[1][0]][1] -= 7
+    layout = next(i for i, call in enumerate(second) if call[0] == "layout")
+    second[layout][1] = "0" * 64
+    b.write_text(json.dumps(records))
+    proc = run_script("byte_identity.py", "--diff", str(a), str(b))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "fptas-search: 3 cases in both, 0 in one only; cases differing in system 0, "
+        "lp_emcfpsc 0, solve_mmfpb 0, calls 2; calls differing only in pack iterations: "
+        f"1 cases, 2 entries, {sum(iterations)} -> {sum(iterations) - 14} iterations; "
+        "solution lines differing: none"
+    ]
+
+
+def load_byte_identity():
+    spec = importlib.util.spec_from_file_location("byte_identity", ROOT / "scripts" / "byte_identity.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("bound", [False, True])
+def test_byte_identity_records_what_solve_runs(monkeypatch, bound):
+    # ``bound``: a table of subroutines that holds pack_paths itself, as
+    # checkouts did before "fptas" looked the engine up at call time.
+    import concurflow.packing
+    import concurflow.solver
+    from concurflow.solver import solve
+    from conftest import t1_system
+
+    table = concurflow.solver._SUBROUTINES
+    if bound:
+        monkeypatch.setitem(table, "fptas", concurflow.packing.pack_paths)
+    saved = dict(table)
+    calls = []
+    with load_byte_identity().recording(calls):
+        report = solve(t1_system(), 0.25)
+    assert table == saved
+    assert (table["fptas"] is concurflow.packing.pack_paths) == bound
+    packs = [call for call in calls if call[0] == "pack"]
+    assert len(packs) == report.subroutine_calls
+    assert len(packs) == sum(call[0] == "layout" for call in calls)
 
 
 def test_ab_compare_runs_both_sides():

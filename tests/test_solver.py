@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import concurflow.generator
 import concurflow.netmodel
 from concurflow import generate_instance
 from concurflow.instance_io import Instance, parse_solution, serialize_solution
@@ -469,3 +470,38 @@ def test_resolve_subroutine_passthrough():
     fn = resolve_subroutine("oracle")
     assert callable(fn)
     assert resolve_subroutine(fn) is fn
+
+
+class TestDefaultStopsFailingCalls:
+    """``"fptas"`` stops a call once its full run is sure to fail the search's test."""
+
+    SHAPES = ((6, 9, 2, 4), (7, 11, 3, 4), (8, 13, 3, 5), (5, 8, 2, 5), (8, 14, 3, 6))
+
+    def test_solutions_equal_those_of_full_runs(self, monkeypatch):
+        import concurflow.packing as packing
+
+        real = packing.pack_paths
+        iterations = {True: 0, False: 0}  # by whether the call had a target
+
+        def counted(*args, **kwargs):
+            result = real(*args, **kwargs)
+            iterations["target" in kwargs] += result.iterations
+            return result
+
+        # "fptas" looks the engine up at call time, so the patch reaches solve.
+        monkeypatch.setattr(packing, "pack_paths", counted)
+        full_run = lambda c, g, b, e: packing.pack_paths(c, g, b, e)  # noqa: E731
+        instances = []
+        for seed in range(12):
+            shape = self.SHAPES[seed % len(self.SHAPES)]
+            try:
+                instances.append(generate_instance(seed, *shape, bound_range=(0.2, 0.6)))
+            except concurflow.generator.GenerationError:
+                pass
+        assert len(instances) >= 8
+        for instance in instances:
+            for eta in (0.2, 0.25):
+                default = solve(instance.path_system, eta)
+                full = solve(instance.path_system, eta, subroutine=full_run)
+                assert serialize_solution(default, instance) == serialize_solution(full, instance)
+        assert 0 < iterations[True] < iterations[False]
