@@ -43,15 +43,36 @@ longer than the current one, comes first; exact lengths confirm it, and a
 bound counts only when it is below ``target`` by a relative margin far
 above its rounding. A stopped run returns its flow so far, clipped and
 scaled like a full run's, with the dual bound as ``upper``; its total lies
-below ``target``, as the full run's would. A run that does not stop is the
-full run, bit for bit.
+below ``target``, as the full run's would.
+
+The pass side mirrors it. After the fail checks, a block also bounds the
+full run's total from below:
+
+- the flow so far over its worst load-to-capacity ratio, bound columns
+  included, is feasible, so its total ``F`` is at most the optimum;
+- each later step adds ``eps * f * alpha(l) <= eps * f * D(l) / OPT`` to
+  the dual objective ``D``, and the loop runs until ``D`` reaches its stop,
+  so the raw flow still to come is at least ``F * ln(stop / D) / eps``.
+  The log is taken in log space, from the stop's exponent, since the
+  stored stop is ``+inf`` until the lengths have renormalized far enough;
+- the raw flow so far plus that, scaled down, bounds the full run's
+  unclipped total, and the scaling makes that flow feasible, so the clip
+  only undoes rounding.
+
+As on the fail side, a cheap filter comes first: the same bound with the
+dual bound, which no feasible total exceeds, in place of ``F``. Once the
+exact bound reaches ``target`` by the same margin, the run pauses and
+returns a :class:`Passing`: the full run is sure to reach ``target``, and
+its flow is computed only if someone reads it. A run that neither stops
+nor pauses is the full run, bit for bit, and so is a paused run that is
+finished.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Generator, Hashable, Sequence
 
 import numpy as np
 
@@ -68,7 +89,7 @@ _STOP_MARGIN = 1e-9
 
 
 class PackingError(RuntimeError):
-    """Iteration cap exceeded, or a result short of its own dual bound."""
+    """Iteration cap exceeded, or a result that contradicts its dual bound or its early verdict."""
 
 
 @dataclass(frozen=True)
@@ -104,7 +125,7 @@ def pack_paths(
     eps: float,
     *,
     target: float | None = None,
-) -> GroupedResult:
+) -> GroupedResult | Passing:
     """Approximately maximize total value over grouped paths.
 
     ``groups[g]`` lists paths as sequences of edge keys into ``capacities``;
@@ -120,17 +141,77 @@ def pack_paths(
     scale (1 at the stop), the scaled total so far and the dual bound.
 
     With ``target``, the run stops as soon as the full run is sure to end
-    below it (see "Stopping early" above). A stopped run's result has its
-    iterations so far and a total below ``target``, or ``PackingError`` is
-    raised; a run that does not stop is the full run, bit for bit.
+    below it, and pauses as soon as the full run is sure to reach it (see
+    "Stopping early" above). A stopped run's result has its iterations so
+    far and a total below ``target``, or ``PackingError`` is raised. A
+    paused run comes back as a :class:`Passing` holding the iterations so
+    far; its ``finish()``, or reading any result field, runs the loop on to
+    the full run's result, bit for bit. A ``Passing`` that is never finished
+    never meets the iteration cap or the ``(1+eps)`` check; finishing it
+    runs both, and checks that its total did reach ``target``. A run that
+    neither stops nor pauses is the full run, bit for bit.
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
     problem = GroupedProblem.build(capacities, groups, bounds)
-    matrix = problem.matrix
-    if not matrix.a.shape[1]:
+    if not problem.matrix.a.shape[1]:
         return problem.result([], 0)
+    run = _run(problem, eps, target)
+    try:
+        least, iterations = next(run)
+    except StopIteration as done:
+        return done.value
+    return Passing(run, iterations, least)
 
+
+class Passing:
+    """A packing run paused once its full run is sure to reach its target.
+
+    ``iterations`` counts the steps run before the pause, and ``least`` is
+    the certified lower bound on the full run's total, at least the target.
+    ``finish()`` resumes the same loop and returns the full run's
+    ``GroupedResult``, bit for bit; it runs the loop once, however often it
+    is called. Any other result field (``values``, ``total``, ``upper``, ...)
+    is read from ``finish()``.
+    """
+
+    __slots__ = ("iterations", "least", "_run", "_result")
+
+    def __init__(self, run: Generator, iterations: int, least: float) -> None:
+        self.iterations = iterations
+        self.least = least
+        self._run = run
+        self._result: GroupedResult | None = None
+
+    def finish(self) -> GroupedResult:
+        if self._result is None:
+            if self._run is None:
+                raise PackingError("a paused packing run that failed to finish cannot be read")
+            run, self._run = self._run, None
+            try:
+                next(run)  # a resumed run never pauses again
+            except StopIteration as done:
+                self._result = done.value
+        return self._result
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):  # a slot not yet set, as during copying
+            raise AttributeError(name)
+        return getattr(self.finish(), name)
+
+    def __repr__(self) -> str:
+        return f"Passing(iterations={self.iterations}, least={self.least!r})"
+
+
+def _run(
+    problem: GroupedProblem, eps: float, target: float | None
+) -> Generator[tuple[float, int], None, GroupedResult]:
+    """The packing loop of :func:`pack_paths`, as a generator that returns its result.
+
+    With ``target``, it yields ``(least, iterations)`` once, when it pauses,
+    and checks no bound after that.
+    """
+    matrix = problem.matrix
     # Columns: the real edges, then one virtual bound edge per bounded group
     # that keeps a path.
     has_paths = matrix.g.any(axis=1)
@@ -161,8 +242,12 @@ def pack_paths(
     shifts = 0
     renorm_cut = 2.0**_RENORM_SHIFT
 
+    def log_stop() -> float:
+        """The log of the stop at the stored scale, finite where the stop is not."""
+        return theta - shifts * (_RENORM_SHIFT * math.log(2.0))
+
     def threshold() -> float:
-        exponent = theta - shifts * (_RENORM_SHIFT * math.log(2.0))
+        exponent = log_stop()
         return math.exp(exponent) if exponent < 700.0 else math.inf
 
     scale_down = math.log((1.0 + eps_int) * m) / (eps_int * math.log1p(eps_int))
@@ -171,6 +256,7 @@ def pack_paths(
     stop_at = threshold()
     iterations = 0
     stopped = False
+    certified = None  # the target a paused run was sure to reach
     while dual < stop_at:
         if iterations >= cap:
             progress = (math.log(dual) + shifts * _RENORM_SHIFT * math.log(2.0)) / theta
@@ -198,7 +284,8 @@ def pack_paths(
             # Filter on the last step's lengths, then confirm on exact ones.
             # The raw flow so far plus the final step's most; the steps
             # before it add at most to_go / (eps_int * shortest).
-            raw_most, to_go = sum(raw) + last_step, stop_at - dual
+            so_far = sum(raw)
+            raw_most, to_go = so_far + last_step, stop_at - dual
             shortest = path_len.min().item()
             bound = min(dual / shortest, (raw_most + to_go / (eps_int * shortest)) / scale_down)
             if bound * (1.0 + _STOP_MARGIN) < target:
@@ -208,6 +295,17 @@ def pack_paths(
                 if bound * (1.0 + _STOP_MARGIN) < target:
                     stopped = True
                     break
+            # The pass bound: the flow so far plus at least F * ln(stop / D) /
+            # eps_int still to come, for a feasible total F. A filter with the
+            # dual bound, which no feasible total exceeds, in F's place comes first.
+            if (so_far + dual / shortest * (log_stop() - math.log(dual)) / eps_int) / scale_down >= target:
+                congestion = (np.array(raw) @ incidence / cap_arr).max().item()
+                feasible = so_far / congestion * (1.0 - _STOP_MARGIN)
+                log_to_go = log_stop() - math.log(max(dual, float(cap_arr @ length)))
+                least = (so_far + feasible * log_to_go / eps_int) / scale_down
+                if least >= target * (1.0 + _STOP_MARGIN):
+                    yield least, iterations
+                    certified, target = target, None
 
     upper = _dual_bound(cap_arr, incidence, length)
     values = np.array(raw) / scale_down
@@ -229,6 +327,8 @@ def pack_paths(
         raise PackingError(
             f"packing total {result.total} is below its dual bound {upper} / (1 + {eps})"
         )
+    elif certified is not None and result.total < certified:
+        raise PackingError(f"packing paused as sure to reach {certified}, but ended at {result.total}")
     return result
 
 

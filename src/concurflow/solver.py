@@ -26,9 +26,12 @@ bounds change between the calls of one search, so its calls all reuse one
 compiled path system: ``PathSystem.grouped``, or the auxiliary groups.
 Each search call asks one question, whether the total reaches
 ``sum(bounds)/(1+eps)``, so the default subroutine hands the packing loop
-that target: a call whose full run is sure to fall short stops early (see
-``packing``), and a call that passes is a full run. Levels, call counts and
-flows are those of full runs.
+that target (see ``packing``). A call whose full run is sure to fall short
+stops early, and a call whose full run is sure to pass pauses and comes
+back as a ``packing.Passing``. A search reads a pause as a pass without
+its total and keeps only its last passing call, whose values it reads once,
+when it ends; so only that call's loop runs to its end. Levels, call
+counts and flows are those of full runs.
 """
 
 from __future__ import annotations
@@ -61,16 +64,20 @@ BELOW_TOL = 1e-12
 # ``GroupedPaths`` as ``groups`` and its ``capacities`` snapshot beside it,
 # so the engines reuse its compiled columns on every call. A search reads
 # only whether the total reaches ``sum(bounds)/(1+eps)`` (less
-# ``BELOW_TOL``), and keeps the flow of a call that does.
+# ``BELOW_TOL``), and keeps the flow of the last call that does. A
+# ``packing.Passing`` may stand for the result: the search takes its
+# certified ``least`` as the verdict and reads its flow only if it keeps it.
 Subroutine = Callable[[Mapping, Sequence, list, float], GroupedResult]
 
 
-def _fptas(capacities: Mapping, groups: Sequence, bounds: list, eps: float) -> GroupedResult:
-    """The packing engine, stopped once its full run is sure to fail the search's test.
+def _fptas(
+    capacities: Mapping, groups: Sequence, bounds: list, eps: float
+) -> GroupedResult | packing.Passing:
+    """The packing engine, stopped or paused once its full run's verdict is sure.
 
-    A call that passes is the full run, and one that stops is below the
-    test as the full run would be, so the searches see the full runs'
-    verdicts and flows.
+    A call that stops is below the test as the full run would be, and one
+    that pauses finishes as the full run, so the searches see the full
+    runs' verdicts and flows.
     """
     target = sum(bounds) / (1.0 + eps) - BELOW_TOL
     return packing.pack_paths(capacities, groups, bounds, eps, target=target)
@@ -94,6 +101,17 @@ def resolve_subroutine(subroutine: str | Subroutine) -> Subroutine:
         raise ValueError(
             f"unknown subroutine {subroutine!r}; expected one of {sorted(_SUBROUTINES)}"
         ) from None
+
+
+def _passes(result: GroupedResult | packing.Passing, target: float) -> bool:
+    """Whether a call's total reaches a search's ``target``, less ``BELOW_TOL``.
+
+    A paused packing run answers from its certified lower bound, so its
+    loop does not run on; only a bound short of ``target`` reads the total.
+    """
+    if isinstance(result, packing.Passing) and result.least >= target - BELOW_TOL:
+        return True
+    return result.total >= target - BELOW_TOL
 
 
 def _check_bounds(bounds: Sequence[float]) -> None:
@@ -135,7 +153,7 @@ def find_lstar(
     """
     run = resolve_subroutine(subroutine)
     paths = system.grouped
-    values = tuple((0.0,) * size for size in paths.sizes)
+    passed = None
     calls = 0
     l = 0
     while True:
@@ -146,10 +164,10 @@ def find_lstar(
         scaled = [scale * b for b in bounds]
         result = run(paths.capacities, paths, scaled, eps)
         calls += 1
-        target = sum(scaled) / (1.0 + eps)
-        if result.total < target - BELOW_TOL:
+        if not _passes(result, sum(scaled) / (1.0 + eps)):
             break
-        values = result.values
+        passed = result
+    values = tuple((0.0,) * size for size in paths.sizes) if passed is None else passed.values
     return LstarResult(l, calls, values)
 
 
@@ -247,9 +265,9 @@ def find_hstar(
         calls += 1
     elif [len(group) for group in start] != [len(group) for group in aux.base.paths]:
         raise ValueError("start must hold one value per path of each commodity")
-    values = (*start, (0.0,) * aux.base.path_count)
     caps, groups = aux.capacities, aux.groups
     sum_dedicated = sum(aux.dedicated_bounds)
+    passed = None
     h = 0
     while True:
         h += 1
@@ -258,10 +276,10 @@ def find_hstar(
             break
         result = run(caps, groups, [*aux.dedicated_bounds, budget], eps)
         calls += 1
-        target = (sum_dedicated + budget) / (1.0 + eps)
-        if result.total < target - BELOW_TOL:
+        if not _passes(result, (sum_dedicated + budget) / (1.0 + eps)):
             break
-        values = result.values
+        passed = result
+    values = (*start, (0.0,) * aux.base.path_count) if passed is None else passed.values
     return HstarResult(h, values, calls)
 
 

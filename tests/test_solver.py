@@ -505,3 +505,56 @@ class TestDefaultStopsFailingCalls:
                 full = solve(instance.path_system, eta, subroutine=full_run)
                 assert serialize_solution(default, instance) == serialize_solution(full, instance)
         assert 0 < iterations[True] < iterations[False]
+
+
+class TestDefaultPausesPassingCalls:
+    """``"fptas"`` pauses a call once its full run is sure to pass; a search finishes only the pass it keeps."""
+
+    # Default-bound instances at eta 0.25 where both searches pass at least twice.
+    WIDE = ((0, (6, 9, 2, 4)), (3, (6, 9, 2, 4)), (1, (7, 11, 3, 4)))
+
+    def test_solutions_equal_those_of_full_runs(self, monkeypatch):
+        import concurflow.packing as packing
+
+        real, finish = packing.pack_paths, packing.Passing.finish
+        calls, finished = [], set()
+
+        def recorded(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((args[1], result))
+            return result
+
+        def finishing(self):
+            finished.add(id(self))
+            return finish(self)
+
+        monkeypatch.setattr(packing, "pack_paths", recorded)
+        monkeypatch.setattr(packing.Passing, "finish", finishing)
+        full_run = lambda c, g, b, e: real(c, g, b, e)  # noqa: E731
+        cases = []
+        for seed in range(12):
+            shape = TestDefaultStopsFailingCalls.SHAPES[seed % 5]
+            try:
+                instance = generate_instance(seed, *shape, bound_range=(0.2, 0.6))
+            except concurflow.generator.GenerationError:
+                continue
+            cases += [(instance, 0.2, False), (instance, 0.25, False)]
+        cases += [(generate_instance(seed, *shape), 0.25, True) for seed, shape in self.WIDE]
+        assert len(cases) >= 19
+        for instance, eta, wide in cases:
+            calls.clear()  # ``calls`` keeps this case's results alive, so their ids stay unique
+            finished.clear()
+            default = solve(instance.path_system, eta)
+            full = solve(instance.path_system, eta, subroutine=full_run)
+            assert serialize_solution(default, instance) == serialize_solution(full, instance)
+            if wide:
+                assert default.l_star >= 3 and default.h_star >= 3
+            outer = [r for g, r in calls if g is instance.path_system.grouped]
+            inner = [r for g, r in calls if g is not instance.path_system.grouped]
+            for search in (outer, inner):
+                paused = [r for r in search if isinstance(r, packing.Passing)]
+                done = [r for r in paused if id(r) in finished]
+                # Only the last pass, whose flow the search keeps, may run to its end.
+                assert done in ([], paused[-1:])
+                if wide:
+                    assert len(done) < len(paused)
