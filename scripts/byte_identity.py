@@ -13,10 +13,12 @@ For every case of the four perfbench workloads (or those named with
   and flow values);
 - ``mmfpb`` workloads: the ``repr`` of the ``solve_mmfpb`` values;
 - every ``solve_lp`` call the case makes, as its pivot count and a digest
-  of the bytes of ``x``; the ``iterations`` of every ``pack_paths`` call;
-  and the layout of every engine call, taken from ``GroupedProblem.build``,
-  as a digest of the matrix ``edges``, the bytes of ``caps``, ``a`` and
-  ``g`` (with their shapes) and ``keep``.
+  of the bytes of ``x``; the ``iterations`` of every ``pack_paths`` call
+  (a paused run's steps before its pause); the steps that finishing each
+  paused run adds, one ``finish`` entry where the loop runs on; and the
+  layout of every engine call, taken from ``GroupedProblem.build``, as a
+  digest of the matrix ``edges``, the bytes of ``caps``, ``a`` and ``g``
+  (with their shapes) and ``keep``.
 
 The cases come from ``perfbench/workloads.py`` of this checkout, imported
 read-only; the program comes from ``--src``. So the check of a change
@@ -29,9 +31,11 @@ When the files differ, ``--diff`` says where:
 
 prints, per workload, the cases whose ``system``, ``lp_emcfpsc``,
 ``solve_mmfpb`` or call list differ; of the differing call lists, those
-that differ only in the iterations of ``pack`` entries, with the number of
-such entries and their iterations on each side; and the solution lines
-that differ, counted by their first word. It exits 1 when anything differs.
+that differ only in the steps of ``pack`` and ``finish`` entries, with the
+number of such ``pack`` entries and their iterations on each side; the
+``finish`` entries of the cases in both files and their steps, on each
+side; and the solution lines that differ, counted by their first word. It
+exits 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -81,14 +85,16 @@ def system_digest(system) -> str:
 
 @contextmanager
 def recording(calls: list):
-    """Append one entry to ``calls`` per ``solve_lp``, ``pack_paths`` and layout.
+    """Append one entry to ``calls`` per ``solve_lp``, ``pack_paths``, finish and layout.
 
     ``oracle``, ``solve_mmfpb`` and ``solve``'s named subroutines look both
     names up at call time, so what ``solve`` runs is recorded, early stops
     included. A checkout whose ``solve`` binds ``pack_paths`` itself into its
     table of subroutines gets that entry replaced too. Both engines read
     their input through ``GroupedProblem.build``, a classmethod patched on
-    the class.
+    the class. ``packing.Passing.finish``, where a checkout has it, is
+    patched on its class too, and records the steps it adds when it runs the
+    loop on; a finish that returns a kept result or raises records nothing.
     """
     import concurflow.netmodel
     import concurflow.oracle
@@ -116,11 +122,23 @@ def recording(calls: list):
         calls.append(["pack", result.iterations])
         return result
 
+    passing = getattr(concurflow.packing, "Passing", None)
+    finish = passing and passing.finish
+
+    def finishing(self):
+        runs_on = self._result is None  # not yet finished, or about to raise again
+        result = finish(self)
+        if runs_on:
+            calls.append(["finish", result.iterations - self.iterations])
+        return result
+
     table = concurflow.solver._SUBROUTINES
     saved = dict(table)
     concurflow.oracle.solve_lp = lp
     concurflow.packing.pack_paths = pack
     problem_class.build = classmethod(layout)
+    if passing:
+        passing.finish = finishing
     if table.get("fptas") is pack_paths:
         table["fptas"] = pack
     try:
@@ -129,6 +147,8 @@ def recording(calls: list):
         concurflow.oracle.solve_lp = solve_lp
         concurflow.packing.pack_paths = pack_paths
         problem_class.build = build
+        if passing:
+            passing.finish = finish
         table.update(saved)
 
 
@@ -154,10 +174,10 @@ def case_record(workload, case) -> dict:
     return {"case": case.key, "system": parsed, **outputs, "calls": calls}
 
 
-def pack_pairs(a: list, b: list) -> list[tuple[list, list]]:
-    """The differing entry pairs of two call lists if all are ``pack`` entries, else none."""
+def step_pairs(a: list, b: list) -> list[tuple[list, list]]:
+    """The differing entry pairs of two call lists if all are ``pack`` or ``finish`` pairs, else none."""
     pairs = [(x, y) for x, y in zip(a, b) if x != y]
-    if len(a) != len(b) or not all(x[0] == y[0] == "pack" for x, y in pairs):
+    if len(a) != len(b) or not all(x[0] == y[0] in ("pack", "finish") for x, y in pairs):
         return []
     return pairs
 
@@ -172,18 +192,24 @@ def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
         keys = [key for key in {**a_cases, **b_cases} if key[0] == workload]
         shared = [key for key in keys if key in a_cases and key in b_cases]
         counts = dict.fromkeys(fields, 0)
-        packs = [0, 0, 0, 0]  # cases, entries, iterations in a, in b
+        packs = [0, 0, 0, 0]  # cases, pack entries, iterations in a, in b
+        finishes = [0, 0, 0, 0]  # entries in a, in b, steps in a, in b
         words: dict[str, int] = {}
         for key in shared:
             ra, rb = a_cases[key], b_cases[key]
             for field in fields:
                 counts[field] += ra.get(field) != rb.get(field)
-            pairs = pack_pairs(ra["calls"], rb["calls"])
+            pairs = step_pairs(ra["calls"], rb["calls"])
             if pairs:
+                packed = [(x, y) for x, y in pairs if x[0] == "pack"]
                 packs[0] += 1
-                packs[1] += len(pairs)
-                packs[2] += sum(x[1] for x, _ in pairs)
-                packs[3] += sum(y[1] for _, y in pairs)
+                packs[1] += len(packed)
+                packs[2] += sum(x[1] for x, _ in packed)
+                packs[3] += sum(y[1] for _, y in packed)
+            for side, record in enumerate((ra, rb)):
+                steps = [call[1] for call in record["calls"] if call[0] == "finish"]
+                finishes[side] += len(steps)
+                finishes[2 + side] += sum(steps)
             texts = (ra.get("solution", ""), rb.get("solution", ""))
             for la, lb in zip_longest(*(text.splitlines() for text in texts), fillvalue=""):
                 if la != lb:
@@ -195,8 +221,9 @@ def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
         solution = ", ".join(f"{word} {count}" for word, count in words.items()) or "none"
         lines.append(
             f"{workload}: {len(shared)} cases in both, {only} in one only; "
-            f"cases differing in {parts}; calls differing only in pack iterations: "
-            f"{packs[0]} cases, {packs[1]} entries, {packs[2]} -> {packs[3]} iterations; "
+            f"cases differing in {parts}; calls differing only in pack or finish steps: "
+            f"{packs[0]} cases, {packs[1]} pack entries, {packs[2]} -> {packs[3]} iterations; "
+            f"finish entries: {finishes[0]} -> {finishes[1]}, {finishes[2]} -> {finishes[3]} steps; "
             f"solution lines differing: {solution}"
         )
     return lines, differs

@@ -16,9 +16,16 @@ sandwiched by closed-form functions of ``l_star``, ``h_star`` and ``eta``.
 The inner search needs no call of its own at budget 0: there the
 auxiliary problem is the outer search's last passing call, with the
 dedicated copies carrying its values and the overflow copy nothing, so
-``solve`` hands that flow from one search to the other. It meets the
+``solve`` hands that call from one search to the other. Its flow meets the
 dedicated bounds and passed the outer test at level ``l_star - 1``, all
 that the value and ratio floors ask of the result when ``h_star = 1``.
+When no overflow capacity is left (every ``b_i`` is met in full by its
+dedicated share, as when ``(l_star - 1) * eta`` is exactly 1), the
+overflow copy can carry nothing at any budget, so that same call answers
+every budget and the inner search makes no call at all. A failing
+budget's certificate is then that call's own contract, its total at least
+the optimum over ``1+eps``. The call's flow is read only by the search
+that keeps it.
 
 The subroutine is the packing approximation by default; an exact LP
 subroutine can be substituted for deterministic trace tests. Only the
@@ -29,9 +36,11 @@ Each search call asks one question, whether the total reaches
 that target (see ``packing``). A call whose full run is sure to fall short
 stops early, and a call whose full run is sure to pass pauses and comes
 back as a ``packing.Passing``. A search reads a pause as a pass without
-its total and keeps only its last passing call, whose values it reads once,
-when it ends; so only that call's loop runs to its end. Levels, call
-counts and flows are those of full runs.
+its total and keeps only its last passing call, whose values are read
+once, when the inner search returns them; so only the call whose flow is
+returned runs to its end, and the outer search's last pass is not
+finished when the inner search keeps a later budget. Levels, call counts
+and flows are those of full runs.
 """
 
 from __future__ import annotations
@@ -132,9 +141,26 @@ def compute_epsilon(eta: float, bounds: Sequence[float]) -> float:
 class LstarResult:
     l_star: int
     calls: int
-    # Per-path values of the last passing call, level ``l_star - 1``; all
-    # zeros when no level passed, as the engines return under zero bounds.
-    values: tuple[tuple[float, ...], ...]
+    # The last passing call, level ``l_star - 1``, as the subroutine returned
+    # it, so a paused packing run stays paused until its values are read;
+    # None when no level passed.
+    last: GroupedResult | packing.Passing | None
+    # Paths per commodity, the shape of ``values``.
+    sizes: tuple[int, ...]
+
+    @property
+    def values(self) -> tuple[tuple[float, ...], ...]:
+        """Per-path values of the last passing call, read on demand.
+
+        All zeros when no level passed, as the engines return under zero bounds.
+        """
+        return _values(self.last, self.sizes)
+
+
+def _values(result: GroupedResult | packing.Passing | None, sizes: Sequence[int]) -> tuple:
+    if result is None:
+        return tuple((0.0,) * size for size in sizes)
+    return result.values
 
 
 def find_lstar(
@@ -149,7 +175,8 @@ def find_lstar(
     Stops at the first l >= 1 with ``l * eta > 1`` (no subroutine call) or
     with subroutine value strictly below ``sum(l*eta*b) / (1+eps)``.
     Returns the terminal l, the number of subroutine calls made and the
-    flow of the last level that passed.
+    last level's passing call, whose flow is read only if someone asks for
+    ``values``.
     """
     run = resolve_subroutine(subroutine)
     paths = system.grouped
@@ -167,8 +194,7 @@ def find_lstar(
         if not _passes(result, sum(scaled) / (1.0 + eps)):
             break
         passed = result
-    values = tuple((0.0,) * size for size in paths.sizes) if passed is None else passed.values
-    return LstarResult(l, calls, values)
+    return LstarResult(l, calls, passed, paths.sizes)
 
 
 @dataclass(frozen=True)
@@ -242,7 +268,7 @@ def find_hstar(
     eps: float,
     sum_b0: float,
     subroutine: str | Subroutine = "fptas",
-    start: Sequence[Sequence[float]] | None = None,
+    start: LstarResult | None = None,
 ) -> HstarResult:
     """Inner search: first overflow budget the auxiliary value cannot keep up with.
 
@@ -250,22 +276,29 @@ def find_hstar(
     value strictly below ``(sum(dedicated bounds) + h*eta) / (1+eps)``;
     returns the flow of the last passing budget. At budget 0 the auxiliary
     problem is the base system's under the dedicated bounds, the outer
-    search's call at level ``l_star - 1``, so its flow, ``start`` (per-path
-    values of the base groups, ``LstarResult.values``), is the result when
-    the very first budget fails: the dedicated copies carry it and the
-    overflow copy carries zeros; a ``start`` of another shape raises
+    search's call at level ``l_star - 1``. So ``start``, the outer search
+    ``aux`` was built from, answers budget 0: its flow is the result when
+    the very first budget fails, the dedicated copies carrying it and the
+    overflow copy zeros. A ``start`` shaped unlike ``aux.base`` raises
     ``ValueError``. Without ``start`` one counted call on
     ``aux.base.grouped`` computes it.
+
+    When every overflow sink has capacity 0, no overflow path carries flow,
+    so every budget's problem is budget 0's: each budget is answered from
+    that one result, with no call, and the flow is always its flow. Its
+    values are read only when they are returned.
     """
     run = resolve_subroutine(subroutine)
-    calls = 0
+    base = aux.base.grouped
     if start is None:
-        base = aux.base.grouped
-        start = run(base.capacities, base, list(aux.dedicated_bounds), eps).values
-        calls += 1
-    elif [len(group) for group in start] != [len(group) for group in aux.base.paths]:
-        raise ValueError("start must hold one value per path of each commodity")
+        last = run(base.capacities, base, list(aux.dedicated_bounds), eps)
+        calls = 1
+    elif start.sizes != base.sizes:
+        raise ValueError("start must be an outer search of a system shaped like aux.base")
+    else:
+        last, calls = start.last, 0
     caps, groups = aux.capacities, aux.groups
+    no_overflow = all(caps["ovf", i] == 0.0 for i in range(1, aux.base.k + 1))
     sum_dedicated = sum(aux.dedicated_bounds)
     passed = None
     h = 0
@@ -274,12 +307,18 @@ def find_hstar(
         budget = h * eta
         if budget > sum_b0:
             break
-        result = run(caps, groups, [*aux.dedicated_bounds, budget], eps)
-        calls += 1
+        if no_overflow:
+            result = last
+        else:
+            result = run(caps, groups, [*aux.dedicated_bounds, budget], eps)
+            calls += 1
         if not _passes(result, (sum_dedicated + budget) / (1.0 + eps)):
             break
         passed = result
-    values = (*start, (0.0,) * aux.base.path_count) if passed is None else passed.values
+    if passed is None or no_overflow:
+        values = (*_values(last, base.sizes), (0.0,) * aux.base.path_count)
+    else:
+        values = passed.values
     return HstarResult(h, values, calls)
 
 
@@ -341,7 +380,7 @@ def solve(
 
     outer = find_lstar(system, bounds0, eta, eps, run)
     aux = build_auxiliary(system, bounds0, outer.l_star, eta)
-    inner = find_hstar(aux, eta, eps, sum(bounds0), run, start=outer.values)
+    inner = find_hstar(aux, eta, eps, sum(bounds0), run, start=outer)
     flow = project_flow(inner.aux_values, aux)
 
     sum_b = sum(bounds0)

@@ -83,8 +83,9 @@ def test_byte_identity_diff_counts_what_differs(tmp_path):
     proc = run_script("byte_identity.py", "--diff", str(a), str(a))
     assert proc.returncode == 0, proc.stderr
     none = (
-        "system 0, lp_emcfpsc 0, solve_mmfpb 0, calls 0; calls differing only in pack "
-        "iterations: 0 cases, 0 entries, 0 -> 0 iterations; solution lines differing: none"
+        "system 0, lp_emcfpsc 0, solve_mmfpb 0, calls 0; calls differing only in pack or finish "
+        "steps: 0 cases, 0 pack entries, 0 -> 0 iterations; finish entries: 0 -> 0, 0 -> 0 steps; "
+        "solution lines differing: none"
     )
     assert proc.stdout.splitlines() == [
         f"{name}: 1 cases in both, 0 in one only; cases differing in {none}"
@@ -99,13 +100,16 @@ def test_byte_identity_diff_counts_what_differs(tmp_path):
     b.write_text(json.dumps(records + [{**packing, "seed": 2}]))
     proc = run_script("byte_identity.py", "--diff", str(a), str(b))
     assert proc.returncode == 1, proc.stderr
+    no_steps = (
+        "calls differing only in pack or finish steps: 0 cases, 0 pack entries, 0 -> 0 iterations; "
+        "finish entries: 0 -> 0, 0 -> 0 steps"
+    )
     assert proc.stdout.splitlines() == [
         "corpus-oracle: 1 cases in both, 0 in one only; cases differing in system 0, "
-        "lp_emcfpsc 0, solve_mmfpb 0, calls 1; calls differing only in pack iterations: "
-        "0 cases, 0 entries, 0 -> 0 iterations; solution lines differing: subroutine_calls 1, flow 2",
+        f"lp_emcfpsc 0, solve_mmfpb 0, calls 1; {no_steps}; "
+        "solution lines differing: subroutine_calls 1, flow 2",
         "packing-fullrun: 1 cases in both, 1 in one only; cases differing in system 0, "
-        "lp_emcfpsc 0, solve_mmfpb 1, calls 0; calls differing only in pack iterations: "
-        "0 cases, 0 entries, 0 -> 0 iterations; solution lines differing: none",
+        f"lp_emcfpsc 0, solve_mmfpb 1, calls 0; {no_steps}; solution lines differing: none",
     ]
 
 
@@ -119,22 +123,28 @@ def test_byte_identity_diff_counts_pack_iterations(tmp_path):
         [i for i, call in enumerate(record["calls"]) if call[0] == "pack"] for record in records
     ]
     assert all(len(found) >= 2 for found in packs)
-    # Fewer iterations in two pack entries of the first case; in the second,
-    # in one pack entry and one layout digest, which is not a pack-only change.
+    finishes = [call[1] for record in records for call in record["calls"] if call[0] == "finish"]
+    assert finishes and all(steps > 0 for steps in finishes)
+    # Fewer iterations in two pack entries of the first case, and 7 more
+    # steps in one of its finish entries; in the second, fewer in one pack
+    # entry and a new layout digest, which is not a step-only change.
     first, second = (record["calls"] for record in records[:2])
     iterations = [first[i][1] for i in packs[0][:2]]
     for i in packs[0][:2]:
         first[i][1] -= 7
+    next(call for call in first if call[0] == "finish")[1] += 7
     second[packs[1][0]][1] -= 7
     layout = next(i for i, call in enumerate(second) if call[0] == "layout")
     second[layout][1] = "0" * 64
     b.write_text(json.dumps(records))
     proc = run_script("byte_identity.py", "--diff", str(a), str(b))
     assert proc.returncode == 1, proc.stderr
+    count, steps = len(finishes), sum(finishes)
     assert proc.stdout.splitlines() == [
         "fptas-search: 3 cases in both, 0 in one only; cases differing in system 0, "
-        "lp_emcfpsc 0, solve_mmfpb 0, calls 2; calls differing only in pack iterations: "
-        f"1 cases, 2 entries, {sum(iterations)} -> {sum(iterations) - 14} iterations; "
+        "lp_emcfpsc 0, solve_mmfpb 0, calls 2; calls differing only in pack or finish steps: "
+        f"1 cases, 2 pack entries, {sum(iterations)} -> {sum(iterations) - 14} iterations; "
+        f"finish entries: {count} -> {count}, {steps} -> {steps + 7} steps; "
         "solution lines differing: none"
     ]
 
@@ -167,6 +177,25 @@ def test_byte_identity_records_what_solve_runs(monkeypatch, bound):
     packs = [call for call in calls if call[0] == "pack"]
     assert len(packs) == report.subroutine_calls
     assert len(packs) == sum(call[0] == "layout" for call in calls)
+
+
+def test_byte_identity_records_each_finish_once():
+    import concurflow.packing as packing
+    from conftest import t1_system
+
+    paths = t1_system().grouped
+    args = (paths.capacities, paths, [1.0, 2.0], 0.1)
+    full = packing.pack_paths(*args)
+    finish, calls = packing.Passing.finish, []
+    with load_byte_identity().recording(calls):
+        paused = packing.pack_paths(*args, target=0.9 * full.total)
+        assert isinstance(paused, packing.Passing)
+        assert calls == [calls[0], ["pack", paused.iterations]]
+        # The loop runs on once, whether read through finish() or a field.
+        assert paused.values == paused.finish().values == full.values
+    assert packing.Passing.finish is finish
+    assert calls[1:] == [["pack", paused.iterations], ["finish", full.iterations - paused.iterations]]
+    assert calls[0][0] == "layout" and 0 < paused.iterations < full.iterations
 
 
 def test_ab_compare_runs_both_sides():

@@ -10,6 +10,8 @@ from concurflow.netmodel import GroupedPaths, PathMatrix, branch_values, flow_va
 from concurflow.oracle import lp_emcfpsc, lp_grouped_max, lp_mmfp_exact, lp_mmfpb_exact
 from concurflow.packing import solve_mmfp, solve_mmfpb
 from concurflow.solver import (
+    BELOW_TOL,
+    LstarResult,
     build_auxiliary,
     compute_epsilon,
     find_hstar,
@@ -186,13 +188,21 @@ class TestInnerSearch:
     def test_misshapen_start_rejected(self, t1):
         aux = build_auxiliary(t1, (1.0, 2.0), 3, 0.1)
         eps = compute_epsilon(0.1, (1.0, 2.0))
-        for start in (((0.1,),), ((0.1,), ()), ((0.1,), (0.2,), (0.0, 0.0))):
-            with pytest.raises(ValueError, match="one value per path of each commodity"):
+        # An outer search of a system with other paths per commodity than t1's.
+        for sizes in ((1,), (1, 0), (1, 1, 2)):
+            start = LstarResult(3, 2, None, sizes)
+            with pytest.raises(ValueError, match="^start must be an outer search of a system shaped like aux.base$"):
                 find_hstar(aux, 0.1, eps, 3.0, "oracle", start=start)
 
 
 def generated_system(seed):
     return generate_instance(seed, 6, 9, 2, 3, bound_range=(0.2, 0.6)).path_system
+
+
+def no_overflow_left(system, report):
+    """Whether every overflow sink of the solve's auxiliary network has capacity 0."""
+    aux = build_auxiliary(system, report.bounds0, report.l_star, report.eta)
+    return all(aux.capacities["ovf", i] == 0.0 for i in range(1, system.k + 1))
 
 
 def start_cases():
@@ -212,6 +222,7 @@ class TestInnerStart:
 
     def test_solve_makes_no_call_at_budget_zero(self, engine):
         run = resolve_subroutine(engine)
+        closed_cases = 0
         for system, eta in start_cases():
             outer, inner = [], []
 
@@ -227,9 +238,14 @@ class TestInnerStart:
             # One call per level l with l * eta <= 1, and none on the base
             # system for budget 0.
             assert len(outer) == report.l_star - (report.l_star * eta > 1.0)
-            assert inner
-            assert inner == [h * eta for h in range(1, len(inner) + 1)]
-            assert len(inner) in (report.h_star - 1, report.h_star)
+            # None at all when no overflow capacity is left (TestNoOverflowLeft).
+            closed = no_overflow_left(system, report)
+            assert (not inner) == closed
+            closed_cases += closed
+            if not closed:
+                assert inner == [h * eta for h in range(1, len(inner) + 1)]
+                assert len(inner) in (report.h_star - 1, report.h_star)
+        assert 0 < closed_cases < len(start_cases())
 
     @pytest.mark.parametrize("seed, eta", HSTAR_ONE)
     def test_hstar_one_flow_is_the_outer_flow(self, engine, seed, eta):
@@ -252,7 +268,7 @@ class TestInnerStart:
             eps = compute_epsilon(eta, bounds)
             outer = find_lstar(system, bounds, eta, eps, engine)
             aux = build_auxiliary(system, bounds, outer.l_star, eta)
-            given = find_hstar(aux, eta, eps, sum(bounds), engine, start=outer.values)
+            given = find_hstar(aux, eta, eps, sum(bounds), engine, start=outer)
             computed = find_hstar(aux, eta, eps, sum(bounds), engine)
             assert repr(computed.aux_values) == repr(given.aux_values)
             assert computed.h_star == given.h_star
@@ -267,6 +283,89 @@ class TestInnerStart:
         base = t1.grouped
         zero = resolve_subroutine(engine)(base.capacities, base, [0.0, 0.0], eps)
         assert repr(zero.values) == repr(outer.values)
+
+
+def calling_levels(system, eta, run):
+    """``(l_star, h_star)`` of searches that call ``run`` at every level and every budget."""
+    bounds = system.network.bounds()
+    eps = compute_epsilon(eta, bounds)
+    base = system.grouped
+    l = 1
+    while l * eta <= 1.0:
+        scaled = [l * eta * b for b in bounds]
+        if run(base.capacities, base, scaled, eps).total < sum(scaled) / (1.0 + eps) - BELOW_TOL:
+            break
+        l += 1
+    aux = build_auxiliary(system, bounds, l, eta)
+    dedicated = list(aux.dedicated_bounds)
+    h = 1
+    while h * eta <= sum(bounds):
+        result = run(aux.capacities, aux.groups, [*dedicated, h * eta], eps)
+        if result.total < (sum(dedicated) + h * eta) / (1.0 + eps) - BELOW_TOL:
+            break
+        h += 1
+    return l, h
+
+
+class TestNoOverflowLeft:
+    """With no overflow capacity left, the outer search's last pass answers every budget."""
+
+    @pytest.mark.parametrize("engine", ["oracle", "fptas"])
+    def test_inner_search_makes_no_call(self, engine):
+        run = resolve_subroutine(engine)
+        closed_cases = []
+        for system, eta in [(generated_system(seed), eta) for seed, eta in HSTAR_ONE] + [(t3_system(), 0.25)]:
+            calls = []
+
+            def probe(caps, groups, bounds, eps):
+                calls.append(len(groups))
+                return run(caps, groups, bounds, eps)
+
+            report = solve(system, eta, subroutine=probe)
+            closed = no_overflow_left(system, report)
+            closed_cases.append(closed)
+            # Outer calls see k groups, inner ones k + 1.
+            assert (calls == [system.k] * report.subroutine_calls) == closed
+            assert (report.l_star, report.h_star) == calling_levels(system, eta, run)
+            assert_certificates(report, system, report.bounds0)
+        # Seeds 4 and 6 meet every demand in full at eta 0.2, as t3 does at
+        # 0.25; seed 11 stops at l_star = 5 with overflow capacity left.
+        assert closed_cases == [True, True, False, True]
+
+    @pytest.mark.parametrize("engine, h_star", [("oracle", 2), ("fptas", 1)])
+    def test_single_edge_levels(self, engine, h_star):
+        # At l_star = 5 the dedicated sink takes the whole demand 1. The
+        # oracle's total 1.0 equals the target (1 + 0.25) / (1 + 0.25) at
+        # h = 1, and equality passes; packing's total is below 1.
+        system = single_edge_system(2.0, 1.0)
+        report = solve(system, 0.25, subroutine=engine)
+        assert (report.l_star, report.h_star) == (5, h_star)
+        assert report.subroutine_calls == 4
+        assert (5, h_star) == calling_levels(system, 0.25, resolve_subroutine(engine))
+        assert_certificates(report, system, (1.0,))
+
+    def test_outer_pass_left_unfinished(self, monkeypatch):
+        import concurflow.packing as packing
+
+        finish, finished = packing.Passing.finish, []
+
+        def finishing(self):
+            finished.append(self)
+            return finish(self)
+
+        monkeypatch.setattr(packing.Passing, "finish", finishing)
+        system = generate_instance(0, 6, 9, 2, 4).path_system
+        bounds = system.network.bounds()
+        eps = compute_epsilon(0.25, bounds)
+        outer = find_lstar(system, bounds, 0.25, eps)
+        aux = build_auxiliary(system, bounds, outer.l_star, 0.25)
+        assert all(aux.capacities["ovf", i] > 0.0 for i in range(1, system.k + 1))
+        inner = find_hstar(aux, 0.25, eps, sum(bounds), start=outer)
+        assert inner.h_star >= 2 and inner.calls == inner.h_star
+        assert isinstance(outer.last, packing.Passing)
+        assert all(result is not outer.last for result in finished)
+        outer.values
+        assert finished[-1] is outer.last
 
 
 class TestProjection:
@@ -351,10 +450,11 @@ class TestSolveEndToEnd:
     def test_custom_callable_subroutine(self):
         from concurflow.oracle import lp_grouped_max
 
-        # t3 runs the outer search to l_star = 5. On t1 at eta 0.5 the first
-        # level fails, so l_star = 1 and the inner search switches off its
-        # dedicated groups.
-        for system, eta, l_star in ((t3_system(), 0.25, 5), (t1_system(), 0.5, 1)):
+        # t3 runs the outer search to l_star = 5, where its one demand is met
+        # in full and no overflow capacity is left, so the inner search makes
+        # no call. On t1 at eta 0.5 the first level fails, so l_star = 1 and
+        # the inner search switches off its dedicated groups.
+        for system, eta, l_star, inner in ((t3_system(), 0.25, 5, False), (t1_system(), 0.5, 1, True)):
             calls = []
 
             def probe(caps, groups, bounds, eps):
@@ -363,7 +463,8 @@ class TestSolveEndToEnd:
 
             report = solve(system, eta, subroutine=probe)
             assert report.subroutine_calls == len(calls)
-            assert set(calls) == {system.k, system.k + 1}  # outer: k groups, inner: k + 1
+            # Outer calls see k groups, inner ones k + 1.
+            assert set(calls) == ({system.k, system.k + 1} if inner else {system.k})
             named = solve(system, eta, subroutine="oracle")
             assert named.l_star == l_star
             ids = tuple(f"c{i}" for i in range(1, system.k + 1))
