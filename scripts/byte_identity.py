@@ -14,11 +14,12 @@ For every case of the four perfbench workloads (or those named with
 - ``mmfpb`` workloads: the ``repr`` of the ``solve_mmfpb`` values;
 - every ``solve_lp`` call the case makes, as its pivot count and a digest
   of the bytes of ``x``; the ``iterations`` of every ``pack_paths`` call
-  (a paused run's steps before its pause); the steps that finishing each
-  paused run adds, one ``finish`` entry where the loop runs on; and the
-  layout of every engine call, taken from ``GroupedProblem.build``, as a
-  digest of the matrix ``edges``, the bytes of ``caps``, ``a`` and ``g``
-  (with their shapes) and ``keep``.
+  (a paused run's steps before its pause, 0 if it paused before its first
+  step); the steps that finishing each paused run adds, one ``finish``
+  entry where the loop runs on; and the layout of every engine call,
+  taken from ``GroupedProblem.build``, as a digest of the matrix
+  ``edges``, the bytes of ``caps``, ``a`` and ``g`` (with their shapes)
+  and ``keep``.
 
 The cases come from ``perfbench/workloads.py`` of this checkout, imported
 read-only; the program comes from ``--src``. So the check of a change
@@ -33,6 +34,8 @@ prints, per workload, the cases whose ``system``, ``lp_emcfpsc``,
 ``solve_mmfpb`` or call list differ; of the differing call lists, those
 that differ only in the steps of ``pack`` and ``finish`` entries, with the
 number of such ``pack`` entries and their iterations on each side; the
+``pack`` entries with 0 steps of the cases in both files (runs that paused
+before their first step, or had no path to route), on each side; the
 ``finish`` entries of the cases in both files and their steps, on each
 side; and the solution lines that differ, counted by their first word. It
 exits 1 when anything differs.
@@ -193,6 +196,7 @@ def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
         shared = [key for key in keys if key in a_cases and key in b_cases]
         counts = dict.fromkeys(fields, 0)
         packs = [0, 0, 0, 0]  # cases, pack entries, iterations in a, in b
+        unstepped = [0, 0]  # pack entries with 0 steps in a, in b
         finishes = [0, 0, 0, 0]  # entries in a, in b, steps in a, in b
         words: dict[str, int] = {}
         for key in shared:
@@ -207,6 +211,7 @@ def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
                 packs[2] += sum(x[1] for x, _ in packed)
                 packs[3] += sum(y[1] for _, y in packed)
             for side, record in enumerate((ra, rb)):
+                unstepped[side] += record["calls"].count(["pack", 0])
                 steps = [call[1] for call in record["calls"] if call[0] == "finish"]
                 finishes[side] += len(steps)
                 finishes[2 + side] += sum(steps)
@@ -223,6 +228,7 @@ def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
             f"{workload}: {len(shared)} cases in both, {only} in one only; "
             f"cases differing in {parts}; calls differing only in pack or finish steps: "
             f"{packs[0]} cases, {packs[1]} pack entries, {packs[2]} -> {packs[3]} iterations; "
+            f"pack entries with 0 steps: {unstepped[0]} -> {unstepped[1]}; "
             f"finish entries: {finishes[0]} -> {finishes[1]}, {finishes[2]} -> {finishes[3]} steps; "
             f"solution lines differing: {solution}"
         )

@@ -62,12 +62,12 @@ def main():
         eta /= 2
 
     diamond = diamond_system()
-    caps, groups = diamond.capacities(), diamond.edge_groups()
+    paths = diamond.grouped
     print("packing iterations (diamond instance):")
     eps = 0.2
     previous = None
     for _ in range(args.halvings + 1):
-        iters = pack_paths(caps, groups, None, eps).iterations
+        iters = pack_paths(paths.capacities, paths, None, eps).iterations
         growth = "" if previous is None else f"  growth x{iters / previous:.2f}"
         print(f"  eps={eps:<8g} iterations={iters}{growth}")
         previous = iters

@@ -511,7 +511,7 @@ class PathSystem:
     ``validate_path``'s rules, in its order and with its messages, and
     records each step's edge number, from which ``grouped`` compiles on first
     use. A path that breaks a rule raises ``PathRuleError``, which locates it.
-    ``matrix``, ``capacities()`` and ``edge_groups()`` read ``grouped``.
+    ``matrix`` and ``capacities()`` read ``grouped``.
     """
 
     network: Network
@@ -605,10 +605,6 @@ class PathSystem:
     def capacities(self) -> dict[str, float]:
         """A fresh dict of the capacities of the edges the paths use, in first-use order."""
         return dict(zip(self.grouped.edges, self.grouped.caps.tolist()))
-
-    def edge_groups(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
-        """Paths as plain edge-id tuples, grouped by commodity (engine input)."""
-        return tuple(tuple(path.edge_ids() for path in group) for group in self.paths)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ All arithmetic is deterministic; ties in path selection resolve to the
 lowest (group, path) index.
 
 Stopping early: a caller that only asks whether the total reaches some
-``target`` can pass it. Between blocks the run then stops once either of
-two bounds on the full run's total is below ``target``:
+``target`` can pass it. Between blocks the run then reads the exact
+lengths once and stops once either of two bounds on the full run's total
+is below ``target``:
 
 - the dual bound ``D(l)/alpha(l)``, the capacity-weighted length over the
   shortest path length (Garg and Koenemann, FOCS 1998), which bounds the
@@ -38,18 +39,19 @@ two bounds on the full run's total is below ``target``:
   stop over ``eps`` times the shortest length, plus one largest
   bottleneck.
 
-A cheap filter on the last step's path lengths, whose shortest is never
-longer than the current one, comes first; exact lengths confirm it, and a
-bound counts only when it is below ``target`` by a relative margin far
+A bound counts only when it is below ``target`` by a relative margin far
 above its rounding. A stopped run returns its flow so far, clipped and
 scaled like a full run's, with the dual bound as ``upper``; its total lies
 below ``target``, as the full run's would.
 
-The pass side mirrors it. After the fail checks, a block also bounds the
-full run's total from below:
+The pass side mirrors it, and bounds the full run's total from below:
 
-- the flow so far over its worst load-to-capacity ratio, bound columns
-  included, is feasible, so its total ``F`` is at most the optimum;
+- a feasible total ``F`` is at most the optimum. Before the first step,
+  ``F`` is the greedy flow's total: each path in turn takes the least
+  residual capacity on its columns, bound columns included, and the total
+  is shrunk by the margin to absorb the residuals' rounding. After a
+  block, ``F`` is the larger of that and the flow so far over its worst
+  load-to-capacity ratio;
 - each later step adds ``eps * f * alpha(l) <= eps * f * D(l) / OPT`` to
   the dual objective ``D``, and the loop runs until ``D`` reaches its stop,
   so the raw flow still to come is at least ``F * ln(stop / D) / eps``.
@@ -59,9 +61,10 @@ full run's total from below:
   unclipped total, and the scaling makes that flow feasible, so the clip
   only undoes rounding.
 
-As on the fail side, a cheap filter comes first: the same bound with the
-dual bound, which no feasible total exceeds, in place of ``F``. Once the
-exact bound reaches ``target`` by the same margin, the run pauses and
+The bound is checked once before the first step, ahead of the growth rows,
+and after the fail checks of every block, where a filter with the dual
+bound, which no feasible total exceeds, in ``F``'s place comes first. Once
+the bound reaches ``target`` by the same margin, the run pauses and
 returns a :class:`Passing`: the full run is sure to reach ``target``, and
 its flow is computed only if someone reads it. A run that neither stops
 nor pauses is the full run, bit for bit, and so is a paused run that is
@@ -141,15 +144,18 @@ def pack_paths(
     scale (1 at the stop), the scaled total so far and the dual bound.
 
     With ``target``, the run stops as soon as the full run is sure to end
-    below it, and pauses as soon as the full run is sure to reach it (see
+    below it, checked on exact lengths every block, and pauses as soon as
+    the full run is sure to reach it, checked before the first step with a
+    greedy flow's total as the feasible total and then every block (see
     "Stopping early" above). A stopped run's result has its iterations so
     far and a total below ``target``, or ``PackingError`` is raised. A
     paused run comes back as a :class:`Passing` holding the iterations so
-    far; its ``finish()``, or reading any result field, runs the loop on to
-    the full run's result, bit for bit. A ``Passing`` that is never finished
-    never meets the iteration cap or the ``(1+eps)`` check; finishing it
-    runs both, and checks that its total did reach ``target``. A run that
-    neither stops nor pauses is the full run, bit for bit.
+    far, 0 when it paused before the first step; its ``finish()``, or
+    reading any result field, runs the loop on to the full run's result,
+    bit for bit. A ``Passing`` that is never finished never meets the
+    iteration cap or the ``(1+eps)`` check; finishing it runs both, and
+    checks that its total did reach ``target``. A run that neither stops nor
+    pauses is the full run, bit for bit.
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
@@ -167,8 +173,9 @@ def pack_paths(
 class Passing:
     """A packing run paused once its full run is sure to reach its target.
 
-    ``iterations`` counts the steps run before the pause, and ``least`` is
-    the certified lower bound on the full run's total, at least the target.
+    ``iterations`` counts the steps run before the pause, 0 when a greedy
+    flow certified the pass before the first step, and ``least`` is the
+    certified lower bound on the full run's total, at least the target.
     ``finish()`` resumes the same loop and returns the full run's
     ``GroupedResult``, bit for bit; it runs the loop once, however often it
     is called. Any other result field (``values``, ``total``, ``upper``, ...)
@@ -211,52 +218,54 @@ def _run(
     With ``target``, it yields ``(least, iterations)`` once, when it pauses,
     and checks no bound after that.
     """
-    matrix = problem.matrix
-    # Columns: the real edges, then one virtual bound edge per bounded group
-    # that keeps a path.
-    has_paths = matrix.g.any(axis=1)
-    bounded = [g for g, b in enumerate(problem.bounds) if b is not None and has_paths[g]]
-    cap_arr = np.concatenate((matrix.caps, [problem.bounds[g] for g in bounded]))
-    # C order matters: np.dot rounds differently on an F-order incidence.
-    incidence = np.ascontiguousarray(np.vstack((matrix.a, matrix.g[bounded])).T)
+    cap_arr, incidence = _columns(problem)
     n_paths, m = incidence.shape
     config = FptasConfig.for_run(eps, m)
     eps_int = config.eps_int
 
-    edge_cols = [np.flatnonzero(row) for row in incidence]
-    bottleneck = [cap_arr[cols].min().item() for cols in edge_cols]
-    # One length-growth row per path; see "Numerics" above for why it is exact.
-    grow = np.ones((n_paths, m))
-    for p, cols in enumerate(edge_cols):
-        grow[p, cols] = 1.0 + eps_int * (bottleneck[p] / cap_arr[cols])
-    rows = list(grow)  # the row views, made once rather than once per step
-
     # Lengths with delta factored out; the true length is delta * 2**shift * stored.
     length = 1.0 / cap_arr
-    raw = [0.0] * n_paths
-    path_len = np.empty(n_paths)
-    dot, argmin, item = incidence.dot, path_len.argmin, path_len.item
-
     theta = -config.log_delta  # stop once log of the true dual objective >= 0
     dual = float(m)  # stored-scale dual objective, sum of cap * length
     shifts = 0
-    renorm_cut = 2.0**_RENORM_SHIFT
 
     def log_stop() -> float:
         """The log of the stop at the stored scale, finite where the stop is not."""
         return theta - shifts * (_RENORM_SHIFT * math.log(2.0))
 
+    scale_down = math.log((1.0 + eps_int) * m) / (eps_int * math.log1p(eps_int))
+    certified = None  # the target a paused run was sure to reach
+    if target is not None:
+        # The pass bound before the first step, with the greedy flow's total
+        # as the feasible total; it stands in for a poorer one later on too.
+        floor = sum(_greedy_flow(cap_arr, incidence)) * (1.0 - _STOP_MARGIN)
+        log_to_go = log_stop() - math.log(max(dual, float(cap_arr @ length)))
+        least = floor * log_to_go / eps_int / scale_down
+        if least >= target * (1.0 + _STOP_MARGIN):
+            yield least, 0
+            certified, target = target, None
+
+    on = incidence > 0.0
+    bottleneck_arr = np.where(on, cap_arr, math.inf).min(axis=1)
+    bottleneck = bottleneck_arr.tolist()
+    # One length-growth row per path; see "Numerics" above for why it is exact.
+    grow = np.where(on, 1.0 + eps_int * (bottleneck_arr[:, None] / cap_arr), 1.0)
+    rows = list(grow)  # the row views, made once rather than once per step
+
+    raw = [0.0] * n_paths
+    path_len = np.empty(n_paths)
+    dot, argmin, item = incidence.dot, path_len.argmin, path_len.item
+    renorm_cut = 2.0**_RENORM_SHIFT
+
     def threshold() -> float:
         exponent = log_stop()
         return math.exp(exponent) if exponent < 700.0 else math.inf
 
-    scale_down = math.log((1.0 + eps_int) * m) / (eps_int * math.log1p(eps_int))
     last_step = max(bottleneck)
     cap = config.max_iterations
     stop_at = threshold()
     iterations = 0
     stopped = False
-    certified = None  # the target a paused run was sure to reach
     while dual < stop_at:
         if iterations >= cap:
             progress = (math.log(dual) + shifts * _RENORM_SHIFT * math.log(2.0)) / theta
@@ -281,27 +290,24 @@ def _run(
                 break
         iterations += step + 1
         if target is not None and dual < stop_at:
-            # Filter on the last step's lengths, then confirm on exact ones.
-            # The raw flow so far plus the final step's most; the steps
-            # before it add at most to_go / (eps_int * shortest).
+            # The fail bounds on exact lengths: the raw flow so far plus the
+            # final step's most; the steps before it add at most
+            # to_go / (eps_int * shortest).
             so_far = sum(raw)
+            shortest = dot(length, out=path_len).min().item()
+            objective = float(cap_arr @ length)
             raw_most, to_go = so_far + last_step, stop_at - dual
-            shortest = path_len.min().item()
-            bound = min(dual / shortest, (raw_most + to_go / (eps_int * shortest)) / scale_down)
+            bound = min(objective / shortest, (raw_most + to_go / (eps_int * shortest)) / scale_down)
             if bound * (1.0 + _STOP_MARGIN) < target:
-                shortest = dot(length).min().item()
-                objective = float(cap_arr @ length)
-                bound = min(objective / shortest, (raw_most + to_go / (eps_int * shortest)) / scale_down)
-                if bound * (1.0 + _STOP_MARGIN) < target:
-                    stopped = True
-                    break
+                stopped = True
+                break
             # The pass bound: the flow so far plus at least F * ln(stop / D) /
             # eps_int still to come, for a feasible total F. A filter with the
             # dual bound, which no feasible total exceeds, in F's place comes first.
-            if (so_far + dual / shortest * (log_stop() - math.log(dual)) / eps_int) / scale_down >= target:
+            log_to_go = log_stop() - math.log(max(dual, objective))
+            if (so_far + objective / shortest * log_to_go / eps_int) / scale_down >= target:
                 congestion = (np.array(raw) @ incidence / cap_arr).max().item()
-                feasible = so_far / congestion * (1.0 - _STOP_MARGIN)
-                log_to_go = log_stop() - math.log(max(dual, float(cap_arr @ length)))
+                feasible = max(so_far / congestion * (1.0 - _STOP_MARGIN), floor)
                 least = (so_far + feasible * log_to_go / eps_int) / scale_down
                 if least >= target * (1.0 + _STOP_MARGIN):
                     yield least, iterations
@@ -330,6 +336,42 @@ def _run(
     elif certified is not None and result.total < certified:
         raise PackingError(f"packing paused as sure to reach {certified}, but ended at {result.total}")
     return result
+
+
+def _columns(problem: GroupedProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Column capacities and the path-by-column incidence of one packing run.
+
+    Columns are the real edges, then one virtual bound edge per bounded
+    group that keeps a path.
+    """
+    matrix = problem.matrix
+    has_paths = matrix.g.any(axis=1)
+    bounded = [g for g, b in enumerate(problem.bounds) if b is not None and has_paths[g]]
+    cap_arr = np.concatenate((matrix.caps, [problem.bounds[g] for g in bounded]))
+    # C order matters: np.dot rounds differently on an F-order incidence.
+    incidence = np.ascontiguousarray(np.vstack((matrix.a, matrix.g[bounded])).T)
+    return cap_arr, incidence
+
+
+def _greedy_flow(cap_arr: np.ndarray, incidence: np.ndarray) -> list[float]:
+    """A feasible flow: each path in turn takes the least residual capacity on its columns.
+
+    Feasible up to the rounding of the residuals, a few units in the last
+    place of a capacity.
+    """
+    paths, cols = np.nonzero(incidence)
+    cols = cols.tolist()
+    residual = cap_arr.tolist()
+    flow = []
+    start = 0
+    for end in np.searchsorted(paths, np.arange(1, len(incidence) + 1)).tolist():
+        path = cols[start:end]
+        f = min([residual[c] for c in path])
+        for c in path:
+            residual[c] -= f
+        flow.append(f)
+        start = end
+    return flow
 
 
 def _dual_bound(cap_arr: np.ndarray, incidence: np.ndarray, length: np.ndarray) -> float:

@@ -23,6 +23,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def edge_groups(system: PathSystem) -> tuple[tuple[tuple[str, ...], ...], ...]:
+    """A system's paths as plain edge-id tuples, grouped by commodity: raw engine input."""
+    return tuple(tuple(path.edge_ids() for path in group) for group in system.paths)
+
+
 def reference_layout(
     capacities: Mapping[Hashable, float],
     groups: Sequence[Sequence[Sequence[Hashable]]],
@@ -63,7 +68,7 @@ def reference_aux_groups(system, bounds0, l_star: int, eta: float):
         capacities["ded", i] = dedicated
         capacities["ovf", i] = b - dedicated
 
-    base_groups = system.edge_groups()
+    base_groups = edge_groups(system)
     dedicated_groups = tuple(
         tuple(path + (("ded", i),) for path in group)
         for i, group in enumerate(base_groups, start=1)

@@ -165,7 +165,7 @@ def test_criterion_4_loop_and_growth_properties(corpus_rows):
     # Packing iteration growth when the accuracy target halves.
     diamond = _diamond_system()
     iters = {
-        eps: pack_paths(diamond.capacities(), diamond.edge_groups(), None, eps).iterations
+        eps: pack_paths(diamond.grouped.capacities, diamond.grouped, None, eps).iterations
         for eps in (0.1, 0.05)
     }
     iter_ratio = iters[0.05] / iters[0.1]

@@ -32,7 +32,7 @@ from concurflow.netmodel import (
 from concurflow.generator import generate_instance
 from concurflow.oracle import lp_emcfpsc, lp_mmfp_exact
 from concurflow.packing import solve_mmfp
-from conftest import make_network, make_system, reference_layout
+from conftest import edge_groups, make_network, make_system, reference_layout
 
 
 @pytest.fixture
@@ -725,7 +725,7 @@ def test_raw_paths_match_orienting_then_validating(case):
     assert system.paths == expected
     # The compiled form from the walk's edge numbers is the one built by keys.
     caps = {e.id: e.capacity for e in net.edges}
-    ref = GroupedPaths.build(caps, system.edge_groups())
+    ref = GroupedPaths.build(caps, edge_groups(system))
     got = system.grouped
     assert (got.edges, got.sizes, dict(got.capacities)) == (ref.edges, ref.sizes, caps)
     for name in ("rows", "lengths", "caps"):

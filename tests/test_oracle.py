@@ -22,7 +22,7 @@ from concurflow.oracle import (
     lp_mmfpb_exact,
 )
 from concurflow.packing import pack_paths
-from conftest import make_network, make_system, t1_system, t2_system, t3_system
+from conftest import edge_groups, make_network, make_system, t1_system, t2_system, t3_system
 
 
 class TestBoundedMax:
@@ -194,7 +194,7 @@ class TestGroupedCore:
         # enough for row updates) on one GroupedPaths; each gets a fresh
         # compile's result.
         system = generate_instance(3, 16, 50, 8, 25).path_system
-        caps, groups = system.capacities(), system.edge_groups()
+        caps, groups = system.capacities(), edge_groups(system)
         patterns = [[scale * b for b in system.network.bounds()] for scale in (0.1, 0.3, 0.6)]
         patterns.append([None, *patterns[0][1:]])
         expected = [lp_grouped_max(caps, groups, bounds) for bounds in patterns]
@@ -217,7 +217,7 @@ class TestGroupedCore:
         # its own order, so they walk and extend its recorded pivot paths
         # together; each gets a fresh compile's result.
         system = generate_instance(3, 16, 50, 8, 25).path_system
-        caps, groups = system.capacities(), system.edge_groups()
+        caps, groups = system.capacities(), edge_groups(system)
         bounds = system.network.bounds()
         patterns = [[scale * b for b in bounds] for scale in np.linspace(0.05, 0.6, 12)]
         expected = [lp_grouped_max(caps, groups, bounds) for bounds in patterns]

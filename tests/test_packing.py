@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import concurflow.packing as packing
 from concurflow import generate_instance
-from concurflow.netmodel import Flow, branch_values, flow_value, is_feasible
+from concurflow.netmodel import Flow, GroupedProblem, branch_values, flow_value, is_feasible
 from concurflow.oracle import lp_grouped_max, lp_mmfp_exact, lp_mmfpb_exact
 from concurflow.packing import (
     _RENORM_SHIFT,
@@ -22,7 +22,14 @@ from concurflow.packing import (
     solve_mmfpb,
 )
 from concurflow.solver import BELOW_TOL, build_auxiliary, compute_epsilon
-from conftest import make_network, make_system, reference_aux_groups, reference_layout, t1_system
+from conftest import (
+    edge_groups,
+    make_network,
+    make_system,
+    reference_aux_groups,
+    reference_layout,
+    t1_system,
+)
 
 
 def diamond_system():
@@ -86,7 +93,7 @@ class TestUnbounded:
     def test_eps_too_small_for_a_finite_cap(self, t1, eps):
         # 1e-160 overflowed the iteration cap; from about 1e-170 eps_int**2 is 0.
         with pytest.raises(ValueError, match=f"^eps {eps} is too small: "):
-            pack_paths(t1.capacities(), t1.edge_groups(), None, eps)
+            pack_paths(t1.grouped.capacities, t1.grouped, None, eps)
 
 
 class TestBounded:
@@ -124,7 +131,7 @@ class TestBounded:
         )
         system = make_system(net, [[["e1"], ["e2"]]])
         caps = {"e1": 0.0, "e2": 1.0}
-        result = pack_paths(caps, system.edge_groups(), [5.0], 0.1)
+        result = pack_paths(caps, edge_groups(system), [5.0], 0.1)
         assert result.values[0][0] == 0.0
         assert result.group_totals[0] >= 1.0 / 1.1 - 1e-9
 
@@ -162,7 +169,7 @@ class TestDeterminism:
 
     def test_iterations_reported(self, diamond):
         result = pack_paths(
-            diamond.capacities(), diamond.edge_groups(), None, 0.2
+            diamond.grouped.capacities, diamond.grouped, None, 0.2
         )
         assert result.iterations > 0
 
@@ -182,8 +189,8 @@ def starved_cap(monkeypatch, cap):
 
 class TestIterationGrowth:
     def test_quadratic_scaling_in_inverse_eps(self, diamond):
-        caps = diamond.capacities()
-        groups = diamond.edge_groups()
+        groups = diamond.grouped
+        caps = groups.capacities
         base = pack_paths(caps, groups, None, 0.2)
         half = pack_paths(caps, groups, None, 0.1)
         ratio = half.iterations / base.iterations
@@ -220,7 +227,7 @@ class TestNonFinite:
             solve_mmfpb(t1, (math.nan, 1.0), 0.1)
 
     def test_infinite_bound_means_unbounded(self, t1):
-        caps, groups, bounds = t1.capacities(), t1.edge_groups(), [math.inf, None]
+        caps, groups, bounds = t1.grouped.capacities, t1.grouped, [math.inf, None]
         assert pack_paths(caps, groups, bounds, 0.1) == pack_paths(caps, groups, None, 0.1)
         assert lp_grouped_max(caps, groups, bounds) == lp_grouped_max(caps, groups, None)
 
@@ -353,7 +360,7 @@ def reference_pack_paths(
 
 
 def _system_case(system, bounds, eps):
-    return system.capacities(), system.edge_groups(), bounds, eps
+    return system.capacities(), edge_groups(system), bounds, eps
 
 
 def _aux_case():
@@ -431,7 +438,7 @@ class TestStoppingEarly:
     def test_stops_short_of_an_unreachable_target(self, diamond, factor):
         # The optimum is 1.6, about 1.2% above the full run's 1.5805, so a 1%
         # higher target can stop only on the reach bound.
-        caps, groups, bounds = diamond.capacities(), diamond.edge_groups(), (0.7, 1.3)
+        caps, groups, bounds = diamond.grouped.capacities, diamond.grouped, (0.7, 1.3)
         full = pack_paths(caps, groups, bounds, 0.1)
         optimum = lp_grouped_max(caps, groups, bounds).total
         result = pack_paths(caps, groups, bounds, 0.1, target=full.total * factor)
@@ -443,7 +450,7 @@ class TestStoppingEarly:
     @pytest.mark.parametrize("eps, iterations", [(0.3, 416), (0.1, 3677)])
     def test_cap_at_the_full_run_count(self, monkeypatch, diamond, eps, iterations):
         # 416 is 13 blocks of 32 steps; 3677 ends 29 steps into a block.
-        caps, groups, bounds = diamond.capacities(), diamond.edge_groups(), (0.7, 1.3)
+        caps, groups, bounds = diamond.grouped.capacities, diamond.grouped, (0.7, 1.3)
         full = pack_paths(caps, groups, bounds, eps)
         assert full.iterations == iterations
         starved_cap(monkeypatch, iterations)
@@ -453,7 +460,7 @@ class TestStoppingEarly:
             pack_paths(caps, groups, bounds, eps)
 
     def test_cap_message_reports_progress(self, monkeypatch, diamond):
-        caps, groups, bounds = diamond.capacities(), diamond.edge_groups(), (0.7, 1.3)
+        caps, groups, bounds = diamond.grouped.capacities, diamond.grouped, (0.7, 1.3)
         optimum = lp_grouped_max(caps, groups, bounds).total
         starved_cap(monkeypatch, 1000)
         with pytest.raises(PackingError) as raised:
@@ -507,7 +514,7 @@ class TestPausingOnAPass:
             return (yield from run)
 
         monkeypatch.setattr(packing, "_run", counted)
-        caps, groups, bounds = diamond.capacities(), diamond.edge_groups(), (0.7, 1.3)
+        caps, groups, bounds = diamond.grouped.capacities, diamond.grouped, (0.7, 1.3)
         result = pack_paths(caps, groups, bounds, 0.1, target=1.0)
         assert isinstance(result, Passing)
         assert not resumed
@@ -526,3 +533,31 @@ class TestPausingOnAPass:
             result.finish()
         with pytest.raises(PackingError, match="failed to finish"):
             result.values
+
+
+class TestGreedyFloor:
+    """A greedy flow's total certifies a pass before the first step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=grouped_cases())
+    def test_greedy_flow_is_feasible_and_at_most_the_optimum(self, case):
+        cap_arr, incidence = packing._columns(GroupedProblem.build(*case[:3]))
+        flow = np.array(packing._greedy_flow(cap_arr, incidence))
+        loads = flow @ incidence
+        assert (flow >= 0.0).all()
+        assert (loads <= cap_arr * (1 + 1e-9)).all()
+        # Greedy: every path crosses a column it left full.
+        full = loads >= cap_arr * (1 - 1e-9)
+        assert incidence[:, full].any(axis=1).all()
+        # Slack for the simplex's rounding only.
+        assert flow.sum() <= lp_grouped_max(*case[:3]).total * (1 + 1e-9)
+
+    @pytest.mark.parametrize("name", ["diamond-bounded", "t1-renormalizing", "aux-ties"])
+    def test_a_target_the_floor_certifies_pauses_before_the_first_step(self, name):
+        case = REFERENCE_CASES[name]()
+        full = pack_paths(*case)
+        floor = sum(packing._greedy_flow(*packing._columns(GroupedProblem.build(*case[:3]))))
+        result = pack_paths(*case, target=0.9 * floor)
+        assert isinstance(result, Passing)
+        assert result.iterations == 0 and result.least >= 0.9 * floor
+        assert repr(result.finish()) == repr(full)

@@ -84,8 +84,8 @@ def test_byte_identity_diff_counts_what_differs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     none = (
         "system 0, lp_emcfpsc 0, solve_mmfpb 0, calls 0; calls differing only in pack or finish "
-        "steps: 0 cases, 0 pack entries, 0 -> 0 iterations; finish entries: 0 -> 0, 0 -> 0 steps; "
-        "solution lines differing: none"
+        "steps: 0 cases, 0 pack entries, 0 -> 0 iterations; pack entries with 0 steps: 0 -> 0; "
+        "finish entries: 0 -> 0, 0 -> 0 steps; solution lines differing: none"
     )
     assert proc.stdout.splitlines() == [
         f"{name}: 1 cases in both, 0 in one only; cases differing in {none}"
@@ -102,7 +102,7 @@ def test_byte_identity_diff_counts_what_differs(tmp_path):
     assert proc.returncode == 1, proc.stderr
     no_steps = (
         "calls differing only in pack or finish steps: 0 cases, 0 pack entries, 0 -> 0 iterations; "
-        "finish entries: 0 -> 0, 0 -> 0 steps"
+        "pack entries with 0 steps: 0 -> 0; finish entries: 0 -> 0, 0 -> 0 steps"
     )
     assert proc.stdout.splitlines() == [
         "corpus-oracle: 1 cases in both, 0 in one only; cases differing in system 0, "
@@ -125,6 +125,8 @@ def test_byte_identity_diff_counts_pack_iterations(tmp_path):
     assert all(len(found) >= 2 for found in packs)
     finishes = [call[1] for record in records for call in record["calls"] if call[0] == "finish"]
     assert finishes and all(steps > 0 for steps in finishes)
+    unstepped = lambda: sum(call == ["pack", 0] for r in records for call in r["calls"])  # noqa: E731
+    zeros = unstepped()
     # Fewer iterations in two pack entries of the first case, and 7 more
     # steps in one of its finish entries; in the second, fewer in one pack
     # entry and a new layout digest, which is not a step-only change.
@@ -144,6 +146,7 @@ def test_byte_identity_diff_counts_pack_iterations(tmp_path):
         "fptas-search: 3 cases in both, 0 in one only; cases differing in system 0, "
         "lp_emcfpsc 0, solve_mmfpb 0, calls 2; calls differing only in pack or finish steps: "
         f"1 cases, 2 pack entries, {sum(iterations)} -> {sum(iterations) - 14} iterations; "
+        f"pack entries with 0 steps: {zeros} -> {unstepped()}; "
         f"finish entries: {count} -> {count}, {steps} -> {steps + 7} steps; "
         "solution lines differing: none"
     ]
@@ -190,12 +193,13 @@ def test_byte_identity_records_each_finish_once():
     with load_byte_identity().recording(calls):
         paused = packing.pack_paths(*args, target=0.9 * full.total)
         assert isinstance(paused, packing.Passing)
-        assert calls == [calls[0], ["pack", paused.iterations]]
+        # A greedy flow certifies this target before the first step.
+        assert calls == [calls[0], ["pack", 0]]
         # The loop runs on once, whether read through finish() or a field.
         assert paused.values == paused.finish().values == full.values
     assert packing.Passing.finish is finish
-    assert calls[1:] == [["pack", paused.iterations], ["finish", full.iterations - paused.iterations]]
-    assert calls[0][0] == "layout" and 0 < paused.iterations < full.iterations
+    assert calls[1:] == [["pack", 0], ["finish", full.iterations]]
+    assert calls[0][0] == "layout" and 0 < full.iterations
 
 
 def test_ab_compare_runs_both_sides():
