@@ -20,11 +20,13 @@ from .generator import GenerationError, generate_instance
 from .instance_io import (
     Instance,
     InstanceError,
+    _flow_lines,
+    _fmt,
     parse_instance,
     serialize_instance,
     serialize_solution,
 )
-from .netmodel import ModelError, branch_values
+from .netmodel import ModelError
 from .oracle import (
     OracleError,
     lp_emcfp_lambda,
@@ -103,10 +105,6 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _cmd_solve(args) -> int:
     instance = _read_instance(args.input)
     report = solve(instance.path_system, args.eta, subroutine=args.subroutine)
@@ -138,11 +136,7 @@ def _cmd_oracle(args) -> int:
         lines.append(f"lambda_star {_fmt(lam)}")
         lines.append(f"value {_fmt(value)}")
     if flow is not None:
-        for i, total in enumerate(branch_values(flow), start=1):
-            lines.append(f"branch {instance.commodity_id(i)} {_fmt(total)}")
-        for ci, row in enumerate(flow.values, start=1):
-            for pj, v in enumerate(row):
-                lines.append(f"flow {instance.commodity_id(ci)} {pj} {_fmt(v)}")
+        lines += _flow_lines(instance, flow)
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 

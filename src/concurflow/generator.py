@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .instance_io import Instance
 from .netmodel import Commodity, Edge, Network, Path, PathSystem, enumerate_paths
 
@@ -34,8 +36,9 @@ def generate_instance(
     name: str | None = None,
 ) -> Instance:
     """Generate a connected instance; deterministic for a fixed seed."""
-    if min(n_nodes, n_edges, k, max_paths_per_commodity) < 1:
-        raise ValueError("all size parameters must be positive")
+    sizes = (n_nodes, n_edges, k, max_paths_per_commodity)
+    if not all(isinstance(size, (int, np.integer)) for size in sizes) or min(sizes) < 1:
+        raise ValueError(f"all size parameters must be positive integers, got {sizes}")
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
     lo, hi = bound_range

@@ -33,10 +33,12 @@ from dataclasses import dataclass
 from .netmodel import (
     Commodity,
     Edge,
+    Flow,
     ModelError,
     Network,
     PathRuleError,
     PathSystem,
+    branch_values,
     infer_traversals,
 )
 from .solver import SolveReport
@@ -280,13 +282,20 @@ def serialize_solution(report: SolveReport, instance: Instance) -> str:
     lines.append(f"min_ratio {_fmt(report.min_ratio_value)}")
     lines.append(f"min_ratio_lower {_fmt(report.min_ratio_lower)}")
     lines.append(f"min_ratio_upper {_fmt(report.min_ratio_upper)}")
-    for i, total in enumerate(report.branch_totals, start=1):
-        lines.append(f"branch {instance.commodity_id(i)} {_fmt(total)}")
-    for ci, row in enumerate(report.flow.values, start=1):
-        cid = instance.commodity_id(ci)
-        for pj, value in enumerate(row):
-            lines.append(f"flow {cid} {pj} {_fmt(value)}")
+    lines += _flow_lines(instance, report.flow)
     return "\n".join(lines) + "\n"
+
+
+def _flow_lines(instance: Instance, flow: Flow) -> list[str]:
+    """A flow's ``branch`` lines, one per commodity, then its ``flow`` lines, one per path."""
+    lines = [
+        f"branch {instance.commodity_id(i)} {_fmt(total)}"
+        for i, total in enumerate(branch_values(flow), start=1)
+    ]
+    for ci, row in enumerate(flow.values, start=1):
+        cid = instance.commodity_id(ci)
+        lines += [f"flow {cid} {pj} {_fmt(value)}" for pj, value in enumerate(row)]
+    return lines
 
 
 @dataclass(frozen=True)

@@ -711,10 +711,15 @@ def enumerate_paths(
     recursion limit) yields directly by trying edges in id order, so
     ``limit`` stops the search once that many paths are found and returns
     the first ``limit`` paths of the full list. A source equal to the sink
-    enumerates closed walks.
+    enumerates closed walks. ``max_edges`` must be an integer of at least 1
+    and ``limit`` ``None`` or an integer of at least 0, or ``ValueError`` is
+    raised: any other value would never meet its cap and enumerate every
+    simple path.
     """
-    if max_edges < 1:
-        raise ValueError(f"max_edges must be >= 1, got {max_edges}")
+    if not isinstance(max_edges, (int, np.integer)) or max_edges < 1:
+        raise ValueError(f"max_edges must be an integer >= 1, got {max_edges!r}")
+    if limit is not None and (not isinstance(limit, (int, np.integer)) or limit < 0):
+        raise ValueError(f"limit must be None or an integer >= 0, got {limit!r}")
     for endpoint in (commodity.source, commodity.sink):
         if endpoint not in network.nodes:
             raise ModelError(f"node {endpoint!r} not in network")

@@ -26,25 +26,15 @@ lowest (group, path) index.
 
 Stopping early: a caller that only asks whether the total reaches some
 ``target`` can pass it. Between blocks the run then reads the exact
-lengths once and stops once either of two bounds on the full run's total
-is below ``target``:
+lengths once and stops once the dual bound ``D(l)/alpha(l)``, the
+capacity-weighted length over the shortest path length, is below
+``target`` by a relative margin far above its rounding. That bound caps
+the optimum by weak duality (Garg and Koenemann, FOCS 1998), so a stop
+certifies that no feasible total, the full run's included, reaches
+``target``. A stopped run returns its flow so far, clipped and scaled like
+a full run's, with the dual bound as ``upper``.
 
-- the dual bound ``D(l)/alpha(l)``, the capacity-weighted length over the
-  shortest path length (Garg and Koenemann, FOCS 1998), which bounds the
-  optimum by weak duality and so every feasible total;
-- the reach bound. Every later step adds ``eps * f * len(p)`` to the dual
-  objective for ``f`` units of raw flow, path lengths never shrink, and the
-  loop ends at the first step that takes the objective past its stop. So
-  the raw flow still to come is at most the objective's distance to the
-  stop over ``eps`` times the shortest length, plus one largest
-  bottleneck.
-
-A bound counts only when it is below ``target`` by a relative margin far
-above its rounding. A stopped run returns its flow so far, clipped and
-scaled like a full run's, with the dual bound as ``upper``; its total lies
-below ``target``, as the full run's would.
-
-The pass side mirrors it, and bounds the full run's total from below:
+The pass side bounds the full run's total from below:
 
 - a feasible total ``F`` is at most the optimum. Before the first step,
   ``F`` is the greedy flow's total: each path in turn takes the least
@@ -62,7 +52,7 @@ The pass side mirrors it, and bounds the full run's total from below:
   only undoes rounding.
 
 The bound is checked once before the first step, ahead of the growth rows,
-and after the fail checks of every block, where a filter with the dual
+and after the fail check of every block, where a filter with the dual
 bound, which no feasible total exceeds, in ``F``'s place comes first. Once
 the bound reaches ``target`` by the same margin, the run pauses and
 returns a :class:`Passing`: the full run is sure to reach ``target``, and
@@ -143,19 +133,19 @@ def pack_paths(
     gives the iterations, the dual objective's progress to its stop on a log
     scale (1 at the stop), the scaled total so far and the dual bound.
 
-    With ``target``, the run stops as soon as the full run is sure to end
-    below it, checked on exact lengths every block, and pauses as soon as
-    the full run is sure to reach it, checked before the first step with a
-    greedy flow's total as the feasible total and then every block (see
-    "Stopping early" above). A stopped run's result has its iterations so
-    far and a total below ``target``, or ``PackingError`` is raised. A
-    paused run comes back as a :class:`Passing` holding the iterations so
-    far, 0 when it paused before the first step; its ``finish()``, or
-    reading any result field, runs the loop on to the full run's result,
-    bit for bit. A ``Passing`` that is never finished never meets the
-    iteration cap or the ``(1+eps)`` check; finishing it runs both, and
-    checks that its total did reach ``target``. A run that neither stops nor
-    pauses is the full run, bit for bit.
+    With ``target``, the run stops as soon as its dual bound, read on exact
+    lengths every block, shows that the optimum is below ``target``, and
+    pauses as soon as the full run is sure to reach it, checked before the
+    first step with a greedy flow's total as the feasible total and then
+    every block (see "Stopping early" above). A stopped run's result has
+    its iterations so far, that dual bound as ``upper`` and a total below
+    ``target``, or ``PackingError`` is raised. A paused run comes back as a
+    :class:`Passing` holding the iterations so far, 0 when it paused before
+    the first step; its ``finish()``, or reading any result field, runs the
+    loop on to the full run's result, bit for bit. A ``Passing`` that is
+    never finished never meets the iteration cap or the ``(1+eps)`` check;
+    finishing it runs both, and checks that its total did reach ``target``.
+    A run that neither stops nor pauses is the full run, bit for bit.
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
@@ -234,13 +224,17 @@ def _run(
         return theta - shifts * (_RENORM_SHIFT * math.log(2.0))
 
     scale_down = math.log((1.0 + eps_int) * m) / (eps_int * math.log1p(eps_int))
+
+    def pass_bound(so_far: float, feasible: float, log_to_go: float) -> float:
+        """The raw flow so far plus at least ``feasible * log_to_go / eps_int`` still to come, scaled down."""
+        return (so_far + feasible * log_to_go / eps_int) / scale_down
+
     certified = None  # the target a paused run was sure to reach
     if target is not None:
-        # The pass bound before the first step, with the greedy flow's total
-        # as the feasible total; it stands in for a poorer one later on too.
+        # Before the first step, with the greedy flow's total as the feasible
+        # total; it stands in for a poorer one later on too.
         floor = sum(_greedy_flow(cap_arr, incidence)) * (1.0 - _STOP_MARGIN)
-        log_to_go = log_stop() - math.log(max(dual, float(cap_arr @ length)))
-        least = floor * log_to_go / eps_int / scale_down
+        least = pass_bound(0.0, floor, log_stop() - math.log(max(dual, float(cap_arr @ length))))
         if least >= target * (1.0 + _STOP_MARGIN):
             yield least, 0
             certified, target = target, None
@@ -261,7 +255,6 @@ def _run(
         exponent = log_stop()
         return math.exp(exponent) if exponent < 700.0 else math.inf
 
-    last_step = max(bottleneck)
     cap = config.max_iterations
     stop_at = threshold()
     iterations = 0
@@ -290,25 +283,20 @@ def _run(
                 break
         iterations += step + 1
         if target is not None and dual < stop_at:
-            # The fail bounds on exact lengths: the raw flow so far plus the
-            # final step's most; the steps before it add at most
-            # to_go / (eps_int * shortest).
-            so_far = sum(raw)
-            shortest = dot(length, out=path_len).min().item()
+            # The fail bound on exact lengths: the dual bound caps the optimum.
             objective = float(cap_arr @ length)
-            raw_most, to_go = so_far + last_step, stop_at - dual
-            bound = min(objective / shortest, (raw_most + to_go / (eps_int * shortest)) / scale_down)
-            if bound * (1.0 + _STOP_MARGIN) < target:
+            upper = objective / dot(length, out=path_len).min().item()
+            if upper * (1.0 + _STOP_MARGIN) < target:
                 stopped = True
                 break
-            # The pass bound: the flow so far plus at least F * ln(stop / D) /
-            # eps_int still to come, for a feasible total F. A filter with the
-            # dual bound, which no feasible total exceeds, in F's place comes first.
+            # The pass bound, with a filter that has the dual bound, which no
+            # feasible total exceeds, in the feasible total's place.
+            so_far = sum(raw)
             log_to_go = log_stop() - math.log(max(dual, objective))
-            if (so_far + objective / shortest * log_to_go / eps_int) / scale_down >= target:
+            if pass_bound(so_far, upper, log_to_go) >= target:
                 congestion = (np.array(raw) @ incidence / cap_arr).max().item()
                 feasible = max(so_far / congestion * (1.0 - _STOP_MARGIN), floor)
-                least = (so_far + feasible * log_to_go / eps_int) / scale_down
+                least = pass_bound(so_far, feasible, log_to_go)
                 if least >= target * (1.0 + _STOP_MARGIN):
                     yield least, iterations
                     certified, target = target, None

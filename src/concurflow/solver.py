@@ -16,6 +16,7 @@ sandwiched by closed-form functions of ``l_star``, ``h_star`` and ``eta``.
 The inner search needs no call of its own at budget 0: there the
 auxiliary problem is the outer search's last passing call, with the
 dedicated copies carrying its values and the overflow copy nothing, so
+``find_hstar`` takes the outer search as its required ``start`` and
 ``solve`` hands that call from one search to the other. Its flow meets the
 dedicated bounds and passed the outer test at level ``l_star - 1``, all
 that the value and ratio floors ask of the result when ``h_star = 1``.
@@ -33,14 +34,14 @@ bounds change between the calls of one search, so its calls all reuse one
 compiled path system: ``PathSystem.grouped``, or the auxiliary groups.
 Each search call asks one question, whether the total reaches
 ``sum(bounds)/(1+eps)``, so the default subroutine hands the packing loop
-that target (see ``packing``). A call whose full run is sure to fall short
-stops early, and a call whose full run is sure to pass pauses and comes
-back as a ``packing.Passing``. A search reads a pause as a pass without
-its total and keeps only its last passing call, whose values are read
-once, when the inner search returns them; so only the call whose flow is
-returned runs to its end, and the outer search's last pass is not
-finished when the inner search keeps a later budget. Levels, call counts
-and flows are those of full runs.
+that target (see ``packing``). A call whose dual bound shows that the
+optimum falls short stops early, and a call whose full run is sure to
+pass pauses and comes back as a ``packing.Passing``. A search reads a
+pause as a pass without its total and keeps only its last passing call,
+whose values are read once, when the inner search returns them; so only
+the call whose flow is returned runs to its end, and the outer search's
+last pass is not finished when the inner search keeps a later budget.
+Levels, call counts and flows are those of full runs.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .netmodel import (
     GroupedPaths,
     GroupedResult,
     PathSystem,
-    branch_values,
     flow_value,
     min_ratio,
 )
@@ -84,9 +84,9 @@ def _fptas(
 ) -> GroupedResult | packing.Passing:
     """The packing engine, stopped or paused once its full run's verdict is sure.
 
-    A call that stops is below the test as the full run would be, and one
-    that pauses finishes as the full run, so the searches see the full
-    runs' verdicts and flows.
+    A call that stops is below the test, as no feasible total reaches it,
+    and one that pauses finishes as the full run, so the searches see the
+    full runs' verdicts and flows.
     """
     target = sum(bounds) / (1.0 + eps) - BELOW_TOL
     return packing.pack_paths(capacities, groups, bounds, eps, target=target)
@@ -145,22 +145,8 @@ class LstarResult:
     # it, so a paused packing run stays paused until its values are read;
     # None when no level passed.
     last: GroupedResult | packing.Passing | None
-    # Paths per commodity, the shape of ``values``.
+    # Paths per commodity of the searched system.
     sizes: tuple[int, ...]
-
-    @property
-    def values(self) -> tuple[tuple[float, ...], ...]:
-        """Per-path values of the last passing call, read on demand.
-
-        All zeros when no level passed, as the engines return under zero bounds.
-        """
-        return _values(self.last, self.sizes)
-
-
-def _values(result: GroupedResult | packing.Passing | None, sizes: Sequence[int]) -> tuple:
-    if result is None:
-        return tuple((0.0,) * size for size in sizes)
-    return result.values
 
 
 def find_lstar(
@@ -175,8 +161,8 @@ def find_lstar(
     Stops at the first l >= 1 with ``l * eta > 1`` (no subroutine call) or
     with subroutine value strictly below ``sum(l*eta*b) / (1+eps)``.
     Returns the terminal l, the number of subroutine calls made and the
-    last level's passing call, whose flow is read only if someone asks for
-    ``values``.
+    last level's passing call, whose flow is read only by the inner search
+    that keeps it.
     """
     run = resolve_subroutine(subroutine)
     paths = system.grouped
@@ -268,7 +254,8 @@ def find_hstar(
     eps: float,
     sum_b0: float,
     subroutine: str | Subroutine = "fptas",
-    start: LstarResult | None = None,
+    *,
+    start: LstarResult,
 ) -> HstarResult:
     """Inner search: first overflow budget the auxiliary value cannot keep up with.
 
@@ -277,11 +264,11 @@ def find_hstar(
     returns the flow of the last passing budget. At budget 0 the auxiliary
     problem is the base system's under the dedicated bounds, the outer
     search's call at level ``l_star - 1``. So ``start``, the outer search
-    ``aux`` was built from, answers budget 0: its flow is the result when
-    the very first budget fails, the dedicated copies carrying it and the
-    overflow copy zeros. A ``start`` shaped unlike ``aux.base`` raises
-    ``ValueError``. Without ``start`` one counted call on
-    ``aux.base.grouped`` computes it.
+    ``aux`` was built from, is required and answers budget 0 with no call:
+    its flow is the result when the very first budget fails, the dedicated
+    copies carrying it and the overflow copy zeros (all zeros when no level
+    passed, as the engines return under zero bounds). A ``start`` shaped
+    unlike ``aux.base`` raises ``ValueError``.
 
     When every overflow sink has capacity 0, no overflow path carries flow,
     so every budget's problem is budget 0's: each budget is answered from
@@ -289,14 +276,10 @@ def find_hstar(
     values are read only when they are returned.
     """
     run = resolve_subroutine(subroutine)
-    base = aux.base.grouped
-    if start is None:
-        last = run(base.capacities, base, list(aux.dedicated_bounds), eps)
-        calls = 1
-    elif start.sizes != base.sizes:
+    sizes = aux.base.grouped.sizes
+    if start.sizes != sizes:
         raise ValueError("start must be an outer search of a system shaped like aux.base")
-    else:
-        last, calls = start.last, 0
+    last, calls = start.last, 0
     caps, groups = aux.capacities, aux.groups
     no_overflow = all(caps["ovf", i] == 0.0 for i in range(1, aux.base.k + 1))
     sum_dedicated = sum(aux.dedicated_bounds)
@@ -316,7 +299,8 @@ def find_hstar(
             break
         passed = result
     if passed is None or no_overflow:
-        values = (*_values(last, base.sizes), (0.0,) * aux.base.path_count)
+        dedicated = tuple((0.0,) * size for size in sizes) if last is None else last.values
+        values = (*dedicated, (0.0,) * aux.base.path_count)
     else:
         values = passed.values
     return HstarResult(h, values, calls)
@@ -354,10 +338,6 @@ class SolveReport:
     min_ratio_upper: float
     subroutine_calls: int
     wall_time_s: float
-
-    @property
-    def branch_totals(self) -> tuple[float, ...]:
-        return branch_values(self.flow)
 
 
 def solve(

@@ -6,7 +6,7 @@ from concurflow.cli import cli_main
 from concurflow.compare import CSV_COLUMNS, csv_header, row_to_csv, run_compare
 from concurflow.instance_io import parse_instance, parse_solution, serialize_instance
 from test_instance_io import instance_from_system
-from conftest import t1_system, t2_system
+from conftest import make_network, make_system, t1_system, t2_system
 
 
 @pytest.fixture
@@ -139,6 +139,29 @@ class TestCliOracle:
 
     def test_unknown_problem(self, t1_file):
         assert cli_main(["oracle", "--input", t1_file, "--problem", "mcf"]) == 1
+
+    @pytest.mark.parametrize("problem", ["mmfp", "mmfpb", "emcfp", "emcfpsc"])
+    def test_output_bytes(self, tmp_path, problem):
+        # Parallel edges of capacity 0.5 and 0.25 for c1, 1.0 for c2: every
+        # optimum saturates all three, so each file is pinned byte for byte.
+        net = make_network(
+            ["s", "t"],
+            [("e1", "s", "t", 0.5, True), ("e2", "s", "t", 0.25, True), ("e3", "s", "t", 1.0, True)],
+            [("s", "t", 2.0), ("s", "t", 2.0)],
+        )
+        system = make_system(net, [[["e1"], ["e2"]], [["e3"]]])
+        source, out = tmp_path / "parallel.flow", tmp_path / "out.txt"
+        source.write_text(serialize_instance(instance_from_system(system, "parallel")))
+        assert cli_main(["oracle", "--input", str(source), "--problem", problem, "--output", str(out)]) == 0
+        flow = "branch c1 0.75\nbranch c2 1.0\nflow c1 0 0.5\nflow c1 1 0.25\nflow c2 0 1.0\n"
+        body = {
+            "mmfp": "value 1.75\n" + flow,
+            "mmfpb": "value 1.75\n" + flow,
+            "emcfp": "lambda_star 0.375\n",
+            "emcfpsc": "lambda_star 0.375\nvalue 1.75\n" + flow,
+        }[problem]
+        header = f"format concurflow-oracle 1\ninstance parallel\nproblem {problem}\n"
+        assert out.read_text() == header + body
 
 
 class TestCliGen:

@@ -59,3 +59,12 @@ class TestShape:
             generate_instance(0, 4, 3, 1, 2, bound_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             generate_instance(0, 4, 3, 1, 2, bound_range=(2.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "sizes", [(8.5, 14, 3, 6), (8, 14.0, 3, 6), (8, 14, 2.5, 6), (8, 14, 3, 2.5), (8, 14, 3, 6.0)]
+    )
+    def test_size_parameters_must_be_integers(self, sizes):
+        # A non-integer path cap never meets the enumeration's limit: 2.5
+        # paths per commodity yielded every path, 3/9/13 of them here.
+        with pytest.raises(ValueError, match="^all size parameters must be positive integers, got "):
+            generate_instance(3, *sizes)

@@ -428,6 +428,18 @@ class TestEnumeratePaths:
         with pytest.raises(ValueError):
             enumerate_paths(net, net.commodities[0], 0)
 
+    @pytest.mark.parametrize("max_edges, limit", [(2.5, None), (8.0, None), (8, -1), (8, 2.5), (8, 3.0)])
+    def test_sizes_that_skip_their_caps_rejected(self, max_edges, limit):
+        # Each of these once enumerated every simple path: no cap was met.
+        net = generate_instance(3, 8, 14, 3, 6).network
+        with pytest.raises(ValueError, match="^(max_edges|limit) must be "):
+            enumerate_paths(net, net.commodities[0], max_edges, limit=limit)
+
+    def test_limit_zero_finds_nothing(self):
+        net = generate_instance(3, 8, 14, 3, 6).network
+        assert enumerate_paths(net, net.commodities[0], 8, limit=0) == []
+        assert len(enumerate_paths(net, net.commodities[0], 8, limit=2)) == 2
+
     @pytest.mark.parametrize("shape", [(6, 9, 2, 4), (8, 14, 3, 6), (10, 25, 3, 8)])
     def test_limit_is_a_prefix(self, shape):
         net = generate_instance(5, *shape).network

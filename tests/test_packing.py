@@ -431,17 +431,24 @@ class TestStoppingEarly:
         elif repr(result) != repr(full):
             assert full.total < target and result.total < target
             assert result.iterations < full.iterations
+            # A stop certifies, by the dual bound alone, that the optimum is below target.
+            assert result.upper * (1 + 1e-9) < target
             # Slack for the simplex's rounding only.
             assert lp_grouped_max(*case[:3]).total <= result.upper * (1 + 1e-9)
 
     @pytest.mark.parametrize("factor", [1.01, 1.05, 2.0])
     def test_stops_short_of_an_unreachable_target(self, diamond, factor):
-        # The optimum is 1.6, about 1.2% above the full run's 1.5805, so a 1%
-        # higher target can stop only on the reach bound.
+        # The optimum is 1.6, about 1.2% above the full run's 1.5805. A stop
+        # needs the dual bound below the target, so a 1% higher target, still
+        # below the optimum, gets the full run, and the higher ones stop.
         caps, groups, bounds = diamond.grouped.capacities, diamond.grouped, (0.7, 1.3)
         full = pack_paths(caps, groups, bounds, 0.1)
         optimum = lp_grouped_max(caps, groups, bounds).total
         result = pack_paths(caps, groups, bounds, 0.1, target=full.total * factor)
+        assert (full.total * factor < optimum) == (factor == 1.01)
+        if factor == 1.01:
+            assert repr(result) == repr(full)
+            return
         assert result.iterations < full.iterations
         assert result.total < full.total * factor
         assert optimum <= result.upper * (1 + 1e-9)

@@ -159,21 +159,32 @@ class TestInnerSearch:
         # Dedicated share already saturates; equality at h=1 still passes,
         # the budget at h=2 cannot keep up.
         system = single_edge_system(2.0, 1.0)
-        aux = build_auxiliary(system, (1.0,), 5, 0.25)
         eps = compute_epsilon(0.25, (1.0,))
-        res = find_hstar(aux, 0.25, eps, 1.0, "oracle")
+        outer = find_lstar(system, (1.0,), 0.25, eps, "oracle")
+        assert outer.l_star == 5
+        aux = build_auxiliary(system, (1.0,), 5, 0.25)
+        res = find_hstar(aux, 0.25, eps, 1.0, "oracle", start=outer)
         assert res.h_star == 2
         assert sum(map(sum, res.aux_values)) == pytest.approx(1.0)
 
     def test_slack_network_trace(self):
-        # Overflow capacity 0.8 on a slack edge: budgets pass until the
-        # target outruns dedicated + overflow at h = 10.
-        system = single_edge_system(10.0, 1.0)
-        aux = build_auxiliary(system, (1.0,), 3, 0.1)
-        eps = compute_epsilon(0.1, (1.0,))
-        assert aux.capacities["ovf", 1] == pytest.approx(0.8)
-        res = find_hstar(aux, 0.1, eps, 1.0, "oracle")
+        # Commodity 1's edge of capacity 0.25 stops the outer search at
+        # l_star = 3; commodity 2's slack edge takes overflow until the
+        # target (0.4 + h * 0.1) / 1.05 outruns 0.4 + 0.85 at h = 10.
+        net = make_network(
+            ["s", "t"],
+            [("e1", "s", "t", 0.25, True), ("e2", "s", "t", 10.0, True)],
+            [("s", "t", 1.0), ("s", "t", 1.0)],
+        )
+        system = make_system(net, [[["e1"]], [["e2"]]])
+        eps = compute_epsilon(0.1, (1.0, 1.0))
+        outer = find_lstar(system, (1.0, 1.0), 0.1, eps, "oracle")
+        assert outer.l_star == 3
+        aux = build_auxiliary(system, (1.0, 1.0), 3, 0.1)
+        assert aux.capacities["ovf", 2] == pytest.approx(0.8)
+        res = find_hstar(aux, 0.1, eps, 2.0, "oracle", start=outer)
         assert res.h_star == 10
+        assert sum(map(sum, res.aux_values)) == pytest.approx(1.25)
 
     def test_budget_exhaustion(self):
         system = single_edge_system(2.0, 1.0)
@@ -181,9 +192,9 @@ class TestInnerSearch:
         outer = find_lstar(system, (1.0,), 0.6, eps, "oracle")
         assert outer.l_star == 2
         aux = build_auxiliary(system, (1.0,), outer.l_star, 0.6)
-        res = find_hstar(aux, 0.6, eps, 1.0, "oracle")
+        res = find_hstar(aux, 0.6, eps, 1.0, "oracle", start=outer)
         assert res.h_star == 2  # budget 1.2 overshoots the total demand 1.0
-        assert res.calls == 2  # the budget-0 flow on the base system, then h=1
+        assert res.calls == 1  # h=1; budget 0 is the outer search's last pass
 
     def test_misshapen_start_rejected(self, t1):
         aux = build_auxiliary(t1, (1.0, 2.0), 3, 0.1)
@@ -254,35 +265,32 @@ class TestInnerStart:
         assert report.h_star == 1
         outer = find_lstar(system, report.bounds0, eta, report.eps, engine)
         assert outer.l_star == report.l_star >= 2
-        assert repr(report.flow.values) == repr(outer.values)
+        assert repr(report.flow.values) == repr(outer.last.values)
         # The outer search's last passing call, at level l_star - 1.
         scale, base = (outer.l_star - 1) * eta, system.grouped
         bounds = [scale * b for b in report.bounds0]
         last = resolve_subroutine(engine)(base.capacities, base, bounds, report.eps)
-        assert repr(outer.values) == repr(last.values)
+        assert repr(outer.last.values) == repr(last.values)
         assert_certificates(report, system, report.bounds0)
 
-    def test_omitted_start_costs_one_call(self, engine):
-        for system, eta in start_cases():
-            bounds = system.network.bounds()
-            eps = compute_epsilon(eta, bounds)
-            outer = find_lstar(system, bounds, eta, eps, engine)
-            aux = build_auxiliary(system, bounds, outer.l_star, eta)
-            given = find_hstar(aux, eta, eps, sum(bounds), engine, start=outer)
-            computed = find_hstar(aux, eta, eps, sum(bounds), engine)
-            assert repr(computed.aux_values) == repr(given.aux_values)
-            assert computed.h_star == given.h_star
-            assert computed.calls == given.calls + 1
-
     def test_level_one_starts_from_zero(self, engine, t1):
+        run = resolve_subroutine(engine)
         eps = compute_epsilon(0.5, (1.0, 2.0))
         outer = find_lstar(t1, (1.0, 2.0), 0.5, eps, engine)
-        assert outer.l_star == 1 and outer.calls == 1
-        assert outer.values == ((0.0,), (0.0,))
-        # What the engines return when every bound is 0, bit for bit.
+        assert outer.l_star == 1 and outer.calls == 1 and outer.last is None
+
+        def failing(caps, groups, bounds, eps):  # every budget gets a zero flow
+            return run(caps, groups, [0.0] * len(bounds), eps)
+
+        aux = build_auxiliary(t1, (1.0, 2.0), 1, 0.5)
+        inner = find_hstar(aux, 0.5, eps, 3.0, failing, start=outer)
+        assert (inner.h_star, inner.calls) == (1, 1)
+        # The dedicated copies carry what the engines return when every
+        # bound is 0, bit for bit.
         base = t1.grouped
-        zero = resolve_subroutine(engine)(base.capacities, base, [0.0, 0.0], eps)
-        assert repr(zero.values) == repr(outer.values)
+        zero = run(base.capacities, base, [0.0, 0.0], eps)
+        assert repr(inner.aux_values[:2]) == repr(zero.values) == repr(((0.0,), (0.0,)))
+        assert inner.aux_values[2] == (0.0, 0.0)
 
 
 def calling_levels(system, eta, run):
@@ -364,7 +372,7 @@ class TestNoOverflowLeft:
         assert inner.h_star >= 2 and inner.calls == inner.h_star
         assert isinstance(outer.last, packing.Passing)
         assert all(result is not outer.last for result in finished)
-        outer.values
+        outer.last.values
         assert finished[-1] is outer.last
 
 
@@ -382,9 +390,10 @@ class TestProjection:
         assert flow_value(flow) == 0.0
 
     def test_total_value_conserved(self, t2):
-        aux = build_auxiliary(t2, (1.0, 1.0), 4, 0.1)
         eps = compute_epsilon(0.1, (1.0, 1.0))
-        res = find_hstar(aux, 0.1, eps, 2.0, "oracle")
+        outer = find_lstar(t2, (1.0, 1.0), 0.1, eps, "oracle")
+        aux = build_auxiliary(t2, (1.0, 1.0), outer.l_star, 0.1)
+        res = find_hstar(aux, 0.1, eps, 2.0, "oracle", start=outer)
         aux_total = sum(map(sum, res.aux_values))
         flow = project_flow(res.aux_values, aux)
         assert flow_value(flow) == pytest.approx(aux_total, abs=1e-12)
