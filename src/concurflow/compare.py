@@ -6,10 +6,12 @@ instance and evaluates the five certified checks:
     feasible          capacities hold and every branch stays within its bound
     value_sandwich    total value inside the closed-form level interval
     min_ratio_lb      worst service ratio at least the certified floor
-    lambda_localized  exact best ratio at most l_star * eta
+    lambda_localized  exact best ratio at most min_ratio_upper = l_star * eta
     vopt_localized    exact saturated value at most (l_star*sum(b)+h_star)*eta
 
-A check passes when its margin is no worse than the stated tolerance; a
+A check passes when its margin is at least minus its tolerance:
+``netmodel.CAP_TOLERANCE`` for ``feasible``, the slack of every capacity
+comparison, and ``INTERVAL_TOL`` for the four interval checks. A
 failing check in a row is meant to be impossible to miss (the CLI exits
 nonzero). Rows render to a fixed, documented CSV column set, quoted by the
 ``csv`` module's minimal rule.
@@ -22,43 +24,16 @@ import io
 import time
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 from .instance_io import Instance
-from .netmodel import branch_values, edge_loads, min_ratio
+from .netmodel import CAP_TOLERANCE, branch_values, edge_loads, min_ratio
 from .oracle import OracleError, lp_emcfpsc
 from .solver import SolveReport, Subroutine, solve
 
-BOUND_TOL = 1e-9
 INTERVAL_TOL = 1e-7
 
 ORACLE_SIZE_WARNING = 200
-
-CSV_COLUMNS = (
-    "instance",
-    "eta",
-    "k",
-    "sum_bounds",
-    "lambda_star",
-    "v_opt",
-    "l_star",
-    "h_star",
-    "value",
-    "min_ratio",
-    "feasible_ok",
-    "value_sandwich_ok",
-    "min_ratio_lb_ok",
-    "lambda_localized_ok",
-    "vopt_localized_ok",
-    "margin_feasible",
-    "margin_value_lower",
-    "margin_value_upper",
-    "margin_min_ratio",
-    "margin_lambda",
-    "margin_vopt",
-    "solver_seconds",
-    "oracle_seconds",
-    "status",
-)
 
 
 @dataclass(frozen=True)
@@ -93,10 +68,7 @@ class CompareRow:
         return "ok" if self.all_passed else "check-failed"
 
     def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return {c.name: c for c in self.checks}[name]
 
 
 def certified_checks(
@@ -109,14 +81,10 @@ def certified_checks(
     flow = report.flow
     caps = flow.system.capacities()
     margin_feasible = min(
-        (caps[eid] - load for eid, load in edge_loads(flow).items()),
-        default=0.0,
-    )
-    margin_feasible = min(
-        margin_feasible,
+        min((caps[eid] - load for eid, load in edge_loads(flow).items()), default=0.0),
         min(b - v for v, b in zip(branch_values(flow), bounds)),
     )
-    feasible = CheckResult("feasible", margin_feasible >= -BOUND_TOL, margin_feasible)
+    feasible = CheckResult("feasible", margin_feasible >= -CAP_TOLERANCE, margin_feasible)
 
     lower_gap = report.value - report.value_lower
     upper_gap = report.value_upper - report.value
@@ -133,10 +101,9 @@ def certified_checks(
         lam = CheckResult("lambda_localized", False, float("nan"))
         vopt = CheckResult("vopt_localized", False, float("nan"))
     else:
-        lam_gap = report.l_star * report.eta - lambda_star
+        lam_gap = report.min_ratio_upper - lambda_star
         lam = CheckResult("lambda_localized", lam_gap >= -INTERVAL_TOL, lam_gap)
-        ceiling = (report.l_star * sum(bounds) + report.h_star) * report.eta
-        vopt_gap = ceiling - v_opt
+        vopt_gap = (report.l_star * sum(bounds) + report.h_star) * report.eta - v_opt
         vopt = CheckResult("vopt_localized", vopt_gap >= -INTERVAL_TOL, vopt_gap)
     return (feasible, sandwich, ratio, lam, vopt)
 
@@ -186,42 +153,52 @@ def run_compare(
     )
 
 
+def _opt(x: float | None) -> str:
+    return "" if x is None else repr(x)
+
+
+def _passed(name: str) -> Callable[[CompareRow], str]:
+    return lambda row: str(int(row.check(name).passed))
+
+
+def _margin(name: str) -> Callable[[CompareRow], str]:
+    return lambda row: repr(row.check(name).margin)
+
+
+# The CSV columns in order, each with the rendering of its field.
+_CSV_FIELDS: tuple[tuple[str, Callable[[CompareRow], str]], ...] = (
+    ("instance", lambda row: row.instance),
+    ("eta", lambda row: repr(row.eta)),
+    ("k", lambda row: str(row.k)),
+    ("sum_bounds", lambda row: repr(row.sum_bounds)),
+    ("lambda_star", lambda row: _opt(row.lambda_star)),
+    ("v_opt", lambda row: _opt(row.v_opt)),
+    ("l_star", lambda row: str(row.report.l_star)),
+    ("h_star", lambda row: str(row.report.h_star)),
+    ("value", lambda row: repr(row.report.value)),
+    ("min_ratio", lambda row: repr(row.report.min_ratio_value)),
+    *((f"{name}_ok", _passed(name)) for name in (
+        "feasible", "value_sandwich", "min_ratio_lb", "lambda_localized", "vopt_localized"
+    )),
+    ("margin_feasible", _margin("feasible")),
+    ("margin_value_lower", lambda row: repr(row.report.value - row.report.value_lower)),
+    ("margin_value_upper", lambda row: repr(row.report.value_upper - row.report.value)),
+    ("margin_min_ratio", _margin("min_ratio_lb")),
+    ("margin_lambda", _margin("lambda_localized")),
+    ("margin_vopt", _margin("vopt_localized")),
+    ("solver_seconds", lambda row: f"{row.solver_seconds:.6f}"),
+    ("oracle_seconds", lambda row: f"{row.oracle_seconds:.6f}"),
+    ("status", lambda row: row.status),
+)
+CSV_COLUMNS = tuple(column for column, _ in _CSV_FIELDS)
+
+
 def csv_header() -> str:
     return ",".join(CSV_COLUMNS)
 
 
 def row_to_csv(row: CompareRow) -> str:
-    def opt(x):
-        return "" if x is None else repr(x)
-
-    by_name = {c.name: c for c in row.checks}
-    fields = [
-        row.instance,
-        repr(row.eta),
-        str(row.k),
-        repr(row.sum_bounds),
-        opt(row.lambda_star),
-        opt(row.v_opt),
-        str(row.report.l_star),
-        str(row.report.h_star),
-        repr(row.report.value),
-        repr(row.report.min_ratio_value),
-        str(int(by_name["feasible"].passed)),
-        str(int(by_name["value_sandwich"].passed)),
-        str(int(by_name["min_ratio_lb"].passed)),
-        str(int(by_name["lambda_localized"].passed)),
-        str(int(by_name["vopt_localized"].passed)),
-        repr(by_name["feasible"].margin),
-        repr(row.report.value - row.report.value_lower),
-        repr(row.report.value_upper - row.report.value),
-        repr(by_name["min_ratio_lb"].margin),
-        repr(by_name["lambda_localized"].margin),
-        repr(by_name["vopt_localized"].margin),
-        f"{row.solver_seconds:.6f}",
-        f"{row.oracle_seconds:.6f}",
-        row.status,
-    ]
     # Minimal quoting: only a name with a comma or quote is quoted.
     out = io.StringIO()
-    csv.writer(out, lineterminator="").writerow(fields)
+    csv.writer(out, lineterminator="").writerow(render(row) for _, render in _CSV_FIELDS)
     return out.getvalue()

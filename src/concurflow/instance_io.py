@@ -323,7 +323,8 @@ _SOLUTION_COUNTERS = ("l_star", "h_star", "outer_iterations", "inner_iterations"
 
 
 def parse_solution(text: str) -> SolutionData:
-    """Read a solution file; each record at most once, every number finite."""
+    """Read a solution file: each record at most once, every number finite, and
+    no counter, path index, ``branch`` or ``flow`` value negative (-0.0 is 0)."""
     named: dict[str, str] = {}
     scalars: dict[str, float] = {}
     counters: dict[str, int] = {}
@@ -355,6 +356,10 @@ def parse_solution(text: str) -> SolutionData:
             raise InstanceError(lineno, f"malformed {kind!r} record") from None
         if isinstance(value, float) and not math.isfinite(value):
             raise InstanceError(lineno, f"{kind} must be finite, got {value}")
+        if kind == "flow" and key[1] < 0:
+            raise InstanceError(lineno, f"flow path index must be >= 0, got {key[1]}")
+        if kind in (*_SOLUTION_COUNTERS, "branch", "flow") and value < 0:
+            raise InstanceError(lineno, f"{kind} must be >= 0, got {value}")
         if key in table:
             raise InstanceError(lineno, f"repeated {kind!r} record")
         table[key] = value

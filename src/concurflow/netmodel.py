@@ -15,7 +15,8 @@ those numbers; ``GroupedPaths`` lays out each live-group mask's
 callers, in one walk over the keys. ``GroupedProblem`` is
 the one reader of the grouped path input both bounded-flow engines take, and
 lays their results back out; given a ``GroupedPaths`` with its own
-``capacities``, a call checks only its bounds and reuses those columns.
+``capacities``, a call checks only its bounds and reuses those columns,
+and beside any other mapping it raises ``ValueError``.
 
 Everything in this module is immutable after construction and safe to share
 across threads; the operations are pure functions. ``GroupedPaths`` fills
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Hashable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, islice
 from types import MappingProxyType
@@ -457,9 +458,9 @@ class GroupedProblem:
     ) -> "GroupedProblem":
         """Read one engine call's input.
 
-        ``groups`` built as ``GroupedPaths`` over this very ``capacities``
-        mapping is reused; one beside another mapping is re-read against it
-        from its step rows, and any other input is checked and compiled afresh.
+        ``groups`` built as ``GroupedPaths`` is reused, and must come with
+        its own ``capacities`` snapshot: beside any other mapping it raises
+        ``ValueError``. Any other input is checked and compiled afresh.
         """
         if bounds is None:
             bounds = [None] * len(groups)
@@ -476,8 +477,8 @@ class GroupedProblem:
             checked.append(bound)
         if not isinstance(groups, GroupedPaths):
             groups = GroupedPaths.build(capacities, groups)
-        elif groups.capacities is not capacities:  # its step rows, read against this mapping
-            groups = replace(groups, capacities=capacities)
+        elif groups.capacities is not capacities:
+            raise ValueError("a GroupedPaths must come with its own capacities snapshot")
         matrix, keep = groups.columns(tuple(bound != 0 for bound in checked))
         return cls(groups, matrix, tuple(checked), keep)
 
@@ -698,6 +699,16 @@ def min_ratio(flow: Flow, bounds: tuple[float, ...] | list[float] | None = None)
         if not b > 0.0:
             raise ModelError(f"bound must be positive, got {b}")
     return min(branch_value(flow, i + 1) / bounds[i] for i in range(flow.system.k))
+
+
+def _check_bounds(bounds: Sequence[float], k: int | None = None, values: bool = True) -> None:
+    """Demand bounds: ``k`` of them if ``k`` is given, with ``values`` each positive, finite."""
+    if k is not None and len(bounds) != k:
+        raise ValueError("bounds length does not match the commodity count")
+    if values:
+        for b in bounds:
+            if not (math.isfinite(b) and b > 0.0):
+                raise ValueError(f"bounds must be positive and finite, got {b}")
 
 
 def enumerate_paths(

@@ -17,7 +17,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .netmodel import Flow, GroupedProblem, GroupedResult, PathMatrix, PathSystem
+from .netmodel import Flow, GroupedProblem, GroupedResult, PathMatrix, PathSystem, _check_bounds
 from .simplex import RowBlocks, SimplexError, solve_lp
 
 # Slack subtracted from the stage-1 ratio before stage 2 re-imposes it,
@@ -135,11 +135,7 @@ def lp_emcfp_lambda(system: PathSystem, bounds: Sequence[float] | None = None) -
     """
     if bounds is None:
         bounds = system.network.bounds()
-    if len(bounds) != system.k:
-        raise ValueError("bounds length does not match the commodity count")
-    for b in bounds:
-        if not 0 < b < np.inf:
-            raise ValueError(f"bounds must be positive and finite, got {b}")
+    _check_bounds(bounds, system.k)
     objective = np.zeros(system.path_count + 1)
     objective[0] = 1.0
     try:

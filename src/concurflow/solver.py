@@ -46,7 +46,6 @@ Levels, call counts and flows are those of full runs.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from itertools import islice
@@ -59,6 +58,7 @@ from .netmodel import (
     GroupedPaths,
     GroupedResult,
     PathSystem,
+    _check_bounds,
     flow_value,
     min_ratio,
 )
@@ -121,12 +121,6 @@ def _passes(result: GroupedResult | packing.Passing, target: float) -> bool:
     if isinstance(result, packing.Passing) and result.least >= target - BELOW_TOL:
         return True
     return result.total >= target - BELOW_TOL
-
-
-def _check_bounds(bounds: Sequence[float]) -> None:
-    for b in bounds:
-        if not (math.isfinite(b) and b > 0.0):
-            raise ValueError(f"bounds must be positive and finite, got {b}")
 
 
 def compute_epsilon(eta: float, bounds: Sequence[float]) -> float:
@@ -215,9 +209,7 @@ def build_auxiliary(
     """Construct the sink-splitting extension for a finished outer search."""
     if l_star < 1:
         raise ValueError(f"l_star must be >= 1, got {l_star}")
-    if len(bounds0) != system.k:
-        raise ValueError("bounds length does not match the commodity count")
-    _check_bounds(bounds0)
+    _check_bounds(bounds0, system.k)
     scale = (l_star - 1) * eta
     if scale > 1.0:
         raise ValueError(f"(l_star - 1) * eta = {scale} exceeds 1")
@@ -352,8 +344,7 @@ def solve(
         bounds = system.network.bounds()
     if system.k == 0:
         raise ValueError("need at least one commodity")
-    if len(bounds) != system.k:
-        raise ValueError("bounds length does not match the commodity count")
+    _check_bounds(bounds, system.k, values=False)  # its values after eta, in compute_epsilon
     eps = compute_epsilon(eta, bounds)
     run = resolve_subroutine(subroutine)
     bounds0 = tuple(float(b) for b in bounds)

@@ -23,8 +23,8 @@ import pytest
 from concurflow.cli import cli_main
 from concurflow.compare import run_compare
 from concurflow.generator import GenerationError, generate_instance
-from concurflow.netmodel import branch_values, flow_value, is_feasible
-from concurflow.oracle import lp_emcfp_lambda, lp_emcfpsc, lp_mmfpb_exact
+from concurflow.netmodel import GroupedResult, branch_values, flow_value, is_feasible
+from concurflow.oracle import lp_emcfp_lambda, lp_emcfpsc, lp_grouped_max, lp_mmfpb_exact
 from concurflow.packing import pack_paths, solve_mmfpb
 from concurflow.solver import solve
 from conftest import ACCEPTANCE_LINES, make_network, make_system, t1_system, t2_system, t3_system
@@ -97,6 +97,29 @@ def test_criterion_1_certified_bound_suite(corpus_rows):
         f"{len(rows)} runs, {len(failures)} failed checks, {elapsed:.1f}s",
     )
     assert elapsed < 60.0
+    assert not failures, failures[:10]
+
+
+def _scaled_oracle(capacities, groups, bounds, eps):
+    """The exact flow scaled by 1/(1+eps): feasible, total OPT/(1+eps)."""
+    exact = lp_grouped_max(capacities, groups, bounds)
+    values = tuple(tuple(v / (1.0 + eps) for v in row) for row in exact.values)
+    group_totals = tuple(float(sum(row)) for row in values)
+    return GroupedResult(values, group_totals, float(sum(group_totals)), exact.iterations, exact.upper)
+
+
+def test_certified_checks_hold_under_a_contract_adversary(corpus):
+    # Not a numbered criterion: the checks are meant to follow from the
+    # subroutine contract alone (a feasible flow of total >= OPT/(1+eps)),
+    # so they must hold for a subroutine that delivers no more than that.
+    failures = [
+        (row.instance, row.eta, check.name, check.margin)
+        for inst in corpus
+        for eta in ETAS
+        for row in [run_compare(inst, eta, subroutine=_scaled_oracle)]
+        for check in row.checks
+        if not check.passed
+    ]
     assert not failures, failures[:10]
 
 

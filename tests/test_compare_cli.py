@@ -45,6 +45,39 @@ class TestRunCompare:
         assert len(csv_header().split(",")) == len(CSV_COLUMNS)
         assert len(row_to_csv(row).split(",")) == len(CSV_COLUMNS)
 
+    def test_csv_header_text(self):
+        assert csv_header() == (
+            "instance,eta,k,sum_bounds,lambda_star,v_opt,l_star,h_star,value,min_ratio,"
+            "feasible_ok,value_sandwich_ok,min_ratio_lb_ok,lambda_localized_ok,"
+            "vopt_localized_ok,margin_feasible,margin_value_lower,margin_value_upper,"
+            "margin_min_ratio,margin_lambda,margin_vopt,solver_seconds,oracle_seconds,status"
+        )
+
+    @pytest.mark.parametrize(
+        "oracle_fails, expected",
+        [
+            (False, "t1,0.1,2,3.0,0.3333333333333333,1.0,4,2,1.0,0.30000000000000004,"
+                    "1,1,1,1,1,0.0,0.19999999999999996,0.10000000000000009,0.2,"
+                    "0.06666666666666671,0.40000000000000013,ok"),
+            (True, "t1,0.1,2,3.0,,,4,2,1.0,0.30000000000000004,1,1,1,0,0,0.0,"
+                   "0.19999999999999996,0.10000000000000009,0.2,nan,nan,oracle-failed"),
+        ],
+    )
+    def test_csv_row_fields(self, t1_instance, monkeypatch, oracle_fails, expected):
+        import concurflow.compare as compare_mod
+        from concurflow.oracle import OracleError
+
+        if oracle_fails:
+            def boom(system, bounds):
+                raise OracleError("forced failure")
+
+            monkeypatch.setattr(compare_mod, "lp_emcfpsc", boom)
+        fields = row_to_csv(run_compare(t1_instance, 0.1, subroutine="oracle")).split(",")
+        timed = [CSV_COLUMNS.index("solver_seconds"), CSV_COLUMNS.index("oracle_seconds")]
+        for i in timed:
+            float(fields[i])
+        assert ",".join(f for i, f in enumerate(fields) if i not in timed) == expected
+
     def test_csv_quotes_only_names_that_need_it(self):
         name = 'a,"b"'
         row = run_compare(instance_from_system(t1_system(), name), 0.1, subroutine="oracle")

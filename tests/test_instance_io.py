@@ -336,6 +336,28 @@ class TestSolutionFile:
         with pytest.raises(InstanceError, match="^line 2: repeated 'format' record$"):
             parse_solution(text)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("l_star -3", "l_star must be >= 0, got -3"),
+            ("subroutine_calls -1", "subroutine_calls must be >= 0, got -1"),
+            ("flow c1 -1 0.5", "flow path index must be >= 0, got -1"),
+            ("flow c1 0 -2.0", "flow must be >= 0, got -2.0"),
+            ("branch c1 -7.5", "branch must be >= 0, got -7.5"),
+        ],
+    )
+    def test_negative_number_rejected(self, record, message):
+        # solve writes levels >= 1, indices >= 0 and flows that Flow accepts.
+        with pytest.raises(InstanceError, match=f"^line 3: {message}$"):
+            parse_solution(f"format concurflow-solution 1\ninstance x\n{record}\n")
+
+    def test_negative_zero_and_signed_scalars_read(self):
+        data = parse_solution(
+            "format concurflow-solution 1\nbranch c1 -0.0\nflow c1 0 -0.0\nvalue_lower -0.25\n"
+        )
+        assert data.branches["c1"] == 0.0 and data.flows[("c1", 0)] == 0.0
+        assert data.scalars["value_lower"] == -0.25
+
 
 # --- parse_instance against the parser as it stood before paths reached the
 # path system as raw edge ids: it oriented every path line in file order with

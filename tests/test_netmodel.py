@@ -334,7 +334,10 @@ class TestGroupedProblem:
         reused = GroupedProblem.build(paths.capacities, paths, None)
         assert reused.keep.tolist() == [True, True]
         assert GroupedProblem.build(paths.capacities, paths, [2.0]).matrix is reused.matrix
-        assert GroupedProblem.build(caps, paths, None).keep.tolist() == [False, True]
+        # Beside any other mapping, even one with equal entries, it is refused.
+        for other in (caps, dict(paths.capacities)):
+            with pytest.raises(ValueError, match="must come with its own capacities snapshot"):
+                GroupedProblem.build(other, paths, None)
 
 
 # --- GroupedPaths.columns against the former key-walking layout ---

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -424,6 +425,18 @@ def assert_certificates(report, system, bounds):
 
 
 class TestSolveEndToEnd:
+    @pytest.mark.parametrize(
+        "eta, bounds, message",
+        [
+            (1.5, (1.0,), "bounds length does not match the commodity count"),
+            (1.5, (1.0, -1.0), "eta must lie in (0, 1), got 1.5"),
+            (0.1, (1.0, math.inf), "bounds must be positive and finite, got inf"),
+        ],
+    )
+    def test_input_checked_length_then_eta_then_values(self, t1, eta, bounds, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve(t1, eta, bounds, subroutine="oracle")
+
     def test_shared_edge_instance(self, t1):
         report = solve(t1, 0.05, subroutine="oracle")
         assert report.l_star == 7
