@@ -92,17 +92,15 @@ def recording(calls: list):
 
     ``oracle``, ``solve_mmfpb`` and ``solve``'s named subroutines look both
     names up at call time, so what ``solve`` runs is recorded, early stops
-    included. A checkout whose ``solve`` binds ``pack_paths`` itself into its
-    table of subroutines gets that entry replaced too. Both engines read
-    their input through ``GroupedProblem.build``, a classmethod patched on
-    the class. ``packing.Passing.finish``, where a checkout has it, is
-    patched on its class too, and records the steps it adds when it runs the
-    loop on; a finish that returns a kept result or raises records nothing.
+    included. Both engines read their input through ``GroupedProblem.build``,
+    a classmethod patched on the class. ``packing.Passing.finish``, where a
+    checkout has it, is patched on its class too, and records the steps it
+    adds when it runs the loop on; a finish that returns a kept result or
+    raises records nothing.
     """
     import concurflow.netmodel
     import concurflow.oracle
     import concurflow.packing
-    import concurflow.solver
 
     solve_lp = concurflow.oracle.solve_lp
     pack_paths = concurflow.packing.pack_paths
@@ -135,15 +133,11 @@ def recording(calls: list):
             calls.append(["finish", result.iterations - self.iterations])
         return result
 
-    table = concurflow.solver._SUBROUTINES
-    saved = dict(table)
     concurflow.oracle.solve_lp = lp
     concurflow.packing.pack_paths = pack
     problem_class.build = classmethod(layout)
     if passing:
         passing.finish = finishing
-    if table.get("fptas") is pack_paths:
-        table["fptas"] = pack
     try:
         yield
     finally:
@@ -152,7 +146,6 @@ def recording(calls: list):
         problem_class.build = build
         if passing:
             passing.finish = finish
-        table.update(saved)
 
 
 def case_record(workload, case) -> dict:

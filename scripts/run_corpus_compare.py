@@ -14,6 +14,7 @@ import sys
 
 from concurflow.compare import csv_header, row_to_csv, run_compare
 from concurflow.generator import GenerationError, generate_instance
+from concurflow.solver import _SUBROUTINES
 
 PARAM_CYCLE = (
     (6, 9, 2, 4),
@@ -48,7 +49,7 @@ def main():
     parser.add_argument("--etas", type=float, nargs="+", default=[0.05, 0.1, 0.2])
     parser.add_argument("--bound-range", type=float, nargs=2, default=(0.5, 3.0),
                         metavar=("LO", "HI"))
-    parser.add_argument("--subroutine", choices=("fptas", "oracle"), default="oracle")
+    parser.add_argument("--subroutine", choices=tuple(_SUBROUTINES), default="oracle")
     parser.add_argument("--csv", default=None)
     args = parser.parse_args()
 

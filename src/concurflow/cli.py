@@ -102,12 +102,15 @@ def _read_instance(path: str) -> Instance:
     return parse_instance(text)
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output: str | None, mode: str = "w") -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
+        return
+    try:
+        with open(output, mode, encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {output!r}: {exc}") from None
 
 
 def _cmd_solve(args) -> int:
@@ -171,10 +174,7 @@ def _cmd_compare(args) -> int:
     row = run_compare(instance, args.eta, subroutine=args.subroutine)
     if args.csv:
         new_file = not os.path.exists(args.csv) or os.path.getsize(args.csv) == 0
-        with open(args.csv, "a", encoding="utf-8") as handle:
-            if new_file:
-                handle.write(csv_header() + "\n")
-            handle.write(row_to_csv(row) + "\n")
+        _emit((csv_header() + "\n" if new_file else "") + row_to_csv(row) + "\n", args.csv, "a")
     for check in row.checks:
         print(f"{check.name}: {'pass' if check.passed else 'FAIL'} (margin {check.margin:.3g})")
     print(

@@ -701,14 +701,13 @@ def min_ratio(flow: Flow, bounds: tuple[float, ...] | list[float] | None = None)
     return min(branch_value(flow, i + 1) / bounds[i] for i in range(flow.system.k))
 
 
-def _check_bounds(bounds: Sequence[float], k: int | None = None, values: bool = True) -> None:
-    """Demand bounds: ``k`` of them if ``k`` is given, with ``values`` each positive, finite."""
+def _check_bounds(bounds: Sequence[float], k: int | None = None) -> None:
+    """Demand bounds: ``k`` of them if ``k`` is given, each positive and finite."""
     if k is not None and len(bounds) != k:
         raise ValueError("bounds length does not match the commodity count")
-    if values:
-        for b in bounds:
-            if not (math.isfinite(b) and b > 0.0):
-                raise ValueError(f"bounds must be positive and finite, got {b}")
+    for b in bounds:
+        if not (math.isfinite(b) and b > 0.0):
+            raise ValueError(f"bounds must be positive and finite, got {b}")
 
 
 def enumerate_paths(

@@ -13,20 +13,21 @@ one per sink kind, and projection adds each path's two copies, giving an
 output whose total value, per-commodity caps, and worst service ratio are all
 sandwiched by closed-form functions of ``l_star``, ``h_star`` and ``eta``.
 
-The inner search needs no call of its own at budget 0: there the
-auxiliary problem is the outer search's last passing call, with the
-dedicated copies carrying its values and the overflow copy nothing, so
-``find_hstar`` takes the outer search as its required ``start`` and
-``solve`` hands that call from one search to the other. Its flow meets the
-dedicated bounds and passed the outer test at level ``l_star - 1``, all
-that the value and ratio floors ask of the result when ``h_star = 1``.
-When no overflow capacity is left (every ``b_i`` is met in full by its
-dedicated share, as when ``(l_star - 1) * eta`` is exactly 1), the
-overflow copy can carry nothing at any budget, so that same call answers
-every budget and the inner search makes no call at all. A failing
-budget's certificate is then that call's own contract, its total at least
-the optimum over ``1+eps``. The call's flow is read only by the search
-that keeps it.
+Each stage takes only what it cannot derive: ``solve`` reads the demand
+bounds from the system's network, ``find_lstar`` takes them with ``eta``,
+and ``find_hstar`` reads both from the ``AuxNetwork``, which records what
+it was built from. Both searches run one level loop, ``_search``, which
+checks ``eta`` and derives ``eps`` before its first call. The inner
+search's result at budget 0 is the outer search's last passing call, so
+``solve`` hands that call over as ``find_hstar``'s ``start``: there the
+auxiliary problem is that call's, with the dedicated copies carrying its
+values and the overflow copy nothing. Its flow meets the dedicated bounds
+and passed the outer test at level ``l_star - 1``, all that the value and
+ratio floors ask of the result when ``h_star = 1``. When no overflow
+capacity is left (every ``b_i`` met in full by its dedicated share), that
+call answers every budget, with no call; a failing budget's certificate is
+then that call's own contract, its total at least the optimum over
+``1+eps``.
 
 The subroutine is the packing approximation by default; an exact LP
 subroutine can be substituted for deterministic trace tests. Only the
@@ -112,23 +113,51 @@ def resolve_subroutine(subroutine: str | Subroutine) -> Subroutine:
         ) from None
 
 
-def _passes(result: GroupedResult | packing.Passing, target: float) -> bool:
-    """Whether a call's total reaches a search's ``target``, less ``BELOW_TOL``.
-
-    A paused packing run answers from its certified lower bound, so its
-    loop does not run on; only a bound short of ``target`` reads the total.
-    """
-    if isinstance(result, packing.Passing) and result.least >= target - BELOW_TOL:
-        return True
-    return result.total >= target - BELOW_TOL
-
-
 def compute_epsilon(eta: float, bounds: Sequence[float]) -> float:
-    """Subroutine accuracy derived once from the quantum and total demand."""
+    """Subroutine accuracy derived from the quantum and total demand."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    if not bounds:
+        raise ValueError("need at least one commodity")
     _check_bounds(bounds)
     return min(eta / sum(bounds), 0.5)
+
+
+def _search(
+    run: Subroutine | None,
+    paths: GroupedPaths,
+    eta: float,
+    bounds0: Sequence[float],
+    limit: float,
+    bounds_at: Callable[[float], list],
+    seed: GroupedResult | packing.Passing | None = None,
+) -> tuple[int, int, GroupedResult | packing.Passing | None]:
+    """The paper's linear level search, which both searches run.
+
+    Derives ``eps`` from ``eta`` and ``bounds0`` before any call, then asks
+    ``run`` on ``paths`` at levels 1, 2, ... while ``level * eta <= limit``,
+    under ``bounds_at(level * eta)``, until a total falls short of
+    ``sum(bounds)/(1+eps)`` (less ``BELOW_TOL``). ``seed`` stands for level
+    0; with ``run`` None it answers every level, with no call. Returns the
+    terminal level, the calls made and the last passing result.
+    """
+    eps = compute_epsilon(eta, bounds0)
+    passed, calls, level = seed, 0, 1
+    while level * eta <= limit:
+        bounds = bounds_at(level * eta)
+        if run is None:
+            result = seed
+        else:
+            result = run(paths.capacities, paths, bounds, eps)
+            calls += 1
+        target = sum(bounds) / (1.0 + eps) - BELOW_TOL
+        # A paused packing run answers from its certified lower bound, so its
+        # loop does not run on; only a bound short of the target reads the total.
+        if not (isinstance(result, packing.Passing) and result.least >= target) and result.total < target:
+            break
+        passed = result
+        level += 1
+    return level, calls, passed
 
 
 @dataclass(frozen=True)
@@ -147,42 +176,30 @@ def find_lstar(
     system: PathSystem,
     bounds: Sequence[float],
     eta: float,
-    eps: float,
     subroutine: str | Subroutine = "fptas",
 ) -> LstarResult:
     """Outer search: first level l at which scaled demands stop saturating.
 
-    Stops at the first l >= 1 with ``l * eta > 1`` (no subroutine call) or
-    with subroutine value strictly below ``sum(l*eta*b) / (1+eps)``.
-    Returns the terminal l, the number of subroutine calls made and the
-    last level's passing call, whose flow is read only by the inner search
-    that keeps it.
+    Derives ``eps`` from ``eta`` and the bounds ``b``; an ``eta`` outside
+    (0, 1) raises ``ValueError`` before any call. Stops at the first l >= 1
+    with ``l * eta > 1`` (no subroutine call) or with subroutine value
+    strictly below ``sum(l*eta*b) / (1+eps)``. Returns the terminal l, the
+    number of subroutine calls made and the last level's passing call, whose
+    flow is read only by the inner search that keeps it.
     """
     run = resolve_subroutine(subroutine)
     paths = system.grouped
-    passed = None
-    calls = 0
-    l = 0
-    while True:
-        l += 1
-        if l * eta > 1.0:
-            break
-        scale = l * eta
-        scaled = [scale * b for b in bounds]
-        result = run(paths.capacities, paths, scaled, eps)
-        calls += 1
-        if not _passes(result, sum(scaled) / (1.0 + eps)):
-            break
-        passed = result
-    return LstarResult(l, calls, passed, paths.sizes)
+    l_star, calls, last = _search(run, paths, eta, bounds, 1.0, lambda scale: [scale * b for b in bounds])
+    return LstarResult(l_star, calls, last, paths.sizes)
 
 
 @dataclass(frozen=True)
 class AuxNetwork:
     """Sink-splitting extension fixed by the outer search level.
 
-    ``groups`` is the base system's step rows twice, with a sink row after
-    each path of commodity i: ``("ded", i)`` of capacity
+    It records the ``bounds0`` and ``eta`` it was built from, which the
+    inner search reads. ``groups`` is the base system's step rows twice, with
+    a sink row after each path of commodity i: ``("ded", i)`` of capacity
     ``dedicated_bounds[i-1] = (l_star - 1) * eta * b_i`` in the dedicated
     copy, ``("ovf", i)`` of capacity ``b_i - dedicated_bounds[i-1]`` in the
     overflow copy. Tuple keys never collide with the string ids of the base
@@ -192,6 +209,8 @@ class AuxNetwork:
     """
 
     base: PathSystem
+    bounds0: tuple[float, ...]
+    eta: float
     dedicated_bounds: tuple[float, ...]
     groups: GroupedPaths
 
@@ -230,7 +249,7 @@ def build_auxiliary(
     rows[steps] = np.concatenate((base.rows, base.rows))  # then the steps fill all but the last
     labels = tuple((kind, i) for kind in ("ded", "ovf") for i in range(1, k + 1))
     groups = GroupedPaths(capacities, base.sizes + (n,), base.edges + labels, rows, lengths + 1)
-    return AuxNetwork(system, dedicated_bounds, groups)
+    return AuxNetwork(system, tuple(bounds0), eta, dedicated_bounds, groups)
 
 
 @dataclass(frozen=True)
@@ -242,25 +261,24 @@ class HstarResult:
 
 def find_hstar(
     aux: AuxNetwork,
-    eta: float,
-    eps: float,
-    sum_b0: float,
     subroutine: str | Subroutine = "fptas",
     *,
     start: LstarResult,
 ) -> HstarResult:
     """Inner search: first overflow budget the auxiliary value cannot keep up with.
 
-    Stops at the first h >= 1 with ``h * eta > sum_b0`` or with subroutine
-    value strictly below ``(sum(dedicated bounds) + h*eta) / (1+eps)``;
-    returns the flow of the last passing budget. At budget 0 the auxiliary
-    problem is the base system's under the dedicated bounds, the outer
-    search's call at level ``l_star - 1``. So ``start``, the outer search
-    ``aux`` was built from, is required and answers budget 0 with no call:
-    its flow is the result when the very first budget fails, the dedicated
-    copies carrying it and the overflow copy zeros (all zeros when no level
-    passed, as the engines return under zero bounds). A ``start`` shaped
-    unlike ``aux.base`` raises ``ValueError``.
+    Reads ``eta`` and the bounds ``b`` from ``aux`` and derives ``eps`` as
+    the outer search does. Stops at the first h >= 1 with ``h * eta >
+    sum(b)`` or with subroutine value strictly below
+    ``(sum(dedicated bounds) + h*eta) / (1+eps)``; returns the flow of the
+    last passing budget. At budget 0 the auxiliary problem is the base
+    system's under the dedicated bounds, the outer search's call at level
+    ``l_star - 1``. So ``start``, the outer search ``aux`` was built from,
+    is required and answers budget 0 with no call: its flow is the result
+    when the very first budget fails, the dedicated copies carrying it and
+    the overflow copy zeros (all zeros when no level passed, as the engines
+    return under zero bounds). A ``start`` shaped unlike ``aux.base`` raises
+    ``ValueError``.
 
     When every overflow sink has capacity 0, no overflow path carries flow,
     so every budget's problem is budget 0's: each budget is answered from
@@ -271,31 +289,18 @@ def find_hstar(
     sizes = aux.base.grouped.sizes
     if start.sizes != sizes:
         raise ValueError("start must be an outer search of a system shaped like aux.base")
-    last, calls = start.last, 0
-    caps, groups = aux.capacities, aux.groups
-    no_overflow = all(caps["ovf", i] == 0.0 for i in range(1, aux.base.k + 1))
-    sum_dedicated = sum(aux.dedicated_bounds)
-    passed = None
-    h = 0
-    while True:
-        h += 1
-        budget = h * eta
-        if budget > sum_b0:
-            break
-        if no_overflow:
-            result = last
-        else:
-            result = run(caps, groups, [*aux.dedicated_bounds, budget], eps)
-            calls += 1
-        if not _passes(result, (sum_dedicated + budget) / (1.0 + eps)):
-            break
-        passed = result
-    if passed is None or no_overflow:
-        dedicated = tuple((0.0,) * size for size in sizes) if last is None else last.values
-        values = (*dedicated, (0.0,) * aux.base.path_count)
-    else:
+    if all(aux.capacities["ovf", i] == 0.0 for i in range(1, aux.base.k + 1)):
+        run = None
+    h_star, calls, passed = _search(
+        run, aux.groups, aux.eta, aux.bounds0, sum(aux.bounds0),
+        lambda budget: [*aux.dedicated_bounds, budget], start.last,
+    )
+    if passed is not start.last:
         values = passed.values
-    return HstarResult(h, values, calls)
+    else:
+        zero = tuple((0.0,) * size for size in sizes)
+        values = (*(zero if passed is None else passed.values), (0.0,) * aux.base.path_count)
+    return HstarResult(h_star, values, calls)
 
 
 def project_flow(aux_values: Sequence[Sequence[float]], aux: AuxNetwork) -> Flow:
@@ -335,23 +340,14 @@ class SolveReport:
 def solve(
     system: PathSystem,
     eta: float,
-    bounds: Sequence[float] | None = None,
     subroutine: str | Subroutine = "fptas",
 ) -> SolveReport:
-    """Run the full pipeline and return the flow with its certified report."""
+    """Run the full pipeline on the network's demand bounds; return the flow and its certified report."""
     started = time.perf_counter()
-    if bounds is None:
-        bounds = system.network.bounds()
-    if system.k == 0:
-        raise ValueError("need at least one commodity")
-    _check_bounds(bounds, system.k, values=False)  # its values after eta, in compute_epsilon
-    eps = compute_epsilon(eta, bounds)
-    run = resolve_subroutine(subroutine)
-    bounds0 = tuple(float(b) for b in bounds)
-
-    outer = find_lstar(system, bounds0, eta, eps, run)
+    bounds0 = tuple(float(b) for b in system.network.bounds())
+    outer = find_lstar(system, bounds0, eta, subroutine)
     aux = build_auxiliary(system, bounds0, outer.l_star, eta)
-    inner = find_hstar(aux, eta, eps, sum(bounds0), run, start=outer)
+    inner = find_hstar(aux, subroutine, start=outer)
     flow = project_flow(inner.aux_values, aux)
 
     sum_b = sum(bounds0)
@@ -359,7 +355,7 @@ def solve(
     value = flow_value(flow)
     return SolveReport(
         eta=eta,
-        eps=eps,
+        eps=compute_epsilon(eta, bounds0),
         bounds0=bounds0,
         l_star=l_star,
         h_star=h_star,

@@ -147,7 +147,7 @@ class TestCliSolve:
     def test_internal_error_maps_to_3(self, t1_file, monkeypatch):
         import concurflow.cli as cli_mod
 
-        def boom(system, eta, bounds=None, subroutine="fptas"):
+        def boom(system, eta, subroutine="fptas"):
             raise RuntimeError("wedged")
 
         monkeypatch.setattr(cli_mod, "solve", boom)
@@ -275,3 +275,20 @@ class TestCliCompare:
 
         monkeypatch.setattr(cli_mod, "run_compare", sabotaged)
         assert cli_main(["compare", "--input", t1_file, "--eta", "0.1"]) == 2
+
+
+GEN_ARGS = ["gen", "--seed", "7", "--nodes", "6", "--edges", "9", "--commodities", "2", "--max-paths", "4"]
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "gen", "compare"])
+def test_unwritable_output_is_usage_error(tmp_path, t1_file, capsys, command):
+    # --output into a missing directory; --csv naming a directory.
+    target = tmp_path if command == "compare" else tmp_path / "missing" / "out.txt"
+    argv = {
+        "solve": ["solve", "--input", t1_file, "--eta", "0.1", "--subroutine", "oracle", "--output"],
+        "oracle": ["oracle", "--input", t1_file, "--problem", "mmfp", "--output"],
+        "gen": [*GEN_ARGS, "--output"],
+        "compare": ["compare", "--input", t1_file, "--eta", "0.1", "--subroutine", "oracle", "--csv"],
+    }[command]
+    assert cli_main([*argv, str(target)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {str(target)!r}: ")

@@ -159,24 +159,13 @@ def load_byte_identity():
     return module
 
 
-@pytest.mark.parametrize("bound", [False, True])
-def test_byte_identity_records_what_solve_runs(monkeypatch, bound):
-    # ``bound``: a table of subroutines that holds pack_paths itself, as
-    # checkouts did before "fptas" looked the engine up at call time.
-    import concurflow.packing
-    import concurflow.solver
+def test_byte_identity_records_what_solve_runs():
     from concurflow.solver import solve
     from conftest import t1_system
 
-    table = concurflow.solver._SUBROUTINES
-    if bound:
-        monkeypatch.setitem(table, "fptas", concurflow.packing.pack_paths)
-    saved = dict(table)
     calls = []
     with load_byte_identity().recording(calls):
         report = solve(t1_system(), 0.25)
-    assert table == saved
-    assert (table["fptas"] is concurflow.packing.pack_paths) == bound
     packs = [call for call in calls if call[0] == "pack"]
     assert len(packs) == report.subroutine_calls
     assert len(packs) == sum(call[0] == "layout" for call in calls)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -57,22 +58,19 @@ class TestOuterSearch:
     def test_exhaustion_trace(self):
         # Demands l*0.25 fit capacity 2 for l = 1..4; l = 5 passes 1.
         system = single_edge_system(2.0, 1.0)
-        eps = compute_epsilon(0.25, (1.0,))
-        res = find_lstar(system, (1.0,), 0.25, eps, "oracle")
+        res = find_lstar(system, (1.0,), 0.25, "oracle")
         assert res.l_star == 5
         assert res.calls == 4
 
     def test_immediate_failure(self):
         # Demand 5 at level 1 against capacity 1 never saturates.
         system = single_edge_system(1.0, 10.0)
-        eps = compute_epsilon(0.5, (10.0,))
-        res = find_lstar(system, (10.0,), 0.5, eps, "oracle")
+        res = find_lstar(system, (10.0,), 0.5, "oracle")
         assert res.l_star == 1
         assert res.calls == 1
 
     def test_shared_edge_trace(self, t1):
-        eps = compute_epsilon(0.1, (1.0, 2.0))
-        res = find_lstar(t1, (1.0, 2.0), 0.1, eps, "oracle")
+        res = find_lstar(t1, (1.0, 2.0), 0.1, "oracle")
         assert res.l_star == 4
         assert res.calls == 4
 
@@ -160,11 +158,10 @@ class TestInnerSearch:
         # Dedicated share already saturates; equality at h=1 still passes,
         # the budget at h=2 cannot keep up.
         system = single_edge_system(2.0, 1.0)
-        eps = compute_epsilon(0.25, (1.0,))
-        outer = find_lstar(system, (1.0,), 0.25, eps, "oracle")
+        outer = find_lstar(system, (1.0,), 0.25, "oracle")
         assert outer.l_star == 5
         aux = build_auxiliary(system, (1.0,), 5, 0.25)
-        res = find_hstar(aux, 0.25, eps, 1.0, "oracle", start=outer)
+        res = find_hstar(aux, "oracle", start=outer)
         assert res.h_star == 2
         assert sum(map(sum, res.aux_values)) == pytest.approx(1.0)
 
@@ -178,33 +175,52 @@ class TestInnerSearch:
             [("s", "t", 1.0), ("s", "t", 1.0)],
         )
         system = make_system(net, [[["e1"]], [["e2"]]])
-        eps = compute_epsilon(0.1, (1.0, 1.0))
-        outer = find_lstar(system, (1.0, 1.0), 0.1, eps, "oracle")
+        outer = find_lstar(system, (1.0, 1.0), 0.1, "oracle")
         assert outer.l_star == 3
         aux = build_auxiliary(system, (1.0, 1.0), 3, 0.1)
         assert aux.capacities["ovf", 2] == pytest.approx(0.8)
-        res = find_hstar(aux, 0.1, eps, 2.0, "oracle", start=outer)
+        res = find_hstar(aux, "oracle", start=outer)
         assert res.h_star == 10
         assert sum(map(sum, res.aux_values)) == pytest.approx(1.25)
 
     def test_budget_exhaustion(self):
         system = single_edge_system(2.0, 1.0)
-        eps = compute_epsilon(0.6, (1.0,))
-        outer = find_lstar(system, (1.0,), 0.6, eps, "oracle")
+        outer = find_lstar(system, (1.0,), 0.6, "oracle")
         assert outer.l_star == 2
         aux = build_auxiliary(system, (1.0,), outer.l_star, 0.6)
-        res = find_hstar(aux, 0.6, eps, 1.0, "oracle", start=outer)
+        res = find_hstar(aux, "oracle", start=outer)
         assert res.h_star == 2  # budget 1.2 overshoots the total demand 1.0
         assert res.calls == 1  # h=1; budget 0 is the outer search's last pass
 
     def test_misshapen_start_rejected(self, t1):
         aux = build_auxiliary(t1, (1.0, 2.0), 3, 0.1)
-        eps = compute_epsilon(0.1, (1.0, 2.0))
         # An outer search of a system with other paths per commodity than t1's.
         for sizes in ((1,), (1, 0), (1, 1, 2)):
             start = LstarResult(3, 2, None, sizes)
             with pytest.raises(ValueError, match="^start must be an outer search of a system shaped like aux.base$"):
-                find_hstar(aux, 0.1, eps, 3.0, "oracle", start=start)
+                find_hstar(aux, "oracle", start=start)
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.1, math.nan, 1.0])
+def test_searches_check_eta_before_any_call(t1, eta):
+    # At eta <= 0 no level is ever past the last one, so a search that did
+    # not check eta would ask its subroutine forever.
+    calls = []
+
+    def limited(caps, groups, bounds, eps):
+        calls.append(bounds)
+        if len(calls) > 100:
+            raise RuntimeError("the search did not stop")
+        return lp_grouped_max(caps, groups, bounds)
+
+    message = f"^{re.escape(f'eta must lie in (0, 1), got {eta}')}$"
+    with pytest.raises(ValueError, match=message):
+        find_lstar(t1, (1.0, 2.0), eta, limited)
+    aux = dataclasses.replace(build_auxiliary(t1, (1.0, 2.0), 1, 0.5), eta=eta)
+    start = LstarResult(1, 1, None, t1.grouped.sizes)
+    with pytest.raises(ValueError, match=message):
+        find_hstar(aux, limited, start=start)
+    assert calls == []
 
 
 def generated_system(seed):
@@ -264,7 +280,7 @@ class TestInnerStart:
         system = generated_system(seed)
         report = solve(system, eta, subroutine=engine)
         assert report.h_star == 1
-        outer = find_lstar(system, report.bounds0, eta, report.eps, engine)
+        outer = find_lstar(system, report.bounds0, eta, engine)
         assert outer.l_star == report.l_star >= 2
         assert repr(report.flow.values) == repr(outer.last.values)
         # The outer search's last passing call, at level l_star - 1.
@@ -277,14 +293,14 @@ class TestInnerStart:
     def test_level_one_starts_from_zero(self, engine, t1):
         run = resolve_subroutine(engine)
         eps = compute_epsilon(0.5, (1.0, 2.0))
-        outer = find_lstar(t1, (1.0, 2.0), 0.5, eps, engine)
+        outer = find_lstar(t1, (1.0, 2.0), 0.5, engine)
         assert outer.l_star == 1 and outer.calls == 1 and outer.last is None
 
         def failing(caps, groups, bounds, eps):  # every budget gets a zero flow
             return run(caps, groups, [0.0] * len(bounds), eps)
 
         aux = build_auxiliary(t1, (1.0, 2.0), 1, 0.5)
-        inner = find_hstar(aux, 0.5, eps, 3.0, failing, start=outer)
+        inner = find_hstar(aux, failing, start=outer)
         assert (inner.h_star, inner.calls) == (1, 1)
         # The dedicated copies carry what the engines return when every
         # bound is 0, bit for bit.
@@ -365,11 +381,10 @@ class TestNoOverflowLeft:
         monkeypatch.setattr(packing.Passing, "finish", finishing)
         system = generate_instance(0, 6, 9, 2, 4).path_system
         bounds = system.network.bounds()
-        eps = compute_epsilon(0.25, bounds)
-        outer = find_lstar(system, bounds, 0.25, eps)
+        outer = find_lstar(system, bounds, 0.25)
         aux = build_auxiliary(system, bounds, outer.l_star, 0.25)
         assert all(aux.capacities["ovf", i] > 0.0 for i in range(1, system.k + 1))
-        inner = find_hstar(aux, 0.25, eps, sum(bounds), start=outer)
+        inner = find_hstar(aux, start=outer)
         assert inner.h_star >= 2 and inner.calls == inner.h_star
         assert isinstance(outer.last, packing.Passing)
         assert all(result is not outer.last for result in finished)
@@ -391,10 +406,9 @@ class TestProjection:
         assert flow_value(flow) == 0.0
 
     def test_total_value_conserved(self, t2):
-        eps = compute_epsilon(0.1, (1.0, 1.0))
-        outer = find_lstar(t2, (1.0, 1.0), 0.1, eps, "oracle")
+        outer = find_lstar(t2, (1.0, 1.0), 0.1, "oracle")
         aux = build_auxiliary(t2, (1.0, 1.0), outer.l_star, 0.1)
-        res = find_hstar(aux, 0.1, eps, 2.0, "oracle", start=outer)
+        res = find_hstar(aux, "oracle", start=outer)
         aux_total = sum(map(sum, res.aux_values))
         flow = project_flow(res.aux_values, aux)
         assert flow_value(flow) == pytest.approx(aux_total, abs=1e-12)
@@ -425,18 +439,6 @@ def assert_certificates(report, system, bounds):
 
 
 class TestSolveEndToEnd:
-    @pytest.mark.parametrize(
-        "eta, bounds, message",
-        [
-            (1.5, (1.0,), "bounds length does not match the commodity count"),
-            (1.5, (1.0, -1.0), "eta must lie in (0, 1), got 1.5"),
-            (0.1, (1.0, math.inf), "bounds must be positive and finite, got inf"),
-        ],
-    )
-    def test_input_checked_length_then_eta_then_values(self, t1, eta, bounds, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            solve(t1, eta, bounds, subroutine="oracle")
-
     def test_shared_edge_instance(self, t1):
         report = solve(t1, 0.05, subroutine="oracle")
         assert report.l_star == 7
@@ -498,8 +500,6 @@ class TestSolveEndToEnd:
             solve(t1, 0.0)
         with pytest.raises(ValueError):
             solve(t1, 1.0)
-        with pytest.raises(ValueError):
-            solve(t1, 0.1, bounds=(1.0,))
         with pytest.raises(ValueError):
             solve(t1, 0.1, subroutine="nonsense")
 
