@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Sweep a generated corpus through solver-versus-oracle comparison.
 
-Generates seeded instances, runs the certified checks at each quantum, and
+Generates the acceptance corpus (``small_corpus`` of
+``perfbench/workloads.py``), runs the certified checks at each quantum, and
 writes one CSV row per (instance, eta). Exits nonzero if any check fails.
 
 Example:
@@ -11,41 +12,20 @@ Example:
 
 import argparse
 import sys
+from pathlib import Path
 
 from concurflow.compare import csv_header, row_to_csv, run_compare
-from concurflow.generator import GenerationError, generate_instance
+from concurflow.generator import generate_instance
 from concurflow.solver import _SUBROUTINES
 
-PARAM_CYCLE = (
-    (6, 9, 2, 4),
-    (7, 11, 3, 4),
-    (8, 13, 3, 5),
-    (5, 8, 2, 5),
-    (8, 14, 3, 6),
-)
-
-
-def build_corpus(count, seed_base, bound_range):
-    instances = []
-    seed = seed_base
-    while len(instances) < count and seed < seed_base + 20 * count:
-        n_nodes, n_edges, k, max_paths = PARAM_CYCLE[seed % len(PARAM_CYCLE)]
-        try:
-            instances.append(
-                generate_instance(seed, n_nodes, n_edges, k, max_paths, bound_range)
-            )
-        except GenerationError:
-            pass
-        seed += 1
-    if len(instances) < count:
-        raise SystemExit(f"only generated {len(instances)} of {count} instances")
-    return instances
+# The corpus is perfbench's acceptance recipe, imported read-only.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import small_corpus  # noqa: E402
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--count", type=int, default=50)
-    parser.add_argument("--seed-base", type=int, default=0)
     parser.add_argument("--etas", type=float, nargs="+", default=[0.05, 0.1, 0.2])
     parser.add_argument("--bound-range", type=float, nargs=2, default=(0.5, 3.0),
                         metavar=("LO", "HI"))
@@ -53,7 +33,7 @@ def main():
     parser.add_argument("--csv", default=None)
     args = parser.parse_args()
 
-    instances = build_corpus(args.count, args.seed_base, tuple(args.bound_range))
+    instances = small_corpus(generate_instance, args.count, tuple(args.bound_range))
     rows = []
     failures = 0
     for inst in instances:

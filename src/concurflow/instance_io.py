@@ -4,8 +4,8 @@ An instance file is line-oriented: one record per line, tokens separated
 by whitespace, ``#`` starting a comment. Records:
 
     format concurflow-instance 1
-    name <string>                                  (optional)
-    seed <int>                                     (optional)
+    name <string>                                  (optional, at most once)
+    seed <int>                                     (optional, at most once)
     node <id>
     edge <id> <tail> <head> <capacity> directed|undirected
     commodity <id> <source> <sink> <bound>
@@ -110,8 +110,6 @@ def _fmt(x: float) -> str:
 
 def parse_instance(text: str) -> Instance:
     """Parse instance text into a validated :class:`Instance`."""
-    name = "unnamed"
-    seed: int | None = None
     nodes: list[str] = []
     node_lines: dict[str, int] = {}
     edges: list[Edge] = []
@@ -120,6 +118,7 @@ def parse_instance(text: str) -> Instance:
     commodity_line: dict[str, int] = {}
     path_rows: list[tuple[int, str, tuple[str, ...]]] = []
     saw_format = False
+    named: dict[str, str | int] = {}  # the name and seed records, each at most once
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -137,6 +136,8 @@ def parse_instance(text: str) -> Instance:
                 unknown = next(eid for eid in edge_ids if eid not in edge_ids_known)
                 raise InstanceError(lineno, f"unknown edge id {unknown!r}")
             path_rows.append((lineno, cid, edge_ids))
+        elif kind in named:
+            raise InstanceError(lineno, f"repeated {kind!r} record")
         elif kind == "format":
             if args != [FORMAT_INSTANCE, FORMAT_VERSION]:
                 raise InstanceError(lineno, f"unsupported format {' '.join(args)!r}")
@@ -144,11 +145,11 @@ def parse_instance(text: str) -> Instance:
         elif kind == "name":
             if len(args) != 1:
                 raise InstanceError(lineno, "name takes exactly one token")
-            name = args[0]
+            named[kind] = args[0]
         elif kind == "seed":
             try:
                 (seed_text,) = args
-                seed = int(seed_text)
+                named[kind] = int(seed_text)
             except ValueError:
                 raise InstanceError(lineno, "seed takes one integer") from None
         elif kind == "node":
@@ -237,7 +238,7 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError(group_lines[exc.commodity - 1][exc.index], str(exc)) from None
     except ModelError as exc:
         raise InstanceError(None, str(exc)) from None
-    return Instance(name, seed, network, system, commodity_ids)
+    return Instance(named.get("name", "unnamed"), named.get("seed"), network, system, commodity_ids)
 
 
 def serialize_instance(instance: Instance) -> str:

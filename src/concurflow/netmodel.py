@@ -161,6 +161,20 @@ class Network:
     def bounds(self) -> tuple[float, ...]:
         return tuple(c.bound for c in self.commodities)
 
+    @cached_property
+    def _moves(self) -> dict[str, dict[str, tuple]]:
+        """Per node and edge id leaving it: (the node it reaches, the step, the edge's position).
+
+        Built once, on first use. The steps are the shared ``Traversal``
+        objects of ``_walks``; a loop is walked forward.
+        """
+        moves: dict[str, dict[str, tuple]] = {node: {} for node in self.nodes}
+        for tail, head, directed, forward, backward, n in self._walks.values():
+            moves[tail][forward.edge_id] = (head, forward, n)
+            if not directed and head != tail:
+                moves[head][forward.edge_id] = (tail, backward, n)
+        return moves
+
 
 class Traversal(NamedTuple):
     """One step along a path: an edge plus the direction it is walked in.
@@ -187,20 +201,6 @@ class Path:
         return tuple([step[0] for step in self.steps])
 
 
-def _move_table(network: Network) -> dict[str, dict[str, tuple]]:
-    """Per node and edge id leaving it: (the node it reaches, the step, the edge's position).
-
-    The steps are the network's shared ``Traversal`` objects; a loop is
-    walked forward.
-    """
-    moves: dict[str, dict[str, tuple]] = {node: {} for node in network.nodes}
-    for tail, head, directed, forward, backward, n in network._walks.values():
-        moves[tail][forward.edge_id] = (head, forward, n)
-        if not directed and head != tail:
-            moves[head][forward.edge_id] = (tail, backward, n)
-    return moves
-
-
 def _walk(
     network: Network,
     source: str,
@@ -214,7 +214,7 @@ def _walk(
     Without ``moves`` the steps are ``(edge_id, forward)`` pairs: each must
     be such a pair, not a string, and name a known edge, walked in a legal
     direction, that chains onto the previous step. With the network's
-    ``_move_table`` they are raw edge ids, each oriented away from the
+    ``_moves`` they are raw edge ids, each oriented away from the
     current node (a directed edge only from its tail). Then, unless
     ``sink`` is None, come the rules of the whole path, in
     ``validate_path``'s order. Appends each step's position in
@@ -306,7 +306,7 @@ def infer_traversals(network: Network, source: str, edge_ids: list[str] | tuple[
     1-based position when the sequence does not chain. The steps are the
     network's shared ``Traversal`` objects.
     """
-    violation, steps = _walk(network, source, None, edge_ids, _move_table(network), [])
+    violation, steps = _walk(network, source, None, edge_ids, network._moves, [])
     if violation is not None:
         raise ModelError(violation)
     return steps
@@ -527,16 +527,13 @@ class PathSystem:
             )
         network = self.network
         rows: list[int] = []
-        moves = None  # built for the first path of raw edge ids
         groups = []
         for i, (group, com) in enumerate(zip(self.paths, network.commodities), start=1):
             seen = set()
             kept = []
             for j, path in enumerate(group):
                 if isinstance(path, tuple):
-                    if moves is None:
-                        moves = _move_table(network)
-                    violation, steps = _walk(network, com.source, com.sink, path, moves, rows)
+                    violation, steps = _walk(network, com.source, com.sink, path, network._moves, rows)
                     path = Path(i, steps)
                 elif isinstance(path, Path):
                     if path.commodity != i:

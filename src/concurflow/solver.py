@@ -13,13 +13,15 @@ one per sink kind, and projection adds each path's two copies, giving an
 output whose total value, per-commodity caps, and worst service ratio are all
 sandwiched by closed-form functions of ``l_star``, ``h_star`` and ``eta``.
 
-Each stage takes only what it cannot derive: ``solve`` reads the demand
-bounds from the system's network, ``find_lstar`` takes them with ``eta``,
-and ``find_hstar`` reads both from the ``AuxNetwork``, which records what
-it was built from. Both searches run one level loop, ``_search``, which
-checks ``eta`` and derives ``eps`` before its first call. The inner
-search's result at budget 0 is the outer search's last passing call, so
-``solve`` hands that call over as ``find_hstar``'s ``start``: there the
+Each stage takes only the result of the stage before it. ``solve`` reads
+the demand bounds from the system's network and hands them to
+``find_lstar`` with ``eta``. Its ``LstarResult`` records the system, bounds
+and ``eta`` it searched, and rejects on construction any value no search
+could return. ``build_auxiliary`` takes that result alone and keeps it as
+the ``AuxNetwork``'s ``outer``, from which ``find_hstar`` reads the rest.
+Both searches run one level loop, ``_search``, which checks ``eta`` and
+derives ``eps`` before its first call. The inner search's result at budget
+0 is the outer search's last passing call, ``outer.last``: there the
 auxiliary problem is that call's, with the dedicated copies carrying its
 values and the overflow copy nothing. Its flow meets the dedicated bounds
 and passed the outer test at level ``l_star - 1``, all that the value and
@@ -162,14 +164,31 @@ def _search(
 
 @dataclass(frozen=True)
 class LstarResult:
+    """An outer search: what it searched, where it stopped, and its last pass.
+
+    Rejects any value no search could return: an ``eta`` outside (0, 1),
+    ``bounds`` that are not ``system.k`` positive finite numbers, ``l_star <
+    1`` or ``(l_star - 1) * eta > 1``. ``last`` is taken as given.
+    """
+
+    system: PathSystem
+    bounds: tuple[float, ...]
+    eta: float
     l_star: int
     calls: int
     # The last passing call, level ``l_star - 1``, as the subroutine returned
     # it, so a paused packing run stays paused until its values are read;
     # None when no level passed.
     last: GroupedResult | packing.Passing | None
-    # Paths per commodity of the searched system.
-    sizes: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        compute_epsilon(self.eta, self.bounds)
+        _check_bounds(self.bounds, self.system.k)
+        if self.l_star < 1:
+            raise ValueError(f"l_star must be >= 1, got {self.l_star}")
+        scale = (self.l_star - 1) * self.eta
+        if scale > 1.0:
+            raise ValueError(f"(l_star - 1) * eta = {scale} exceeds 1")
 
 
 def find_lstar(
@@ -183,23 +202,22 @@ def find_lstar(
     Derives ``eps`` from ``eta`` and the bounds ``b``; an ``eta`` outside
     (0, 1) raises ``ValueError`` before any call. Stops at the first l >= 1
     with ``l * eta > 1`` (no subroutine call) or with subroutine value
-    strictly below ``sum(l*eta*b) / (1+eps)``. Returns the terminal l, the
-    number of subroutine calls made and the last level's passing call, whose
-    flow is read only by the inner search that keeps it.
+    strictly below ``sum(l*eta*b) / (1+eps)``. Returns the searched system,
+    bounds and ``eta`` with the terminal l, the number of subroutine calls
+    made and the last level's passing call, whose flow is read only by the
+    inner search that keeps it.
     """
     run = resolve_subroutine(subroutine)
-    paths = system.grouped
-    l_star, calls, last = _search(run, paths, eta, bounds, 1.0, lambda scale: [scale * b for b in bounds])
-    return LstarResult(l_star, calls, last, paths.sizes)
+    l_star, calls, last = _search(run, system.grouped, eta, bounds, 1.0, lambda scale: [scale * b for b in bounds])
+    return LstarResult(system, tuple(bounds), eta, l_star, calls, last)
 
 
 @dataclass(frozen=True)
 class AuxNetwork:
-    """Sink-splitting extension fixed by the outer search level.
+    """Sink-splitting extension of the outer search ``outer``.
 
-    It records the ``bounds0`` and ``eta`` it was built from, which the
-    inner search reads. ``groups`` is the base system's step rows twice, with
-    a sink row after each path of commodity i: ``("ded", i)`` of capacity
+    ``groups`` is the base system's step rows twice, with a sink row after
+    each path of commodity i: ``("ded", i)`` of capacity
     ``dedicated_bounds[i-1] = (l_star - 1) * eta * b_i`` in the dedicated
     copy, ``("ovf", i)`` of capacity ``b_i - dedicated_bounds[i-1]`` in the
     overflow copy. Tuple keys never collide with the string ids of the base
@@ -208,9 +226,7 @@ class AuxNetwork:
     in commodity order, whose bound is the inner loop's moving budget.
     """
 
-    base: PathSystem
-    bounds0: tuple[float, ...]
-    eta: float
+    outer: LstarResult
     dedicated_bounds: tuple[float, ...]
     groups: GroupedPaths
 
@@ -219,23 +235,13 @@ class AuxNetwork:
         return self.groups.capacities
 
 
-def build_auxiliary(
-    system: PathSystem,
-    bounds0: Sequence[float],
-    l_star: int,
-    eta: float,
-) -> AuxNetwork:
-    """Construct the sink-splitting extension for a finished outer search."""
-    if l_star < 1:
-        raise ValueError(f"l_star must be >= 1, got {l_star}")
-    _check_bounds(bounds0, system.k)
-    scale = (l_star - 1) * eta
-    if scale > 1.0:
-        raise ValueError(f"(l_star - 1) * eta = {scale} exceeds 1")
-
-    dedicated_bounds = tuple(scale * b for b in bounds0)
+def build_auxiliary(outer: LstarResult) -> AuxNetwork:
+    """Construct the sink-splitting extension at the outer search's terminal level."""
+    system, bounds = outer.system, outer.bounds
+    scale = (outer.l_star - 1) * outer.eta
+    dedicated_bounds = tuple(scale * b for b in bounds)
     capacities = system.capacities()
-    for i, (b, dedicated) in enumerate(zip(bounds0, dedicated_bounds), start=1):
+    for i, (b, dedicated) in enumerate(zip(bounds, dedicated_bounds), start=1):
         capacities["ded", i] = dedicated
         capacities["ovf", i] = b - dedicated
 
@@ -249,7 +255,7 @@ def build_auxiliary(
     rows[steps] = np.concatenate((base.rows, base.rows))  # then the steps fill all but the last
     labels = tuple((kind, i) for kind in ("ded", "ovf") for i in range(1, k + 1))
     groups = GroupedPaths(capacities, base.sizes + (n,), base.edges + labels, rows, lengths + 1)
-    return AuxNetwork(system, tuple(bounds0), eta, dedicated_bounds, groups)
+    return AuxNetwork(outer, dedicated_bounds, groups)
 
 
 @dataclass(frozen=True)
@@ -259,26 +265,19 @@ class HstarResult:
     calls: int
 
 
-def find_hstar(
-    aux: AuxNetwork,
-    subroutine: str | Subroutine = "fptas",
-    *,
-    start: LstarResult,
-) -> HstarResult:
+def find_hstar(aux: AuxNetwork, subroutine: str | Subroutine = "fptas") -> HstarResult:
     """Inner search: first overflow budget the auxiliary value cannot keep up with.
 
-    Reads ``eta`` and the bounds ``b`` from ``aux`` and derives ``eps`` as
-    the outer search does. Stops at the first h >= 1 with ``h * eta >
-    sum(b)`` or with subroutine value strictly below
+    Reads ``eta`` and the bounds ``b`` from ``aux.outer`` and derives
+    ``eps`` as the outer search does. Stops at the first h >= 1 with ``h *
+    eta > sum(b)`` or with subroutine value strictly below
     ``(sum(dedicated bounds) + h*eta) / (1+eps)``; returns the flow of the
     last passing budget. At budget 0 the auxiliary problem is the base
     system's under the dedicated bounds, the outer search's call at level
-    ``l_star - 1``. So ``start``, the outer search ``aux`` was built from,
-    is required and answers budget 0 with no call: its flow is the result
-    when the very first budget fails, the dedicated copies carrying it and
-    the overflow copy zeros (all zeros when no level passed, as the engines
-    return under zero bounds). A ``start`` shaped unlike ``aux.base`` raises
-    ``ValueError``.
+    ``l_star - 1``. So ``aux.outer.last`` answers budget 0 with no call: its
+    flow is the result when the very first budget fails, the dedicated
+    copies carrying it and the overflow copy zeros (all zeros when no level
+    passed, as the engines return under zero bounds).
 
     When every overflow sink has capacity 0, no overflow path carries flow,
     so every budget's problem is budget 0's: each budget is answered from
@@ -286,20 +285,18 @@ def find_hstar(
     values are read only when they are returned.
     """
     run = resolve_subroutine(subroutine)
-    sizes = aux.base.grouped.sizes
-    if start.sizes != sizes:
-        raise ValueError("start must be an outer search of a system shaped like aux.base")
-    if all(aux.capacities["ovf", i] == 0.0 for i in range(1, aux.base.k + 1)):
+    outer, system = aux.outer, aux.outer.system
+    if all(aux.capacities["ovf", i] == 0.0 for i in range(1, system.k + 1)):
         run = None
     h_star, calls, passed = _search(
-        run, aux.groups, aux.eta, aux.bounds0, sum(aux.bounds0),
-        lambda budget: [*aux.dedicated_bounds, budget], start.last,
+        run, aux.groups, outer.eta, outer.bounds, sum(outer.bounds),
+        lambda budget: [*aux.dedicated_bounds, budget], outer.last,
     )
-    if passed is not start.last:
+    if passed is not outer.last:
         values = passed.values
     else:
-        zero = tuple((0.0,) * size for size in sizes)
-        values = (*(zero if passed is None else passed.values), (0.0,) * aux.base.path_count)
+        zero = tuple((0.0,) * size for size in system.grouped.sizes)
+        values = (*(zero if passed is None else passed.values), (0.0,) * system.path_count)
     return HstarResult(h_star, values, calls)
 
 
@@ -310,10 +307,10 @@ def project_flow(aux_values: Sequence[Sequence[float]], aux: AuxNetwork) -> Flow
     copies; the overflow group is cut into per-commodity slices by the base
     group lengths. Totals and per-commodity values are conserved exactly.
     """
-    overflow = iter(aux_values[-1])
-    return Flow(aux.base, tuple(
+    overflow, system = iter(aux_values[-1]), aux.outer.system
+    return Flow(system, tuple(
         tuple(float(d) + float(o) for d, o in zip(dedicated, islice(overflow, len(group))))
-        for dedicated, group in zip(aux_values, aux.base.paths)
+        for dedicated, group in zip(aux_values, system.paths)
     ))
 
 
@@ -346,8 +343,8 @@ def solve(
     started = time.perf_counter()
     bounds0 = tuple(float(b) for b in system.network.bounds())
     outer = find_lstar(system, bounds0, eta, subroutine)
-    aux = build_auxiliary(system, bounds0, outer.l_star, eta)
-    inner = find_hstar(aux, subroutine, start=outer)
+    aux = build_auxiliary(outer)
+    inner = find_hstar(aux, subroutine)
     flow = project_flow(inner.aux_values, aux)
 
     sum_b = sum(bounds0)

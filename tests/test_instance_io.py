@@ -1,9 +1,11 @@
 import math
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from concurflow import generate_instance
 from concurflow.instance_io import (
     FORMAT_INSTANCE,
     FORMAT_VERSION,
@@ -153,6 +155,32 @@ path c1 e1 e2
         with pytest.raises(InstanceError, match="^line 3: seed takes one integer$"):
             parse_instance(text)
         assert parse_instance(text.replace("seed 1 2", "seed 7")).seed == 7
+
+    @pytest.mark.parametrize("first, second", [("name a", "name b"), ("seed 1", "seed 2")])
+    def test_repeated_record_rejected(self, first, second):
+        kind = first.split()[0]
+        text = T1_TEXT.replace("name t1\n", "").replace("node s\n", f"{first}\nnode s\n{second}\n")
+        with pytest.raises(InstanceError, match=f"^line 4: repeated '{kind}' record$"):
+            parse_instance(text)
+
+    def test_failing_parse_builds_one_move_table(self, monkeypatch):
+        # Every path line is checked for chaining before the duplicate is named.
+        builds, build = [], Network._moves.func
+
+        def counted(network):
+            builds.append(network)
+            return build(network)
+
+        moves = cached_property(counted)
+        moves.__set_name__(Network, "_moves")
+        monkeypatch.setattr(Network, "_moves", moves)
+        instance = generate_instance(1, 7, 11, 3, 4)
+        text = serialize_instance(instance)
+        last = text.splitlines()[-1]
+        assert last.startswith("path ") and instance.path_system.path_count >= 5
+        with pytest.raises(InstanceError, match="duplicate path"):
+            parse_instance(text + last + "\n")
+        assert len(builds) == 1
 
     # Paths of c2 come before and after c1's, so a line must be found through
     # the commodity's own list, not the file order of all paths.

@@ -21,7 +21,7 @@ from concurflow.packing import (
     solve_mmfp,
     solve_mmfpb,
 )
-from concurflow.solver import BELOW_TOL, build_auxiliary, compute_epsilon
+from concurflow.solver import BELOW_TOL, LstarResult, build_auxiliary, compute_epsilon
 from conftest import (
     edge_groups,
     make_network,
@@ -368,7 +368,7 @@ def _aux_case():
     # per sink copy, so the cheapest-path choice meets exact ties.
     system = generate_instance(1, 7, 11, 3, 4, bound_range=(0.2, 0.6)).path_system
     caps, groups = reference_aux_groups(system, system.network.bounds(), 2, 0.2)
-    aux = build_auxiliary(system, system.network.bounds(), 2, 0.2)
+    aux = build_auxiliary(LstarResult(system, system.network.bounds(), 0.2, 2, 0, None))
     return caps, groups, [*aux.dedicated_bounds, 0.2], 0.2
 
 

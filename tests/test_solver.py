@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -35,6 +34,11 @@ from conftest import (
 def single_edge_system(cap, bound):
     net = make_network(["s", "t"], [("e1", "s", "t", cap, True)], [("s", "t", bound)])
     return make_system(net, [[["e1"]]])
+
+
+def aux_at(system, bounds, l_star, eta):
+    """The auxiliary network of an outer search that stopped at ``l_star``."""
+    return build_auxiliary(LstarResult(system, tuple(bounds), eta, l_star, 0, None))
 
 
 class TestEpsilon:
@@ -77,7 +81,7 @@ class TestOuterSearch:
 
 class TestAuxiliary:
     def test_capacity_formulas(self, t1):
-        aux = build_auxiliary(t1, (1.0, 2.0), 3, 0.1)
+        aux = aux_at(t1, (1.0, 2.0), 3, 0.1)
         scale = (3 - 1) * 0.1
         assert aux.dedicated_bounds == (scale * 1.0, scale * 2.0)
         caps = aux.capacities
@@ -87,19 +91,19 @@ class TestAuxiliary:
         assert caps["ovf", 2] == 2.0 - scale * 2.0
 
     def test_degenerate_level_one(self, t1):
-        aux = build_auxiliary(t1, (1.0, 2.0), 1, 0.1)
+        aux = aux_at(t1, (1.0, 2.0), 1, 0.1)
         assert aux.dedicated_bounds == (0.0, 0.0)
         assert aux.capacities["ovf", 1] == 1.0
         assert aux.capacities["ovf", 2] == 2.0
 
     def test_saturated_level(self):
         system = single_edge_system(2.0, 1.0)
-        aux = build_auxiliary(system, (1.0,), 5, 0.25)
+        aux = aux_at(system, (1.0,), 5, 0.25)
         assert aux.dedicated_bounds == (1.0,)
         assert aux.capacities["ovf", 1] == 0.0
 
     def test_original_capacities_kept(self, t2):
-        aux = build_auxiliary(t2, (1.0, 1.0), 3, 0.1)
+        aux = aux_at(t2, (1.0, 1.0), 3, 0.1)
         assert aux.capacities["e1"] == 0.5
         assert aux.capacities["e2"] == 1.0
 
@@ -108,7 +112,7 @@ class TestAuxiliary:
     def test_bad_bound_rejected(self, t1, bound, l_star):
         # Named as solve names it, not as a capacity of an internal sink edge.
         with pytest.raises(ValueError, match=f"^bounds must be positive and finite, got {bound}$"):
-            build_auxiliary(t1, (bound, 2.0), l_star, 0.1)
+            LstarResult(t1, (bound, 2.0), 0.1, l_star, 0, None)
 
     @pytest.mark.parametrize("l_star", [1, 3, 5])
     @pytest.mark.parametrize("name", ["t2", "generated"])
@@ -120,7 +124,7 @@ class TestAuxiliary:
         else:
             system = generate_instance(1, 7, 11, 3, 4, bound_range=(0.2, 0.6)).path_system
         bounds0 = system.network.bounds()
-        aux = build_auxiliary(system, bounds0, l_star, 0.25)
+        aux = aux_at(system, bounds0, l_star, 0.25)
         ref_caps, ref_groups = reference_aux_groups(system, bounds0, l_star, 0.25)
         assert list(aux.capacities.items()) == list(ref_caps.items())
         assert len(aux.groups) == len(ref_groups) == system.k + 1
@@ -148,9 +152,9 @@ class TestAuxiliary:
 
     def test_level_bounds_checked(self, t1):
         with pytest.raises(ValueError):
-            build_auxiliary(t1, (1.0, 2.0), 0, 0.1)
+            LstarResult(t1, (1.0, 2.0), 0.1, 0, 0, None)
         with pytest.raises(ValueError):
-            build_auxiliary(t1, (1.0, 2.0), 30, 0.1)
+            LstarResult(t1, (1.0, 2.0), 0.1, 30, 0, None)
 
 
 class TestInnerSearch:
@@ -160,8 +164,8 @@ class TestInnerSearch:
         system = single_edge_system(2.0, 1.0)
         outer = find_lstar(system, (1.0,), 0.25, "oracle")
         assert outer.l_star == 5
-        aux = build_auxiliary(system, (1.0,), 5, 0.25)
-        res = find_hstar(aux, "oracle", start=outer)
+        aux = build_auxiliary(outer)
+        res = find_hstar(aux, "oracle")
         assert res.h_star == 2
         assert sum(map(sum, res.aux_values)) == pytest.approx(1.0)
 
@@ -177,9 +181,9 @@ class TestInnerSearch:
         system = make_system(net, [[["e1"]], [["e2"]]])
         outer = find_lstar(system, (1.0, 1.0), 0.1, "oracle")
         assert outer.l_star == 3
-        aux = build_auxiliary(system, (1.0, 1.0), 3, 0.1)
+        aux = build_auxiliary(outer)
         assert aux.capacities["ovf", 2] == pytest.approx(0.8)
-        res = find_hstar(aux, "oracle", start=outer)
+        res = find_hstar(aux, "oracle")
         assert res.h_star == 10
         assert sum(map(sum, res.aux_values)) == pytest.approx(1.25)
 
@@ -187,18 +191,9 @@ class TestInnerSearch:
         system = single_edge_system(2.0, 1.0)
         outer = find_lstar(system, (1.0,), 0.6, "oracle")
         assert outer.l_star == 2
-        aux = build_auxiliary(system, (1.0,), outer.l_star, 0.6)
-        res = find_hstar(aux, "oracle", start=outer)
+        res = find_hstar(build_auxiliary(outer), "oracle")
         assert res.h_star == 2  # budget 1.2 overshoots the total demand 1.0
         assert res.calls == 1  # h=1; budget 0 is the outer search's last pass
-
-    def test_misshapen_start_rejected(self, t1):
-        aux = build_auxiliary(t1, (1.0, 2.0), 3, 0.1)
-        # An outer search of a system with other paths per commodity than t1's.
-        for sizes in ((1,), (1, 0), (1, 1, 2)):
-            start = LstarResult(3, 2, None, sizes)
-            with pytest.raises(ValueError, match="^start must be an outer search of a system shaped like aux.base$"):
-                find_hstar(aux, "oracle", start=start)
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.1, math.nan, 1.0])
@@ -216,10 +211,10 @@ def test_searches_check_eta_before_any_call(t1, eta):
     message = f"^{re.escape(f'eta must lie in (0, 1), got {eta}')}$"
     with pytest.raises(ValueError, match=message):
         find_lstar(t1, (1.0, 2.0), eta, limited)
-    aux = dataclasses.replace(build_auxiliary(t1, (1.0, 2.0), 1, 0.5), eta=eta)
-    start = LstarResult(1, 1, None, t1.grouped.sizes)
+    # The inner search reads eta from an outer search, which cannot hold it;
+    # at level 3 it is named as eta, not as an internal sink edge's capacity.
     with pytest.raises(ValueError, match=message):
-        find_hstar(aux, limited, start=start)
+        LstarResult(t1, (1.0, 2.0), eta, 3, 0, None)
     assert calls == []
 
 
@@ -229,7 +224,7 @@ def generated_system(seed):
 
 def no_overflow_left(system, report):
     """Whether every overflow sink of the solve's auxiliary network has capacity 0."""
-    aux = build_auxiliary(system, report.bounds0, report.l_star, report.eta)
+    aux = aux_at(system, report.bounds0, report.l_star, report.eta)
     return all(aux.capacities["ovf", i] == 0.0 for i in range(1, system.k + 1))
 
 
@@ -299,8 +294,7 @@ class TestInnerStart:
         def failing(caps, groups, bounds, eps):  # every budget gets a zero flow
             return run(caps, groups, [0.0] * len(bounds), eps)
 
-        aux = build_auxiliary(t1, (1.0, 2.0), 1, 0.5)
-        inner = find_hstar(aux, failing, start=outer)
+        inner = find_hstar(build_auxiliary(outer), failing)
         assert (inner.h_star, inner.calls) == (1, 1)
         # The dedicated copies carry what the engines return when every
         # bound is 0, bit for bit.
@@ -321,7 +315,7 @@ def calling_levels(system, eta, run):
         if run(base.capacities, base, scaled, eps).total < sum(scaled) / (1.0 + eps) - BELOW_TOL:
             break
         l += 1
-    aux = build_auxiliary(system, bounds, l, eta)
+    aux = aux_at(system, bounds, l, eta)
     dedicated = list(aux.dedicated_bounds)
     h = 1
     while h * eta <= sum(bounds):
@@ -382,9 +376,9 @@ class TestNoOverflowLeft:
         system = generate_instance(0, 6, 9, 2, 4).path_system
         bounds = system.network.bounds()
         outer = find_lstar(system, bounds, 0.25)
-        aux = build_auxiliary(system, bounds, outer.l_star, 0.25)
+        aux = build_auxiliary(outer)
         assert all(aux.capacities["ovf", i] > 0.0 for i in range(1, system.k + 1))
-        inner = find_hstar(aux, start=outer)
+        inner = find_hstar(aux)
         assert inner.h_star >= 2 and inner.calls == inner.h_star
         assert isinstance(outer.last, packing.Passing)
         assert all(result is not outer.last for result in finished)
@@ -394,21 +388,21 @@ class TestNoOverflowLeft:
 
 class TestProjection:
     def test_copies_add_up(self, t1):
-        aux = build_auxiliary(t1, (1.0, 2.0), 3, 0.1)
+        aux = aux_at(t1, (1.0, 2.0), 3, 0.1)
         aux_values = ((0.2,), (0.0,), (0.3, 0.1))
         flow = project_flow(aux_values, aux)
         assert flow.values[0][0] == pytest.approx(0.5)
         assert flow.values[1][0] == pytest.approx(0.1)
 
     def test_zero_projects_to_zero(self, t1):
-        aux = build_auxiliary(t1, (1.0, 2.0), 2, 0.1)
+        aux = aux_at(t1, (1.0, 2.0), 2, 0.1)
         flow = project_flow(((0.0,), (0.0,), (0.0, 0.0)), aux)
         assert flow_value(flow) == 0.0
 
     def test_total_value_conserved(self, t2):
         outer = find_lstar(t2, (1.0, 1.0), 0.1, "oracle")
-        aux = build_auxiliary(t2, (1.0, 1.0), outer.l_star, 0.1)
-        res = find_hstar(aux, "oracle", start=outer)
+        aux = build_auxiliary(outer)
+        res = find_hstar(aux, "oracle")
         aux_total = sum(map(sum, res.aux_values))
         flow = project_flow(res.aux_values, aux)
         assert flow_value(flow) == pytest.approx(aux_total, abs=1e-12)
