@@ -8,15 +8,15 @@ sum of the values of all paths using it stays within its capacity.
 
 A path system is checked in one walk over each path: ``PathSystem``
 orients a path given as raw edge ids, applies every path rule and records
-each step's edge number. It compiles once, into ``PathSystem.grouped``, from
+each step's edge number. It compiles once, into ``PathSystem.grouped``, over
 those numbers; ``GroupedPaths`` lays out each live-group mask's
 ``PathMatrix`` (the edge-by-path incidence) from integer step rows, and
-``GroupedPaths.build`` compiles grouped edge keys for the engines' other
-callers, in one walk over the keys. ``GroupedProblem`` is
-the one reader of the grouped path input both bounded-flow engines take, and
-lays their results back out; given a ``GroupedPaths`` with its own
-``capacities``, a call checks only its bounds and reuses those columns,
-and beside any other mapping it raises ``ValueError``.
+``GroupedPaths.build`` compiles grouped edge keys, in one walk over the
+keys. ``GroupedProblem`` is the one reader of the input both bounded-flow
+engines take: a ``GroupedPaths`` beside its own ``capacities`` view, whose
+columns a call reuses, checking only its bounds. It lays each result out
+as one flat array over every input path, which ``Flow.from_array`` splits
+into a flow.
 
 Everything in this module is immutable after construction and safe to share
 across threads; the operations are pure functions. ``GroupedPaths`` fills
@@ -335,18 +335,18 @@ class PathMatrix:
     g: np.ndarray  # groups x paths
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupedResult:
-    """Per-path values in the input's group layout, with their sums.
+    """Per-path values over every input path, in group order, with their total.
 
-    ``iterations`` counts simplex pivots for the exact LP and loop steps for
-    the packing approximation. ``upper`` is a proven upper bound on the
-    optimum: the total itself for the exact LP, the final dual bound for
-    packing.
+    ``x`` is read-only and holds 0.0 for each dropped path; ``total`` sums
+    each group's values in order, then the group sums. ``iterations`` counts
+    simplex pivots for the exact LP and loop steps for the packing
+    approximation. ``upper`` is a proven upper bound on the optimum: the
+    total itself for the exact LP, the final dual bound for packing.
     """
 
-    values: tuple[tuple[float, ...], ...]
-    group_totals: tuple[float, ...]
+    x: np.ndarray
     total: float
     iterations: int
     upper: float
@@ -354,40 +354,40 @@ class GroupedResult:
 
 @dataclass(frozen=True, eq=False)
 class GroupedPaths:
-    """Grouped paths compiled once over a snapshot of their capacities.
+    """Grouped paths compiled once, with their edges' capacities.
 
     A search asks the same question about one path system with changing
     bounds only, so it passes one of these as the ``groups`` of every engine
-    call, with ``capacities`` beside it. The paths are integer step ``rows``
-    into ``edges``, ``lengths`` steps per path and ``sizes`` paths per group;
-    ``build`` numbers them in the one walk over edge keys, where no path may
-    be empty. Construction snapshots ``capacities`` read-only and reads every
-    edge's ``caps`` from it, each finite and nonnegative. Each live-group
+    call, with its ``capacities`` beside it. The paths are integer step
+    ``rows`` into ``edges``, ``lengths`` steps per path and ``sizes`` paths
+    per group, and ``caps`` holds each edge's capacity, finite and
+    nonnegative; construction makes the arrays read-only. ``build`` numbers
+    grouped edge keys in one walk, where no path may be empty. Each live-group
     mask's columns are laid out on first use; the exact engine keeps each
     bound pattern's LP, with its recorded pivot paths, in ``lps``.
     """
 
-    capacities: Mapping[Hashable, float]
     sizes: tuple[int, ...]
     edges: tuple[Hashable, ...]
+    caps: np.ndarray
     rows: np.ndarray
     lengths: np.ndarray
-    caps: np.ndarray = field(init=False)
     _columns: dict = field(default_factory=dict, init=False, repr=False)
     lps: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        try:
-            caps = [self.capacities[key] for key in self.edges]
-        except KeyError as exc:
-            raise ValueError(f"path uses edge {exc.args[0]!r} with no capacity entry") from None
-        for key, cap in zip(self.edges, caps):
+        for key, cap in zip(self.edges, self.caps.tolist()):
             if not (math.isfinite(cap) and cap >= 0):
                 raise ValueError(f"edge {key!r} has capacity {cap}, not finite and >= 0")
-        object.__setattr__(self, "capacities", MappingProxyType(dict(self.capacities)))
-        object.__setattr__(self, "caps", np.array(caps, dtype=float))
         for arr in (self.caps, self.rows, self.lengths):
             arr.flags.writeable = False
+
+    @cached_property
+    def capacities(self) -> Mapping[Hashable, float]:
+        """``caps`` by edge key, read-only: the one mapping the engines accept beside these paths."""
+        view = MappingProxyType(dict(zip(self.edges, self.caps.tolist())))
+        # Threads that race to the first read all get the view installed first.
+        return self.__dict__.setdefault("capacities", view)
 
     @classmethod
     def build(
@@ -403,7 +403,11 @@ class GroupedPaths:
         lengths = np.fromiter(map(len, paths), int, len(paths))
         row_of = defaultdict(count().__next__)  # an unseen key takes the next row
         rows = np.fromiter(map(row_of.__getitem__, chain.from_iterable(paths)), int, lengths.sum())
-        return cls(capacities, tuple(map(len, groups)), tuple(row_of), rows, lengths)
+        try:
+            caps = np.array([capacities[key] for key in row_of], dtype=float)
+        except KeyError as exc:
+            raise ValueError(f"path uses edge {exc.args[0]!r} with no capacity entry") from None
+        return cls(tuple(map(len, groups)), tuple(row_of), caps, rows, lengths)
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -458,10 +462,13 @@ class GroupedProblem:
     ) -> "GroupedProblem":
         """Read one engine call's input.
 
-        ``groups`` built as ``GroupedPaths`` is reused, and must come with
-        its own ``capacities`` snapshot: beside any other mapping it raises
-        ``ValueError``. Any other input is checked and compiled afresh.
+        ``groups`` must be a ``GroupedPaths``, or ``TypeError`` is raised,
+        and ``capacities`` its own ``capacities`` view, or ``ValueError``.
         """
+        if not isinstance(groups, GroupedPaths):
+            raise TypeError(f"engine groups must be compiled with GroupedPaths.build, not a {type(groups).__name__}")
+        if groups.capacities is not capacities:
+            raise ValueError("a GroupedPaths must come with its own capacities snapshot")
         if bounds is None:
             bounds = [None] * len(groups)
         if len(bounds) != len(groups):
@@ -475,28 +482,22 @@ class GroupedProblem:
                     raise ValueError(f"negative bound {bound} for group {g}")
                 bound = None if math.isinf(bound) else float(bound)
             checked.append(bound)
-        if not isinstance(groups, GroupedPaths):
-            groups = GroupedPaths.build(capacities, groups)
-        elif groups.capacities is not capacities:
-            raise ValueError("a GroupedPaths must come with its own capacities snapshot")
         matrix, keep = groups.columns(tuple(bound != 0 for bound in checked))
         return cls(groups, matrix, tuple(checked), keep)
 
     def result(
-        self, x: Sequence[float], iterations: int, upper: float | None = None
+        self, values: Sequence[float], iterations: int, upper: float | None = None
     ) -> GroupedResult:
-        """Values ``x`` of the kept columns, laid out over all input paths.
+        """``values`` of the kept columns, laid out over all input paths.
 
         ``upper`` defaults to the total, for an engine that solves exactly.
         """
-        dense = np.zeros(self.keep.size)
-        dense[self.keep] = x
-        flat = iter(dense.tolist())
-        values = tuple(tuple(islice(flat, size)) for size in self.paths.sizes)
-        group_totals = tuple(float(sum(row)) for row in values)
-        total = float(sum(group_totals))
-        upper = total if upper is None else upper
-        return GroupedResult(values, group_totals, total, iterations, upper)
+        x = np.zeros(self.keep.size)
+        x[self.keep] = values
+        x.flags.writeable = False
+        flat = iter(x.tolist())
+        total = float(sum([float(sum(islice(flat, size))) for size in self.paths.sizes]))
+        return GroupedResult(x, total, iterations, total if upper is None else upper)
 
 
 @dataclass(frozen=True)
@@ -575,23 +576,18 @@ class PathSystem:
 
     @cached_property
     def grouped(self) -> GroupedPaths:
-        """The paths compiled once, on first use, from the steps' edge numbers.
+        """The paths compiled once, on first use, over every network edge.
 
-        Edges are renumbered in first use along the steps, as
-        ``GroupedPaths.build`` numbers keys. The capacity snapshot holds every
-        network edge.
+        The steps' edge numbers are the rows; each layout orders the edges
+        its paths use by first use, as ``GroupedPaths.build`` numbers keys.
         """
         edges = self.network.edges
-        steps = np.fromiter(self._rows, int, len(self._rows))
-        used = _first_use(steps, len(edges))
-        row_of = np.zeros(len(edges), int)
-        row_of[used] = np.arange(used.size)
         lengths = [len(path.steps) for group in self.paths for path in group]
         return GroupedPaths(
-            {e.id: float(e.capacity) for e in edges},
             tuple(map(len, self.paths)),
-            tuple([edges[n].id for n in used.tolist()]),
-            row_of[steps],
+            tuple([e.id for e in edges]),
+            np.array([e.capacity for e in edges], dtype=float),
+            np.fromiter(self._rows, int, len(self._rows)),
             np.fromiter(lengths, int, len(lengths)),
         )
 
@@ -602,7 +598,7 @@ class PathSystem:
 
     def capacities(self) -> dict[str, float]:
         """A fresh dict of the capacities of the edges the paths use, in first-use order."""
-        return dict(zip(self.grouped.edges, self.grouped.caps.tolist()))
+        return dict(zip(self.matrix.edges, self.matrix.caps.tolist()))
 
 
 @dataclass(frozen=True)
@@ -625,6 +621,12 @@ class Flow:
     @classmethod
     def zero(cls, system: PathSystem) -> "Flow":
         return cls(system, tuple(tuple(0.0 for _ in group) for group in system.paths))
+
+    @classmethod
+    def from_array(cls, system: PathSystem, x: np.ndarray) -> "Flow":
+        """The flow whose values, path after path in group order, are ``x``."""
+        flat = iter(x.tolist())
+        return cls(system, tuple(tuple(islice(flat, len(group))) for group in system.paths))
 
 
 def _load_vector(flow: Flow) -> np.ndarray:
@@ -731,16 +733,13 @@ def enumerate_paths(
         if endpoint not in network.nodes:
             raise ModelError(f"node {endpoint!r} not in network")
 
-    # Candidate steps per node, in edge-id order (one entry per usable direction).
-    adjacency: dict[str, list[tuple[str, bool, str]]] = {n: [] for n in network.nodes}
-    for edge in sorted(network.edges, key=lambda e: e.id):
-        if not edge.capacity > 0.0:
-            continue
-        adjacency[edge.tail].append((edge.id, True, edge.head))
-        if not edge.directed and edge.head != edge.tail:
-            adjacency[edge.head].append((edge.id, False, edge.tail))
-    for steps in adjacency.values():
-        steps.sort(key=lambda item: item[0])
+    # Each node's moves over positive-capacity edges, in edge-id order: the
+    # network's move table, which holds one per usable direction.
+    zero = network._zero
+    adjacency = {
+        node: [(nxt, step) for _, (nxt, step, n) in sorted(moves.items()) if n not in zero]
+        for node, moves in network._moves.items()
+    }
 
     source, sink = commodity.source, commodity.sink
     found: list[Path] = []
@@ -749,16 +748,16 @@ def enumerate_paths(
     # One frame per node on the current prefix: the node and its untried steps.
     stack = [(source, iter(adjacency[source]))]
     while stack:
-        for edge_id, forward, nxt in stack[-1][1]:
+        for nxt, step in stack[-1][1]:
             if len(found) == limit:
                 return found
             if nxt == sink and (nxt not in visited or sink == source):
-                found.append(Path(commodity.index, (*prefix, Traversal(edge_id, forward))))
+                found.append(Path(commodity.index, (*prefix, step)))
                 continue
             # A prefix of max_edges steps takes no further step.
             if nxt in visited or len(stack) == max_edges:
                 continue
-            prefix.append(Traversal(edge_id, forward))
+            prefix.append(step)
             visited.add(nxt)
             stack.append((nxt, iter(adjacency[nxt])))
             break

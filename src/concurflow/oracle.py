@@ -13,11 +13,11 @@ keep the pivot paths of its solves, which later bounds replay.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .netmodel import Flow, GroupedProblem, GroupedResult, PathMatrix, PathSystem, _check_bounds
+from .netmodel import Flow, GroupedPaths, GroupedProblem, GroupedResult, PathMatrix, PathSystem, _check_bounds
 from .simplex import RowBlocks, SimplexError, solve_lp
 
 # Slack subtracted from the stage-1 ratio before stage 2 re-imposes it,
@@ -67,20 +67,20 @@ def _path_rows(
 
 
 def lp_grouped_max(
-    capacities: dict[Hashable, float],
-    groups: Sequence[Sequence[Sequence[Hashable]]],
+    capacities: Mapping[Hashable, float],
+    groups: GroupedPaths,
     bounds: Sequence[float | None] | None,
 ) -> GroupedResult:
     """Maximize total value over grouped paths under edge caps and group bounds.
 
-    ``groups[g]`` is a list of paths, each a sequence of edge keys into
-    ``capacities``; ``bounds[g]`` caps the group's total value (``None`` or
-    ``+inf`` means unbounded, 0 drops the group). Input is read as by
-    :func:`pack_paths`, through ``GroupedProblem``. This is the engine behind
-    the public solvers and is also callable directly with synthetic groups.
-    Given a ``GroupedPaths``, a call reuses the edge rows and coefficient
-    blocks that the first call with the same off, unbounded and bounded
-    groups built, and adds only the new bounds.
+    ``groups`` is a ``GroupedPaths`` and ``capacities`` its ``capacities``
+    view; ``bounds[g]`` caps group g's total value (``None`` or ``+inf``
+    means unbounded, 0 drops the group). Input is read as by
+    :func:`pack_paths`, through ``GroupedProblem``; synthetic key groups are
+    compiled with ``GroupedPaths.build`` first. This is the engine behind
+    the public solvers. A call reuses the edge rows and coefficient blocks
+    that the first call with the same off, unbounded and bounded groups
+    built, and adds only the new bounds.
     """
     problem = GroupedProblem.build(capacities, groups, bounds)
     n = problem.matrix.a.shape[1]
@@ -111,7 +111,7 @@ def lp_grouped_max(
 def lp_mmfp_exact(system: PathSystem) -> tuple[float, Flow]:
     """Exact maximum total path flow (no per-commodity bounds)."""
     result = lp_grouped_max(system.grouped.capacities, system.grouped, None)
-    return result.total, Flow(system, result.values)
+    return result.total, Flow.from_array(system, result.x)
 
 
 def lp_mmfpb_exact(system: PathSystem, bounds: Sequence[float] | None = None) -> tuple[float, Flow]:
@@ -125,7 +125,7 @@ def lp_mmfpb_exact(system: PathSystem, bounds: Sequence[float] | None = None) ->
     if np.inf in bounds:  # lp_grouped_max would read it as unbounded
         raise ValueError("bounds must be finite, got inf")
     result = lp_grouped_max(system.grouped.capacities, system.grouped, bounds)
-    return result.total, Flow(system, result.values)
+    return result.total, Flow.from_array(system, result.x)
 
 
 def lp_emcfp_lambda(system: PathSystem, bounds: Sequence[float] | None = None) -> float:
@@ -164,6 +164,4 @@ def lp_emcfpsc(system: PathSystem, bounds: Sequence[float] | None = None) -> tup
     except SimplexError as exc:
         raise OracleError(f"saturation LP failed: {exc}") from exc
     x = _clip(res.x)
-    flat = iter(x.tolist())
-    flow = Flow(system, tuple(tuple(next(flat) for _ in group) for group in system.paths))
-    return lam, float(x.sum()), flow
+    return lam, float(x.sum()), Flow.from_array(system, x)

@@ -65,11 +65,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator, Hashable, Sequence
+from typing import Generator, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .netmodel import Flow, GroupedProblem, GroupedResult, PathSystem
+from .netmodel import Flow, GroupedPaths, GroupedProblem, GroupedResult, PathSystem
 
 # Lengths renormalize by 2**-_RENORM_SHIFT whenever the scaled dual
 # objective passes 2**_RENORM_SHIFT; exact in binary floating point.
@@ -112,8 +112,8 @@ class FptasConfig:
 
 
 def pack_paths(
-    capacities: dict[Hashable, float],
-    groups: Sequence[Sequence[Sequence[Hashable]]],
+    capacities: Mapping[Hashable, float],
+    groups: GroupedPaths,
     bounds: Sequence[float | None] | None,
     eps: float,
     *,
@@ -121,10 +121,10 @@ def pack_paths(
 ) -> GroupedResult | Passing:
     """Approximately maximize total value over grouped paths.
 
-    ``groups[g]`` lists paths as sequences of edge keys into ``capacities``;
-    ``bounds[g]`` caps the group total (``None`` or ``+inf`` for unbounded,
-    ``0`` shuts the group off). ``GroupedProblem`` checks the input and drops
-    the paths that cannot carry flow; values come back in the input layout.
+    ``groups`` is a ``GroupedPaths`` and ``capacities`` its ``capacities``
+    view; ``bounds[g]`` caps group g's total (``None`` or ``+inf`` for
+    unbounded, ``0`` shuts the group off). ``GroupedProblem`` checks the
+    input and drops the paths that cannot carry flow; ``x`` covers them all.
 
     The final lengths certify the result: ``upper = D(l)/alpha(l)``, the
     capacity-weighted length over the shortest path length, bounds the
@@ -168,7 +168,7 @@ class Passing:
     certified lower bound on the full run's total, at least the target.
     ``finish()`` resumes the same loop and returns the full run's
     ``GroupedResult``, bit for bit; it runs the loop once, however often it
-    is called. Any other result field (``values``, ``total``, ``upper``, ...)
+    is called. Any other result field (``x``, ``total``, ``upper``, ...)
     is read from ``finish()``.
     """
 
@@ -370,10 +370,10 @@ def _dual_bound(cap_arr: np.ndarray, incidence: np.ndarray, length: np.ndarray) 
 def solve_mmfp(system: PathSystem, eps: float) -> Flow:
     """Feasible flow within factor ``1/(1+eps)`` of the maximum total value."""
     result = pack_paths(system.grouped.capacities, system.grouped, None, eps)
-    return Flow(system, result.values)
+    return Flow.from_array(system, result.x)
 
 
 def solve_mmfpb(system: PathSystem, bounds: Sequence[float], eps: float) -> Flow:
     """Like :func:`solve_mmfp` but with per-commodity value caps ``bounds``."""
     result = pack_paths(system.grouped.capacities, system.grouped, list(bounds), eps)
-    return Flow(system, result.values)
+    return Flow.from_array(system, result.x)

@@ -166,14 +166,14 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
     iteration cap is exceeded.
 
     ``blocks``, if given, stacked top to bottom are the coefficient vectors
-    of ``rows``, whose senses must all be ``<=``. A caller that solves those
-    rows under changing right-hand sides passes the arrays it keeps, and
-    unless a right-hand side is negative the initial tableau is copied from
-    them, not from the rows. The pivots and results are the same bits.
-    Given as ``RowBlocks``, the solve first walks the pivot paths recorded
-    with them, returns without a tableau if a path runs to its end, and
-    otherwise continues cold from the pivots the walk proved and records
-    the new branch.
+    of ``rows``, whose senses must all be ``<=``, or ``ValueError`` is
+    raised before any solve. A caller that solves those rows under changing
+    right-hand sides passes the arrays it keeps, and unless a right-hand
+    side is negative the initial tableau is copied from them, not from the
+    rows. The pivots and results are the same bits. Given as ``RowBlocks``,
+    the solve first walks the pivot paths recorded with them, returns
+    without a tableau if a path runs to its end, and otherwise continues
+    cold from the pivots the walk proved and records the new branch.
     """
     c = np.asarray(objective, dtype=float)
     n = c.size
@@ -182,6 +182,8 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
         raise SimplexError("no constraint rows; problem is unbounded or trivial")
 
     coeffs, senses, rhs = zip(*rows)
+    if blocks is not None and senses.count(LESS_EQUAL) != m:
+        raise ValueError("rows given with coefficient blocks must all be <=")
     b = np.array(rhs, dtype=float)
     walked: list = []  # (row, col) pivots a replay proved
     rounds = None

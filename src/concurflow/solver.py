@@ -8,10 +8,11 @@ longer nearly saturate the scaled demands, fixing the terminal count
 dedicated sink (capacity pinned to the certified per-commodity share) and
 one shared overflow sink; an inner search grows the overflow budget in
 steps of ``eta`` until value stops keeping up, fixing ``h_star``. The
-auxiliary network is two copies of the base system's compiled step rows,
-one per sink kind, and projection adds each path's two copies, giving an
-output whose total value, per-commodity caps, and worst service ratio are all
-sandwiched by closed-form functions of ``l_star``, ``h_star`` and ``eta``.
+auxiliary network is two copies of the base system's compiled step rows and
+capacities, one per sink kind, and projection adds the two halves of the
+inner search's flat flow, giving an output whose total value, per-commodity
+caps, and worst service ratio are all sandwiched by closed-form functions of
+``l_star``, ``h_star`` and ``eta``.
 
 Each stage takes only the result of the stage before it. ``solve`` reads
 the demand bounds from the system's network and hands them to
@@ -33,8 +34,9 @@ then that call's own contract, its total at least the optimum over
 
 The subroutine is the packing approximation by default; an exact LP
 subroutine can be substituted for deterministic trace tests. Only the
-bounds change between the calls of one search, so its calls all reuse one
-compiled path system: ``PathSystem.grouped``, or the auxiliary groups.
+bounds change between the calls of one search, so its calls all pass one
+compiled path system, ``PathSystem.grouped`` or the auxiliary groups,
+beside its ``capacities`` view; each result is one flat per-path array.
 Each search call asks one question, whether the total reaches
 ``sum(bounds)/(1+eps)``, so the default subroutine hands the packing loop
 that target (see ``packing``). A call whose dual bound shows that the
@@ -51,8 +53,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,17 +74,17 @@ BELOW_TOL = 1e-12
 
 
 # Called as (capacities, groups, bounds, eps). The searches pass a
-# ``GroupedPaths`` as ``groups`` and its ``capacities`` snapshot beside it,
-# so the engines reuse its compiled columns on every call. A search reads
-# only whether the total reaches ``sum(bounds)/(1+eps)`` (less
-# ``BELOW_TOL``), and keeps the flow of the last call that does. A
+# ``GroupedPaths`` as ``groups`` and its ``capacities`` view beside it, so
+# the engines reuse its compiled columns on every call. A search reads only
+# whether the total reaches ``sum(bounds)/(1+eps)`` (less ``BELOW_TOL``),
+# and keeps the flat per-path array ``x`` of the last call that does. A
 # ``packing.Passing`` may stand for the result: the search takes its
-# certified ``least`` as the verdict and reads its flow only if it keeps it.
-Subroutine = Callable[[Mapping, Sequence, list, float], GroupedResult]
+# certified ``least`` as the verdict and reads its ``x`` only if it keeps it.
+Subroutine = Callable[[Mapping, GroupedPaths, list, float], GroupedResult]
 
 
 def _fptas(
-    capacities: Mapping, groups: Sequence, bounds: list, eps: float
+    capacities: Mapping, groups: GroupedPaths, bounds: list, eps: float
 ) -> GroupedResult | packing.Passing:
     """The packing engine, stopped or paused once its full run's verdict is sure.
 
@@ -95,7 +96,7 @@ def _fptas(
     return packing.pack_paths(capacities, groups, bounds, eps, target=target)
 
 
-def _oracle(capacities: Mapping, groups: Sequence, bounds: list, eps: float) -> GroupedResult:
+def _oracle(capacities: Mapping, groups: GroupedPaths, bounds: list, eps: float) -> GroupedResult:
     return oracle.lp_grouped_max(capacities, groups, bounds)
 
 
@@ -168,7 +169,8 @@ class LstarResult:
 
     Rejects any value no search could return: an ``eta`` outside (0, 1),
     ``bounds`` that are not ``system.k`` positive finite numbers, ``l_star <
-    1`` or ``(l_star - 1) * eta > 1``. ``last`` is taken as given.
+    1``, ``(l_star - 1) * eta > 1``, or a ``last`` that is None when
+    ``l_star > 1`` or not None when ``l_star == 1``.
     """
 
     system: PathSystem
@@ -189,6 +191,9 @@ class LstarResult:
         scale = (self.l_star - 1) * self.eta
         if scale > 1.0:
             raise ValueError(f"(l_star - 1) * eta = {scale} exceeds 1")
+        if (self.last is None) != (self.l_star == 1):
+            got = f"got l_star {self.l_star} and last {self.last!r}"
+            raise ValueError(f"last must be None exactly when l_star == 1, {got}")
 
 
 def find_lstar(
@@ -230,21 +235,12 @@ class AuxNetwork:
     dedicated_bounds: tuple[float, ...]
     groups: GroupedPaths
 
-    @property
-    def capacities(self) -> Mapping[Hashable, float]:
-        return self.groups.capacities
-
 
 def build_auxiliary(outer: LstarResult) -> AuxNetwork:
     """Construct the sink-splitting extension at the outer search's terminal level."""
     system, bounds = outer.system, outer.bounds
     scale = (outer.l_star - 1) * outer.eta
     dedicated_bounds = tuple(scale * b for b in bounds)
-    capacities = system.capacities()
-    for i, (b, dedicated) in enumerate(zip(bounds, dedicated_bounds), start=1):
-        capacities["ded", i] = dedicated
-        capacities["ovf", i] = b - dedicated
-
     # Each path of the two copies takes its steps, then its sink's row: the
     # dedicated sinks' rows follow the base edges, the overflow ones k on.
     base, k, n = system.grouped, system.k, system.path_count
@@ -254,14 +250,17 @@ def build_auxiliary(outer: LstarResult) -> AuxNetwork:
     steps = np.arange(2 * base.rows.size) + np.repeat(np.arange(2 * n), lengths)
     rows[steps] = np.concatenate((base.rows, base.rows))  # then the steps fill all but the last
     labels = tuple((kind, i) for kind in ("ded", "ovf") for i in range(1, k + 1))
-    groups = GroupedPaths(capacities, base.sizes + (n,), base.edges + labels, rows, lengths + 1)
+    caps = np.concatenate((base.caps, dedicated_bounds, np.array(bounds) - dedicated_bounds))
+    groups = GroupedPaths(base.sizes + (n,), base.edges + labels, caps, rows, lengths + 1)
     return AuxNetwork(outer, dedicated_bounds, groups)
 
 
 @dataclass(frozen=True)
 class HstarResult:
+    """Where an inner search stopped, its read-only flow ``x`` (dedicated, then overflow copies), its calls."""
+
     h_star: int
-    aux_values: tuple[tuple[float, ...], ...]
+    x: np.ndarray
     calls: int
 
 
@@ -285,33 +284,32 @@ def find_hstar(aux: AuxNetwork, subroutine: str | Subroutine = "fptas") -> Hstar
     values are read only when they are returned.
     """
     run = resolve_subroutine(subroutine)
-    outer, system = aux.outer, aux.outer.system
-    if all(aux.capacities["ovf", i] == 0.0 for i in range(1, system.k + 1)):
+    outer = aux.outer
+    if aux.dedicated_bounds == outer.bounds:  # every overflow capacity b - d is 0
         run = None
     h_star, calls, passed = _search(
         run, aux.groups, outer.eta, outer.bounds, sum(outer.bounds),
         lambda budget: [*aux.dedicated_bounds, budget], outer.last,
     )
     if passed is not outer.last:
-        values = passed.values
-    else:
-        zero = tuple((0.0,) * size for size in system.grouped.sizes)
-        values = (*(zero if passed is None else passed.values), (0.0,) * system.path_count)
-    return HstarResult(h_star, values, calls)
+        x = passed.x
+    else:  # the overflow copies carry nothing
+        n = outer.system.path_count
+        x = np.concatenate((np.zeros(n) if passed is None else passed.x, np.zeros(n)))
+        x.flags.writeable = False
+    return HstarResult(h_star, x, calls)
 
 
-def project_flow(aux_values: Sequence[Sequence[float]], aux: AuxNetwork) -> Flow:
-    """Collapse an auxiliary flow back onto the original paths.
+def project_flow(x: np.ndarray, aux: AuxNetwork) -> Flow:
+    """Collapse an auxiliary flow ``x`` back onto the original paths.
 
     Each original path receives the sum of its dedicated and overflow
-    copies; the overflow group is cut into per-commodity slices by the base
-    group lengths. Totals and per-commodity values are conserved exactly.
+    copies, the two halves of ``x``. Totals and per-commodity values are
+    conserved exactly.
     """
-    overflow, system = iter(aux_values[-1]), aux.outer.system
-    return Flow(system, tuple(
-        tuple(float(d) + float(o) for d, o in zip(dedicated, islice(overflow, len(group))))
-        for dedicated, group in zip(aux_values, system.paths)
-    ))
+    system = aux.outer.system
+    n = system.path_count
+    return Flow.from_array(system, x[:n] + x[n:])
 
 
 @dataclass(frozen=True)
@@ -345,7 +343,7 @@ def solve(
     outer = find_lstar(system, bounds0, eta, subroutine)
     aux = build_auxiliary(outer)
     inner = find_hstar(aux, subroutine)
-    flow = project_flow(inner.aux_values, aux)
+    flow = project_flow(inner.x, aux)
 
     sum_b = sum(bounds0)
     l_star, h_star = outer.l_star, inner.h_star

@@ -6,10 +6,14 @@ import pytest
 from concurflow.netmodel import (
     Commodity,
     Edge,
+    GroupedPaths,
+    GroupedResult,
     Network,
     PathMatrix,
     PathSystem,
 )
+from concurflow.oracle import lp_grouped_max
+from concurflow.solver import LstarResult, build_auxiliary
 
 # One line per acceptance criterion, printed in the terminal summary so the
 # verdicts are visible without -s.
@@ -24,8 +28,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def edge_groups(system: PathSystem) -> tuple[tuple[tuple[str, ...], ...], ...]:
-    """A system's paths as plain edge-id tuples, grouped by commodity: raw engine input."""
+    """A system's paths as plain edge-id tuples, grouped by commodity."""
     return tuple(tuple(path.edge_ids() for path in group) for group in system.paths)
+
+
+def compiled(
+    capacities: Mapping[Hashable, float], groups: Sequence[Sequence[Sequence[Hashable]]]
+) -> tuple[Mapping[Hashable, float], GroupedPaths]:
+    """Synthetic key groups as the engines take them: a fresh compile's view and paths."""
+    paths = GroupedPaths.build(capacities, groups)
+    return paths.capacities, paths
+
+
+def bits(result: GroupedResult) -> str:
+    """Every field of an engine result, exact to the bit: the text of its values."""
+    return repr((result.x.tolist(), result.total, result.iterations, result.upper))
 
 
 def reference_layout(
@@ -52,6 +69,19 @@ def reference_layout(
         arr.flags.writeable = False  # shared through PathSystem.matrix
     return PathMatrix(edges, caps_arr, a, g)
 
+
+
+def aux_at(system, bounds, l_star: int, eta: float):
+    """The auxiliary network of an outer search that stopped at ``l_star``.
+
+    Its last pass, at level ``l_star - 1``, is the exact engine's; there is
+    none at ``l_star == 1``.
+    """
+    last = None
+    if l_star > 1:
+        paths = system.grouped
+        last = lp_grouped_max(paths.capacities, paths, [(l_star - 1) * eta * b for b in bounds])
+    return build_auxiliary(LstarResult(system, tuple(bounds), eta, l_star, 0, last))
 
 
 def reference_aux_groups(system, bounds0, l_star: int, eta: float):

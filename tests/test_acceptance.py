@@ -17,6 +17,7 @@ quadratic-in-accuracy iteration count.
 
 import math
 import time
+from itertools import islice
 
 import pytest
 
@@ -103,9 +104,11 @@ def test_criterion_1_certified_bound_suite(corpus_rows):
 def _scaled_oracle(capacities, groups, bounds, eps):
     """The exact flow scaled by 1/(1+eps): feasible, total OPT/(1+eps)."""
     exact = lp_grouped_max(capacities, groups, bounds)
-    values = tuple(tuple(v / (1.0 + eps) for v in row) for row in exact.values)
-    group_totals = tuple(float(sum(row)) for row in values)
-    return GroupedResult(values, group_totals, float(sum(group_totals)), exact.iterations, exact.upper)
+    x = exact.x / (1.0 + eps)
+    x.flags.writeable = False
+    flat = iter(x.tolist())  # summed per group, then across groups, as the engines sum
+    total = float(sum([float(sum(islice(flat, size))) for size in groups.sizes]))
+    return GroupedResult(x, total, exact.iterations, exact.upper)
 
 
 def test_certified_checks_hold_under_a_contract_adversary(corpus):

@@ -165,6 +165,8 @@ path c1 e1 e2
 
     def test_failing_parse_builds_one_move_table(self, monkeypatch):
         # Every path line is checked for chaining before the duplicate is named.
+        # The instance is generated first: path enumeration reads move tables too.
+        instance = generate_instance(1, 7, 11, 3, 4)
         builds, build = [], Network._moves.func
 
         def counted(network):
@@ -174,7 +176,6 @@ path c1 e1 e2
         moves = cached_property(counted)
         moves.__set_name__(Network, "_moves")
         monkeypatch.setattr(Network, "_moves", moves)
-        instance = generate_instance(1, 7, 11, 3, 4)
         text = serialize_instance(instance)
         last = text.splitlines()[-1]
         assert last.startswith("path ") and instance.path_system.path_count >= 5

@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +15,6 @@ from concurflow.netmodel import (
     Flow,
     GroupedPaths,
     GroupedProblem,
-    GroupedResult,
     ModelError,
     Network,
     Path,
@@ -32,7 +34,7 @@ from concurflow.netmodel import (
 from concurflow.generator import generate_instance
 from concurflow.oracle import lp_emcfpsc, lp_mmfp_exact
 from concurflow.packing import solve_mmfp
-from conftest import edge_groups, make_network, make_system, reference_layout
+from conftest import compiled, edge_groups, make_network, make_system, reference_layout
 
 
 @pytest.fixture
@@ -318,13 +320,41 @@ class TestGroupedProblem:
         # The path over zero-capacity "z" and the switched-off group drop out;
         # edges follow first use among the kept paths only.
         caps = {"z": 0.0, "b": 1.0, "a": 2.0}
-        problem = GroupedProblem.build(caps, [[("z", "b"), ("a", "b")], [("b",)]], [math.inf, 0])
+        problem = GroupedProblem.build(*compiled(caps, [[("z", "b"), ("a", "b")], [("b",)]]), [math.inf, 0])
         assert problem.bounds == (None, 0.0)
         assert problem.matrix.edges == ("a", "b")
         assert problem.keep.tolist() == [False, True, False]
-        assert problem.result(np.array([0.5]), 3) == GroupedResult(
-            ((0.0, 0.5), (0.0,)), (0.5, 0.0), 0.5, 3, 0.5
-        )
+        result = problem.result(np.array([0.5]), 3)
+        assert (result.x.tolist(), result.total, result.iterations, result.upper) == ([0.0, 0.5, 0.0], 0.5, 3, 0.5)
+        assert not result.x.flags.writeable
+
+    def test_capacities_view_is_built_once(self, t1):
+        caps = {"a": 1.0, "b": 2.0}
+        for paths in (GroupedPaths.build(caps, [[("b",), ("a", "b")]]), t1.grouped):
+            view = paths.capacities
+            assert paths.capacities is view
+            assert list(view.items()) == list(zip(paths.edges, paths.caps.tolist()))
+            with pytest.raises(TypeError):
+                view["a"] = 0.0
+
+    def test_threads_racing_to_the_first_capacities_read_share_one_view(self):
+        # Each thread must get the view the engines will compare by identity.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(20):
+                    paths = GroupedPaths.build({"a": 1.0, "b": 2.0}, [[("a",), ("a", "b")]])
+                    start = threading.Barrier(8)
+
+                    def first_read():
+                        start.wait(timeout=30)
+                        return paths.capacities
+
+                    views = [future.result(timeout=60) for future in [pool.submit(first_read) for _ in range(8)]]
+                    assert all(view is paths.capacities for view in views)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_compiled_paths_reused_only_with_their_own_snapshot(self):
         caps = {"a": 1.0, "b": 1.0}
@@ -738,11 +768,28 @@ def test_raw_paths_match_orienting_then_validating(case):
         return
     system = PathSystem(net, groups)
     assert system.paths == expected
-    # The compiled form from the walk's edge numbers is the one built by keys.
+    # The compiled form over the walk's edge numbers lays out every live
+    # mask as the one built by keys does.
     caps = {e.id: e.capacity for e in net.edges}
     ref = GroupedPaths.build(caps, edge_groups(system))
     got = system.grouped
-    assert (got.edges, got.sizes, dict(got.capacities)) == (ref.edges, ref.sizes, caps)
-    for name in ("rows", "lengths", "caps"):
-        a, b = getattr(got, name), getattr(ref, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert (got.sizes, dict(got.capacities)) == (ref.sizes, caps)
+    assert got.lengths.dtype == ref.lengths.dtype and got.lengths.tobytes() == ref.lengths.tobytes()
+    for live in itertools.product((False, True), repeat=system.k):
+        (matrix, keep), (want, want_keep) = got.columns(live), ref.columns(live)
+        assert matrix.edges == want.edges
+        for a, b in ((matrix.caps, want.caps), (matrix.a, want.a), (matrix.g, want.g), (keep, want_keep)):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_path_system_capacities_keep_first_use_order():
+    # Network order e1, e2, e3, e4; the paths use e3, e1, e4 in that order, never e2.
+    net = make_network(
+        ["s", "u", "t"],
+        [("e1", "u", "t", 1.0, True), ("e2", "s", "t", 2.0, True),
+         ("e3", "s", "u", 3.0, True), ("e4", "s", "t", 4.0, True)],
+        [("s", "t", 1.0)],
+    )
+    system = make_system(net, [[["e3", "e1"], ["e4"]]])
+    assert system.grouped.edges == ("e1", "e2", "e3", "e4")
+    assert list(system.capacities().items()) == [("e3", 3.0), ("e1", 1.0), ("e4", 4.0)]

@@ -22,7 +22,7 @@ from concurflow.oracle import (
     lp_mmfpb_exact,
 )
 from concurflow.packing import pack_paths
-from conftest import edge_groups, make_network, make_system, t1_system, t2_system, t3_system
+from conftest import bits, compiled, edge_groups, make_network, make_system, t1_system, t2_system, t3_system
 
 
 class TestBoundedMax:
@@ -174,20 +174,21 @@ class TestGroupedCore:
         # Optimum 2.25 at y1 = 0.75: the long path competes with both singles.
         caps = {"a": 1.0, "b": 2.0}
         groups = [[("a",), ("b",)], [("a", "b")]]
-        res = lp_grouped_max(caps, groups, [1.5, None])
+        res = lp_grouped_max(*compiled(caps, groups), [1.5, None])
         assert res.total == pytest.approx(2.25, abs=1e-9)
-        assert res.group_totals[0] <= 1.5 + 1e-9
+        assert sum(res.x[:2].tolist()) <= 1.5 + 1e-9  # group 0's total
 
     def test_reuse_keeps_bound_patterns_apart(self):
         # The same live groups with a different one bounded, and as many rows:
         # a compiled system answers every pattern, in any order, as a fresh
-        # compile of plain input does.
+        # compile does.
         caps = {"a": 1.0, "b": 2.0}
         groups = [[("a",), ("b",)], [("a", "b")]]
         paths = GroupedPaths.build(caps, groups)
         patterns = [[0.5, None], [None, 0.25], [0.5, 0.25], [1.5, None], [None, 0.75], [None, None]]
         for bounds in patterns + patterns[::-1]:
-            assert lp_grouped_max(paths.capacities, paths, bounds) == lp_grouped_max(caps, groups, bounds)
+            fresh = lp_grouped_max(*compiled(caps, groups), bounds)
+            assert bits(lp_grouped_max(paths.capacities, paths, bounds)) == bits(fresh)
 
     def test_one_compiled_system_serves_threads(self):
         # Threads race to assemble and reuse each bound pattern's LP (wide
@@ -197,7 +198,7 @@ class TestGroupedCore:
         caps, groups = system.capacities(), edge_groups(system)
         patterns = [[scale * b for b in system.network.bounds()] for scale in (0.1, 0.3, 0.6)]
         patterns.append([None, *patterns[0][1:]])
-        expected = [lp_grouped_max(caps, groups, bounds) for bounds in patterns]
+        expected = [bits(lp_grouped_max(*compiled(caps, groups), bounds)) for bounds in patterns]
         paths = GroupedPaths.build(caps, groups)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -207,7 +208,7 @@ class TestGroupedCore:
                     pool.submit(lp_grouped_max, paths.capacities, paths, bounds)
                     for _ in range(3) for bounds in patterns
                 ]
-                results = [future.result(timeout=120) for future in futures]
+                results = [bits(future.result(timeout=120)) for future in futures]
         finally:
             sys.setswitchinterval(interval)
         assert results == expected * 3
@@ -220,12 +221,12 @@ class TestGroupedCore:
         caps, groups = system.capacities(), edge_groups(system)
         bounds = system.network.bounds()
         patterns = [[scale * b for b in bounds] for scale in np.linspace(0.05, 0.6, 12)]
-        expected = [lp_grouped_max(caps, groups, bounds) for bounds in patterns]
+        expected = [bits(lp_grouped_max(*compiled(caps, groups), bounds)) for bounds in patterns]
         paths = GroupedPaths.build(caps, groups)
 
         def solve_all(start):
             order = list(range(start, 12)) + list(range(start))
-            return {i: lp_grouped_max(paths.capacities, paths, patterns[i]) for i in order}
+            return {i: bits(lp_grouped_max(paths.capacities, paths, patterns[i])) for i in order}
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -246,10 +247,17 @@ class TestGroupedCore:
         assert ends(root) > 1  # the scalings took more than one path
 
     def test_empty_groups(self):
-        res = lp_grouped_max({}, [[], []], None)
+        res = lp_grouped_max(*compiled({}, [[], []]), None)
         assert res.total == 0.0
 
-    # Malformed input is rejected alike by both engines: one front door reads it.
+    def test_raw_groups_refused(self):
+        caps, groups = {"a": 1.0}, [[("a",)]]
+        for engine in (lambda: lp_grouped_max(caps, groups, None), lambda: pack_paths(caps, groups, None, 0.1)):
+            with pytest.raises(TypeError, match=r"compiled with GroupedPaths\.build, not a list$"):
+                engine()
+
+    # Malformed input is rejected alike by both engines: one compile and one
+    # front door read it.
     def test_unknown_edge_rejected(self):
         assert "edge 'zz' with no capacity entry" in _rejected_alike({"a": 1.0}, [[("zz",)]], None)
 
@@ -290,11 +298,11 @@ class TestGroupedCore:
 
 
 def _rejected_alike(caps, groups, bounds) -> str:
-    """The message both engines raise on the same input; type and text must agree."""
+    """The message both engines raise on the same key groups, compiled; type and text must agree."""
     errors = []
     for engine in (
-        lambda: lp_grouped_max(caps, groups, bounds),
-        lambda: pack_paths(caps, groups, bounds, 0.1),
+        lambda: lp_grouped_max(*compiled(caps, groups), bounds),
+        lambda: pack_paths(*compiled(caps, groups), bounds, 0.1),
     ):
         with pytest.raises(ValueError) as info:
             engine()

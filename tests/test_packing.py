@@ -21,8 +21,11 @@ from concurflow.packing import (
     solve_mmfp,
     solve_mmfpb,
 )
-from concurflow.solver import BELOW_TOL, LstarResult, build_auxiliary, compute_epsilon
+from concurflow.solver import BELOW_TOL, compute_epsilon
 from conftest import (
+    aux_at,
+    bits,
+    compiled,
     edge_groups,
     make_network,
     make_system,
@@ -131,9 +134,9 @@ class TestBounded:
         )
         system = make_system(net, [[["e1"], ["e2"]]])
         caps = {"e1": 0.0, "e2": 1.0}
-        result = pack_paths(caps, edge_groups(system), [5.0], 0.1)
-        assert result.values[0][0] == 0.0
-        assert result.group_totals[0] >= 1.0 / 1.1 - 1e-9
+        result = pack_paths(*compiled(caps, edge_groups(system)), [5.0], 0.1)
+        assert result.x[0] == 0.0
+        assert result.total >= 1.0 / 1.1 - 1e-9  # the one group's total
 
 
 class TestGuarantee:
@@ -228,8 +231,8 @@ class TestNonFinite:
 
     def test_infinite_bound_means_unbounded(self, t1):
         caps, groups, bounds = t1.grouped.capacities, t1.grouped, [math.inf, None]
-        assert pack_paths(caps, groups, bounds, 0.1) == pack_paths(caps, groups, None, 0.1)
-        assert lp_grouped_max(caps, groups, bounds) == lp_grouped_max(caps, groups, None)
+        assert bits(pack_paths(caps, groups, bounds, 0.1)) == bits(pack_paths(caps, groups, None, 0.1))
+        assert bits(lp_grouped_max(caps, groups, bounds)) == bits(lp_grouped_max(caps, groups, None))
 
 
 @dataclass(frozen=True)
@@ -368,7 +371,7 @@ def _aux_case():
     # per sink copy, so the cheapest-path choice meets exact ties.
     system = generate_instance(1, 7, 11, 3, 4, bound_range=(0.2, 0.6)).path_system
     caps, groups = reference_aux_groups(system, system.network.bounds(), 2, 0.2)
-    aux = build_auxiliary(LstarResult(system, system.network.bounds(), 0.2, 2, 0, None))
+    aux = aux_at(system, system.network.bounds(), 2, 0.2)
     return caps, groups, [*aux.dedicated_bounds, 0.2], 0.2
 
 
@@ -383,20 +386,24 @@ REFERENCE_CASES = {
 }
 
 
+def engine_case(name):
+    """A reference case as the engines take it: its key groups compiled."""
+    caps, groups, bounds, eps = REFERENCE_CASES[name]()
+    return (*compiled(caps, groups), bounds, eps)
+
+
 class TestReferenceLoop:
     @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
     def test_bit_identical_to_reference(self, name):
-        args = REFERENCE_CASES[name]()
-        expected = reference_pack_paths(*args)
-        result = pack_paths(*args)
-        assert result.values == expected.values
-        assert result.group_totals == expected.group_totals
+        expected = reference_pack_paths(*REFERENCE_CASES[name]())
+        result = pack_paths(*engine_case(name))
+        assert result.x.tolist() == [v for row in expected.values for v in row]
         assert result.total == expected.total
         assert result.iterations == expected.iterations
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
     def test_dual_bound_brackets_the_optimum(self, name):
-        caps, groups, bounds, eps = REFERENCE_CASES[name]()
+        caps, groups, bounds, eps = engine_case(name)
         result = pack_paths(caps, groups, bounds, eps)
         optimum = lp_grouped_max(caps, groups, bounds).total
         # Slack for the simplex's rounding only.
@@ -412,7 +419,7 @@ def grouped_cases(draw):
     groups = draw(st.lists(st.lists(path.map(tuple), min_size=1, max_size=3), min_size=1, max_size=3))
     bound = st.one_of(st.none(), st.floats(0.25, 2.0))
     bounds = draw(st.lists(bound, min_size=len(groups), max_size=len(groups)))
-    return caps, groups, bounds, draw(st.sampled_from([0.2, 0.3, 0.5]))
+    return (*compiled(caps, groups), bounds, draw(st.sampled_from([0.2, 0.3, 0.5])))
 
 
 class TestStoppingEarly:
@@ -427,8 +434,8 @@ class TestStoppingEarly:
         if isinstance(result, Passing):
             assert full.total >= target
             assert result.iterations < full.iterations
-            assert repr(result.finish()) == repr(full)
-        elif repr(result) != repr(full):
+            assert bits(result.finish()) == bits(full)
+        elif bits(result) != bits(full):
             assert full.total < target and result.total < target
             assert result.iterations < full.iterations
             # A stop certifies, by the dual bound alone, that the optimum is below target.
@@ -447,12 +454,12 @@ class TestStoppingEarly:
         result = pack_paths(caps, groups, bounds, 0.1, target=full.total * factor)
         assert (full.total * factor < optimum) == (factor == 1.01)
         if factor == 1.01:
-            assert repr(result) == repr(full)
+            assert bits(result) == bits(full)
             return
         assert result.iterations < full.iterations
         assert result.total < full.total * factor
         assert optimum <= result.upper * (1 + 1e-9)
-        assert is_feasible(Flow(diamond, result.values))
+        assert is_feasible(Flow.from_array(diamond, result.x))
 
     @pytest.mark.parametrize("eps, iterations", [(0.3, 416), (0.1, 3677)])
     def test_cap_at_the_full_run_count(self, monkeypatch, diamond, eps, iterations):
@@ -461,7 +468,7 @@ class TestStoppingEarly:
         full = pack_paths(caps, groups, bounds, eps)
         assert full.iterations == iterations
         starved_cap(monkeypatch, iterations)
-        assert repr(pack_paths(caps, groups, bounds, eps)) == repr(full)
+        assert bits(pack_paths(caps, groups, bounds, eps)) == bits(full)
         starved_cap(monkeypatch, iterations - 1)
         with pytest.raises(PackingError, match=f"^packing exceeded {iterations - 1} iterations "):
             pack_paths(caps, groups, bounds, eps)
@@ -502,13 +509,13 @@ class TestPausingOnAPass:
         assert result.iterations == 2656
 
     def test_renormalizing_run_pauses_and_finishes_as_the_full_run(self):
-        case = REFERENCE_CASES["t1-renormalizing"]()
+        case = engine_case("t1-renormalizing")
         full = pack_paths(*case)
         result = pack_paths(*case, target=0.9 * full.total)
         assert isinstance(result, Passing)
         assert result.least >= 0.9 * full.total
         assert result.iterations < full.iterations
-        assert repr(result.finish()) == repr(full)
+        assert bits(result.finish()) == bits(full)
 
     def test_a_pass_read_twice_runs_its_loop_once(self, monkeypatch, diamond):
         real = packing._run
@@ -525,13 +532,13 @@ class TestPausingOnAPass:
         result = pack_paths(caps, groups, bounds, 0.1, target=1.0)
         assert isinstance(result, Passing)
         assert not resumed
-        values, total = result.values, result.total
+        x, total = result.x, result.total
         assert result.finish() is result.finish()
-        assert (values, total) == (result.finish().values, result.finish().total)
+        assert (x, total) == (result.finish().x, result.finish().total)
         assert resumed == [True]
 
     def test_a_finish_past_the_cap_raises_and_raises_again(self, monkeypatch):
-        case = REFERENCE_CASES["t1-renormalizing"]()
+        case = engine_case("t1-renormalizing")
         full = pack_paths(*case)
         starved_cap(monkeypatch, full.iterations - 1)
         result = pack_paths(*case, target=0.9 * full.total)
@@ -539,7 +546,7 @@ class TestPausingOnAPass:
         with pytest.raises(PackingError, match=f"^packing exceeded {full.iterations - 1} iterations "):
             result.finish()
         with pytest.raises(PackingError, match="failed to finish"):
-            result.values
+            result.x
 
 
 class TestGreedyFloor:
@@ -561,10 +568,10 @@ class TestGreedyFloor:
 
     @pytest.mark.parametrize("name", ["diamond-bounded", "t1-renormalizing", "aux-ties"])
     def test_a_target_the_floor_certifies_pauses_before_the_first_step(self, name):
-        case = REFERENCE_CASES[name]()
+        case = engine_case(name)
         full = pack_paths(*case)
         floor = sum(packing._greedy_flow(*packing._columns(GroupedProblem.build(*case[:3]))))
         result = pack_paths(*case, target=0.9 * floor)
         assert isinstance(result, Passing)
         assert result.iterations == 0 and result.least >= 0.9 * floor
-        assert repr(result.finish()) == repr(full)
+        assert bits(result.finish()) == bits(full)

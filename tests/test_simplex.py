@@ -6,7 +6,7 @@ import pytest
 
 import concurflow.oracle
 import concurflow.simplex
-from concurflow import generate_instance, lp_emcfpsc, solve
+from concurflow import Flow, generate_instance, lp_emcfpsc, solve
 from concurflow.oracle import lp_grouped_max, lp_mmfpb_exact
 from concurflow.simplex import (
     EQUAL,
@@ -611,6 +611,21 @@ class TestReferenceSolver:
         with pytest.raises(ValueError, match="^coefficient blocks do not match the rows$"):
             solve_lp([1.0, 1.0], rows, blocks=(np.eye(2)[:1],))
 
+    @pytest.mark.parametrize("make_blocks", [tuple, RowBlocks], ids=["tuple", "RowBlocks"])
+    def test_blocks_beside_a_row_that_is_not_le_rejected(self, make_blocks):
+        # Minimize x subject to x >= 1 and x <= 3: x = 1 without blocks, and
+        # x = 0 if the >= row were solved as <=.
+        objective = [-1.0]
+        rows = [([1.0], GREATER_EQUAL, 1.0), ([1.0], LESS_EQUAL, 3.0)]
+        assert solve_lp(objective, rows).x.tolist() == [1.0]
+        blocks = make_blocks([np.array([[1.0], [1.0]])])
+        with pytest.raises(ValueError, match="^rows given with coefficient blocks must all be <=$"):
+            solve_lp(objective, rows, blocks=blocks)
+        assert not getattr(blocks, "roots", None)  # no replay tree was started
+        rows[0] = ([1.0], EQUAL, 1.0)
+        with pytest.raises(ValueError, match="must all be <="):
+            solve_lp(objective, rows, blocks=blocks)
+
     @pytest.mark.parametrize(
         "args, etas",
         [((0, 7, 11, 3, 4), (0.05, 0.2)), ((3, 16, 50, 8, 25), (0.1,))],
@@ -696,7 +711,7 @@ def test_replay_tree_stops_growing_at_its_cap():
             if call % 10 == 0 or call >= 990:
                 fresh = replace(system.grouped)  # the same rows, no recorded paths
                 result = lp_grouped_max(fresh.capacities, fresh, bounds)
-                assert (total, flow.values) == (result.total, result.values)
+                assert (total, flow.values) == (result.total, Flow.from_array(system, result.x).values)
         held = tracemalloc.get_traced_memory()[0] - held
     finally:
         tracemalloc.stop()

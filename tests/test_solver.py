@@ -1,13 +1,14 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 import concurflow.generator
 import concurflow.netmodel
 from concurflow import generate_instance
 from concurflow.instance_io import Instance, parse_solution, serialize_solution
-from concurflow.netmodel import GroupedPaths, PathMatrix, branch_values, flow_value, is_feasible
+from concurflow.netmodel import Flow, GroupedPaths, PathMatrix, branch_values, flow_value, is_feasible
 from concurflow.oracle import lp_emcfpsc, lp_grouped_max, lp_mmfp_exact, lp_mmfpb_exact
 from concurflow.packing import solve_mmfp, solve_mmfpb
 from concurflow.solver import (
@@ -22,6 +23,8 @@ from concurflow.solver import (
     solve,
 )
 from conftest import (
+    aux_at,
+    bits,
     make_network,
     make_system,
     reference_aux_groups,
@@ -34,11 +37,6 @@ from conftest import (
 def single_edge_system(cap, bound):
     net = make_network(["s", "t"], [("e1", "s", "t", cap, True)], [("s", "t", bound)])
     return make_system(net, [[["e1"]]])
-
-
-def aux_at(system, bounds, l_star, eta):
-    """The auxiliary network of an outer search that stopped at ``l_star``."""
-    return build_auxiliary(LstarResult(system, tuple(bounds), eta, l_star, 0, None))
 
 
 class TestEpsilon:
@@ -84,7 +82,7 @@ class TestAuxiliary:
         aux = aux_at(t1, (1.0, 2.0), 3, 0.1)
         scale = (3 - 1) * 0.1
         assert aux.dedicated_bounds == (scale * 1.0, scale * 2.0)
-        caps = aux.capacities
+        caps = aux.groups.capacities
         assert caps["ded", 1] == scale * 1.0
         assert caps["ovf", 1] == 1.0 - scale * 1.0
         assert caps["ded", 2] == scale * 2.0
@@ -93,19 +91,19 @@ class TestAuxiliary:
     def test_degenerate_level_one(self, t1):
         aux = aux_at(t1, (1.0, 2.0), 1, 0.1)
         assert aux.dedicated_bounds == (0.0, 0.0)
-        assert aux.capacities["ovf", 1] == 1.0
-        assert aux.capacities["ovf", 2] == 2.0
+        assert aux.groups.capacities["ovf", 1] == 1.0
+        assert aux.groups.capacities["ovf", 2] == 2.0
 
     def test_saturated_level(self):
         system = single_edge_system(2.0, 1.0)
         aux = aux_at(system, (1.0,), 5, 0.25)
         assert aux.dedicated_bounds == (1.0,)
-        assert aux.capacities["ovf", 1] == 0.0
+        assert aux.groups.capacities["ovf", 1] == 0.0
 
     def test_original_capacities_kept(self, t2):
         aux = aux_at(t2, (1.0, 1.0), 3, 0.1)
-        assert aux.capacities["e1"] == 0.5
-        assert aux.capacities["e2"] == 1.0
+        assert aux.groups.capacities["e1"] == 0.5
+        assert aux.groups.capacities["e2"] == 1.0
 
     @pytest.mark.parametrize("bound", [math.inf, math.nan, 0.0, -1.0])
     @pytest.mark.parametrize("l_star", [1, 2])
@@ -126,7 +124,9 @@ class TestAuxiliary:
         bounds0 = system.network.bounds()
         aux = aux_at(system, bounds0, l_star, 0.25)
         ref_caps, ref_groups = reference_aux_groups(system, bounds0, l_star, 0.25)
-        assert list(aux.capacities.items()) == list(ref_caps.items())
+        # The auxiliary edges are every network edge, then the sinks; each
+        # key of the reference has its capacity there.
+        assert all(aux.groups.capacities[key] == cap for key, cap in ref_caps.items())
         assert len(aux.groups) == len(ref_groups) == system.k + 1
         ref = GroupedPaths.build(ref_caps, ref_groups)
         # The inner search's live masks: overflow off on its first call, then on.
@@ -150,6 +150,16 @@ class TestAuxiliary:
 
         assert solved("aux:sink0", "aux:ded1") == solved("t", "e1")
 
+    def test_last_pass_must_match_the_level(self, t3):
+        # No search stops at l_star = 5 without a last pass: the result is
+        # refused when it is built, before the inner search reads the pass.
+        message = r"^last must be None exactly when l_star == 1, got l_star 5 and last None$"
+        with pytest.raises(ValueError, match=message):
+            find_hstar(build_auxiliary(LstarResult(t3, (1.0,), 0.25, 5, 0, None)), "oracle")
+        last = find_lstar(t3, (1.0,), 0.25, "oracle").last
+        with pytest.raises(ValueError, match=r"got l_star 1 and last GroupedResult\("):
+            LstarResult(t3, (1.0,), 0.25, 1, 0, last)
+
     def test_level_bounds_checked(self, t1):
         with pytest.raises(ValueError):
             LstarResult(t1, (1.0, 2.0), 0.1, 0, 0, None)
@@ -167,7 +177,7 @@ class TestInnerSearch:
         aux = build_auxiliary(outer)
         res = find_hstar(aux, "oracle")
         assert res.h_star == 2
-        assert sum(map(sum, res.aux_values)) == pytest.approx(1.0)
+        assert sum(res.x.tolist()) == pytest.approx(1.0)
 
     def test_slack_network_trace(self):
         # Commodity 1's edge of capacity 0.25 stops the outer search at
@@ -182,10 +192,10 @@ class TestInnerSearch:
         outer = find_lstar(system, (1.0, 1.0), 0.1, "oracle")
         assert outer.l_star == 3
         aux = build_auxiliary(outer)
-        assert aux.capacities["ovf", 2] == pytest.approx(0.8)
+        assert aux.groups.capacities["ovf", 2] == pytest.approx(0.8)
         res = find_hstar(aux, "oracle")
         assert res.h_star == 10
-        assert sum(map(sum, res.aux_values)) == pytest.approx(1.25)
+        assert sum(res.x.tolist()) == pytest.approx(1.25)
 
     def test_budget_exhaustion(self):
         system = single_edge_system(2.0, 1.0)
@@ -225,7 +235,7 @@ def generated_system(seed):
 def no_overflow_left(system, report):
     """Whether every overflow sink of the solve's auxiliary network has capacity 0."""
     aux = aux_at(system, report.bounds0, report.l_star, report.eta)
-    return all(aux.capacities["ovf", i] == 0.0 for i in range(1, system.k + 1))
+    return all(aux.groups.capacities["ovf", i] == 0.0 for i in range(1, system.k + 1))
 
 
 def start_cases():
@@ -277,12 +287,12 @@ class TestInnerStart:
         assert report.h_star == 1
         outer = find_lstar(system, report.bounds0, eta, engine)
         assert outer.l_star == report.l_star >= 2
-        assert repr(report.flow.values) == repr(outer.last.values)
+        assert repr(report.flow.values) == repr(Flow.from_array(system, outer.last.x).values)
         # The outer search's last passing call, at level l_star - 1.
         scale, base = (outer.l_star - 1) * eta, system.grouped
         bounds = [scale * b for b in report.bounds0]
         last = resolve_subroutine(engine)(base.capacities, base, bounds, report.eps)
-        assert repr(outer.last.values) == repr(last.values)
+        assert bits(outer.last) == bits(last)
         assert_certificates(report, system, report.bounds0)
 
     def test_level_one_starts_from_zero(self, engine, t1):
@@ -300,8 +310,8 @@ class TestInnerStart:
         # bound is 0, bit for bit.
         base = t1.grouped
         zero = run(base.capacities, base, [0.0, 0.0], eps)
-        assert repr(inner.aux_values[:2]) == repr(zero.values) == repr(((0.0,), (0.0,)))
-        assert inner.aux_values[2] == (0.0, 0.0)
+        assert inner.x[:2].tobytes() == zero.x.tobytes() == np.zeros(2).tobytes()
+        assert inner.x[2:].tobytes() == np.zeros(2).tobytes()
 
 
 def calling_levels(system, eta, run):
@@ -319,7 +329,7 @@ def calling_levels(system, eta, run):
     dedicated = list(aux.dedicated_bounds)
     h = 1
     while h * eta <= sum(bounds):
-        result = run(aux.capacities, aux.groups, [*dedicated, h * eta], eps)
+        result = run(aux.groups.capacities, aux.groups, [*dedicated, h * eta], eps)
         if result.total < (sum(dedicated) + h * eta) / (1.0 + eps) - BELOW_TOL:
             break
         h += 1
@@ -377,41 +387,40 @@ class TestNoOverflowLeft:
         bounds = system.network.bounds()
         outer = find_lstar(system, bounds, 0.25)
         aux = build_auxiliary(outer)
-        assert all(aux.capacities["ovf", i] > 0.0 for i in range(1, system.k + 1))
+        assert all(aux.groups.capacities["ovf", i] > 0.0 for i in range(1, system.k + 1))
         inner = find_hstar(aux)
         assert inner.h_star >= 2 and inner.calls == inner.h_star
         assert isinstance(outer.last, packing.Passing)
         assert all(result is not outer.last for result in finished)
-        outer.last.values
+        outer.last.x
         assert finished[-1] is outer.last
 
 
 class TestProjection:
     def test_copies_add_up(self, t1):
         aux = aux_at(t1, (1.0, 2.0), 3, 0.1)
-        aux_values = ((0.2,), (0.0,), (0.3, 0.1))
-        flow = project_flow(aux_values, aux)
+        flow = project_flow(np.array([0.2, 0.0, 0.3, 0.1]), aux)
         assert flow.values[0][0] == pytest.approx(0.5)
         assert flow.values[1][0] == pytest.approx(0.1)
 
     def test_zero_projects_to_zero(self, t1):
         aux = aux_at(t1, (1.0, 2.0), 2, 0.1)
-        flow = project_flow(((0.0,), (0.0,), (0.0, 0.0)), aux)
+        flow = project_flow(np.zeros(4), aux)
         assert flow_value(flow) == 0.0
 
     def test_total_value_conserved(self, t2):
         outer = find_lstar(t2, (1.0, 1.0), 0.1, "oracle")
         aux = build_auxiliary(outer)
         res = find_hstar(aux, "oracle")
-        aux_total = sum(map(sum, res.aux_values))
-        flow = project_flow(res.aux_values, aux)
+        aux_total = sum(res.x.tolist())
+        flow = project_flow(res.x, aux)
         assert flow_value(flow) == pytest.approx(aux_total, abs=1e-12)
-        # Per-commodity: dedicated + overflow copies; the overflow group holds
-        # each commodity's paths in turn.
-        start = 0
+        # Per-commodity: dedicated + overflow copies; each half of the flow
+        # holds each commodity's paths in turn.
+        start, n = 0, t2.path_count
         for i, group in enumerate(t2.paths):
-            dedicated = sum(res.aux_values[i])
-            overflow = sum(res.aux_values[-1][start:start + len(group)])
+            dedicated = sum(res.x[start:start + len(group)].tolist())
+            overflow = sum(res.x[n + start:n + start + len(group)].tolist())
             start += len(group)
             assert branch_values(flow)[i] == pytest.approx(dedicated + overflow, abs=1e-12)
 
