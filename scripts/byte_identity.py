@@ -13,10 +13,8 @@ For every case of the four perfbench workloads (or those named with
   and flow values);
 - ``mmfpb`` workloads: the ``repr`` of the ``solve_mmfpb`` values;
 - every ``solve_lp`` call the case makes, as its pivot count and a digest
-  of the bytes of ``x``; the ``iterations`` of every ``pack_paths`` call
-  (a paused run's steps before its pause, 0 if it paused before its first
-  step); the steps that finishing each paused run adds, one ``finish``
-  entry where the loop runs on; and the layout of every engine call,
+  of the bytes of ``x``; the ``iterations`` of every ``pack_paths`` call,
+  early stops included; and the layout of every engine call,
   taken from ``GroupedProblem.build``, as a digest of the matrix
   ``edges``, the bytes of ``caps``, ``a`` and ``g`` (with their shapes)
   and ``keep``.
@@ -32,13 +30,9 @@ When the files differ, ``--diff`` says where:
 
 prints, per workload, the cases whose ``system``, ``lp_emcfpsc``,
 ``solve_mmfpb`` or call list differ; of the differing call lists, those
-that differ only in the steps of ``pack`` and ``finish`` entries, with the
-number of such ``pack`` entries and their iterations on each side; the
-``pack`` entries with 0 steps of the cases in both files (runs that paused
-before their first step, or had no path to route), on each side; the
-``finish`` entries of the cases in both files and their steps, on each
-side; and the solution lines that differ, counted by their first word. It
-exits 1 when anything differs.
+that differ only in the steps of ``pack`` entries, with the number of such
+entries and their iterations on each side; and the solution lines that
+differ, counted by their first word. It exits 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -88,15 +82,12 @@ def system_digest(system) -> str:
 
 @contextmanager
 def recording(calls: list):
-    """Append one entry to ``calls`` per ``solve_lp``, ``pack_paths``, finish and layout.
+    """Append one entry to ``calls`` per ``solve_lp``, ``pack_paths`` and layout.
 
     ``oracle``, ``solve_mmfpb`` and ``solve``'s named subroutines look both
     names up at call time, so what ``solve`` runs is recorded, early stops
     included. Both engines read their input through ``GroupedProblem.build``,
-    a classmethod patched on the class. ``packing.Passing.finish``, where a
-    checkout has it, is patched on its class too, and records the steps it
-    adds when it runs the loop on; a finish that returns a kept result or
-    raises records nothing.
+    a classmethod patched on the class.
     """
     import concurflow.netmodel
     import concurflow.oracle
@@ -123,29 +114,15 @@ def recording(calls: list):
         calls.append(["pack", result.iterations])
         return result
 
-    passing = getattr(concurflow.packing, "Passing", None)
-    finish = passing and passing.finish
-
-    def finishing(self):
-        runs_on = self._result is None  # not yet finished, or about to raise again
-        result = finish(self)
-        if runs_on:
-            calls.append(["finish", result.iterations - self.iterations])
-        return result
-
     concurflow.oracle.solve_lp = lp
     concurflow.packing.pack_paths = pack
     problem_class.build = classmethod(layout)
-    if passing:
-        passing.finish = finishing
     try:
         yield
     finally:
         concurflow.oracle.solve_lp = solve_lp
         concurflow.packing.pack_paths = pack_paths
         problem_class.build = build
-        if passing:
-            passing.finish = finish
 
 
 def case_record(workload, case) -> dict:
@@ -171,9 +148,9 @@ def case_record(workload, case) -> dict:
 
 
 def step_pairs(a: list, b: list) -> list[tuple[list, list]]:
-    """The differing entry pairs of two call lists if all are ``pack`` or ``finish`` pairs, else none."""
+    """The differing entry pairs of two call lists if all are ``pack`` pairs, else none."""
     pairs = [(x, y) for x, y in zip(a, b) if x != y]
-    if len(a) != len(b) or not all(x[0] == y[0] in ("pack", "finish") for x, y in pairs):
+    if len(a) != len(b) or not all(x[0] == y[0] == "pack" for x, y in pairs):
         return []
     return pairs
 
@@ -189,8 +166,6 @@ def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
         shared = [key for key in keys if key in a_cases and key in b_cases]
         counts = dict.fromkeys(fields, 0)
         packs = [0, 0, 0, 0]  # cases, pack entries, iterations in a, in b
-        unstepped = [0, 0]  # pack entries with 0 steps in a, in b
-        finishes = [0, 0, 0, 0]  # entries in a, in b, steps in a, in b
         words: dict[str, int] = {}
         for key in shared:
             ra, rb = a_cases[key], b_cases[key]
@@ -198,16 +173,10 @@ def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
                 counts[field] += ra.get(field) != rb.get(field)
             pairs = step_pairs(ra["calls"], rb["calls"])
             if pairs:
-                packed = [(x, y) for x, y in pairs if x[0] == "pack"]
                 packs[0] += 1
-                packs[1] += len(packed)
-                packs[2] += sum(x[1] for x, _ in packed)
-                packs[3] += sum(y[1] for _, y in packed)
-            for side, record in enumerate((ra, rb)):
-                unstepped[side] += record["calls"].count(["pack", 0])
-                steps = [call[1] for call in record["calls"] if call[0] == "finish"]
-                finishes[side] += len(steps)
-                finishes[2 + side] += sum(steps)
+                packs[1] += len(pairs)
+                packs[2] += sum(x[1] for x, _ in pairs)
+                packs[3] += sum(y[1] for _, y in pairs)
             texts = (ra.get("solution", ""), rb.get("solution", ""))
             for la, lb in zip_longest(*(text.splitlines() for text in texts), fillvalue=""):
                 if la != lb:
@@ -219,10 +188,8 @@ def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
         solution = ", ".join(f"{word} {count}" for word, count in words.items()) or "none"
         lines.append(
             f"{workload}: {len(shared)} cases in both, {only} in one only; "
-            f"cases differing in {parts}; calls differing only in pack or finish steps: "
+            f"cases differing in {parts}; calls differing only in pack steps: "
             f"{packs[0]} cases, {packs[1]} pack entries, {packs[2]} -> {packs[3]} iterations; "
-            f"pack entries with 0 steps: {unstepped[0]} -> {unstepped[1]}; "
-            f"finish entries: {finishes[0]} -> {finishes[1]}, {finishes[2]} -> {finishes[3]} steps; "
             f"solution lines differing: {solution}"
         )
     return lines, differs

@@ -24,48 +24,31 @@ the cap's meaning, are those of a loop that checks both before every step.
 All arithmetic is deterministic; ties in path selection resolve to the
 lowest (group, path) index.
 
-Stopping early: a caller that only asks whether the total reaches some
-``target`` can pass it. Between blocks the run then reads the exact
-lengths once and stops once the dual bound ``D(l)/alpha(l)``, the
-capacity-weighted length over the shortest path length, is below
-``target`` by a relative margin far above its rounding. That bound caps
-the optimum by weak duality (Garg and Koenemann, FOCS 1998), so a stop
-certifies that no feasible total, the full run's included, reaches
-``target``. A stopped run returns its flow so far, clipped and scaled like
-a full run's, with the dual bound as ``upper``.
+Ending early: between blocks the run reads the exact lengths once and
+takes the dual bound ``D(l)/alpha(l)``, the capacity-weighted length over
+the shortest path length. It caps the optimum by weak duality (Garg and
+Koenemann, FOCS 1998). The flow so far over its worst load-to-capacity
+ratio is feasible, bound columns included, so once its total, shrunk by a
+relative margin far above its rounding, is within ``1+eps`` of that bound,
+the run returns it, clipped like a full run's, with the bound as
+``upper``. The paper's stop stays as the backstop, so no run takes more
+steps than the loop without this exit, and every result meets the same
+``(1+eps)`` check.
 
-The pass side bounds the full run's total from below:
-
-- a feasible total ``F`` is at most the optimum. Before the first step,
-  ``F`` is the greedy flow's total: each path in turn takes the least
-  residual capacity on its columns, bound columns included, and the total
-  is shrunk by the margin to absorb the residuals' rounding. After a
-  block, ``F`` is the larger of that and the flow so far over its worst
-  load-to-capacity ratio;
-- each later step adds ``eps * f * alpha(l) <= eps * f * D(l) / OPT`` to
-  the dual objective ``D``, and the loop runs until ``D`` reaches its stop,
-  so the raw flow still to come is at least ``F * ln(stop / D) / eps``.
-  The log is taken in log space, from the stop's exponent, since the
-  stored stop is ``+inf`` until the lengths have renormalized far enough;
-- the raw flow so far plus that, scaled down, bounds the full run's
-  unclipped total, and the scaling makes that flow feasible, so the clip
-  only undoes rounding.
-
-The bound is checked once before the first step, ahead of the growth rows,
-and after the fail check of every block, where a filter with the dual
-bound, which no feasible total exceeds, in ``F``'s place comes first. Once
-the bound reaches ``target`` by the same margin, the run pauses and
-returns a :class:`Passing`: the full run is sure to reach ``target``, and
-its flow is computed only if someone reads it. A run that neither stops
-nor pauses is the full run, bit for bit, and so is a paused run that is
-finished.
+A caller that only asks whether the total reaches some ``target`` can pass
+it. The run then also stops once the dual bound is below ``target`` by the
+same margin: no feasible total reaches ``target``. A stopped run returns
+its flow so far, clipped and scaled like a full run's, with the dual bound
+as ``upper``. No stop fires on a run whose total reaches ``target``, as
+its dual bound is at least that total, so such a run is bit for bit the
+run without ``target``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,14 +58,14 @@ from .netmodel import Flow, GroupedPaths, GroupedProblem, GroupedResult, PathSys
 # objective passes 2**_RENORM_SHIFT; exact in binary floating point.
 _RENORM_SHIFT = 332
 # Steps of the packing loop between two checks of the iteration cap and of
-# the early stop.
+# the early exits.
 _BLOCK_STEPS = 32
-# An early stop needs a bound below its target by this relative margin.
+# An early exit needs its test met by this relative margin.
 _STOP_MARGIN = 1e-9
 
 
 class PackingError(RuntimeError):
-    """Iteration cap exceeded, or a result that contradicts its dual bound or its early verdict."""
+    """Iteration cap exceeded, or a result that contradicts its dual bound or its early stop."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +101,7 @@ def pack_paths(
     eps: float,
     *,
     target: float | None = None,
-) -> GroupedResult | Passing:
+) -> GroupedResult:
     """Approximately maximize total value over grouped paths.
 
     ``groups`` is a ``GroupedPaths`` and ``capacities`` its ``capacities``
@@ -131,113 +114,25 @@ def pack_paths(
     optimum by weak duality, and a total below ``upper/(1+eps)`` raises
     ``PackingError``. So does a run past its iteration cap; the message
     gives the iterations, the dual objective's progress to its stop on a log
-    scale (1 at the stop), the scaled total so far and the dual bound.
+    scale (1 at the stop), the scaled total so far and the dual bound. The
+    run ends at the first block whose scaled flow is within ``1+eps`` of its
+    dual bound, or at the paper's stop (see "Ending early" above).
 
-    With ``target``, the run stops as soon as its dual bound, read on exact
-    lengths every block, shows that the optimum is below ``target``, and
-    pauses as soon as the full run is sure to reach it, checked before the
-    first step with a greedy flow's total as the feasible total and then
-    every block (see "Stopping early" above). A stopped run's result has
-    its iterations so far, that dual bound as ``upper`` and a total below
-    ``target``, or ``PackingError`` is raised. A paused run comes back as a
-    :class:`Passing` holding the iterations so far, 0 when it paused before
-    the first step; its ``finish()``, or reading any result field, runs the
-    loop on to the full run's result, bit for bit. A ``Passing`` that is
-    never finished never meets the iteration cap or the ``(1+eps)`` check;
-    finishing it runs both, and checks that its total did reach ``target``.
-    A run that neither stops nor pauses is the full run, bit for bit.
+    With ``target``, the run also stops as soon as its dual bound, read on
+    exact lengths every block, shows that the optimum is below ``target``.
+    A stopped run's result has its iterations so far, that dual bound as
+    ``upper`` and a total below ``target``, or ``PackingError`` is raised.
+    A run that does not stop is the run without ``target``, bit for bit.
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
     problem = GroupedProblem.build(capacities, groups, bounds)
     if not problem.matrix.a.shape[1]:
         return problem.result([], 0)
-    run = _run(problem, eps, target)
-    try:
-        least, iterations = next(run)
-    except StopIteration as done:
-        return done.value
-    return Passing(run, iterations, least)
-
-
-class Passing:
-    """A packing run paused once its full run is sure to reach its target.
-
-    ``iterations`` counts the steps run before the pause, 0 when a greedy
-    flow certified the pass before the first step, and ``least`` is the
-    certified lower bound on the full run's total, at least the target.
-    ``finish()`` resumes the same loop and returns the full run's
-    ``GroupedResult``, bit for bit; it runs the loop once, however often it
-    is called. Any other result field (``x``, ``total``, ``upper``, ...)
-    is read from ``finish()``.
-    """
-
-    __slots__ = ("iterations", "least", "_run", "_result")
-
-    def __init__(self, run: Generator, iterations: int, least: float) -> None:
-        self.iterations = iterations
-        self.least = least
-        self._run = run
-        self._result: GroupedResult | None = None
-
-    def finish(self) -> GroupedResult:
-        if self._result is None:
-            if self._run is None:
-                raise PackingError("a paused packing run that failed to finish cannot be read")
-            run, self._run = self._run, None
-            try:
-                next(run)  # a resumed run never pauses again
-            except StopIteration as done:
-                self._result = done.value
-        return self._result
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):  # a slot not yet set, as during copying
-            raise AttributeError(name)
-        return getattr(self.finish(), name)
-
-    def __repr__(self) -> str:
-        return f"Passing(iterations={self.iterations}, least={self.least!r})"
-
-
-def _run(
-    problem: GroupedProblem, eps: float, target: float | None
-) -> Generator[tuple[float, int], None, GroupedResult]:
-    """The packing loop of :func:`pack_paths`, as a generator that returns its result.
-
-    With ``target``, it yields ``(least, iterations)`` once, when it pauses,
-    and checks no bound after that.
-    """
     cap_arr, incidence = _columns(problem)
     n_paths, m = incidence.shape
     config = FptasConfig.for_run(eps, m)
     eps_int = config.eps_int
-
-    # Lengths with delta factored out; the true length is delta * 2**shift * stored.
-    length = 1.0 / cap_arr
-    theta = -config.log_delta  # stop once log of the true dual objective >= 0
-    dual = float(m)  # stored-scale dual objective, sum of cap * length
-    shifts = 0
-
-    def log_stop() -> float:
-        """The log of the stop at the stored scale, finite where the stop is not."""
-        return theta - shifts * (_RENORM_SHIFT * math.log(2.0))
-
-    scale_down = math.log((1.0 + eps_int) * m) / (eps_int * math.log1p(eps_int))
-
-    def pass_bound(so_far: float, feasible: float, log_to_go: float) -> float:
-        """The raw flow so far plus at least ``feasible * log_to_go / eps_int`` still to come, scaled down."""
-        return (so_far + feasible * log_to_go / eps_int) / scale_down
-
-    certified = None  # the target a paused run was sure to reach
-    if target is not None:
-        # Before the first step, with the greedy flow's total as the feasible
-        # total; it stands in for a poorer one later on too.
-        floor = sum(_greedy_flow(cap_arr, incidence)) * (1.0 - _STOP_MARGIN)
-        least = pass_bound(0.0, floor, log_stop() - math.log(max(dual, float(cap_arr @ length))))
-        if least >= target * (1.0 + _STOP_MARGIN):
-            yield least, 0
-            certified, target = target, None
 
     on = incidence > 0.0
     bottleneck_arr = np.where(on, cap_arr, math.inf).min(axis=1)
@@ -246,29 +141,40 @@ def _run(
     grow = np.where(on, 1.0 + eps_int * (bottleneck_arr[:, None] / cap_arr), 1.0)
     rows = list(grow)  # the row views, made once rather than once per step
 
+    # Lengths with delta factored out; the true length is delta * 2**shift * stored.
+    length = 1.0 / cap_arr
+    theta = -config.log_delta  # stop once log of the true dual objective >= 0
+    dual = float(m)  # stored-scale dual objective, sum of cap * length
+    shifts = 0
     raw = [0.0] * n_paths
     path_len = np.empty(n_paths)
     dot, argmin, item = incidence.dot, path_len.argmin, path_len.item
     renorm_cut = 2.0**_RENORM_SHIFT
+    scale_down = math.log((1.0 + eps_int) * m) / (eps_int * math.log1p(eps_int))
 
     def threshold() -> float:
-        exponent = log_stop()
+        exponent = theta - shifts * (_RENORM_SHIFT * math.log(2.0))
         return math.exp(exponent) if exponent < 700.0 else math.inf
+
+    def dual_bound() -> float:
+        """``D(l)/alpha(l)``: a bound on the optimum by weak duality, at any stored scale."""
+        return float(cap_arr @ length) / path_len.min().item()
 
     cap = config.max_iterations
     stop_at = threshold()
     iterations = 0
     stopped = False
+    congestion = 0.0  # the worst load-to-capacity ratio of the raw flow, when last read
+    dot(length, out=path_len)  # path_len always holds the current lengths' path lengths
     while dual < stop_at:
         if iterations >= cap:
             progress = (math.log(dual) + shifts * _RENORM_SHIFT * math.log(2.0)) / theta
             raise PackingError(
                 f"packing exceeded {cap} iterations (m={m}, eps={eps}): "
                 f"log-scale progress {progress:.4f}, scaled total {sum(raw) / scale_down!r}, "
-                f"dual bound {_dual_bound(cap_arr, incidence, length)!r}"
+                f"dual bound {dual_bound()!r}"
             )
         for step in range(min(_BLOCK_STEPS, cap - iterations)):
-            dot(length, out=path_len)
             p = argmin()
             f = bottleneck[p]
             raw[p] += f
@@ -279,29 +185,25 @@ def _run(
                 dual *= 2.0**-_RENORM_SHIFT
                 shifts += 1
                 stop_at = threshold()
+            dot(length, out=path_len)
             if dual >= stop_at:
                 break
         iterations += step + 1
-        if target is not None and dual < stop_at:
-            # The fail bound on exact lengths: the dual bound caps the optimum.
-            objective = float(cap_arr @ length)
-            upper = objective / dot(length, out=path_len).min().item()
-            if upper * (1.0 + _STOP_MARGIN) < target:
+        if dual < stop_at:
+            upper = dual_bound()
+            if target is not None and upper * (1.0 + _STOP_MARGIN) < target:
                 stopped = True
                 break
-            # The pass bound, with a filter that has the dual bound, which no
-            # feasible total exceeds, in the feasible total's place.
             so_far = sum(raw)
-            log_to_go = log_stop() - math.log(max(dual, objective))
-            if pass_bound(so_far, upper, log_to_go) >= target:
+            # Loads never fall, so the congestion last read is at most the current
+            # one, and the gap test on it passes whenever the current one's does.
+            if not congestion or so_far / congestion * (1.0 - _STOP_MARGIN) >= upper / (1.0 + eps):
                 congestion = (np.array(raw) @ incidence / cap_arr).max().item()
-                feasible = max(so_far / congestion * (1.0 - _STOP_MARGIN), floor)
-                least = pass_bound(so_far, feasible, log_to_go)
-                if least >= target * (1.0 + _STOP_MARGIN):
-                    yield least, iterations
-                    certified, target = target, None
-
-    upper = _dual_bound(cap_arr, incidence, length)
+                if so_far / congestion * (1.0 - _STOP_MARGIN) >= upper / (1.0 + eps):
+                    scale_down = congestion
+                    break
+    else:
+        upper = dual_bound()
     values = np.array(raw) / scale_down
 
     # Clip once so feasibility holds exactly despite rounding in the scale.
@@ -321,8 +223,6 @@ def _run(
         raise PackingError(
             f"packing total {result.total} is below its dual bound {upper} / (1 + {eps})"
         )
-    elif certified is not None and result.total < certified:
-        raise PackingError(f"packing paused as sure to reach {certified}, but ended at {result.total}")
     return result
 
 
@@ -339,32 +239,6 @@ def _columns(problem: GroupedProblem) -> tuple[np.ndarray, np.ndarray]:
     # C order matters: np.dot rounds differently on an F-order incidence.
     incidence = np.ascontiguousarray(np.vstack((matrix.a, matrix.g[bounded])).T)
     return cap_arr, incidence
-
-
-def _greedy_flow(cap_arr: np.ndarray, incidence: np.ndarray) -> list[float]:
-    """A feasible flow: each path in turn takes the least residual capacity on its columns.
-
-    Feasible up to the rounding of the residuals, a few units in the last
-    place of a capacity.
-    """
-    paths, cols = np.nonzero(incidence)
-    cols = cols.tolist()
-    residual = cap_arr.tolist()
-    flow = []
-    start = 0
-    for end in np.searchsorted(paths, np.arange(1, len(incidence) + 1)).tolist():
-        path = cols[start:end]
-        f = min([residual[c] for c in path])
-        for c in path:
-            residual[c] -= f
-        flow.append(f)
-        start = end
-    return flow
-
-
-def _dual_bound(cap_arr: np.ndarray, incidence: np.ndarray, length: np.ndarray) -> float:
-    """``D(l)/alpha(l)``: a bound on the optimum by weak duality, at any stored scale."""
-    return float(cap_arr @ length) / incidence.dot(length).min().item()
 
 
 def solve_mmfp(system: PathSystem, eps: float) -> Flow:

@@ -40,13 +40,15 @@ beside its ``capacities`` view; each result is one flat per-path array.
 Each search call asks one question, whether the total reaches
 ``sum(bounds)/(1+eps)``, so the default subroutine hands the packing loop
 that target (see ``packing``). A call whose dual bound shows that the
-optimum falls short stops early, and a call whose full run is sure to
-pass pauses and comes back as a ``packing.Passing``. A search reads a
-pause as a pass without its total and keeps only its last passing call,
-whose values are read once, when the inner search returns them; so only
-the call whose flow is returned runs to its end, and the outer search's
-last pass is not finished when the inner search keeps a later budget.
-Levels, call counts and flows are those of full runs.
+optimum falls short stops early; every other call runs as it would
+without the target, bit for bit, and ends at its first block within
+``1+eps`` of its dual bound or at the paper's stop. So levels, call
+counts and flows are those of runs without a target. A search keeps
+only its last passing call.
+
+The searches make about ``1/eta + sum(b)/eta + 2`` calls at most, so
+``compute_epsilon`` rejects an ``eta`` that would allow more than
+``MAX_SEARCH_CALLS`` of them.
 """
 
 from __future__ import annotations
@@ -71,26 +73,24 @@ from . import oracle, packing
 # Strict "value fell below target" comparisons use this absolute slack;
 # exact equality counts as still passing.
 BELOW_TOL = 1e-12
+# The most subroutine calls an ``eta`` may let the two searches make.
+MAX_SEARCH_CALLS = 10**5
 
 
 # Called as (capacities, groups, bounds, eps). The searches pass a
 # ``GroupedPaths`` as ``groups`` and its ``capacities`` view beside it, so
 # the engines reuse its compiled columns on every call. A search reads only
 # whether the total reaches ``sum(bounds)/(1+eps)`` (less ``BELOW_TOL``),
-# and keeps the flat per-path array ``x`` of the last call that does. A
-# ``packing.Passing`` may stand for the result: the search takes its
-# certified ``least`` as the verdict and reads its ``x`` only if it keeps it.
+# and keeps the flat per-path array ``x`` of the last call that does.
 Subroutine = Callable[[Mapping, GroupedPaths, list, float], GroupedResult]
 
 
-def _fptas(
-    capacities: Mapping, groups: GroupedPaths, bounds: list, eps: float
-) -> GroupedResult | packing.Passing:
-    """The packing engine, stopped or paused once its full run's verdict is sure.
+def _fptas(capacities: Mapping, groups: GroupedPaths, bounds: list, eps: float) -> GroupedResult:
+    """The packing engine, stopped once its dual bound is below the search's test.
 
-    A call that stops is below the test, as no feasible total reaches it,
-    and one that pauses finishes as the full run, so the searches see the
-    full runs' verdicts and flows.
+    A call that stops is below the test, as no feasible total reaches it;
+    any other call is the run without a target, so the searches see those
+    runs' verdicts and flows.
     """
     target = sum(bounds) / (1.0 + eps) - BELOW_TOL
     return packing.pack_paths(capacities, groups, bounds, eps, target=target)
@@ -117,13 +117,24 @@ def resolve_subroutine(subroutine: str | Subroutine) -> Subroutine:
 
 
 def compute_epsilon(eta: float, bounds: Sequence[float]) -> float:
-    """Subroutine accuracy derived from the quantum and total demand."""
+    """Subroutine accuracy derived from the quantum and total demand.
+
+    Rejects an ``eta`` whose worst-case call count, about ``1/eta +
+    sum(bounds)/eta + 2``, exceeds ``MAX_SEARCH_CALLS``.
+    """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     if not bounds:
         raise ValueError("need at least one commodity")
     _check_bounds(bounds)
-    return min(eta / sum(bounds), 0.5)
+    total = sum(bounds)
+    calls = 1.0 / eta + total / eta + 2.0
+    if calls > MAX_SEARCH_CALLS:
+        raise ValueError(
+            f"eta {eta} is too small: the searches could make {calls:.3g} subroutine calls, "
+            f"more than {MAX_SEARCH_CALLS}"
+        )
+    return min(eta / total, 0.5)
 
 
 def _search(
@@ -133,8 +144,8 @@ def _search(
     bounds0: Sequence[float],
     limit: float,
     bounds_at: Callable[[float], list],
-    seed: GroupedResult | packing.Passing | None = None,
-) -> tuple[int, int, GroupedResult | packing.Passing | None]:
+    seed: GroupedResult | None = None,
+) -> tuple[int, int, GroupedResult | None]:
     """The paper's linear level search, which both searches run.
 
     Derives ``eps`` from ``eta`` and ``bounds0`` before any call, then asks
@@ -153,10 +164,7 @@ def _search(
         else:
             result = run(paths.capacities, paths, bounds, eps)
             calls += 1
-        target = sum(bounds) / (1.0 + eps) - BELOW_TOL
-        # A paused packing run answers from its certified lower bound, so its
-        # loop does not run on; only a bound short of the target reads the total.
-        if not (isinstance(result, packing.Passing) and result.least >= target) and result.total < target:
+        if result.total < sum(bounds) / (1.0 + eps) - BELOW_TOL:
             break
         passed = result
         level += 1
@@ -178,10 +186,8 @@ class LstarResult:
     eta: float
     l_star: int
     calls: int
-    # The last passing call, level ``l_star - 1``, as the subroutine returned
-    # it, so a paused packing run stays paused until its values are read;
-    # None when no level passed.
-    last: GroupedResult | packing.Passing | None
+    # The last passing call, level ``l_star - 1``; None when no level passed.
+    last: GroupedResult | None
 
     def __post_init__(self) -> None:
         compute_epsilon(self.eta, self.bounds)
@@ -205,12 +211,12 @@ def find_lstar(
     """Outer search: first level l at which scaled demands stop saturating.
 
     Derives ``eps`` from ``eta`` and the bounds ``b``; an ``eta`` outside
-    (0, 1) raises ``ValueError`` before any call. Stops at the first l >= 1
-    with ``l * eta > 1`` (no subroutine call) or with subroutine value
-    strictly below ``sum(l*eta*b) / (1+eps)``. Returns the searched system,
+    (0, 1), or too small for ``compute_epsilon``, raises ``ValueError``
+    before any call. Stops at the first l >= 1 with ``l * eta > 1`` (no
+    subroutine call) or with subroutine value strictly below
+    ``sum(l*eta*b) / (1+eps)``. Returns the searched system,
     bounds and ``eta`` with the terminal l, the number of subroutine calls
-    made and the last level's passing call, whose flow is read only by the
-    inner search that keeps it.
+    made and the last level's passing call.
     """
     run = resolve_subroutine(subroutine)
     l_star, calls, last = _search(run, system.grouped, eta, bounds, 1.0, lambda scale: [scale * b for b in bounds])
@@ -280,8 +286,7 @@ def find_hstar(aux: AuxNetwork, subroutine: str | Subroutine = "fptas") -> Hstar
 
     When every overflow sink has capacity 0, no overflow path carries flow,
     so every budget's problem is budget 0's: each budget is answered from
-    that one result, with no call, and the flow is always its flow. Its
-    values are read only when they are returned.
+    that one result, with no call, and the flow is always its flow.
     """
     run = resolve_subroutine(subroutine)
     outer = aux.outer

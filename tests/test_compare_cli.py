@@ -130,9 +130,15 @@ class TestCliSolve:
         assert cli_main(["solve", "--input", t1_file, "--eta", "1.5"]) == 1
 
     def test_eta_too_small_for_packing(self, t1_file, capsys):
-        # The derived eps leaves the packing iteration cap infinite: a usage error.
+        # The searches could make about 4e300 calls: a usage error.
         assert cli_main(["solve", "--input", t1_file, "--eta", "1e-300"]) == 1
         assert "is too small" in capsys.readouterr().err
+
+    def test_eta_too_small_for_the_oracle(self, t1_file, capsys):
+        # The oracle has no iteration cap to trip; the call limit rejects it.
+        args = ["solve", "--input", t1_file, "--subroutine", "oracle", "--eta", "1e-7"]
+        assert cli_main(args) == 1
+        assert "eta 1e-07 is too small" in capsys.readouterr().err
 
     def test_unknown_flag(self, t1_file, capsys):
         code = cli_main(["solve", "--input", t1_file, "--eta", "0.1", "--frobnicate"])

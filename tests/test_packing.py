@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 import concurflow.packing as packing
 from concurflow import generate_instance
-from concurflow.netmodel import Flow, GroupedProblem, branch_values, flow_value, is_feasible
+from concurflow.netmodel import Flow, branch_values, flow_value, is_feasible
 from concurflow.oracle import lp_grouped_max, lp_mmfp_exact, lp_mmfpb_exact
 from concurflow.packing import (
+    _BLOCK_STEPS,
     _RENORM_SHIFT,
+    _STOP_MARGIN,
     FptasConfig,
     PackingError,
-    Passing,
     pack_paths,
     solve_mmfp,
     solve_mmfpb,
@@ -246,7 +247,8 @@ class ReferenceResult:
 
 # The packing loop as it stood before each path got a precomputed growth row:
 # it multiplies only the path's own edge lengths, one fresh factor array per
-# step. The current loop must reproduce it bit for bit.
+# step, and checks the gap exit after every step that ends a block. The
+# current loop must reproduce it bit for bit.
 def reference_pack_paths(
     capacities: dict[Hashable, float],
     groups: Sequence[Sequence[Sequence[Hashable]]],
@@ -319,6 +321,7 @@ def reference_pack_paths(
 
     stop_at = threshold()
     iterations = 0
+    scale_down = math.log((1.0 + eps_int) * m) / (eps_int * math.log1p(eps_int))
     while dual < stop_at:
         if iterations >= config.max_iterations:
             raise PackingError(
@@ -337,8 +340,14 @@ def reference_pack_paths(
             dual *= 2.0**-_RENORM_SHIFT
             shifts += 1
             stop_at = threshold()
+        if iterations % _BLOCK_STEPS == 0 and dual < stop_at:
+            # The flow over its worst congestion, within 1+eps of the dual bound.
+            upper = float(cap_arr @ length) / float(incidence.dot(length).min())
+            congestion = float((raw @ incidence / cap_arr).max())
+            if sum(raw.tolist()) / congestion * (1.0 - _STOP_MARGIN) >= upper / (1.0 + eps):
+                scale_down = congestion
+                break
 
-    scale_down = math.log((1.0 + eps_int) * m) / (eps_int * math.log1p(eps_int))
     values = raw / scale_down
 
     # Clip once so feasibility holds exactly despite rounding in the scale.
@@ -383,6 +392,8 @@ REFERENCE_CASES = {
     "diamond-zero-bound": lambda: _system_case(diamond_system(), (0.0, 1.3), 0.1),
     "zero-capacity-path": lambda: ({"e1": 0.0, "e2": 1.0}, [[("e1",), ("e2",)]], [5.0], 0.1),
     "aux-ties": _aux_case,
+    # Ends by the paper's stop, 31 steps into its first block, before any gap check.
+    "paper-stop": lambda: ({"e1": 1.5}, [[("e1",)]], [2.0], 0.5),
 }
 
 
@@ -422,8 +433,25 @@ def grouped_cases(draw):
     return (*compiled(caps, groups), bounds, draw(st.sampled_from([0.2, 0.3, 0.5])))
 
 
+class TestEndingEarly:
+    """Every run ends at its first block within ``1+eps`` of its dual bound, or at the paper's stop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=grouped_cases(), factor=st.floats(0.7, 1.3))
+    def test_gap_holds_and_a_pass_ignores_its_target(self, case, factor):
+        eps = case[3]
+        full = pack_paths(*case)
+        assert full.total >= full.upper / (1 + eps)
+        target = full.total * factor
+        result = pack_paths(*case, target=target)
+        if result.total >= target:
+            assert bits(result) == bits(full)
+        # A result is either stopped, its dual bound below target, or within its gap.
+        assert result.upper * (1 + _STOP_MARGIN) < target or result.total >= result.upper / (1 + eps)
+
+
 class TestStoppingEarly:
-    """With ``target``, a run stops once its full run is sure to end below it."""
+    """With ``target``, a run stops once its dual bound shows the optimum is below it."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=grouped_cases(), factor=st.floats(0.7, 1.3))
@@ -431,13 +459,10 @@ class TestStoppingEarly:
         full = pack_paths(*case)
         target = full.total * factor
         result = pack_paths(*case, target=target)
-        if isinstance(result, Passing):
-            assert full.total >= target
-            assert result.iterations < full.iterations
-            assert bits(result.finish()) == bits(full)
-        elif bits(result) != bits(full):
+        if bits(result) != bits(full):
             assert full.total < target and result.total < target
-            assert result.iterations < full.iterations
+            # The stop is checked where the run without target checks its gap.
+            assert result.iterations <= full.iterations
             # A stop certifies, by the dual bound alone, that the optimum is below target.
             assert result.upper * (1 + 1e-9) < target
             # Slack for the simplex's rounding only.
@@ -445,25 +470,43 @@ class TestStoppingEarly:
 
     @pytest.mark.parametrize("factor", [1.01, 1.05, 2.0])
     def test_stops_short_of_an_unreachable_target(self, diamond, factor):
-        # The optimum is 1.6, about 1.2% above the full run's 1.5805. A stop
-        # needs the dual bound below the target, so a 1% higher target, still
-        # below the optimum, gets the full run, and the higher ones stop.
+        # The optimum is 1.6, about 1.5% above the run's 1.5761, which ends
+        # by its gap at a dual bound of 1.7247. A stop needs the dual bound
+        # below the target before that: a 1% higher target, below the
+        # optimum, and a 5% higher one, above it, get the run without
+        # target, and twice the total stops after the first block.
         caps, groups, bounds = diamond.grouped.capacities, diamond.grouped, (0.7, 1.3)
         full = pack_paths(caps, groups, bounds, 0.1)
         optimum = lp_grouped_max(caps, groups, bounds).total
         result = pack_paths(caps, groups, bounds, 0.1, target=full.total * factor)
         assert (full.total * factor < optimum) == (factor == 1.01)
-        if factor == 1.01:
+        if factor < 2.0:
             assert bits(result) == bits(full)
             return
-        assert result.iterations < full.iterations
+        assert result.iterations == _BLOCK_STEPS < full.iterations
         assert result.total < full.total * factor
         assert optimum <= result.upper * (1 + 1e-9)
         assert is_feasible(Flow.from_array(diamond, result.x))
 
-    @pytest.mark.parametrize("eps, iterations", [(0.3, 416), (0.1, 3677)])
-    def test_cap_at_the_full_run_count(self, monkeypatch, diamond, eps, iterations):
-        # 416 is 13 blocks of 32 steps; 3677 ends 29 steps into a block.
+    def test_a_failing_call_stops_long_before_its_gap(self):
+        # The stored stop is +inf here until the lengths renormalize far
+        # enough. The call fails: its dual bound falls below the target long
+        # before the run without target reaches its gap.
+        system = generate_instance(3, 12, 30, 5, 10).path_system
+        bounds = system.network.bounds()
+        eps = compute_epsilon(0.1, bounds)
+        scaled = [0.1 * b for b in bounds]  # the outer search's level 1
+        target = sum(scaled) / (1.0 + eps) - BELOW_TOL
+        paths = system.grouped
+        result = pack_paths(paths.capacities, paths, scaled, eps, target=target)
+        assert result.total < target
+        assert result.upper * (1 + _STOP_MARGIN) < target
+        assert result.iterations == 2656
+        assert pack_paths(paths.capacities, paths, scaled, eps).iterations == 20288
+
+    @pytest.mark.parametrize("eps, iterations", [(0.1, 320), (0.05, 1184)])
+    def test_cap_at_the_run_count(self, monkeypatch, diamond, eps, iterations):
+        # Both runs end by their gap, after 10 and 37 blocks of 32 steps.
         caps, groups, bounds = diamond.grouped.capacities, diamond.grouped, (0.7, 1.3)
         full = pack_paths(caps, groups, bounds, eps)
         assert full.iterations == iterations
@@ -478,100 +521,14 @@ class TestStoppingEarly:
         optimum = lp_grouped_max(caps, groups, bounds).total
         starved_cap(monkeypatch, 1000)
         with pytest.raises(PackingError) as raised:
-            pack_paths(caps, groups, bounds, 0.1)
+            pack_paths(caps, groups, bounds, 0.05)
         match = re.fullmatch(
-            r"packing exceeded 1000 iterations \(m=7, eps=0\.1\): log-scale progress (\S+), "
+            r"packing exceeded 1000 iterations \(m=7, eps=0\.05\): log-scale progress (\S+), "
             r"scaled total (\S+), dual bound (\S+)",
             str(raised.value),
         )
         assert match, str(raised.value)
         progress, total, upper = map(float, match.groups())
-        # 1000 of the full run's 3677 steps.
+        # 1000 of the run's 1184 steps.
         assert 0.0 < progress < 1.0
         assert 0.0 < total < optimum <= upper * (1 + 1e-9)
-
-
-class TestPausingOnAPass:
-    """With ``target``, a run pauses once its full run is sure to reach it."""
-
-    def test_a_stop_at_infinity_is_no_pass(self):
-        # The stored stop is +inf here until the lengths renormalize far
-        # enough; a pass bound read from it certified this failing call.
-        system = generate_instance(3, 12, 30, 5, 10).path_system
-        bounds = system.network.bounds()
-        eps = compute_epsilon(0.1, bounds)
-        scaled = [0.1 * b for b in bounds]  # the outer search's level 1
-        target = sum(scaled) / (1.0 + eps) - BELOW_TOL
-        paths = system.grouped
-        result = pack_paths(paths.capacities, paths, scaled, eps, target=target)
-        assert not isinstance(result, Passing)
-        assert result.total < target
-        assert result.iterations == 2656
-
-    def test_renormalizing_run_pauses_and_finishes_as_the_full_run(self):
-        case = engine_case("t1-renormalizing")
-        full = pack_paths(*case)
-        result = pack_paths(*case, target=0.9 * full.total)
-        assert isinstance(result, Passing)
-        assert result.least >= 0.9 * full.total
-        assert result.iterations < full.iterations
-        assert bits(result.finish()) == bits(full)
-
-    def test_a_pass_read_twice_runs_its_loop_once(self, monkeypatch, diamond):
-        real = packing._run
-        resumed = []
-
-        def counted(*args):
-            run = real(*args)
-            yield next(run)
-            resumed.append(True)
-            return (yield from run)
-
-        monkeypatch.setattr(packing, "_run", counted)
-        caps, groups, bounds = diamond.grouped.capacities, diamond.grouped, (0.7, 1.3)
-        result = pack_paths(caps, groups, bounds, 0.1, target=1.0)
-        assert isinstance(result, Passing)
-        assert not resumed
-        x, total = result.x, result.total
-        assert result.finish() is result.finish()
-        assert (x, total) == (result.finish().x, result.finish().total)
-        assert resumed == [True]
-
-    def test_a_finish_past_the_cap_raises_and_raises_again(self, monkeypatch):
-        case = engine_case("t1-renormalizing")
-        full = pack_paths(*case)
-        starved_cap(monkeypatch, full.iterations - 1)
-        result = pack_paths(*case, target=0.9 * full.total)
-        assert isinstance(result, Passing)
-        with pytest.raises(PackingError, match=f"^packing exceeded {full.iterations - 1} iterations "):
-            result.finish()
-        with pytest.raises(PackingError, match="failed to finish"):
-            result.x
-
-
-class TestGreedyFloor:
-    """A greedy flow's total certifies a pass before the first step."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(case=grouped_cases())
-    def test_greedy_flow_is_feasible_and_at_most_the_optimum(self, case):
-        cap_arr, incidence = packing._columns(GroupedProblem.build(*case[:3]))
-        flow = np.array(packing._greedy_flow(cap_arr, incidence))
-        loads = flow @ incidence
-        assert (flow >= 0.0).all()
-        assert (loads <= cap_arr * (1 + 1e-9)).all()
-        # Greedy: every path crosses a column it left full.
-        full = loads >= cap_arr * (1 - 1e-9)
-        assert incidence[:, full].any(axis=1).all()
-        # Slack for the simplex's rounding only.
-        assert flow.sum() <= lp_grouped_max(*case[:3]).total * (1 + 1e-9)
-
-    @pytest.mark.parametrize("name", ["diamond-bounded", "t1-renormalizing", "aux-ties"])
-    def test_a_target_the_floor_certifies_pauses_before_the_first_step(self, name):
-        case = engine_case(name)
-        full = pack_paths(*case)
-        floor = sum(packing._greedy_flow(*packing._columns(GroupedProblem.build(*case[:3]))))
-        result = pack_paths(*case, target=0.9 * floor)
-        assert isinstance(result, Passing)
-        assert result.iterations == 0 and result.least >= 0.9 * floor
-        assert bits(result.finish()) == bits(full)

@@ -83,9 +83,8 @@ def test_byte_identity_diff_counts_what_differs(tmp_path):
     proc = run_script("byte_identity.py", "--diff", str(a), str(a))
     assert proc.returncode == 0, proc.stderr
     none = (
-        "system 0, lp_emcfpsc 0, solve_mmfpb 0, calls 0; calls differing only in pack or finish "
-        "steps: 0 cases, 0 pack entries, 0 -> 0 iterations; pack entries with 0 steps: 0 -> 0; "
-        "finish entries: 0 -> 0, 0 -> 0 steps; solution lines differing: none"
+        "system 0, lp_emcfpsc 0, solve_mmfpb 0, calls 0; calls differing only in pack "
+        "steps: 0 cases, 0 pack entries, 0 -> 0 iterations; solution lines differing: none"
     )
     assert proc.stdout.splitlines() == [
         f"{name}: 1 cases in both, 0 in one only; cases differing in {none}"
@@ -100,10 +99,7 @@ def test_byte_identity_diff_counts_what_differs(tmp_path):
     b.write_text(json.dumps(records + [{**packing, "seed": 2}]))
     proc = run_script("byte_identity.py", "--diff", str(a), str(b))
     assert proc.returncode == 1, proc.stderr
-    no_steps = (
-        "calls differing only in pack or finish steps: 0 cases, 0 pack entries, 0 -> 0 iterations; "
-        "pack entries with 0 steps: 0 -> 0; finish entries: 0 -> 0, 0 -> 0 steps"
-    )
+    no_steps = "calls differing only in pack steps: 0 cases, 0 pack entries, 0 -> 0 iterations"
     assert proc.stdout.splitlines() == [
         "corpus-oracle: 1 cases in both, 0 in one only; cases differing in system 0, "
         f"lp_emcfpsc 0, solve_mmfpb 0, calls 1; {no_steps}; "
@@ -123,31 +119,23 @@ def test_byte_identity_diff_counts_pack_iterations(tmp_path):
         [i for i, call in enumerate(record["calls"]) if call[0] == "pack"] for record in records
     ]
     assert all(len(found) >= 2 for found in packs)
-    finishes = [call[1] for record in records for call in record["calls"] if call[0] == "finish"]
-    assert finishes and all(steps > 0 for steps in finishes)
-    unstepped = lambda: sum(call == ["pack", 0] for r in records for call in r["calls"])  # noqa: E731
-    zeros = unstepped()
-    # Fewer iterations in two pack entries of the first case, and 7 more
-    # steps in one of its finish entries; in the second, fewer in one pack
-    # entry and a new layout digest, which is not a step-only change.
+    # Fewer iterations in two pack entries of the first case; in the second,
+    # fewer in one pack entry and a new layout digest, which is not a
+    # step-only change.
     first, second = (record["calls"] for record in records[:2])
     iterations = [first[i][1] for i in packs[0][:2]]
     for i in packs[0][:2]:
         first[i][1] -= 7
-    next(call for call in first if call[0] == "finish")[1] += 7
     second[packs[1][0]][1] -= 7
     layout = next(i for i, call in enumerate(second) if call[0] == "layout")
     second[layout][1] = "0" * 64
     b.write_text(json.dumps(records))
     proc = run_script("byte_identity.py", "--diff", str(a), str(b))
     assert proc.returncode == 1, proc.stderr
-    count, steps = len(finishes), sum(finishes)
     assert proc.stdout.splitlines() == [
         "fptas-search: 3 cases in both, 0 in one only; cases differing in system 0, "
-        "lp_emcfpsc 0, solve_mmfpb 0, calls 2; calls differing only in pack or finish steps: "
+        "lp_emcfpsc 0, solve_mmfpb 0, calls 2; calls differing only in pack steps: "
         f"1 cases, 2 pack entries, {sum(iterations)} -> {sum(iterations) - 14} iterations; "
-        f"pack entries with 0 steps: {zeros} -> {unstepped()}; "
-        f"finish entries: {count} -> {count}, {steps} -> {steps + 7} steps; "
         "solution lines differing: none"
     ]
 
@@ -169,26 +157,6 @@ def test_byte_identity_records_what_solve_runs():
     packs = [call for call in calls if call[0] == "pack"]
     assert len(packs) == report.subroutine_calls
     assert len(packs) == sum(call[0] == "layout" for call in calls)
-
-
-def test_byte_identity_records_each_finish_once():
-    import concurflow.packing as packing
-    from conftest import t1_system
-
-    paths = t1_system().grouped
-    args = (paths.capacities, paths, [1.0, 2.0], 0.1)
-    full = packing.pack_paths(*args)
-    finish, calls = packing.Passing.finish, []
-    with load_byte_identity().recording(calls):
-        paused = packing.pack_paths(*args, target=0.9 * full.total)
-        assert isinstance(paused, packing.Passing)
-        # A greedy flow certifies this target before the first step.
-        assert calls == [calls[0], ["pack", 0]]
-        # The loop runs on once, whether read through finish() or a field.
-        assert paused.x.tolist() == paused.finish().x.tolist() == full.x.tolist()
-    assert packing.Passing.finish is finish
-    assert calls[1:] == [["pack", 0], ["finish", full.iterations]]
-    assert calls[0][0] == "layout" and 0 < full.iterations
 
 
 def test_ab_compare_runs_both_sides():

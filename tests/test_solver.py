@@ -55,6 +55,25 @@ class TestEpsilon:
         with pytest.raises(ValueError):
             compute_epsilon(0.5, (0.0,))
 
+    def test_eta_too_small_for_the_call_limit(self):
+        # About 1/eta + 3/eta + 2 calls: 4e-5 allows 100 002, just over the limit.
+        assert compute_epsilon(4.1e-5, (1.0, 2.0)) == pytest.approx(4.1e-5 / 3)
+        for eta in (4e-5, 1e-7, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match=f"^eta {eta} is too small: "):
+                compute_epsilon(eta, (1.0, 2.0))
+
+    def test_tiny_eta_oracle_solve_raises_before_any_call(self, t1):
+        calls = []
+
+        def oracle(caps, groups, bounds, eps):
+            calls.append(eps)
+            return lp_grouped_max(caps, groups, bounds)
+
+        for subroutine in ("oracle", oracle):
+            with pytest.raises(ValueError, match="is too small"):
+                solve(t1, 1e-7, subroutine)
+        assert calls == []
+
 
 class TestOuterSearch:
     def test_exhaustion_trace(self):
@@ -361,39 +380,18 @@ class TestNoOverflowLeft:
         # 0.25; seed 11 stops at l_star = 5 with overflow capacity left.
         assert closed_cases == [True, True, False, True]
 
-    @pytest.mark.parametrize("engine, h_star", [("oracle", 2), ("fptas", 1)])
+    @pytest.mark.parametrize("engine, h_star", [("oracle", 2), ("fptas", 2)])
     def test_single_edge_levels(self, engine, h_star):
         # At l_star = 5 the dedicated sink takes the whole demand 1. The
-        # oracle's total 1.0 equals the target (1 + 0.25) / (1 + 0.25) at
-        # h = 1, and equality passes; packing's total is below 1.
+        # outer search's last pass has total 1.0 under both engines (packing
+        # scales its flow to the bound column's congestion), which equals
+        # the target (1 + 0.25) / (1 + 0.25) at h = 1, and equality passes.
         system = single_edge_system(2.0, 1.0)
         report = solve(system, 0.25, subroutine=engine)
         assert (report.l_star, report.h_star) == (5, h_star)
         assert report.subroutine_calls == 4
         assert (5, h_star) == calling_levels(system, 0.25, resolve_subroutine(engine))
         assert_certificates(report, system, (1.0,))
-
-    def test_outer_pass_left_unfinished(self, monkeypatch):
-        import concurflow.packing as packing
-
-        finish, finished = packing.Passing.finish, []
-
-        def finishing(self):
-            finished.append(self)
-            return finish(self)
-
-        monkeypatch.setattr(packing.Passing, "finish", finishing)
-        system = generate_instance(0, 6, 9, 2, 4).path_system
-        bounds = system.network.bounds()
-        outer = find_lstar(system, bounds, 0.25)
-        aux = build_auxiliary(outer)
-        assert all(aux.groups.capacities["ovf", i] > 0.0 for i in range(1, system.k + 1))
-        inner = find_hstar(aux)
-        assert inner.h_star >= 2 and inner.calls == inner.h_star
-        assert isinstance(outer.last, packing.Passing)
-        assert all(result is not outer.last for result in finished)
-        outer.last.x
-        assert finished[-1] is outer.last
 
 
 class TestProjection:
@@ -599,9 +597,15 @@ def test_resolve_subroutine_passthrough():
 
 
 class TestDefaultStopsFailingCalls:
-    """``"fptas"`` stops a call once its full run is sure to fail the search's test."""
+    """``"fptas"`` stops a call once its dual bound is below the search's test.
+
+    Any other call is the run without a target, bit for bit, so solutions
+    equal those of a subroutine that never passes one.
+    """
 
     SHAPES = ((6, 9, 2, 4), (7, 11, 3, 4), (8, 13, 3, 5), (5, 8, 2, 5), (8, 14, 3, 6))
+    # Default-bound instances at eta 0.25 where both searches pass at least twice.
+    WIDE = ((0, (6, 9, 2, 4)), (3, (6, 9, 2, 4)), (1, (7, 11, 3, 4)))
 
     def test_solutions_equal_those_of_full_runs(self, monkeypatch):
         import concurflow.packing as packing
@@ -625,62 +629,12 @@ class TestDefaultStopsFailingCalls:
             except concurflow.generator.GenerationError:
                 pass
         assert len(instances) >= 8
-        for instance in instances:
-            for eta in (0.2, 0.25):
-                default = solve(instance.path_system, eta)
-                full = solve(instance.path_system, eta, subroutine=full_run)
-                assert serialize_solution(default, instance) == serialize_solution(full, instance)
-        assert 0 < iterations[True] < iterations[False]
-
-
-class TestDefaultPausesPassingCalls:
-    """``"fptas"`` pauses a call once its full run is sure to pass; a search finishes only the pass it keeps."""
-
-    # Default-bound instances at eta 0.25 where both searches pass at least twice.
-    WIDE = ((0, (6, 9, 2, 4)), (3, (6, 9, 2, 4)), (1, (7, 11, 3, 4)))
-
-    def test_solutions_equal_those_of_full_runs(self, monkeypatch):
-        import concurflow.packing as packing
-
-        real, finish = packing.pack_paths, packing.Passing.finish
-        calls, finished = [], set()
-
-        def recorded(*args, **kwargs):
-            result = real(*args, **kwargs)
-            calls.append((args[1], result))
-            return result
-
-        def finishing(self):
-            finished.add(id(self))
-            return finish(self)
-
-        monkeypatch.setattr(packing, "pack_paths", recorded)
-        monkeypatch.setattr(packing.Passing, "finish", finishing)
-        full_run = lambda c, g, b, e: real(c, g, b, e)  # noqa: E731
-        cases = []
-        for seed in range(12):
-            shape = TestDefaultStopsFailingCalls.SHAPES[seed % 5]
-            try:
-                instance = generate_instance(seed, *shape, bound_range=(0.2, 0.6))
-            except concurflow.generator.GenerationError:
-                continue
-            cases += [(instance, 0.2, False), (instance, 0.25, False)]
+        cases = [(instance, eta, False) for instance in instances for eta in (0.2, 0.25)]
         cases += [(generate_instance(seed, *shape), 0.25, True) for seed, shape in self.WIDE]
-        assert len(cases) >= 19
         for instance, eta, wide in cases:
-            calls.clear()  # ``calls`` keeps this case's results alive, so their ids stay unique
-            finished.clear()
             default = solve(instance.path_system, eta)
             full = solve(instance.path_system, eta, subroutine=full_run)
             assert serialize_solution(default, instance) == serialize_solution(full, instance)
             if wide:
                 assert default.l_star >= 3 and default.h_star >= 3
-            outer = [r for g, r in calls if g is instance.path_system.grouped]
-            inner = [r for g, r in calls if g is not instance.path_system.grouped]
-            for search in (outer, inner):
-                paused = [r for r in search if isinstance(r, packing.Passing)]
-                done = [r for r in paused if id(r) in finished]
-                # Only the last pass, whose flow the search keeps, may run to its end.
-                assert done in ([], paused[-1:])
-                if wide:
-                    assert len(done) < len(paused)
+        assert 0 < iterations[True] < iterations[False]
