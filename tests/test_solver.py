@@ -393,6 +393,27 @@ class TestNoOverflowLeft:
         assert (5, h_star) == calling_levels(system, 0.25, resolve_subroutine(engine))
         assert_certificates(report, system, (1.0,))
 
+    def test_outer_pass_left_unfinished(self, monkeypatch):
+        # The kept outer pass ends at its gap, short of the paper's stop, and
+        # its flow still leaves overflow capacity for the inner search.
+        import concurflow.packing as packing
+
+        system = generate_instance(0, 6, 9, 2, 4).path_system
+        bounds = system.network.bounds()
+        outer = find_lstar(system, bounds, 0.25)
+        aux = build_auxiliary(outer)
+        assert all(aux.groups.capacities["ovf", i] > 0.0 for i in range(1, system.k + 1))
+        inner = find_hstar(aux)
+        assert inner.h_star >= 2 and inner.calls == inner.h_star
+        eps, paths = compute_epsilon(0.25, bounds), system.grouped
+        scaled = [(outer.l_star - 1) * 0.25 * b for b in bounds]
+        last = outer.last
+        assert bits(last) == bits(packing.pack_paths(paths.capacities, paths, scaled, eps))
+        assert last.total >= last.upper / (1 + eps)
+        monkeypatch.setattr(packing, "_STOP_MARGIN", 1.0)  # no gap test can pass
+        finished = packing.pack_paths(paths.capacities, paths, scaled, eps)
+        assert last.iterations < finished.iterations
+
 
 class TestProjection:
     def test_copies_add_up(self, t1):
