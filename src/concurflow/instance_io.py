@@ -117,8 +117,7 @@ def parse_instance(text: str) -> Instance:
     commodity_rows: list[tuple[str, str, str, float]] = []
     commodity_line: dict[str, int] = {}
     path_rows: list[tuple[int, str, tuple[str, ...]]] = []
-    saw_format = False
-    named: dict[str, str | int] = {}  # the name and seed records, each at most once
+    named: dict[str, str | int] = {}  # the format, name and seed records, each at most once
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -141,7 +140,7 @@ def parse_instance(text: str) -> Instance:
         elif kind == "format":
             if args != [FORMAT_INSTANCE, FORMAT_VERSION]:
                 raise InstanceError(lineno, f"unsupported format {' '.join(args)!r}")
-            saw_format = True
+            named[kind] = args[0]
         elif kind == "name":
             if len(args) != 1:
                 raise InstanceError(lineno, "name takes exactly one token")
@@ -198,7 +197,7 @@ def parse_instance(text: str) -> Instance:
         else:
             raise InstanceError(lineno, f"unknown record {kind!r}")
 
-    if not saw_format:
+    if "format" not in named:
         raise InstanceError(None, f"missing 'format {FORMAT_INSTANCE} {FORMAT_VERSION}' header")
     if not commodity_rows:
         raise InstanceError(None, "instance declares no commodities")

@@ -14,17 +14,19 @@ those numbers; ``GroupedPaths`` lays out each live-group mask's
 ``GroupedPaths.build`` compiles grouped edge keys, in one walk over the
 keys. ``GroupedProblem`` is the one reader of the input both bounded-flow
 engines take: a ``GroupedPaths`` beside its own ``capacities`` view, whose
-columns a call reuses, checking only its bounds. It lays each result out
-as one flat array over every input path, which ``Flow.from_array`` splits
-into a flow.
+columns a call reuses, checking only its bounds. It builds the one bounded
+LP both engines solve, the exact engine by simplex and the packing engine
+by its loop, and lays each result out as one flat array over every input
+path, which ``Flow.from_array`` splits into a flow.
 
 Everything in this module is immutable after construction and safe to share
 across threads; the operations are pure functions. ``GroupedPaths`` fills
 caches, each entry set once to a value any caller would have computed: the
-layouts, and the exact engine's LP of each bound pattern. That LP's pivot
-paths grow with each new right-hand side, one finished branch per
-``dict.setdefault``, up to a fixed number of rounds, and a replayed solve
-gives the bits of a cold one, so no result depends on which calls came first.
+layouts, and the rows of each bound pattern's LP. The exact engine's pivot
+paths over those rows grow with each new right-hand side, one finished
+branch per ``dict.setdefault``, up to a fixed number of rounds, and a
+replayed solve gives the bits of a cold one, so no result depends on which
+calls came first.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
+
+from .simplex import RowBlocks
 
 # Absolute slack allowed on every capacity comparison.
 CAP_TOLERANCE = 1e-9
@@ -363,8 +367,8 @@ class GroupedPaths:
     per group, and ``caps`` holds each edge's capacity, finite and
     nonnegative; construction makes the arrays read-only. ``build`` numbers
     grouped edge keys in one walk, where no path may be empty. Each live-group
-    mask's columns are laid out on first use; the exact engine keeps each
-    bound pattern's LP, with its recorded pivot paths, in ``lps``.
+    mask's columns are laid out on first use, and each bound pattern's LP
+    rows, with the exact engine's recorded pivot paths, in ``lps``.
     """
 
     sizes: tuple[int, ...]
@@ -437,7 +441,7 @@ class GroupedPaths:
 
 @dataclass(frozen=True, eq=False)
 class GroupedProblem:
-    """Checked grouped path input, compiled to the columns that can carry flow.
+    """Checked grouped path input, compiled to the bounded LP of its kept paths.
 
     ``bounds`` holds one cap per group: ``None`` for unbounded (given as
     ``None`` or ``+inf``), 0 for a group switched off; a NaN or negative
@@ -446,12 +450,22 @@ class GroupedProblem:
     order (so its edges follow their first use among them), and ``keep``
     marks them among all input paths. ``paths`` is the compiled input the
     columns come from.
+
+    Both engines maximize the total over the kept paths subject to
+    ``rows``, ``(coeffs, "<=", rhs)`` triples: one per row of ``matrix.a``
+    with its capacity, then the ``g`` row of each group with a positive
+    finite bound that keeps a path, with that bound. A group with no kept
+    path gets no row. ``blocks`` stacks the same coefficients: ``matrix.a``
+    itself, then those ``g`` rows. Each pattern of off, unbounded and
+    bounded groups builds its blocks and edge rows once, in ``paths.lps``.
     """
 
     paths: GroupedPaths
     matrix: PathMatrix
     bounds: tuple[float | None, ...]
     keep: np.ndarray
+    rows: list[tuple[np.ndarray, str, float]]
+    blocks: RowBlocks
 
     @classmethod
     def build(
@@ -483,7 +497,19 @@ class GroupedProblem:
                 bound = None if math.isinf(bound) else float(bound)
             checked.append(bound)
         matrix, keep = groups.columns(tuple(bound != 0 for bound in checked))
-        return cls(groups, matrix, tuple(checked), keep)
+        pattern = tuple(None if bound is None else bound > 0 for bound in checked)
+        lp = groups.lps.get(pattern)
+        if lp is None:
+            has_path = matrix.g.any(axis=1).tolist()
+            bounded = [i for i, on in enumerate(pattern) if on and has_path[i]]
+            group_rows = matrix.g[bounded]
+            group_rows.flags.writeable = False
+            edge_rows = [(coeffs, "<=", cap) for coeffs, cap in zip(matrix.a, matrix.caps.tolist())]
+            lp = (edge_rows, tuple(zip(bounded, group_rows)), RowBlocks((matrix.a, group_rows)))
+            lp = groups.lps.setdefault(pattern, lp)
+        edge_rows, bound_rows, blocks = lp
+        rows = edge_rows + [(coeffs, "<=", checked[i]) for i, coeffs in bound_rows]
+        return cls(groups, matrix, tuple(checked), keep, rows, blocks)
 
     def result(
         self, values: Sequence[float], iterations: int, upper: float | None = None

@@ -4,11 +4,12 @@ Desk-scale solvers used to verify everything the approximation pipeline
 certifies: maximum total path flow with per-commodity caps, the best worst
 service ratio, and the two-stage variant that saturates total value at the
 optimal ratio. All of them reduce to small dense LPs with one variable per
-path, solved by the in-package simplex. A search asks ``lp_grouped_max`` the
-same LP under new bounds on every call, so each bound pattern of a compiled
-path system assembles its rows once, and the simplex copies its initial
-tableau from the layout's own incidence. The pattern's ``RowBlocks`` also
-keep the pivot paths of its solves, which later bounds replay.
+path, solved by the in-package simplex. ``lp_grouped_max`` solves the bounded
+LP that ``GroupedProblem`` builds, the one the packing engine approximates. A
+search asks it under new bounds on every call, so the simplex copies its
+initial tableau from the pattern's coefficient blocks, the layout's own
+incidence first. Those ``RowBlocks`` also keep the pivot paths of their
+solves, which later bounds replay.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from .netmodel import Flow, GroupedPaths, GroupedProblem, GroupedResult, PathMatrix, PathSystem, _check_bounds
-from .simplex import RowBlocks, SimplexError, solve_lp
+from .simplex import SimplexError, solve_lp
 
 # Slack subtracted from the stage-1 ratio before stage 2 re-imposes it,
 # absorbing stage-1 rounding so the stage-2 region never comes up empty.
@@ -39,13 +40,13 @@ def _path_rows(
     ratio: bool = False,
     floor: float = 0.0,
 ) -> list:
-    """The rows of every path LP here, all over one incidence matrix.
+    """The rows of the ratio and saturation LPs, over one incidence matrix.
 
-    In order: one ``V_e <= cap_e`` row per edge; then, per group with a
-    bound that is neither ``None`` nor 0, ``V_g <= b_g``, followed when
-    ``floor > 0`` and the group has paths by ``V_g >= floor * b_g``; last,
-    with ``ratio``, one ``ratio * b_g - V_g <= 0`` row per group. With
-    ``ratio`` variable 0 is the ratio and the path columns follow.
+    ``bounds`` are positive and finite. In order: one ``V_e <= cap_e`` row
+    per edge; then, per group, ``V_g <= b_g``, followed when ``floor > 0``
+    and the group has paths by ``V_g >= floor * b_g``; last, with
+    ``ratio``, one ``ratio * b_g - V_g <= 0`` row per group. With ``ratio``
+    variable 0 is the ratio and the path columns follow.
     """
     a, g = matrix.a, matrix.g
     if ratio:
@@ -53,8 +54,6 @@ def _path_rows(
         g = np.hstack((np.zeros((g.shape[0], 1)), g))
     rows = [(coeffs, "<=", cap) for coeffs, cap in zip(a, matrix.caps)]
     for i, bound in enumerate(bounds):
-        if bound is None or bound == 0:
-            continue
         rows.append((g[i], "<=", bound))
         if floor > 0 and g[i].any():
             rows.append((g[i], ">=", floor * bound))
@@ -76,33 +75,16 @@ def lp_grouped_max(
     ``groups`` is a ``GroupedPaths`` and ``capacities`` its ``capacities``
     view; ``bounds[g]`` caps group g's total value (``None`` or ``+inf``
     means unbounded, 0 drops the group). Input is read as by
-    :func:`pack_paths`, through ``GroupedProblem``; synthetic key groups are
-    compiled with ``GroupedPaths.build`` first. This is the engine behind
-    the public solvers. A call reuses the edge rows and coefficient blocks
-    that the first call with the same off, unbounded and bounded groups
-    built, and adds only the new bounds.
+    :func:`pack_paths`, through ``GroupedProblem``, and the LP solved is its
+    ``rows``; synthetic key groups are compiled with ``GroupedPaths.build``
+    first. This is the engine behind the public solvers.
     """
     problem = GroupedProblem.build(capacities, groups, bounds)
     n = problem.matrix.a.shape[1]
     if not n:
         return problem.result([], 0)
-    # The rows of _path_rows(problem.matrix, problem.bounds). The edge rows and
-    # the coefficient blocks (the layout's own ``a``, then the bounded rows of
-    # ``g``) depend only on which groups are off, unbounded or bounded, so
-    # they are kept per pattern; only the bounds are new.
-    pattern = tuple(None if bound is None else bound > 0 for bound in problem.bounds)
-    cached = problem.paths.lps.get(pattern)
-    if cached is None:
-        matrix = problem.matrix
-        group_rows = matrix.g[[i for i, bounded in enumerate(pattern) if bounded]]
-        group_rows.flags.writeable = False
-        blocks = RowBlocks((matrix.a, group_rows))
-        cached = problem.paths.lps[pattern] = (_path_rows(matrix, ()), blocks)
-    edge_rows, blocks = cached
-    g = problem.matrix.g
-    rows = edge_rows + [(g[i], "<=", bound) for i, bound in enumerate(problem.bounds) if bound]
     try:
-        res = solve_lp(np.ones(n), rows, blocks=blocks)
+        res = solve_lp(np.ones(n), problem.rows, blocks=problem.blocks)
     except SimplexError as exc:
         raise OracleError(f"path LP failed: {exc}") from exc
     return problem.result(_clip(res.x), res.iterations)

@@ -2,10 +2,11 @@
 
 The solver repeatedly routes along the currently cheapest path of an
 edge-length system, inflating the lengths of the edges it touches, and
-finally rescales the accumulated raw flow to a feasible one. Per-commodity
-value caps are enforced structurally: each bounded group gets a private
-virtual edge of capacity equal to its bound appended to all of its paths,
-so the plain packing loop limits the group total like any other capacity.
+finally rescales the accumulated raw flow to a feasible one. It packs the
+rows of the bounded LP that ``GroupedProblem`` builds, the one the exact
+engine solves: the edges, then one virtual edge per bounded group that
+keeps a path, of capacity equal to its bound and on all of its paths, so
+the plain packing loop limits the group total like any other capacity.
 
 Delivered factor: at least ``1/(1+eps)`` of the optimum. Internally the
 loop runs at ``eps/3``, which over-delivers enough to absorb the scheme's
@@ -129,7 +130,9 @@ def pack_paths(
     problem = GroupedProblem.build(capacities, groups, bounds)
     if not problem.matrix.a.shape[1]:
         return problem.result([], 0)
-    cap_arr, incidence = _columns(problem)
+    cap_arr = np.array([rhs for *_, rhs in problem.rows])
+    # C order matters: np.dot rounds differently on an F-order incidence.
+    incidence = np.ascontiguousarray(np.vstack(problem.blocks).T)
     n_paths, m = incidence.shape
     config = FptasConfig.for_run(eps, m)
     eps_int = config.eps_int
@@ -208,12 +211,9 @@ def pack_paths(
 
     # Clip once so feasibility holds exactly despite rounding in the scale.
     loads = incidence.T @ values
-    factor = 1.0
-    for col in range(m):
-        if loads[col] > cap_arr[col] > 0.0:
-            factor = min(factor, cap_arr[col] / loads[col])
-    if factor < 1.0:
-        values = values * factor
+    over = loads > cap_arr  # every column's capacity is positive
+    if over.any():
+        values *= (cap_arr[over] / loads[over]).min()
 
     result = problem.result(values, iterations, upper)
     if stopped:
@@ -224,21 +224,6 @@ def pack_paths(
             f"packing total {result.total} is below its dual bound {upper} / (1 + {eps})"
         )
     return result
-
-
-def _columns(problem: GroupedProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Column capacities and the path-by-column incidence of one packing run.
-
-    Columns are the real edges, then one virtual bound edge per bounded
-    group that keeps a path.
-    """
-    matrix = problem.matrix
-    has_paths = matrix.g.any(axis=1)
-    bounded = [g for g, b in enumerate(problem.bounds) if b is not None and has_paths[g]]
-    cap_arr = np.concatenate((matrix.caps, [problem.bounds[g] for g in bounded]))
-    # C order matters: np.dot rounds differently on an F-order incidence.
-    incidence = np.ascontiguousarray(np.vstack((matrix.a, matrix.g[bounded])).T)
-    return cap_arr, incidence
 
 
 def solve_mmfp(system: PathSystem, eps: float) -> Flow:

@@ -85,6 +85,11 @@ MAX_SEARCH_CALLS = 10**5
 Subroutine = Callable[[Mapping, GroupedPaths, list, float], GroupedResult]
 
 
+def _pass_threshold(bounds: Sequence[float], eps: float) -> float:
+    """The least total that passes a search call under ``bounds``."""
+    return sum(bounds) / (1.0 + eps) - BELOW_TOL
+
+
 def _fptas(capacities: Mapping, groups: GroupedPaths, bounds: list, eps: float) -> GroupedResult:
     """The packing engine, stopped once its dual bound is below the search's test.
 
@@ -92,8 +97,7 @@ def _fptas(capacities: Mapping, groups: GroupedPaths, bounds: list, eps: float) 
     any other call is the run without a target, so the searches see those
     runs' verdicts and flows.
     """
-    target = sum(bounds) / (1.0 + eps) - BELOW_TOL
-    return packing.pack_paths(capacities, groups, bounds, eps, target=target)
+    return packing.pack_paths(capacities, groups, bounds, eps, target=_pass_threshold(bounds, eps))
 
 
 def _oracle(capacities: Mapping, groups: GroupedPaths, bounds: list, eps: float) -> GroupedResult:
@@ -164,7 +168,7 @@ def _search(
         else:
             result = run(paths.capacities, paths, bounds, eps)
             calls += 1
-        if result.total < sum(bounds) / (1.0 + eps) - BELOW_TOL:
+        if result.total < _pass_threshold(bounds, eps):
             break
         passed = result
         level += 1

@@ -156,10 +156,15 @@ path c1 e1 e2
             parse_instance(text)
         assert parse_instance(text.replace("seed 1 2", "seed 7")).seed == 7
 
-    @pytest.mark.parametrize("first, second", [("name a", "name b"), ("seed 1", "seed 2")])
+    @pytest.mark.parametrize(
+        "first, second",
+        [("name a", "name b"), ("seed 1", "seed 2"), ("format concurflow-instance 1",) * 2],
+    )
     def test_repeated_record_rejected(self, first, second):
         kind = first.split()[0]
         text = T1_TEXT.replace("name t1\n", "").replace("node s\n", f"{first}\nnode s\n{second}\n")
+        if kind == "format":  # the two inserted lines are the only headers; line 1 turns comment
+            text = text.replace("format", "# format", 1)
         with pytest.raises(InstanceError, match=f"^line 4: repeated '{kind}' record$"):
             parse_instance(text)
 

@@ -5,10 +5,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from concurflow import generate_instance
+from concurflow import generate_instance, oracle
 from concurflow.netmodel import (
     Flow,
     GroupedPaths,
+    GroupedProblem,
     branch_values,
     flow_value,
     is_feasible,
@@ -22,6 +23,7 @@ from concurflow.oracle import (
     lp_mmfpb_exact,
 )
 from concurflow.packing import pack_paths
+from concurflow.simplex import solve_lp
 from conftest import bits, compiled, edge_groups, make_network, make_system, t1_system, t2_system, t3_system
 
 
@@ -238,13 +240,54 @@ class TestGroupedCore:
             sys.setswitchinterval(interval)
         for result in results:
             assert [result[i] for i in range(12)] == expected
-        ((_, blocks),) = paths.lps.values()
+        ((*_, blocks),) = paths.lps.values()
         (root,) = blocks.roots.values()
 
         def ends(node):
             return 1 if node.col < 0 else sum(ends(child) for *_, child in node.leaving.values())
 
         assert ends(root) > 1  # the scalings took more than one path
+
+    def test_bounded_groups_without_paths_get_no_row(self, monkeypatch):
+        # Group 0's one path crosses zero-capacity "z" and group 1 has none, so
+        # only group 2's bound makes a row, after the rows of "a" and "b".
+        caps = {"z": 0.0, "a": 1.0, "b": 2.0}
+        paths = GroupedPaths.build(caps, [[("z", "a")], [], [("a", "b")]])
+        bounds = [0.5, 0.7, 0.4]
+        problem = GroupedProblem.build(paths.capacities, paths, bounds)
+        assert [(sense, rhs) for _, sense, rhs in problem.rows] == [("<=", 1.0), ("<=", 2.0), ("<=", 0.4)]
+        assert np.vstack(problem.blocks).tolist() == [[1.0], [1.0], [1.0]]
+        solved = []
+
+        def spy(objective, rows, blocks=None):
+            solved.append(len(rows))
+            return solve_lp(objective, rows, blocks)
+
+        monkeypatch.setattr(oracle, "solve_lp", spy)
+        res = lp_grouped_max(paths.capacities, paths, bounds)
+        assert (res.x.tolist(), res.total, res.iterations, solved) == ([0.0, 0.4], 0.4, 2, [3])
+        # Each engine answers as it does without the pathless groups, to the bit.
+        alone = GroupedPaths.build(caps, [[("a", "b")]])
+        for engine in (lp_grouped_max, lambda caps, groups, bounds: pack_paths(caps, groups, bounds, 0.1)):
+            got, want = engine(paths.capacities, paths, bounds), engine(alone.capacities, alone, [0.4])
+            assert (got.x.tolist(), got.total, got.iterations, got.upper) == (
+                [0.0, *want.x.tolist()], want.total, want.iterations, want.upper
+            )
+
+    def test_engines_share_one_lp_per_pattern(self):
+        # Both engines read one entry; its edge rows and first block are views
+        # of the layout's own incidence, and every call reuses the row tuples.
+        caps = {"a": 1.0, "b": 2.0}
+        paths = GroupedPaths.build(caps, [[("a",), ("b",)], [("a", "b")]])
+        pack_paths(paths.capacities, paths, [1.5, None], 0.1)
+        lp_grouped_max(paths.capacities, paths, [0.5, None])
+        ((edge_rows, _, blocks),) = paths.lps.values()
+        problem = GroupedProblem.build(paths.capacities, paths, [1.0, None])
+        assert len(paths.lps) == 1 and blocks is problem.blocks
+        assert blocks[0] is problem.matrix.a
+        assert all(coeffs.base is problem.matrix.a for coeffs, _, _ in edge_rows)
+        assert all(row is cached for row, cached in zip(problem.rows, edge_rows))
+        assert len(problem.rows) == len(edge_rows) + 1
 
     def test_empty_groups(self):
         res = lp_grouped_max(*compiled({}, [[], []]), None)

@@ -701,7 +701,7 @@ def test_replay_tree_stops_growing_at_its_cap():
     base = system.network.bounds()
     rng = np.random.default_rng(5)
     lp_mmfpb_exact(system, base)  # the layout and the LP's rows, before measuring
-    ((_, blocks),) = system.grouped.lps.values()
+    ((*_, blocks),) = system.grouped.lps.values()
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
