@@ -9,9 +9,11 @@ same moments of the machine's speed. The cases come from
 ``perfbench/workloads.py`` of this checkout, built with side A's generator,
 as ``scripts/byte_identity.py`` takes them. Each round runs every case once
 on each side; which side goes first alternates from case to case and from
-round to round. The two sides must give the same output for every case (the
-solution text and exact optima, or the ``solve_mmfpb`` values); a difference
-stops the run with exit code 1.
+round to round. A ``solve_mmfpb`` case is parsed once per side, before the
+rounds, as ``perfbench/run.py`` does, so its compiled paths and layouts
+are reused from round to round. The two sides must give the same output
+for every case (the solution text and exact optima, or the ``solve_mmfpb``
+values); a difference stops the run with exit code 1.
 
 It prints, per side, the median, p75 and mean seconds of one operation, and
 the median over operations of the ratio B / A of their times. Times are wall
@@ -101,12 +103,15 @@ def main(argv: list[str] | None = None) -> int:
     cases, _ = workloads.build_cases(workload, args.seed, apis[0], clock)
     cases = cases[: args.limit]
 
+    systems = None
+    if workload.kind != "compare":  # solve_mmfpb takes a path system: parse once per side
+        systems = [{case.key: api.parse_instance(case.text).path_system for case in cases}
+                   for api in apis]
+
     def operation(side: int, case):
-        api = apis[side]
         if workload.kind == "compare":
-            return workloads.run_compare(case, workload, api, clock)
-        system = api.parse_instance(case.text).path_system
-        return workloads.run_mmfpb(case, system, api, clock)
+            return workloads.run_compare(case, workload, apis[side], clock)
+        return workloads.run_mmfpb(case, systems[side][case.key], apis[side], clock)
 
     times: list[list[float]] = [[], []]
     for round_ in range(args.rounds):

@@ -26,7 +26,6 @@ from .netmodel import (
     Path,
     PathSystem,
     Traversal,
-    branch_value,
     branch_values,
     edge_loads,
     enumerate_paths,
@@ -77,7 +76,6 @@ __all__ = [
     "PathSystem",
     "SolveReport",
     "Traversal",
-    "branch_value",
     "branch_values",
     "build_auxiliary",
     "compute_epsilon",

@@ -335,6 +335,8 @@ def parse_solution(text: str) -> SolutionData:
         if not line:
             continue
         kind, *args = line.split()
+        if kind in named:  # a second format or instance line, whatever its arguments
+            raise InstanceError(lineno, f"repeated {kind!r} record")
         try:
             if kind == "format" and args != [FORMAT_SOLUTION, FORMAT_VERSION]:
                 raise InstanceError(lineno, f"unsupported format {' '.join(args)!r}")

@@ -17,7 +17,7 @@ engines take: a ``GroupedPaths`` beside its own ``capacities`` view, whose
 columns a call reuses, checking only its bounds. It builds the one bounded
 LP both engines solve, the exact engine by simplex and the packing engine
 by its loop, and lays each result out as one flat array over every input
-path, which ``Flow.from_array`` splits into a flow.
+path: the ``x`` a ``Flow`` holds.
 
 Everything in this module is immutable after construction and safe to share
 across threads; the operations are pure functions. ``GroupedPaths`` fills
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, islice
@@ -521,9 +521,14 @@ class GroupedProblem:
         x = np.zeros(self.keep.size)
         x[self.keep] = values
         x.flags.writeable = False
-        flat = iter(x.tolist())
-        total = float(sum([float(sum(islice(flat, size))) for size in self.paths.sizes]))
+        total = float(sum(_group_sums(x, self.paths.sizes)))
         return GroupedResult(x, total, iterations, total if upper is None else upper)
+
+
+def _group_sums(x: np.ndarray, sizes: Iterable[int]) -> list[float]:
+    """Each group's values of the flat ``x``, summed in path order; 0.0 for an empty group."""
+    flat = iter(x.tolist())
+    return [float(sum(islice(flat, size))) for size in sizes]
 
 
 @dataclass(frozen=True)
@@ -627,37 +632,34 @@ class PathSystem:
         return dict(zip(self.matrix.edges, self.matrix.caps.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Flow:
-    """Nonnegative value per path of a path system; missing paths carry 0."""
+    """Nonnegative value per path of a path system, path after path in group order.
+
+    ``x`` is a read-only copy of the values given, one per path of the
+    system, as the engines lay out their results. ``values`` splits it per
+    commodity.
+    """
 
     system: PathSystem
-    values: tuple[tuple[float, ...], ...]
+    x: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.system.k:
-            raise ModelError("flow value groups do not match the path system")
-        for group, vals in zip(self.system.paths, self.values):
-            if len(group) != len(vals):
-                raise ModelError("flow values do not match the path list")
-            for v in vals:
-                if not v >= 0.0:
-                    raise ModelError(f"negative path value {v}")
+        x = np.array(self.x, dtype=float)
+        if x.shape != (self.system.path_count,):
+            raise ModelError("flow values do not match the path list")
+        if not x.min(initial=0.0) >= 0.0:  # a NaN fails too
+            raise ModelError(f"negative path value {x[~(x >= 0.0)][0]}")
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
 
-    @classmethod
-    def zero(cls, system: PathSystem) -> "Flow":
-        return cls(system, tuple(tuple(0.0 for _ in group) for group in system.paths))
-
-    @classmethod
-    def from_array(cls, system: PathSystem, x: np.ndarray) -> "Flow":
-        """The flow whose values, path after path in group order, are ``x``."""
-        flat = iter(x.tolist())
-        return cls(system, tuple(tuple(islice(flat, len(group))) for group in system.paths))
-
-
-def _load_vector(flow: Flow) -> np.ndarray:
-    x = np.fromiter((v for vals in flow.values for v in vals), float, flow.system.path_count)
-    return flow.system.matrix.a @ x
+    @cached_property
+    def values(self) -> tuple[tuple[float, ...], ...]:
+        """``x`` as one tuple of floats per commodity, split once, on first read."""
+        flat = iter(self.x.tolist())
+        view = tuple(tuple(islice(flat, len(group))) for group in self.system.paths)
+        # Threads that race to the first read all get the view installed first.
+        return self.__dict__.setdefault("values", view)
 
 
 def edge_loads(flow: Flow) -> dict[str, float]:
@@ -667,7 +669,8 @@ def edge_loads(flow: Flow) -> dict[str, float]:
     counts once even if it walks an undirected edge in both directions;
     traversal direction never enters the sum.
     """
-    return dict(zip(flow.system.matrix.edges, _load_vector(flow).tolist()))
+    matrix = flow.system.matrix
+    return dict(zip(matrix.edges, (matrix.a @ flow.x).tolist()))
 
 
 @dataclass(frozen=True)
@@ -685,31 +688,21 @@ def is_feasible(flow: Flow) -> FeasibilityReport:
     matrix = flow.system.matrix
     if not matrix.edges:
         return FeasibilityReport(True, None, 0.0)
-    excess = _load_vector(flow) - matrix.caps
+    excess = matrix.a @ flow.x - matrix.caps
     worst = int(np.argmax(excess))
     return FeasibilityReport(
         bool(excess[worst] <= CAP_TOLERANCE), matrix.edges[worst], float(excess[worst])
     )
 
 
-def branch_value(flow: Flow, commodity_index: int) -> float:
-    """Total value routed for one commodity, summed in path order."""
-    total = 0.0
-    for v in flow.values[commodity_index - 1]:
-        total += v
-    return total
-
-
 def branch_values(flow: Flow) -> tuple[float, ...]:
-    return tuple(branch_value(flow, i) for i in range(1, flow.system.k + 1))
+    """Total value routed per commodity, each summed in path order."""
+    return tuple(_group_sums(flow.x, map(len, flow.system.paths)))
 
 
 def flow_value(flow: Flow) -> float:
-    """Total flow value: the sum of all branch values, in commodity order."""
-    total = 0.0
-    for i in range(1, flow.system.k + 1):
-        total += branch_value(flow, i)
-    return total
+    """Total flow value: the branch values summed in order, as ``GroupedResult.total`` is."""
+    return float(sum(branch_values(flow)))
 
 
 def min_ratio(flow: Flow, bounds: tuple[float, ...] | list[float] | None = None) -> float:
@@ -723,7 +716,7 @@ def min_ratio(flow: Flow, bounds: tuple[float, ...] | list[float] | None = None)
     for b in bounds:
         if not b > 0.0:
             raise ModelError(f"bound must be positive, got {b}")
-    return min(branch_value(flow, i + 1) / bounds[i] for i in range(flow.system.k))
+    return min(v / b for v, b in zip(branch_values(flow), bounds))
 
 
 def _check_bounds(bounds: Sequence[float], k: int | None = None) -> None:

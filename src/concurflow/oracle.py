@@ -93,7 +93,7 @@ def lp_grouped_max(
 def lp_mmfp_exact(system: PathSystem) -> tuple[float, Flow]:
     """Exact maximum total path flow (no per-commodity bounds)."""
     result = lp_grouped_max(system.grouped.capacities, system.grouped, None)
-    return result.total, Flow.from_array(system, result.x)
+    return result.total, Flow(system, result.x)
 
 
 def lp_mmfpb_exact(system: PathSystem, bounds: Sequence[float] | None = None) -> tuple[float, Flow]:
@@ -107,7 +107,7 @@ def lp_mmfpb_exact(system: PathSystem, bounds: Sequence[float] | None = None) ->
     if np.inf in bounds:  # lp_grouped_max would read it as unbounded
         raise ValueError("bounds must be finite, got inf")
     result = lp_grouped_max(system.grouped.capacities, system.grouped, bounds)
-    return result.total, Flow.from_array(system, result.x)
+    return result.total, Flow(system, result.x)
 
 
 def lp_emcfp_lambda(system: PathSystem, bounds: Sequence[float] | None = None) -> float:
@@ -138,7 +138,7 @@ def lp_emcfpsc(system: PathSystem, bounds: Sequence[float] | None = None) -> tup
     lam = lp_emcfp_lambda(system, bounds)
     n = system.path_count
     if n == 0:
-        return lam, 0.0, Flow.zero(system)
+        return lam, 0.0, Flow(system, np.zeros(n))
     # An empty group forces ratio 0 and gets no floor row.
     rows = _path_rows(system.matrix, bounds, floor=lam - STAGE_SLACK)
     try:
@@ -146,4 +146,4 @@ def lp_emcfpsc(system: PathSystem, bounds: Sequence[float] | None = None) -> tup
     except SimplexError as exc:
         raise OracleError(f"saturation LP failed: {exc}") from exc
     x = _clip(res.x)
-    return lam, float(x.sum()), Flow.from_array(system, x)
+    return lam, float(x.sum()), Flow(system, x)

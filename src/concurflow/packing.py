@@ -229,10 +229,10 @@ def pack_paths(
 def solve_mmfp(system: PathSystem, eps: float) -> Flow:
     """Feasible flow within factor ``1/(1+eps)`` of the maximum total value."""
     result = pack_paths(system.grouped.capacities, system.grouped, None, eps)
-    return Flow.from_array(system, result.x)
+    return Flow(system, result.x)
 
 
 def solve_mmfpb(system: PathSystem, bounds: Sequence[float], eps: float) -> Flow:
     """Like :func:`solve_mmfp` but with per-commodity value caps ``bounds``."""
     result = pack_paths(system.grouped.capacities, system.grouped, list(bounds), eps)
-    return Flow.from_array(system, result.x)
+    return Flow(system, result.x)

@@ -313,12 +313,12 @@ def project_flow(x: np.ndarray, aux: AuxNetwork) -> Flow:
     """Collapse an auxiliary flow ``x`` back onto the original paths.
 
     Each original path receives the sum of its dedicated and overflow
-    copies, the two halves of ``x``. Totals and per-commodity values are
-    conserved exactly.
+    copies, the two halves of ``x``; the flow holds those sums. Totals and
+    per-commodity values are conserved up to each sum's rounding.
     """
     system = aux.outer.system
     n = system.path_count
-    return Flow.from_array(system, x[:n] + x[n:])
+    return Flow(system, x[:n] + x[n:])
 
 
 @dataclass(frozen=True)

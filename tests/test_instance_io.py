@@ -158,7 +158,12 @@ path c1 e1 e2
 
     @pytest.mark.parametrize(
         "first, second",
-        [("name a", "name b"), ("seed 1", "seed 2"), ("format concurflow-instance 1",) * 2],
+        [
+            ("name a", "name b"),
+            ("seed 1", "seed 2"),
+            ("format concurflow-instance 1",) * 2,
+            ("format concurflow-instance 1", "format concurflow-instance 2"),
+        ],
     )
     def test_repeated_record_rejected(self, first, second):
         kind = first.split()[0]
@@ -366,9 +371,11 @@ class TestSolutionFile:
             parse_solution(text)
 
     def test_repeated_header_rejected(self):
-        text = "format concurflow-solution 1\nformat concurflow-solution 1\n"
-        with pytest.raises(InstanceError, match="^line 2: repeated 'format' record$"):
-            parse_solution(text)
+        # A second header is named as a repeat before its arguments are read.
+        for version in (1, 2):
+            text = f"format concurflow-solution 1\nformat concurflow-solution {version}\n"
+            with pytest.raises(InstanceError, match="^line 2: repeated 'format' record$"):
+                parse_solution(text)
 
     @pytest.mark.parametrize(
         "record, message",

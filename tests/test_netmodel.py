@@ -21,7 +21,6 @@ from concurflow.netmodel import (
     PathRuleError,
     PathSystem,
     Traversal,
-    branch_value,
     branch_values,
     edge_loads,
     enumerate_paths,
@@ -32,8 +31,8 @@ from concurflow.netmodel import (
     validate_path,
 )
 from concurflow.generator import generate_instance
-from concurflow.oracle import lp_emcfpsc, lp_mmfp_exact
-from concurflow.packing import solve_mmfp
+from concurflow.oracle import lp_emcfpsc, lp_grouped_max, lp_mmfp_exact
+from concurflow.packing import pack_paths, solve_mmfp
 from conftest import compiled, edge_groups, make_network, make_system, reference_layout
 
 
@@ -83,8 +82,15 @@ class TestConstruction:
             Commodity(1, "a", "b", value)
 
     def test_negative_flow_value_rejected(self, t1):
-        with pytest.raises(ModelError, match="negative"):
-            Flow(t1, ((-0.1,), (0.0,)))
+        for value in (-0.1, math.nan):
+            with pytest.raises(ModelError, match=f"^negative path value {value}$"):
+                Flow(t1, [0.0, value])
+
+    @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], [[0.5], [0.5]]], ids=["short", "long", "nested"])
+    def test_flow_of_wrong_length_rejected(self, t1, x):
+        # One value per path, flat: the old nested per-commodity form is rejected too.
+        with pytest.raises(ModelError, match="flow values do not match the path list"):
+            Flow(t1, x)
 
     def test_duplicate_path_rejected(self, t1):
         with pytest.raises(ModelError, match="duplicate path"):
@@ -227,15 +233,15 @@ class TestInferTraversals:
 class TestAccounting:
     def test_edge_load_sums_terms(self, chain_net):
         system = make_system(chain_net, [[["e1"], ["e2", "e3"]]])
-        flow = Flow(system, ((0.2, 0.3),))
+        flow = Flow(system, [0.2, 0.3])
         assert edge_loads(flow) == pytest.approx({"e1": 0.2, "e2": 0.3, "e3": 0.3})
 
     def test_shared_edge_load(self, t1):
-        flow = Flow(t1, ((0.3,), (0.2,)))
+        flow = Flow(t1, [0.3, 0.2])
         assert edge_loads(flow) == pytest.approx({"e1": 0.5})
 
     def test_empty_flow_loads_zero(self, t1):
-        flow = Flow.zero(t1)
+        flow = Flow(t1, np.zeros(2))
         assert edge_loads(flow) == {"e1": 0.0}
 
     def test_gross_sum_on_undirected_edge(self):
@@ -249,7 +255,7 @@ class TestAccounting:
                 (Path(2, (Traversal("e", False),)),),
             ),
         )
-        flow = Flow(system, ((0.4,), (0.4,)))
+        flow = Flow(system, [0.4, 0.4])
         assert edge_loads(flow) == pytest.approx({"e": 0.8})
 
     def test_closed_walk_counts_edge_once(self):
@@ -257,7 +263,7 @@ class TestAccounting:
         net = make_network(["s", "v"], [("e", "s", "v", 1.0, False)], [("s", "s", 1.0)])
         walk = Path(1, (Traversal("e", True), Traversal("e", False)))
         system = PathSystem(net, ((walk,),))
-        assert edge_loads(Flow(system, ((0.4,),))) == {"e": 0.4}
+        assert edge_loads(Flow(system, [0.4])) == {"e": 0.4}
         assert lp_mmfp_exact(system)[0] == 1.0
         assert flow_value(solve_mmfp(system, 0.1)) == pytest.approx(1.0, rel=0.1)
         assert lp_emcfpsc(system)[:2] == (1.0, 1.0)
@@ -267,7 +273,7 @@ class TestAccounting:
         # Reference: the per-path loop; a matrix product may sum in another order.
         system = generate_instance(seed, 8, 14, 3, 6).path_system
         rng = np.random.default_rng(seed)
-        flow = Flow(system, tuple(tuple(rng.random(len(g)).tolist()) for g in system.paths))
+        flow = Flow(system, rng.random(system.path_count))
         expected = {}
         for group, vals in zip(system.paths, flow.values):
             for path, v in zip(group, vals):
@@ -276,43 +282,86 @@ class TestAccounting:
         assert edge_loads(flow) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_feasibility_boundary(self, t1):
-        assert is_feasible(Flow(t1, ((1.0,), (0.0,))))
+        assert is_feasible(Flow(t1, [1.0, 0.0]))
 
     def test_feasibility_violation_reported(self, t1):
-        report = is_feasible(Flow(t1, ((1.0 + 1e-6,), (0.0,))))
+        report = is_feasible(Flow(t1, [1.0 + 1e-6, 0.0]))
         assert not report
         assert report.worst_edge == "e1"
         assert report.worst_excess == pytest.approx(1e-6)
 
     def test_two_half_paths_feasible(self, t1):
-        assert is_feasible(Flow(t1, ((0.5,), (0.5,))))
+        assert is_feasible(Flow(t1, [0.5, 0.5]))
 
     def test_values_zero_flow(self, t1):
-        zero = Flow.zero(t1)
+        zero = Flow(t1, np.zeros(2))
         assert flow_value(zero) == 0.0
         assert branch_values(zero) == (0.0, 0.0)
 
     def test_value_splits(self, t1):
-        flow = Flow(t1, ((1 / 3,), (2 / 3,)))
+        flow = Flow(t1, [1 / 3, 2 / 3])
         assert flow_value(flow) == pytest.approx(1.0)
-        assert branch_value(flow, 1) == pytest.approx(1 / 3)
-        assert branch_value(flow, 2) == pytest.approx(2 / 3)
+        assert branch_values(flow) == pytest.approx((1 / 3, 2 / 3))
 
     def test_two_paths_one_commodity(self, chain_net):
         system = make_system(chain_net, [[["e1"], ["e2", "e3"]]])
-        flow = Flow(system, ((0.25, 0.75),))
-        assert branch_value(flow, 1) == pytest.approx(1.0)
+        flow = Flow(system, [0.25, 0.75])
+        assert branch_values(flow) == pytest.approx((1.0,))
 
     def test_min_ratio_examples(self, t1):
-        flow = Flow(t1, ((0.5,), (1.0,)))
+        flow = Flow(t1, [0.5, 1.0])
         assert min_ratio(flow, (1.0, 2.0)) == pytest.approx(0.5)
-        assert min_ratio(Flow.zero(t1)) == 0.0
-        flow = Flow(t1, ((1 / 3,), (2 / 3,)))
+        assert min_ratio(Flow(t1, np.zeros(2))) == 0.0
+        flow = Flow(t1, [1 / 3, 2 / 3])
         assert min_ratio(flow, (1.0, 2.0)) == pytest.approx(1 / 3)
 
     def test_min_ratio_uses_commodity_bounds(self, t1):
-        flow = Flow(t1, ((0.5,), (0.5,)))
+        flow = Flow(t1, [0.5, 0.5])
         assert min_ratio(flow) == pytest.approx(0.25)
+
+
+class TestFlow:
+    def test_holds_a_read_only_copy(self, t1):
+        given = np.array([0.25, 0.5])
+        flow = Flow(t1, given)
+        given[0] = 9.0
+        assert flow.x.tolist() == [0.25, 0.5]
+        assert flow.values == ((0.25,), (0.5,))
+        with pytest.raises(ValueError, match="read-only"):
+            flow.x[0] = 1.0
+
+    def test_values_split_per_commodity(self):
+        # Groups of 3, 0 and 1 paths: the empty commodity gets an empty row and a 0.0 branch.
+        net = make_network(
+            ["s", "u", "t"],
+            [("e1", "s", "t", 1.0, True), ("e2", "s", "u", 1.0, True), ("e3", "u", "t", 1.0, True),
+             ("e4", "u", "t", 1.0, False)],
+            [("s", "t", 1.0), ("s", "t", 1.0), ("s", "t", 1.0)],
+        )
+        system = make_system(net, [[["e1"], ["e2", "e3"], ["e2", "e4"]], [], [["e1"]]])
+        x = [0.1, 0.2, 0.3, 0.4]
+        flow = Flow(system, x)
+        flat = iter(x)
+        nested = tuple(tuple(next(flat) for _ in group) for group in system.paths)
+        assert flow.values == nested == ((0.1, 0.2, 0.3), (), (0.4,))
+        assert all(type(v) is float for row in flow.values for v in row)
+        assert flow.values is flow.values  # split once
+        assert branch_values(flow) == (sum([0.1, 0.2, 0.3]), 0.0, 0.4)
+        assert flow_value(flow) == sum(branch_values(flow))
+
+    @pytest.mark.parametrize("engine", ["oracle", "fptas"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flow_value_is_the_engine_total(self, engine, seed):
+        # One summing rule: a flow's value has the bits of the result's total.
+        system = generate_instance(seed, 8, 14, 3, 6).path_system
+        groups, bounds = system.grouped, list(system.network.bounds())
+        if engine == "oracle":
+            result = lp_grouped_max(groups.capacities, groups, bounds)
+        else:
+            result = pack_paths(groups.capacities, groups, bounds, 0.1)
+        flow = Flow(system, result.x)
+        assert flow_value(flow).hex() == result.total.hex()
+        assert float(sum(branch_values(flow))).hex() == result.total.hex()
 
 
 class TestGroupedProblem:
@@ -683,24 +732,21 @@ def random_flow(draw):
         [("s", "t", 1.0), ("s", "t", 2.0)],
     )
     system = make_system(net, [[["e1"], ["e2", "e3"]], [["e1"]]])
-    vals = tuple(
-        tuple(draw(st.floats(min_value=0.0, max_value=2.0)) for _ in group)
-        for group in system.paths
-    )
+    vals = [draw(st.floats(min_value=0.0, max_value=2.0)) for _ in range(system.path_count)]
     return Flow(system, vals)
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_flow())
 def test_total_value_matches_branch_sum(flow):
-    assert abs(flow_value(flow) - sum(branch_values(flow))) <= 1e-12
+    assert flow_value(flow) == sum(branch_values(flow))
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_flow())
 def test_min_ratio_bounds_every_commodity(flow):
     bounds = flow.system.network.bounds()
-    ratios = [branch_value(flow, i + 1) / bounds[i] for i in range(flow.system.k)]
+    ratios = [v / b for v, b in zip(branch_values(flow), bounds)]
     value = min_ratio(flow)
     assert all(value <= r for r in ratios)
     assert any(value == r for r in ratios)

@@ -157,13 +157,7 @@ class TestTwoStage:
             raw = [rng.uniform(0.0, 1.0, size=len(g)) for g in system.paths]
             candidate = _scaled_feasible(system, raw)
             blend = rng.uniform(0.6, 1.0)
-            mixed = Flow(
-                system,
-                tuple(
-                    tuple(blend * bv + (1 - blend) * cv for bv, cv in zip(brow, crow))
-                    for brow, crow in zip(best.values, candidate.values)
-                ),
-            )
+            mixed = Flow(system, blend * best.x + (1 - blend) * candidate.x)
             for flow in (candidate, mixed):
                 if min_ratio(flow, bounds) >= lam - 1e-9:
                     checked += 1
@@ -377,7 +371,7 @@ def _grid_system(scale=1.0):
 
 def _scaled_feasible(system, raw_rows):
     """Scale raw nonnegative values down until every capacity holds exactly."""
-    flow = Flow(system, tuple(tuple(float(v) for v in row) for row in raw_rows))
+    flow = Flow(system, np.concatenate(raw_rows))
     worst = 1.0
     caps = system.capacities()
     from concurflow.netmodel import edge_loads
@@ -386,8 +380,5 @@ def _scaled_feasible(system, raw_rows):
         if load > 0:
             worst = min(worst, caps[eid] / load)
     if worst < 1.0:
-        flow = Flow(
-            system,
-            tuple(tuple(v * worst for v in row) for row in flow.values),
-        )
+        flow = Flow(system, flow.x * worst)
     return flow

@@ -486,7 +486,7 @@ class TestStoppingEarly:
         assert result.iterations == _BLOCK_STEPS < full.iterations
         assert result.total < full.total * factor
         assert optimum <= result.upper * (1 + 1e-9)
-        assert is_feasible(Flow.from_array(diamond, result.x))
+        assert is_feasible(Flow(diamond, result.x))
 
     def test_a_failing_call_stops_long_before_its_gap(self):
         # The stored stop is +inf here until the lengths renormalize far

@@ -159,13 +159,14 @@ def test_byte_identity_records_what_solve_runs():
     assert len(packs) == sum(call[0] == "layout" for call in calls)
 
 
-def test_ab_compare_runs_both_sides():
+@pytest.mark.parametrize("workload", ["corpus-oracle", "packing-fullrun"])
+def test_ab_compare_runs_both_sides(workload):
     src = str(ROOT / "src")
-    args = ("--a", src, "--b", src, "--workload", "corpus-oracle", "--rounds", "2", "--limit", "3")
+    args = ("--a", src, "--b", src, "--workload", workload, "--rounds", "2", "--limit", "3")
     proc = run_script("ab_compare.py", *args)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "corpus-oracle seed 1: 3 cases x 2 rounds, outputs equal"
+    assert lines[0] == f"{workload} seed 1: 3 cases x 2 rounds, outputs equal"
     assert [line[:2] for line in lines[1:3]] == ["A ", "B "]
     assert all("median" in line and "p75" in line and "mean" in line for line in lines[1:3])
     assert lines[3].startswith("median per-operation ratio B/A: ")

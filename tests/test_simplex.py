@@ -711,7 +711,7 @@ def test_replay_tree_stops_growing_at_its_cap():
             if call % 10 == 0 or call >= 990:
                 fresh = replace(system.grouped)  # the same rows, no recorded paths
                 result = lp_grouped_max(fresh.capacities, fresh, bounds)
-                assert (total, flow.values) == (result.total, Flow.from_array(system, result.x).values)
+                assert (total, flow.values) == (result.total, Flow(system, result.x).values)
         held = tracemalloc.get_traced_memory()[0] - held
     finally:
         tracemalloc.stop()

@@ -306,7 +306,7 @@ class TestInnerStart:
         assert report.h_star == 1
         outer = find_lstar(system, report.bounds0, eta, engine)
         assert outer.l_star == report.l_star >= 2
-        assert repr(report.flow.values) == repr(Flow.from_array(system, outer.last.x).values)
+        assert repr(report.flow.values) == repr(Flow(system, outer.last.x).values)
         # The outer search's last passing call, at level l_star - 1.
         scale, base = (outer.l_star - 1) * eta, system.grouped
         bounds = [scale * b for b in report.bounds0]
