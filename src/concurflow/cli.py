@@ -21,10 +21,9 @@ from .generator import GenerationError, generate_instance
 from .instance_io import (
     Instance,
     InstanceError,
-    _flow_lines,
-    _fmt,
     parse_instance,
     serialize_instance,
+    serialize_oracle,
     serialize_solution,
 )
 from .netmodel import ModelError
@@ -129,23 +128,16 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     instance = _read_instance(args.input)
     system = instance.path_system
-    lines = ["format concurflow-oracle 1", f"instance {instance.name}", f"problem {args.problem}"]
-    flow = None
+    lam = value = flow = None
     if args.problem == "mmfp":
         value, flow = lp_mmfp_exact(system)
-        lines.append(f"value {_fmt(value)}")
     elif args.problem == "mmfpb":
         value, flow = lp_mmfpb_exact(system)
-        lines.append(f"value {_fmt(value)}")
     elif args.problem == "emcfp":
-        lines.append(f"lambda_star {_fmt(lp_emcfp_lambda(system))}")
+        lam = lp_emcfp_lambda(system)
     else:
         lam, value, flow = lp_emcfpsc(system)
-        lines.append(f"lambda_star {_fmt(lam)}")
-        lines.append(f"value {_fmt(value)}")
-    if flow is not None:
-        lines += _flow_lines(instance, flow)
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(serialize_oracle(instance, args.problem, lam, value, flow), args.output)
     return EXIT_OK
 
 

@@ -29,6 +29,7 @@ from typing import Callable
 from .instance_io import Instance
 from .netmodel import CAP_TOLERANCE, branch_values, edge_loads, min_ratio
 from .oracle import OracleError, lp_emcfpsc
+from .simplex import left_sum
 from .solver import SolveReport, Subroutine, solve
 
 INTERVAL_TOL = 1e-7
@@ -103,7 +104,7 @@ def certified_checks(
     else:
         lam_gap = report.min_ratio_upper - lambda_star
         lam = CheckResult("lambda_localized", lam_gap >= -INTERVAL_TOL, lam_gap)
-        vopt_gap = (report.l_star * sum(bounds) + report.h_star) * report.eta - v_opt
+        vopt_gap = (report.l_star * left_sum(bounds) + report.h_star) * report.eta - v_opt
         vopt = CheckResult("vopt_localized", vopt_gap >= -INTERVAL_TOL, vopt_gap)
     return (feasible, sandwich, ratio, lam, vopt)
 
@@ -142,7 +143,7 @@ def run_compare(
         instance=instance.name,
         eta=eta,
         k=system.k,
-        sum_bounds=sum(bounds),
+        sum_bounds=left_sum(bounds),
         lambda_star=lambda_star,
         v_opt=v_opt,
         report=report,

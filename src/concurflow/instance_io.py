@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 
 from .netmodel import (
@@ -45,6 +46,7 @@ from .solver import SolveReport
 
 FORMAT_INSTANCE = "concurflow-instance"
 FORMAT_SOLUTION = "concurflow-solution"
+FORMAT_ORACLE = "concurflow-oracle"
 FORMAT_VERSION = "1"
 
 # What ends a token: whitespace as ``str.split`` reads it, and the comment sign.
@@ -108,39 +110,58 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse instance text into a validated :class:`Instance`."""
-    nodes: list[str] = []
-    node_lines: dict[str, int] = {}
-    edges: list[Edge] = []
-    edge_ids_known: set[str] = set()
-    commodity_rows: list[tuple[str, str, str, float]] = []
-    commodity_line: dict[str, int] = {}
-    path_rows: list[tuple[int, str, tuple[str, ...]]] = []
-    named: dict[str, str | int] = {}  # the format, name and seed records, each at most once
+def _records(text: str, fmt: str, kinds: Collection[str], once: Collection[str]) -> Iterator[tuple]:
+    """Yield ``(line, kind, args)`` per record of ``text``, skipping comments, blank lines and the header.
 
+    The header must read ``format <fmt> 1``; a text without one is rejected
+    once read. Every other record must be one of ``kinds``. A second header or
+    ``once`` record is reported as repeated before its arguments are read.
+    """
+    watched = {"format", *once}  # one set lookup per line: most records are neither
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        kind, args = tokens[0], tokens[1:]
+        kind = tokens[0]
+        if kind in watched:
+            if kind in seen:
+                raise InstanceError(lineno, f"repeated {kind!r} record")
+            seen.add(kind)
+            if kind == "format":
+                if tokens[1:] != [fmt, FORMAT_VERSION]:
+                    raise InstanceError(lineno, f"unsupported format {' '.join(tokens[1:])!r}")
+                continue
+        elif kind not in kinds:
+            raise InstanceError(lineno, f"unknown record {kind!r}")
+        yield lineno, kind, tokens[1:]
+    if "format" not in seen:
+        raise InstanceError(None, f"missing 'format {fmt} {FORMAT_VERSION}' header")
+
+
+def parse_instance(text: str) -> Instance:
+    """Parse instance text into a validated :class:`Instance`."""
+    node_lines: dict[str, int] = {}  # in file order
+    edges: list[Edge] = []
+    edge_ids_known: set[str] = set()
+    commodities: list[Commodity] = []
+    index_of: dict[str, int] = {}  # each commodity id's 1-based index
+    path_rows: list[tuple[int, str, tuple[str, ...]]] = []
+    named: dict[str, str | int] = {}  # the name and seed records
+
+    kinds = ("path", "name", "seed", "node", "edge", "commodity")
+    for lineno, kind, args in _records(text, FORMAT_INSTANCE, kinds, ("name", "seed")):
         if kind == "path":  # first: most lines of a file are paths
             if len(args) < 2:
                 raise InstanceError(lineno, "path takes: commodity-id edge-id...")
             cid, edge_ids = args[0], tuple(args[1:])
-            if cid not in commodity_line:
+            if cid not in index_of:
                 raise InstanceError(lineno, f"unknown commodity id {cid!r}")
             if not edge_ids_known.issuperset(edge_ids):
                 unknown = next(eid for eid in edge_ids if eid not in edge_ids_known)
                 raise InstanceError(lineno, f"unknown edge id {unknown!r}")
             path_rows.append((lineno, cid, edge_ids))
-        elif kind in named:
-            raise InstanceError(lineno, f"repeated {kind!r} record")
-        elif kind == "format":
-            if args != [FORMAT_INSTANCE, FORMAT_VERSION]:
-                raise InstanceError(lineno, f"unsupported format {' '.join(args)!r}")
-            named[kind] = args[0]
         elif kind == "name":
             if len(args) != 1:
                 raise InstanceError(lineno, "name takes exactly one token")
@@ -157,7 +178,6 @@ def parse_instance(text: str) -> Instance:
             if args[0] in node_lines:
                 raise InstanceError(lineno, f"duplicate node id {args[0]!r}")
             node_lines[args[0]] = lineno
-            nodes.append(args[0])
         elif kind == "edge":
             if len(args) != 5:
                 raise InstanceError(lineno, "edge takes: id tail head capacity directed|undirected")
@@ -181,7 +201,7 @@ def parse_instance(text: str) -> Instance:
             if len(args) != 4:
                 raise InstanceError(lineno, "commodity takes: id source sink bound")
             cid, source, sink, bound_text = args
-            if cid in commodity_line:
+            if cid in index_of:
                 raise InstanceError(lineno, f"duplicate commodity id {cid!r}")
             try:
                 bound = float(bound_text)
@@ -192,32 +212,19 @@ def parse_instance(text: str) -> Instance:
             for endpoint in (source, sink):
                 if endpoint not in node_lines:
                     raise InstanceError(lineno, f"unknown node {endpoint!r}")
-            commodity_line[cid] = lineno
-            commodity_rows.append((cid, source, sink, bound))
-        else:
-            raise InstanceError(lineno, f"unknown record {kind!r}")
+            index_of[cid] = len(index_of) + 1
+            commodities.append(Commodity(index_of[cid], source, sink, bound))
 
-    if "format" not in named:
-        raise InstanceError(None, f"missing 'format {FORMAT_INSTANCE} {FORMAT_VERSION}' header")
-    if not commodity_rows:
+    if not commodities:
         raise InstanceError(None, "instance declares no commodities")
 
     try:
-        network = Network(
-            nodes=tuple(nodes),
-            edges=tuple(edges),
-            commodities=tuple(
-                Commodity(i, s, t, b)
-                for i, (_, s, t, b) in enumerate(commodity_rows, start=1)
-            ),
-        )
+        network = Network(nodes=tuple(node_lines), edges=tuple(edges), commodities=tuple(commodities))
     except ModelError as exc:
         raise InstanceError(None, str(exc)) from None
 
-    commodity_ids = tuple(cid for cid, *_ in commodity_rows)
-    index_of = {cid: i for i, cid in enumerate(commodity_ids, start=1)}
-    groups: list[list[tuple[str, ...]]] = [[] for _ in commodity_rows]
-    group_lines: list[list[int]] = [[] for _ in commodity_rows]
+    groups: list[list[tuple[str, ...]]] = [[] for _ in commodities]
+    group_lines: list[list[int]] = [[] for _ in commodities]
     for lineno, cid, edge_ids in path_rows:
         ci = index_of[cid] - 1
         groups[ci].append(edge_ids)
@@ -237,12 +244,11 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError(group_lines[exc.commodity - 1][exc.index], str(exc)) from None
     except ModelError as exc:
         raise InstanceError(None, str(exc)) from None
-    return Instance(named.get("name", "unnamed"), named.get("seed"), network, system, commodity_ids)
+    return Instance(named.get("name", "unnamed"), named.get("seed"), network, system, tuple(index_of))
 
 
 def serialize_instance(instance: Instance) -> str:
-    lines = [f"format {FORMAT_INSTANCE} {FORMAT_VERSION}"]
-    lines.append(f"name {instance.name}")
+    lines = [f"format {FORMAT_INSTANCE} {FORMAT_VERSION}", f"name {instance.name}"]
     if instance.seed is not None:
         lines.append(f"seed {instance.seed}")
     for node in instance.network.nodes:
@@ -259,6 +265,25 @@ def serialize_instance(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The solution file's scalar (float) and counter (int) records, in file order, each with the
+# ``SolveReport`` field it renders; the two iteration counters copy the levels, for compatibility.
+_SOLUTION_RECORDS = {
+    "eta": (float, "eta"),
+    "eps": (float, "eps"),
+    "l_star": (int, "l_star"),
+    "h_star": (int, "h_star"),
+    "outer_iterations": (int, "l_star"),
+    "inner_iterations": (int, "h_star"),
+    "subroutine_calls": (int, "subroutine_calls"),
+    "value": (float, "value"),
+    "value_lower": (float, "value_lower"),
+    "value_upper": (float, "value_upper"),
+    "min_ratio": (float, "min_ratio_value"),
+    "min_ratio_lower": (float, "min_ratio_lower"),
+    "min_ratio_upper": (float, "min_ratio_upper"),
+}
+
+
 def serialize_solution(report: SolveReport, instance: Instance) -> str:
     """Render a solve report; deterministic for a fixed report.
 
@@ -266,36 +291,28 @@ def serialize_solution(report: SolveReport, instance: Instance) -> str:
     identical inputs produce byte-identical output; the CLI reports timing
     on stderr instead.
     """
-    lines = [f"format {FORMAT_SOLUTION} {FORMAT_VERSION}"]
-    lines.append(f"instance {instance.name}")
-    lines.append(f"eta {_fmt(report.eta)}")
-    lines.append(f"eps {_fmt(report.eps)}")
-    lines.append(f"l_star {report.l_star}")
-    lines.append(f"h_star {report.h_star}")
-    # Copies of l_star/h_star, kept for format compatibility.
-    lines.append(f"outer_iterations {report.l_star}")
-    lines.append(f"inner_iterations {report.h_star}")
-    lines.append(f"subroutine_calls {report.subroutine_calls}")
-    lines.append(f"value {_fmt(report.value)}")
-    lines.append(f"value_lower {_fmt(report.value_lower)}")
-    lines.append(f"value_upper {_fmt(report.value_upper)}")
-    lines.append(f"min_ratio {_fmt(report.min_ratio_value)}")
-    lines.append(f"min_ratio_lower {_fmt(report.min_ratio_lower)}")
-    lines.append(f"min_ratio_upper {_fmt(report.min_ratio_upper)}")
-    lines += _flow_lines(instance, report.flow)
+    records = [f"{kind} {(_fmt if number is float else int)(getattr(report, field))}"
+               for kind, (number, field) in _SOLUTION_RECORDS.items()]
+    return _result_text(FORMAT_SOLUTION, instance, records, report.flow)
+
+
+def serialize_oracle(instance: Instance, problem: str, lambda_star: float | None, value: float | None,
+                     flow: Flow | None) -> str:
+    """Render an exact oracle result: each of ``lambda_star``, ``value`` and ``flow`` that is given."""
+    records = [f"problem {problem}"]
+    records += [f"{kind} {_fmt(x)}" for kind, x in (("lambda_star", lambda_star), ("value", value)) if x is not None]
+    return _result_text(FORMAT_ORACLE, instance, records, flow)
+
+
+def _result_text(fmt: str, instance: Instance, records: list[str], flow: Flow | None) -> str:
+    """A solution or oracle file: header, ``records``, then a flow's ``branch`` and ``flow`` lines."""
+    lines = [f"format {fmt} {FORMAT_VERSION}", f"instance {instance.name}", *records]
+    if flow is not None:
+        lines += [f"branch {instance.commodity_id(i)} {_fmt(v)}" for i, v in enumerate(branch_values(flow), start=1)]
+        for ci, row in enumerate(flow.values, start=1):
+            cid = instance.commodity_id(ci)
+            lines += [f"flow {cid} {pj} {_fmt(value)}" for pj, value in enumerate(row)]
     return "\n".join(lines) + "\n"
-
-
-def _flow_lines(instance: Instance, flow: Flow) -> list[str]:
-    """A flow's ``branch`` lines, one per commodity, then its ``flow`` lines, one per path."""
-    lines = [
-        f"branch {instance.commodity_id(i)} {_fmt(total)}"
-        for i, total in enumerate(branch_values(flow), start=1)
-    ]
-    for ci, row in enumerate(flow.values, start=1):
-        cid = instance.commodity_id(ci)
-        lines += [f"flow {cid} {pj} {_fmt(value)}" for pj, value in enumerate(row)]
-    return lines
 
 
 @dataclass(frozen=True)
@@ -309,62 +326,36 @@ class SolutionData:
     flows: dict[tuple[str, int], float]
 
 
-_SOLUTION_SCALARS = (
-    "eta",
-    "eps",
-    "value",
-    "value_lower",
-    "value_upper",
-    "min_ratio",
-    "min_ratio_lower",
-    "min_ratio_upper",
-)
-_SOLUTION_COUNTERS = ("l_star", "h_star", "outer_iterations", "inner_iterations", "subroutine_calls")
-
-
 def parse_solution(text: str) -> SolutionData:
     """Read a solution file: each record at most once, every number finite, and
     no counter, path index, ``branch`` or ``flow`` value negative (-0.0 is 0)."""
-    named: dict[str, str] = {}
+    instance = ""
     scalars: dict[str, float] = {}
     counters: dict[str, int] = {}
     branches: dict[str, float] = {}
     flows: dict[tuple[str, int], float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind, *args = line.split()
-        if kind in named:  # a second format or instance line, whatever its arguments
-            raise InstanceError(lineno, f"repeated {kind!r} record")
+    kinds = ("flow", "branch", "instance", *_SOLUTION_RECORDS)
+    for lineno, kind, args in _records(text, FORMAT_SOLUTION, kinds, ("instance",)):
         try:
-            if kind == "format" and args != [FORMAT_SOLUTION, FORMAT_VERSION]:
-                raise InstanceError(lineno, f"unsupported format {' '.join(args)!r}")
-            if kind in ("format", "instance"):
-                table, key, value = named, kind, args[0]
-            elif kind in _SOLUTION_SCALARS:
-                table, key, value = scalars, kind, float(args[0])
-            elif kind in _SOLUTION_COUNTERS:
-                table, key, value = counters, kind, int(args[0])
+            if kind == "flow":
+                table, key, value = flows, (args[0], int(args[1])), float(args[2])
             elif kind == "branch":
                 table, key, value = branches, args[0], float(args[1])
-            elif kind == "flow":
-                table, key, value = flows, (args[0], int(args[1])), float(args[2])
+            elif kind == "instance":
+                instance = args[0]
+                continue
             else:
-                raise InstanceError(lineno, f"unknown record {kind!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, InstanceError):
-                raise
+                number = _SOLUTION_RECORDS[kind][0]
+                table, key, value = scalars if number is float else counters, kind, number(args[0])
+        except (IndexError, ValueError):
             raise InstanceError(lineno, f"malformed {kind!r} record") from None
         if isinstance(value, float) and not math.isfinite(value):
             raise InstanceError(lineno, f"{kind} must be finite, got {value}")
         if kind == "flow" and key[1] < 0:
             raise InstanceError(lineno, f"flow path index must be >= 0, got {key[1]}")
-        if kind in (*_SOLUTION_COUNTERS, "branch", "flow") and value < 0:
+        if table is not scalars and value < 0:
             raise InstanceError(lineno, f"{kind} must be >= 0, got {value}")
         if key in table:
             raise InstanceError(lineno, f"repeated {kind!r} record")
         table[key] = value
-    if "format" not in named:
-        raise InstanceError(None, f"missing 'format {FORMAT_SOLUTION} {FORMAT_VERSION}' header")
-    return SolutionData(named.get("instance", ""), scalars, counters, branches, flows)
+    return SolutionData(instance, scalars, counters, branches, flows)

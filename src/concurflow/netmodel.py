@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simplex import RowBlocks
+from .simplex import RowBlocks, left_sum
 
 # Absolute slack allowed on every capacity comparison.
 CAP_TOLERANCE = 1e-9
@@ -110,7 +110,6 @@ class Network:
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
     commodities: tuple[Commodity, ...]
-    _edge_map: dict[str, Edge] = field(init=False, repr=False, compare=False)
     # Per edge id: (tail, head, directed, its forward and backward Traversal,
     # its position in ``edges``), so the path walks read plain tuples and
     # every path of this network shares one step object per edge and direction.
@@ -124,14 +123,15 @@ class Network:
             if node in node_set:
                 raise ModelError(f"duplicate node id {node!r}")
             node_set.add(node)
-        edge_map: dict[str, Edge] = {}
-        for edge in self.edges:
-            if edge.id in edge_map:
+        walks: dict[str, tuple] = {}
+        for n, edge in enumerate(self.edges):
+            if edge.id in walks:
                 raise ModelError(f"duplicate edge id {edge.id!r}")
             for endpoint in (edge.tail, edge.head):
                 if endpoint not in node_set:
                     raise ModelError(f"edge {edge.id!r}: unknown node {endpoint!r}")
-            edge_map[edge.id] = edge
+            forward, backward = Traversal(edge.id, True), Traversal(edge.id, False)
+            walks[edge.id] = (edge.tail, edge.head, edge.directed, forward, backward, n)
         for pos, com in enumerate(self.commodities, start=1):
             if com.index != pos:
                 raise ModelError(
@@ -140,11 +140,7 @@ class Network:
             for endpoint in (com.source, com.sink):
                 if endpoint not in node_set:
                     raise ModelError(f"commodity {com.index}: unknown node {endpoint!r}")
-        object.__setattr__(self, "_edge_map", edge_map)
-        object.__setattr__(self, "_walks", {
-            e.id: (e.tail, e.head, e.directed, Traversal(e.id, True), Traversal(e.id, False), n)
-            for n, e in enumerate(self.edges)
-        })
+        object.__setattr__(self, "_walks", walks)
         object.__setattr__(self, "_zero", frozenset(
             n for n, e in enumerate(self.edges) if not e.capacity > 0.0
         ))
@@ -155,12 +151,12 @@ class Network:
 
     def edge(self, edge_id: str) -> Edge:
         try:
-            return self._edge_map[edge_id]
+            return self.edges[self._walks[edge_id][5]]
         except KeyError:
             raise ModelError(f"unknown edge id {edge_id!r}") from None
 
     def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._edge_map
+        return edge_id in self._walks
 
     def bounds(self) -> tuple[float, ...]:
         return tuple(c.bound for c in self.commodities)
@@ -521,14 +517,18 @@ class GroupedProblem:
         x = np.zeros(self.keep.size)
         x[self.keep] = values
         x.flags.writeable = False
-        total = float(sum(_group_sums(x, self.paths.sizes)))
+        total = float(left_sum(_group_sums(x, self.paths.sizes)))
         return GroupedResult(x, total, iterations, total if upper is None else upper)
 
 
 def _group_sums(x: np.ndarray, sizes: Iterable[int]) -> list[float]:
-    """Each group's values of the flat ``x``, summed in path order; 0.0 for an empty group."""
+    """Each group's values of the flat ``x``, summed in path order; 0.0 for an empty group.
+
+    Zeros are skipped: a left-to-right total from ``0`` is never -0.0, so adding
+    a zero of either sign would leave its bits as they are.
+    """
     flat = iter(x.tolist())
-    return [float(sum(islice(flat, size))) for size in sizes]
+    return [float(left_sum(filter(None, islice(flat, size)))) for size in sizes]
 
 
 @dataclass(frozen=True)
@@ -702,20 +702,16 @@ def branch_values(flow: Flow) -> tuple[float, ...]:
 
 def flow_value(flow: Flow) -> float:
     """Total flow value: the branch values summed in order, as ``GroupedResult.total`` is."""
-    return float(sum(branch_values(flow)))
+    return float(left_sum(branch_values(flow)))
 
 
 def min_ratio(flow: Flow, bounds: tuple[float, ...] | list[float] | None = None) -> float:
-    """Worst per-commodity service ratio ``min_i V_i / b_i``."""
+    """Worst per-commodity service ratio ``min_i V_i / b_i``; ``bounds`` must pass ``_check_bounds``."""
     if bounds is None:
         bounds = flow.system.network.bounds()
-    if len(bounds) != flow.system.k:
-        raise ModelError("bounds length does not match the commodity count")
+    _check_bounds(bounds, flow.system.k)
     if flow.system.k == 0:
         raise ModelError("min_ratio needs at least one commodity")
-    for b in bounds:
-        if not b > 0.0:
-            raise ModelError(f"bound must be positive, got {b}")
     return min(v / b for v, b in zip(branch_values(flow), bounds))
 
 

@@ -54,6 +54,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from .netmodel import Flow, GroupedPaths, GroupedProblem, GroupedResult, PathSystem
+from .simplex import left_sum
 
 # Lengths renormalize by 2**-_RENORM_SHIFT whenever the scaled dual
 # objective passes 2**_RENORM_SHIFT; exact in binary floating point.
@@ -174,7 +175,7 @@ def pack_paths(
             progress = (math.log(dual) + shifts * _RENORM_SHIFT * math.log(2.0)) / theta
             raise PackingError(
                 f"packing exceeded {cap} iterations (m={m}, eps={eps}): "
-                f"log-scale progress {progress:.4f}, scaled total {sum(raw) / scale_down!r}, "
+                f"log-scale progress {progress:.4f}, scaled total {left_sum(raw) / scale_down!r}, "
                 f"dual bound {dual_bound()!r}"
             )
         for step in range(min(_BLOCK_STEPS, cap - iterations)):
@@ -197,7 +198,7 @@ def pack_paths(
             if target is not None and upper * (1.0 + _STOP_MARGIN) < target:
                 stopped = True
                 break
-            so_far = sum(raw)
+            so_far = left_sum(raw)
             # Loads never fall, so the congestion last read is at most the current
             # one, and the gap test on it passes whenever the current one's does.
             if not congestion or so_far / congestion * (1.0 - _STOP_MARGIN) >= upper / (1.0 + eps):

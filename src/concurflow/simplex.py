@@ -40,7 +40,7 @@ solves still walk it, and go on cold without recording where it ends.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +69,19 @@ REPLAY_ROUNDS = 256
 
 class SimplexError(RuntimeError):
     """Infeasible, unbounded, or stalled solve."""
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from ``0``, as builtin ``sum`` does up to Python 3.11.
+
+    From 3.12 on ``sum`` compensates float rounding; the package adds a run of
+    floats in Python only here, so ``eps``, levels and output bytes match on
+    every interpreter.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -341,8 +354,8 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
         phase1_costs = np.zeros(ncols)
         phase1_costs[art_cols] = -1.0
         run_phase(phase1_costs, allowed)
-        # Python's sum, in row order: the rounding of the feasibility test.
-        art_total = sum(rhs[art_mask[basis]].tolist())
+        # Added in row order: the rounding of the feasibility test.
+        art_total = left_sum(rhs[art_mask[basis]].tolist())
         if art_total > FEASIBILITY_TOL * (1.0 + float(np.max(b, initial=0.0))):
             raise SimplexError("infeasible constraint system")
         allowed = ~art_mask

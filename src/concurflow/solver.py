@@ -69,6 +69,7 @@ from .netmodel import (
     min_ratio,
 )
 from . import oracle, packing
+from .simplex import left_sum
 
 # Strict "value fell below target" comparisons use this absolute slack;
 # exact equality counts as still passing.
@@ -87,7 +88,7 @@ Subroutine = Callable[[Mapping, GroupedPaths, list, float], GroupedResult]
 
 def _pass_threshold(bounds: Sequence[float], eps: float) -> float:
     """The least total that passes a search call under ``bounds``."""
-    return sum(bounds) / (1.0 + eps) - BELOW_TOL
+    return left_sum(bounds) / (1.0 + eps) - BELOW_TOL
 
 
 def _fptas(capacities: Mapping, groups: GroupedPaths, bounds: list, eps: float) -> GroupedResult:
@@ -131,7 +132,7 @@ def compute_epsilon(eta: float, bounds: Sequence[float]) -> float:
     if not bounds:
         raise ValueError("need at least one commodity")
     _check_bounds(bounds)
-    total = sum(bounds)
+    total = left_sum(bounds)
     calls = 1.0 / eta + total / eta + 2.0
     if calls > MAX_SEARCH_CALLS:
         raise ValueError(
@@ -297,7 +298,7 @@ def find_hstar(aux: AuxNetwork, subroutine: str | Subroutine = "fptas") -> Hstar
     if aux.dedicated_bounds == outer.bounds:  # every overflow capacity b - d is 0
         run = None
     h_star, calls, passed = _search(
-        run, aux.groups, outer.eta, outer.bounds, sum(outer.bounds),
+        run, aux.groups, outer.eta, outer.bounds, left_sum(outer.bounds),
         lambda budget: [*aux.dedicated_bounds, budget], outer.last,
     )
     if passed is not outer.last:
@@ -354,7 +355,7 @@ def solve(
     inner = find_hstar(aux, subroutine)
     flow = project_flow(inner.x, aux)
 
-    sum_b = sum(bounds0)
+    sum_b = left_sum(bounds0)
     l_star, h_star = outer.l_star, inner.h_star
     value = flow_value(flow)
     return SolveReport(

@@ -27,6 +27,7 @@ from concurflow.generator import GenerationError, generate_instance
 from concurflow.netmodel import GroupedResult, branch_values, flow_value, is_feasible
 from concurflow.oracle import lp_emcfp_lambda, lp_emcfpsc, lp_grouped_max, lp_mmfpb_exact
 from concurflow.packing import pack_paths, solve_mmfpb
+from concurflow.simplex import left_sum
 from concurflow.solver import solve
 from conftest import ACCEPTANCE_LINES, make_network, make_system, t1_system, t2_system, t3_system
 
@@ -107,7 +108,7 @@ def _scaled_oracle(capacities, groups, bounds, eps):
     x = exact.x / (1.0 + eps)
     x.flags.writeable = False
     flat = iter(x.tolist())  # summed per group, then across groups, as the engines sum
-    total = float(sum([float(sum(islice(flat, size))) for size in groups.sizes]))
+    total = float(left_sum([float(left_sum(islice(flat, size))) for size in groups.sizes]))
     return GroupedResult(x, total, exact.iterations, exact.upper)
 
 

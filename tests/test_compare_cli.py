@@ -1,10 +1,14 @@
+import builtins
 import csv
+import math
 
 import pytest
 
 from concurflow.cli import cli_main
 from concurflow.compare import CSV_COLUMNS, csv_header, row_to_csv, run_compare
-from concurflow.instance_io import parse_instance, parse_solution, serialize_instance
+from concurflow.instance_io import parse_instance, parse_solution, serialize_instance, serialize_solution
+from concurflow.simplex import left_sum
+from concurflow.solver import solve
 from test_instance_io import instance_from_system
 from conftest import make_network, make_system, t1_system, t2_system
 
@@ -298,3 +302,70 @@ def test_unwritable_output_is_usage_error(tmp_path, t1_file, capsys, command):
     }[command]
     assert cli_main([*argv, str(target)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot write {str(target)!r}: ")
+
+
+REAL_SUM = sum
+
+
+def compensated_sum(values, start=0):
+    """Builtin ``sum`` as Python 3.12 computes it over floats: Neumaier's compensated sum.
+
+    Any other input, or a start other than 0, goes to the real ``sum``.
+    """
+    values = list(values)
+    if start != 0 or not values or not all(type(v) is float for v in values):
+        return REAL_SUM(values, start)
+    total = compensation = 0.0
+    for v in values:
+        t = total + v
+        compensation += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+# The oracle run's scalar records on the instance below, as Python 3.10 and 3.11
+# write them. Their eps and value interval rest on sum(b) = 0.9999999999999999,
+# the left-to-right total, which a compensated sum would round to 1.0.
+TEN_ORACLE_RECORDS = """eta 0.1
+eps 0.10000000000000002
+l_star 3
+h_star 5
+outer_iterations 3
+inner_iterations 5
+subroutine_calls 8
+value 0.55
+value_lower 0.4000000000000001
+value_upper 0.7000000000000001
+min_ratio 0.09999999999999999
+min_ratio_lower -1.8
+min_ratio_upper 0.30000000000000004
+"""
+
+
+def test_outputs_do_not_depend_on_builtin_sum(monkeypatch):
+    # Ten bounds of 0.1 add up to 0.9999999999999999 left to right and to 1.0
+    # compensated, which would move eps, the value interval and sum_bounds.
+    assert (left_sum([0.1] * 10), compensated_sum([0.1] * 10)) == (0.9999999999999999, 1.0)
+    nodes = ["s", "t"]
+    edges = [(f"e{i}", "s", "t", 0.01 * i, True) for i in range(1, 11)]
+    net = make_network(nodes, edges, [("s", "t", 0.1)] * 10)
+    instance = instance_from_system(make_system(net, [[[f"e{i}"]] for i in range(1, 11)]), "ten")
+    timed = [CSV_COLUMNS.index("solver_seconds"), CSV_COLUMNS.index("oracle_seconds")]
+
+    def outputs():
+        texts = []
+        for subroutine in ("fptas", "oracle"):
+            report = solve(instance.path_system, 0.1, subroutine=subroutine)
+            fields = row_to_csv(run_compare(instance, 0.1, subroutine=subroutine)).split(",")
+            texts += [serialize_solution(report, instance), [f for i, f in enumerate(fields) if i not in timed]]
+        return texts
+
+    plain = outputs()
+    # The bytes themselves, so that an interpreter whose own sum compensates is checked too.
+    fptas_text, fptas_row, oracle_text, oracle_row = plain
+    assert "\neps 0.10000000000000002\n" in fptas_text
+    assert oracle_text.startswith("format concurflow-solution 1\ninstance ten\n" + TEN_ORACLE_RECORDS)
+    sum_bounds = CSV_COLUMNS.index("sum_bounds")
+    assert fptas_row[sum_bounds] == oracle_row[sum_bounds] == "0.9999999999999999"
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert outputs() == plain

@@ -400,6 +400,21 @@ class TestSolutionFile:
         assert data.scalars["value_lower"] == -0.25
 
 
+@pytest.mark.parametrize("parse, fmt", [(parse_instance, "concurflow-instance"), (parse_solution, "concurflow-solution")])
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("format {fmt} 2\n", "line 1: unsupported format '{fmt} 2'"),
+        ("  # a comment\n\nformat {fmt} 1 # trailing\nbogus 1\n", "line 4: unknown record 'bogus'"),
+        ("# only a comment\n\n", "missing 'format {fmt} 1' header"),
+    ],
+    ids=["version", "unknown", "no-header"],
+)
+def test_both_parsers_share_the_record_rules(parse, fmt, body, message):
+    with pytest.raises(InstanceError, match=f"^{message.format(fmt=fmt)}$"):
+        parse(body.format(fmt=fmt))
+
+
 # --- parse_instance against the parser as it stood before paths reached the
 # path system as raw edge ids: it oriented every path line in file order with
 # infer_traversals, then built the system from Paths. Kept verbatim. ---

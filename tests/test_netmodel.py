@@ -33,6 +33,7 @@ from concurflow.netmodel import (
 from concurflow.generator import generate_instance
 from concurflow.oracle import lp_emcfpsc, lp_grouped_max, lp_mmfp_exact
 from concurflow.packing import pack_paths, solve_mmfp
+from concurflow.simplex import left_sum
 from conftest import compiled, edge_groups, make_network, make_system, reference_layout
 
 
@@ -55,6 +56,13 @@ class TestConstruction:
     def test_duplicate_edge_id_rejected(self):
         with pytest.raises(ModelError, match="duplicate edge id"):
             make_network(["a", "b"], [("e", "a", "b", 1, True), ("e", "b", "a", 1, True)], [("a", "b", 1)])
+
+    def test_edge_lookup(self, chain_net):
+        for edge in chain_net.edges:
+            assert chain_net.edge(edge.id) is edge and chain_net.has_edge(edge.id)
+        assert not chain_net.has_edge("e9")
+        with pytest.raises(ModelError, match="^unknown edge id 'e9'$"):
+            chain_net.edge("e9")
 
     def test_duplicate_node_rejected(self):
         with pytest.raises(ModelError, match="duplicate node"):
@@ -319,6 +327,27 @@ class TestAccounting:
         flow = Flow(t1, [0.5, 0.5])
         assert min_ratio(flow) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ((1.0,), "bounds length does not match the commodity count"),
+            ((1.0, 2.0, 3.0), "bounds length does not match the commodity count"),
+            ((1.0, 0.0), "bounds must be positive and finite, got 0.0"),
+            ((math.nan, 2.0), "bounds must be positive and finite, got nan"),
+            # An infinite bound would give the commodity ratio 0.0.
+            ((1.0, math.inf), "bounds must be positive and finite, got inf"),
+        ],
+        ids=["short", "long", "zero", "nan", "inf"],
+    )
+    def test_min_ratio_rejects_bad_bounds(self, t1, bounds, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            min_ratio(Flow(t1, [0.5, 0.5]), bounds)
+
+    def test_min_ratio_needs_a_commodity(self):
+        system = make_system(make_network(["s", "t"], [("e1", "s", "t", 1.0, True)], []), [])
+        with pytest.raises(ModelError, match="^min_ratio needs at least one commodity$"):
+            min_ratio(Flow(system, np.zeros(0)))
+
 
 class TestFlow:
     def test_holds_a_read_only_copy(self, t1):
@@ -346,8 +375,8 @@ class TestFlow:
         assert flow.values == nested == ((0.1, 0.2, 0.3), (), (0.4,))
         assert all(type(v) is float for row in flow.values for v in row)
         assert flow.values is flow.values  # split once
-        assert branch_values(flow) == (sum([0.1, 0.2, 0.3]), 0.0, 0.4)
-        assert flow_value(flow) == sum(branch_values(flow))
+        assert branch_values(flow) == (0.1 + 0.2 + 0.3, 0.0, 0.4)
+        assert flow_value(flow) == left_sum(branch_values(flow))
 
     @pytest.mark.parametrize("engine", ["oracle", "fptas"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -361,7 +390,7 @@ class TestFlow:
             result = pack_paths(groups.capacities, groups, bounds, 0.1)
         flow = Flow(system, result.x)
         assert flow_value(flow).hex() == result.total.hex()
-        assert float(sum(branch_values(flow))).hex() == result.total.hex()
+        assert float(left_sum(branch_values(flow))).hex() == result.total.hex()
 
 
 class TestGroupedProblem:
@@ -739,7 +768,7 @@ def random_flow(draw):
 @settings(max_examples=200, deadline=None)
 @given(random_flow())
 def test_total_value_matches_branch_sum(flow):
-    assert flow_value(flow) == sum(branch_values(flow))
+    assert flow_value(flow) == left_sum(branch_values(flow))
 
 
 @settings(max_examples=200, deadline=None)

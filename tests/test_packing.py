@@ -22,6 +22,7 @@ from concurflow.packing import (
     solve_mmfp,
     solve_mmfpb,
 )
+from concurflow.simplex import left_sum
 from concurflow.solver import BELOW_TOL, compute_epsilon
 from conftest import (
     aux_at,
@@ -344,7 +345,7 @@ def reference_pack_paths(
             # The flow over its worst congestion, within 1+eps of the dual bound.
             upper = float(cap_arr @ length) / float(incidence.dot(length).min())
             congestion = float((raw @ incidence / cap_arr).max())
-            if sum(raw.tolist()) / congestion * (1.0 - _STOP_MARGIN) >= upper / (1.0 + eps):
+            if left_sum(raw.tolist()) / congestion * (1.0 - _STOP_MARGIN) >= upper / (1.0 + eps):
                 scale_down = congestion
                 break
 
@@ -361,11 +362,11 @@ def reference_pack_paths(
 
     for (g, j), v in zip(path_key, values):
         values_dense[g][j] = float(v)
-    group_totals = tuple(float(sum(row)) for row in values_dense)
+    group_totals = tuple(float(left_sum(row)) for row in values_dense)
     return ReferenceResult(
         tuple(tuple(row) for row in values_dense),
         group_totals,
-        float(sum(group_totals)),
+        float(left_sum(group_totals)),
         iterations,
         config,
     )

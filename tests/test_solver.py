@@ -11,6 +11,7 @@ from concurflow.instance_io import Instance, parse_solution, serialize_solution
 from concurflow.netmodel import Flow, GroupedPaths, PathMatrix, branch_values, flow_value, is_feasible
 from concurflow.oracle import lp_emcfpsc, lp_grouped_max, lp_mmfp_exact, lp_mmfpb_exact
 from concurflow.packing import solve_mmfp, solve_mmfpb
+from concurflow.simplex import left_sum
 from concurflow.solver import (
     BELOW_TOL,
     LstarResult,
@@ -341,15 +342,15 @@ def calling_levels(system, eta, run):
     l = 1
     while l * eta <= 1.0:
         scaled = [l * eta * b for b in bounds]
-        if run(base.capacities, base, scaled, eps).total < sum(scaled) / (1.0 + eps) - BELOW_TOL:
+        if run(base.capacities, base, scaled, eps).total < left_sum(scaled) / (1.0 + eps) - BELOW_TOL:
             break
         l += 1
     aux = aux_at(system, bounds, l, eta)
     dedicated = list(aux.dedicated_bounds)
     h = 1
-    while h * eta <= sum(bounds):
+    while h * eta <= left_sum(bounds):
         result = run(aux.groups.capacities, aux.groups, [*dedicated, h * eta], eps)
-        if result.total < (sum(dedicated) + h * eta) / (1.0 + eps) - BELOW_TOL:
+        if result.total < (left_sum(dedicated) + h * eta) / (1.0 + eps) - BELOW_TOL:
             break
         h += 1
     return l, h
