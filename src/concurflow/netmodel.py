@@ -343,7 +343,8 @@ class GroupedResult:
     each group's values in order, then the group sums. ``iterations`` counts
     simplex pivots for the exact LP and loop steps for the packing
     approximation. ``upper`` is a proven upper bound on the optimum: the
-    total itself for the exact LP, the final dual bound for packing.
+    total itself for the exact LP; for packing, the final dual bound, or
+    the bounds' sum when a fully bounded run ends within ``1+eps`` of it.
     """
 
     x: np.ndarray
@@ -722,6 +723,12 @@ def _check_bounds(bounds: Sequence[float], k: int | None = None) -> None:
     for b in bounds:
         if not (math.isfinite(b) and b > 0.0):
             raise ValueError(f"bounds must be positive and finite, got {b}")
+
+
+def _check_finite(bounds: Sequence[float]) -> None:
+    """Reject a ``+inf`` commodity bound, which ``GroupedProblem`` would read as unbounded."""
+    if math.inf in bounds:
+        raise ValueError("bounds must be finite, got inf")
 
 
 def enumerate_paths(

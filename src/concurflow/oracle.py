@@ -18,7 +18,9 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .netmodel import Flow, GroupedPaths, GroupedProblem, GroupedResult, PathMatrix, PathSystem, _check_bounds
+from .netmodel import (
+    Flow, GroupedPaths, GroupedProblem, GroupedResult, PathMatrix, PathSystem, _check_bounds, _check_finite,
+)
 from .simplex import SimplexError, solve_lp
 
 # Slack subtracted from the stage-1 ratio before stage 2 re-imposes it,
@@ -104,8 +106,7 @@ def lp_mmfpb_exact(system: PathSystem, bounds: Sequence[float] | None = None) ->
     """
     if bounds is None:
         bounds = system.network.bounds()
-    if np.inf in bounds:  # lp_grouped_max would read it as unbounded
-        raise ValueError("bounds must be finite, got inf")
+    _check_finite(bounds)
     result = lp_grouped_max(system.grouped.capacities, system.grouped, bounds)
     return result.total, Flow(system, result.x)
 

@@ -28,21 +28,24 @@ lowest (group, path) index.
 Ending early: between blocks the run reads the exact lengths once and
 takes the dual bound ``D(l)/alpha(l)``, the capacity-weighted length over
 the shortest path length. It caps the optimum by weak duality (Garg and
-Koenemann, FOCS 1998). The flow so far over its worst load-to-capacity
-ratio is feasible, bound columns included, so once its total, shrunk by a
-relative margin far above its rounding, is within ``1+eps`` of that bound,
-the run returns it, clipped like a full run's, with the bound as
-``upper``. The paper's stop stays as the backstop, so no run takes more
-steps than the loop without this exit, and every result meets the same
-``(1+eps)`` check.
+Koenemann, FOCS 1998). When every kept path lies in a bounded group, the
+sum of the bound rows' bounds caps it too, and the run takes the smaller
+of the two; a group with no kept path has no row and adds nothing. The
+flow so far over its worst load-to-capacity ratio is feasible, bound
+columns included, so once its total, shrunk by a relative margin far
+above its rounding, is within ``1+eps`` of that bound, the run returns it,
+clipped like a full run's, with the bound as ``upper``. The paper's stop
+stays as the backstop, so no run takes more steps than the loop without
+this exit, and every result meets the same ``(1+eps)`` check. A run with
+an unbounded group that keeps a path never reads the bounds' sum.
 
 A caller that only asks whether the total reaches some ``target`` can pass
 it. The run then also stops once the dual bound is below ``target`` by the
 same margin: no feasible total reaches ``target``. A stopped run returns
 its flow so far, clipped and scaled like a full run's, with the dual bound
 as ``upper``. No stop fires on a run whose total reaches ``target``, as
-its dual bound is at least that total, so such a run is bit for bit the
-run without ``target``.
+its dual bound is at least that total, and the exit above never reads
+``target``, so such a run is bit for bit the run without ``target``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .netmodel import Flow, GroupedPaths, GroupedProblem, GroupedResult, PathSystem
+from .netmodel import Flow, GroupedPaths, GroupedProblem, GroupedResult, PathSystem, _check_finite
 from .simplex import left_sum
 
 # Lengths renormalize by 2**-_RENORM_SHIFT whenever the scaled dual
@@ -67,7 +70,7 @@ _STOP_MARGIN = 1e-9
 
 
 class PackingError(RuntimeError):
-    """Iteration cap exceeded, or a result that contradicts its dual bound or its early stop."""
+    """Iteration cap exceeded, or a result that contradicts its bound or its early stop."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,10 @@ def pack_paths(
     gives the iterations, the dual objective's progress to its stop on a log
     scale (1 at the stop), the scaled total so far and the dual bound. The
     run ends at the first block whose scaled flow is within ``1+eps`` of its
-    dual bound, or at the paper's stop (see "Ending early" above).
+    bound, or at the paper's stop (see "Ending early" above). That bound is
+    the dual bound or, when every kept path lies in a bounded group and it
+    is smaller, the sum of the bound rows' bounds; a run that ends there
+    returns that sum as ``upper``.
 
     With ``target``, the run also stops as soon as its dual bound, read on
     exact lengths every block, shows that the optimum is below ``target``.
@@ -139,6 +145,10 @@ def pack_paths(
     eps_int = config.eps_int
 
     on = incidence > 0.0
+    # The bound rows follow the edge rows. With every kept path in one, no
+    # feasible total exceeds their bounds' sum.
+    n_edges = problem.matrix.a.shape[0]
+    bound_sum = left_sum(cap_arr[n_edges:].tolist()) if on[:, n_edges:].any(axis=1).all() else math.inf
     bottleneck_arr = np.where(on, cap_arr, math.inf).min(axis=1)
     bottleneck = bottleneck_arr.tolist()
     # One length-growth row per path; see "Numerics" above for why it is exact.
@@ -199,12 +209,13 @@ def pack_paths(
                 stopped = True
                 break
             so_far = left_sum(raw)
+            ceiling = min(upper, bound_sum)
             # Loads never fall, so the congestion last read is at most the current
             # one, and the gap test on it passes whenever the current one's does.
-            if not congestion or so_far / congestion * (1.0 - _STOP_MARGIN) >= upper / (1.0 + eps):
+            if not congestion or so_far / congestion * (1.0 - _STOP_MARGIN) >= ceiling / (1.0 + eps):
                 congestion = (np.array(raw) @ incidence / cap_arr).max().item()
-                if so_far / congestion * (1.0 - _STOP_MARGIN) >= upper / (1.0 + eps):
-                    scale_down = congestion
+                if so_far / congestion * (1.0 - _STOP_MARGIN) >= ceiling / (1.0 + eps):
+                    scale_down, upper = congestion, ceiling
                     break
     else:
         upper = dual_bound()
@@ -222,7 +233,7 @@ def pack_paths(
             raise PackingError(f"packing stopped early at total {result.total}, not below {target}")
     elif result.total < upper / (1.0 + eps):
         raise PackingError(
-            f"packing total {result.total} is below its dual bound {upper} / (1 + {eps})"
+            f"packing total {result.total} is below its bound {upper} / (1 + {eps})"
         )
     return result
 
@@ -234,6 +245,7 @@ def solve_mmfp(system: PathSystem, eps: float) -> Flow:
 
 
 def solve_mmfpb(system: PathSystem, bounds: Sequence[float], eps: float) -> Flow:
-    """Like :func:`solve_mmfp` but with per-commodity value caps ``bounds``."""
+    """Like :func:`solve_mmfp` but with per-commodity value caps ``bounds``, each finite."""
+    _check_finite(bounds)
     result = pack_paths(system.grouped.capacities, system.grouped, list(bounds), eps)
     return Flow(system, result.x)

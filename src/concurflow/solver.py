@@ -41,10 +41,12 @@ Each search call asks one question, whether the total reaches
 ``sum(bounds)/(1+eps)``, so the default subroutine hands the packing loop
 that target (see ``packing``). A call whose dual bound shows that the
 optimum falls short stops early; every other call runs as it would
-without the target, bit for bit, and ends at its first block within
-``1+eps`` of its dual bound or at the paper's stop. So levels, call
-counts and flows are those of runs without a target. A search keeps
-only its last passing call.
+without the target, bit for bit. Every search call bounds every group,
+so the sum of its bounds also caps the optimum, and a call ends at its
+first block within ``1+eps`` of the smaller of that sum and its dual
+bound, or at the paper's stop. So levels, call counts and flows are
+those of runs without a target. A search keeps only its last passing
+call.
 
 The searches make about ``1/eta + sum(b)/eta + 2`` calls at most, so
 ``compute_epsilon`` rejects an ``eta`` that would allow more than

@@ -222,7 +222,7 @@ class TestIterationGrowth:
             return FptasConfig(cfg.eps_user, cfg.eps_int, 1.0, cfg.max_iterations)
 
         monkeypatch.setattr(packing.FptasConfig, "for_run", stop_at_once)
-        with pytest.raises(PackingError, match="below its dual bound"):
+        with pytest.raises(PackingError, match="below its bound"):
             solve_mmfp(diamond, 0.2)
 
 
@@ -230,6 +230,14 @@ class TestNonFinite:
     def test_nan_bound_rejected_by_solve_mmfpb(self, t1):
         with pytest.raises(ValueError, match="NaN bound"):
             solve_mmfpb(t1, (math.nan, 1.0), 0.1)
+
+    @pytest.mark.parametrize(
+        "solver", [lambda system, bounds: solve_mmfpb(system, bounds, 0.1), lp_mmfpb_exact], ids=["packing", "exact"]
+    )
+    def test_infinite_commodity_bound_rejected(self, t2, solver):
+        # Read as unbounded, +inf would let the first commodity fill its edge: 1.5, not 1.0.
+        with pytest.raises(ValueError, match="^bounds must be finite, got inf$"):
+            solver(t2, [math.inf, 1.0])
 
     def test_infinite_bound_means_unbounded(self, t1):
         caps, groups, bounds = t1.grouped.capacities, t1.grouped, [math.inf, None]
@@ -248,8 +256,10 @@ class ReferenceResult:
 
 # The packing loop as it stood before each path got a precomputed growth row:
 # it multiplies only the path's own edge lengths, one fresh factor array per
-# step, and checks the gap exit after every step that ends a block. The
-# current loop must reproduce it bit for bit.
+# step, and checks the gap exit after every step that ends a block, against
+# the dual bound or, when every kept path lies in a bounded group, the
+# bounds' sum if that is smaller. The current loop must reproduce it bit for
+# bit.
 def reference_pack_paths(
     capacities: dict[Hashable, float],
     groups: Sequence[Sequence[Sequence[Hashable]]],
@@ -297,6 +307,9 @@ def reference_pack_paths(
 
     bounded = [g for g, js in enumerate(keep) if js and group_bound(g) is not None]
     cap_arr = np.concatenate((matrix.caps, [group_bound(g) for g in bounded]))
+    # With every kept path in a bounded group, the bounds' sum caps the optimum.
+    live = [g for g, js in enumerate(keep) if js]
+    bound_sum = left_sum([group_bound(g) for g in bounded]) if bounded == live else math.inf
     # C order matters: np.dot rounds differently on an F-order incidence.
     incidence = np.ascontiguousarray(np.vstack((matrix.a, matrix.g[bounded])).T)
     n_paths, m = incidence.shape
@@ -342,8 +355,10 @@ def reference_pack_paths(
             shifts += 1
             stop_at = threshold()
         if iterations % _BLOCK_STEPS == 0 and dual < stop_at:
-            # The flow over its worst congestion, within 1+eps of the dual bound.
+            # The flow over its worst congestion, within 1+eps of the dual bound
+            # or of the bounds' sum.
             upper = float(cap_arr @ length) / float(incidence.dot(length).min())
+            upper = min(upper, bound_sum)
             congestion = float((raw @ incidence / cap_arr).max())
             if left_sum(raw.tolist()) / congestion * (1.0 - _STOP_MARGIN) >= upper / (1.0 + eps):
                 scale_down = congestion
@@ -423,6 +438,37 @@ class TestReferenceLoop:
         assert result.upper <= result.total * (1 + eps)
 
 
+class TestBoundSumExit:
+    """With every kept path in a bounded group, the bounds' sum also ends a run."""
+
+    def test_fully_bounded_run_exits_at_the_bounds_sum(self, diamond):
+        # The optimum is the bounds' sum 0.7. The dual bound alone is 0.7488
+        # when it lets the run end, after 288 steps.
+        caps, groups, bounds = diamond.grouped.capacities, diamond.grouped, (0.3, 0.4)
+        result = pack_paths(caps, groups, bounds, 0.1)
+        assert result.upper == left_sum(bounds)
+        assert result.total >= result.upper / 1.1
+        assert result.iterations == 2 * _BLOCK_STEPS
+        assert is_feasible(Flow(diamond, result.x))
+
+    def test_group_without_a_kept_path_adds_nothing(self):
+        # Group 1's one path crosses the zero-capacity edge, so it has no bound
+        # row: the sum is 0.5, which the first block reaches (the dual bound
+        # alone takes 96 steps).
+        caps, groups = compiled({"a": 1.0, "z": 0.0}, [[("a",)], [("z",)]])
+        result = pack_paths(caps, groups, [0.5, 0.3], 0.1)
+        assert (result.x.tolist(), result.total, result.upper) == ([0.5, 0.0], 0.5, 0.5)
+        assert result.iterations == _BLOCK_STEPS
+
+    @pytest.mark.parametrize("unbounded", [None, math.inf])
+    def test_unbounded_live_group_keeps_the_dual_bound(self, diamond, unbounded):
+        # The bits of the loop without the bounds' sum exit.
+        caps, groups = diamond.grouped.capacities, diamond.grouped
+        result = pack_paths(caps, groups, (unbounded, 0.3), 0.1)
+        assert (result.total, result.upper, result.iterations) == (1.7993605115907247, 1.9618857300437524, 288)
+        assert result.x[0] == 0.7841726618705038
+
+
 @st.composite
 def grouped_cases(draw):
     """Small raw grouped inputs: 2-5 edges, 1-3 groups of 1-3 paths, mixed bounds."""
@@ -435,7 +481,11 @@ def grouped_cases(draw):
 
 
 class TestEndingEarly:
-    """Every run ends at its first block within ``1+eps`` of its dual bound, or at the paper's stop."""
+    """Every run ends at its first block within ``1+eps`` of its bound, or at the paper's stop.
+
+    The bound is the dual bound, or the bounds' sum when that is smaller and
+    every kept path lies in a bounded group.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(case=grouped_cases(), factor=st.floats(0.7, 1.3))
@@ -449,6 +499,8 @@ class TestEndingEarly:
             assert bits(result) == bits(full)
         # A result is either stopped, its dual bound below target, or within its gap.
         assert result.upper * (1 + _STOP_MARGIN) < target or result.total >= result.upper / (1 + eps)
+        # Either bound caps the optimum; slack for the simplex's rounding only.
+        assert lp_grouped_max(*case[:3]).total <= full.upper * (1 + 1e-9)
 
 
 class TestStoppingEarly:

@@ -660,3 +660,31 @@ class TestDefaultStopsFailingCalls:
             if wide:
                 assert default.l_star >= 3 and default.h_star >= 3
         assert 0 < iterations[True] < iterations[False]
+
+    def test_passing_calls_ignore_the_target(self):
+        # fptas-search's instances and etas. Every search call bounds every
+        # group, so a passing call ends within 1+eps of its bounds' sum
+        # unless its dual bound gets there first; here none does.
+        import concurflow.packing as packing
+        from concurflow.solver import _fptas, _pass_threshold
+
+        passing, at_sum = 0, 0
+
+        def both(capacities, groups, bounds, eps):
+            nonlocal passing, at_sum
+            result = _fptas(capacities, groups, bounds, eps)
+            if result.total >= _pass_threshold(bounds, eps):
+                assert bits(result) == bits(packing.pack_paths(capacities, groups, bounds, eps))
+                passing += 1
+                at_sum += result.upper == left_sum(bounds)
+            return result
+
+        for seed in range(6):
+            shape = self.SHAPES[seed % len(self.SHAPES)]
+            try:
+                instance = generate_instance(seed, *shape, bound_range=(0.2, 0.6))
+            except concurflow.generator.GenerationError:
+                continue
+            for eta in (0.2, 0.25):
+                solve(instance.path_system, eta, subroutine=both)
+        assert 0 < at_sum == passing
