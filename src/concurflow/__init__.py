@@ -19,7 +19,6 @@ from .netmodel import (
     CAP_TOLERANCE,
     Commodity,
     Edge,
-    FeasibilityReport,
     Flow,
     ModelError,
     Network,
@@ -31,9 +30,7 @@ from .netmodel import (
     enumerate_paths,
     flow_value,
     infer_traversals,
-    is_feasible,
     min_ratio,
-    validate_path,
 )
 from .oracle import (
     OracleError,
@@ -42,7 +39,7 @@ from .oracle import (
     lp_mmfp_exact,
     lp_mmfpb_exact,
 )
-from .packing import FptasConfig, PackingError, pack_paths, solve_mmfp, solve_mmfpb
+from .packing import PackingError, pack_paths, solve_mmfp, solve_mmfpb
 from .solver import (
     AuxNetwork,
     SolveReport,
@@ -62,9 +59,7 @@ __all__ = [
     "Commodity",
     "CompareRow",
     "Edge",
-    "FeasibilityReport",
     "Flow",
-    "FptasConfig",
     "GenerationError",
     "Instance",
     "InstanceError",
@@ -86,7 +81,6 @@ __all__ = [
     "flow_value",
     "generate_instance",
     "infer_traversals",
-    "is_feasible",
     "lp_emcfp_lambda",
     "lp_emcfpsc",
     "lp_mmfp_exact",
@@ -103,6 +97,5 @@ __all__ = [
     "solve_mmfp",
     "solve_mmfpb",
     "certified_checks",
-    "validate_path",
     "__version__",
 ]

@@ -10,8 +10,8 @@ instance and evaluates the five certified checks:
     vopt_localized    exact saturated value at most (l_star*sum(b)+h_star)*eta
 
 A check passes when its margin is at least minus its tolerance:
-``netmodel.CAP_TOLERANCE`` for ``feasible``, the slack of every capacity
-comparison, and ``INTERVAL_TOL`` for the four interval checks. A
+``netmodel.CAP_TOLERANCE`` for ``feasible`` (``capacity_slack`` for edges,
+the one capacity test), and ``INTERVAL_TOL`` for the four interval checks. A
 failing check in a row is meant to be impossible to miss (the CLI exits
 nonzero). Rows render to a fixed, documented CSV column set, quoted by the
 ``csv`` module's minimal rule.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .instance_io import Instance
-from .netmodel import CAP_TOLERANCE, branch_values, edge_loads, min_ratio
+from .netmodel import CAP_TOLERANCE, Flow, branch_values, edge_loads, min_ratio
 from .oracle import OracleError, lp_emcfpsc
 from .simplex import left_sum
 from .solver import SolveReport, Subroutine, solve
@@ -72,6 +72,12 @@ class CompareRow:
         return {c.name: c for c in self.checks}[name]
 
 
+def capacity_slack(flow: Flow) -> float:
+    """Least capacity minus load over the edges used (0.0 with none); ``>= -CAP_TOLERANCE`` passes."""
+    caps = flow.system.capacities()
+    return min((caps[eid] - load for eid, load in edge_loads(flow).items()), default=0.0)
+
+
 def certified_checks(
     report: SolveReport,
     bounds: tuple[float, ...],
@@ -80,11 +86,7 @@ def certified_checks(
 ) -> tuple[CheckResult, ...]:
     """Evaluate the five certified checks; margins exclude the tolerances."""
     flow = report.flow
-    caps = flow.system.capacities()
-    margin_feasible = min(
-        min((caps[eid] - load for eid, load in edge_loads(flow).items()), default=0.0),
-        min(b - v for v, b in zip(branch_values(flow), bounds)),
-    )
+    margin_feasible = min(capacity_slack(flow), min(b - v for v, b in zip(branch_values(flow), bounds)))
     feasible = CheckResult("feasible", margin_feasible >= -CAP_TOLERANCE, margin_feasible)
 
     lower_gap = report.value - report.value_lower

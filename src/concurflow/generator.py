@@ -9,6 +9,7 @@ byte-identical instance file.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -33,7 +34,6 @@ def generate_instance(
     k: int,
     max_paths_per_commodity: int,
     bound_range: tuple[float, float] = (0.5, 3.0),
-    name: str | None = None,
 ) -> Instance:
     """Generate a connected instance; deterministic for a fixed seed."""
     sizes = (n_nodes, n_edges, k, max_paths_per_commodity)
@@ -42,12 +42,12 @@ def generate_instance(
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
     lo, hi = bound_range
-    if not (0.0 < lo <= hi):
-        raise ValueError(f"bound range must satisfy 0 < lo <= hi, got {bound_range}")
+    if not (0.0 < lo <= hi < math.inf):  # a NaN fails too
+        raise ValueError(f"bound range must satisfy 0 < lo <= hi < inf, got {bound_range}")
 
     rng = random.Random(seed)
     for _ in range(_GRAPH_ATTEMPTS):
-        instance = _try_generate(rng, seed, n_nodes, n_edges, k, max_paths_per_commodity, (lo, hi), name)
+        instance = _try_generate(rng, seed, n_nodes, n_edges, k, max_paths_per_commodity, (lo, hi))
         if instance is not None:
             return instance
     raise GenerationError(
@@ -56,7 +56,7 @@ def generate_instance(
     )
 
 
-def _try_generate(rng, seed, n_nodes, n_edges, k, max_paths, bound_range, name):
+def _try_generate(rng, seed, n_nodes, n_edges, k, max_paths, bound_range):
     nodes = [f"v{i}" for i in range(n_nodes)]
     edges = []
     for i in range(n_edges):
@@ -94,7 +94,7 @@ def _try_generate(rng, seed, n_nodes, n_edges, k, max_paths, bound_range, name):
     )
     system = PathSystem(network, groups)
     return Instance(
-        name=name or f"gen-{seed}",
+        name=f"gen-{seed}",
         seed=seed,
         network=network,
         path_system=system,

@@ -3,8 +3,8 @@
 A network couples a hybrid graph (every edge is individually directed or
 undirected) with per-edge capacities and a list of source/sink commodities.
 Flows live directly on explicit per-commodity path lists: a flow assigns a
-nonnegative value to each listed path, and an edge is feasible when the gross
-sum of the values of all paths using it stays within its capacity.
+nonnegative value to each listed path, and an edge's load, the gross sum of
+the values of all paths using it, is checked by ``compare.capacity_slack``.
 
 A path system is checked in one walk over each path: ``PathSystem``
 orients a path given as raw edge ids, applies every path rule and records
@@ -155,9 +155,6 @@ class Network:
         except KeyError:
             raise ModelError(f"unknown edge id {edge_id!r}") from None
 
-    def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._walks
-
     def bounds(self) -> tuple[float, ...]:
         return tuple(c.bound for c in self.commodities)
 
@@ -215,11 +212,10 @@ def _walk(
     be such a pair, not a string, and name a known edge, walked in a legal
     direction, that chains onto the previous step. With the network's
     ``_moves`` they are raw edge ids, each oriented away from the
-    current node (a directed edge only from its tail). Then, unless
-    ``sink`` is None, come the rules of the whole path, in
-    ``validate_path``'s order. Appends each step's position in
-    ``network.edges`` to ``rows``. Returns the first violation (``None`` if
-    none; positions are 1-based) and the oriented steps.
+    current node (a directed edge only from its tail). Then, unless ``sink``
+    is None, come the whole path's rules, in ``PathSystem``'s order. Appends
+    each step's position in ``network.edges`` to ``rows``. Returns the first
+    violation (``None`` if none; positions are 1-based) and the oriented steps.
     """
     first = len(rows)
     current = source
@@ -279,23 +275,6 @@ def _walk(
             if number in zero:
                 return f"zero-capacity edge {network.edges[number].id!r} at position {pos}", steps
     return None, steps
-
-
-def validate_path(network: Network, path: Path) -> str | None:
-    """Check every path rule; return ``None`` when valid, else the first violation.
-
-    Rules, in checking order: the commodity index exists; every step is an
-    ``(edge_id, forward)`` pair (a raw edge-id string is not) that names a
-    known edge walked in a legal direction and chains onto the previous step
-    (positions are 1-based in messages); the walk runs source to sink;
-    all nodes are pairwise distinct except that source may equal sink; every
-    edge has positive capacity. The rules after the first take one walk over
-    the steps, the one ``PathSystem`` makes.
-    """
-    if not 1 <= path.commodity <= len(network.commodities):
-        return f"unknown commodity index {path.commodity}"
-    com = network.commodities[path.commodity - 1]
-    return _walk(network, com.source, com.sink, path.steps, None, [])[0]
 
 
 def infer_traversals(network: Network, source: str, edge_ids: list[str] | tuple[str, ...]) -> tuple[Traversal, ...]:
@@ -541,10 +520,13 @@ class PathSystem:
     steps are a tuple of ``Traversal``s or of the plain tuples they equal, or
     a tuple of raw edge ids, which is oriented as ``infer_traversals`` does
     and stored as a ``Path``; after construction ``paths`` holds ``Path``s
-    only. Construction walks each path once: the walk applies
-    ``validate_path``'s rules, in its order and with its messages, and
-    records each step's edge number, from which ``grouped`` compiles on first
-    use. A path that breaks a rule raises ``PathRuleError``, which locates it.
+    only. It is the one path check: a ``Path`` carries its commodity's
+    index and a tuple of steps; then, in one walk from the source, each step
+    names a known edge, walked in a legal direction, that chains on; the
+    path is not empty and ends at the sink; no node repeats, except that
+    source may equal sink; no edge has zero capacity. The walk records each
+    step's edge number, from which ``grouped`` compiles on first use. A
+    broken rule raises ``PathRuleError``, which locates the path.
     ``matrix`` and ``capacities()`` read ``grouped``.
     """
 
@@ -672,28 +654,6 @@ def edge_loads(flow: Flow) -> dict[str, float]:
     """
     matrix = flow.system.matrix
     return dict(zip(matrix.edges, (matrix.a @ flow.x).tolist()))
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    worst_edge: str | None
-    worst_excess: float
-
-    def __bool__(self) -> bool:
-        return self.feasible
-
-
-def is_feasible(flow: Flow) -> FeasibilityReport:
-    """Capacity check with ``CAP_TOLERANCE`` slack; reports the worst edge."""
-    matrix = flow.system.matrix
-    if not matrix.edges:
-        return FeasibilityReport(True, None, 0.0)
-    excess = matrix.a @ flow.x - matrix.caps
-    worst = int(np.argmax(excess))
-    return FeasibilityReport(
-        bool(excess[worst] <= CAP_TOLERANCE), matrix.edges[worst], float(excess[worst])
-    )
 
 
 def branch_values(flow: Flow) -> tuple[float, ...]:

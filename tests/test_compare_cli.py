@@ -250,6 +250,12 @@ class TestCliGen:
         )
         assert code == 1
 
+    def test_infinite_bound_range_names_the_range(self, capsys):
+        code = cli_main([*GEN_ARGS, "--bound-range", "0.5", "inf"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: bound range must satisfy 0 < lo <= hi < inf, got (0.5, inf)\n"
+
 
 class TestCliCompare:
     def test_exit_zero_and_csv(self, tmp_path, t1_file, capsys):

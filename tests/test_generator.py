@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from concurflow.generator import CAP_RANGE, GenerationError, generate_instance
@@ -59,6 +61,10 @@ class TestShape:
             generate_instance(0, 4, 3, 1, 2, bound_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             generate_instance(0, 4, 3, 1, 2, bound_range=(2.0, 1.0))
+        # A non-finite end is refused up front, naming the range, not a commodity.
+        for bound_range in ((0.5, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match=r"^bound range must satisfy 0 < lo <= hi < inf, got \("):
+                generate_instance(1, 6, 9, 2, 4, bound_range=bound_range)
 
     @pytest.mark.parametrize(
         "sizes", [(8.5, 14, 3, 6), (8, 14.0, 3, 6), (8, 14, 2.5, 6), (8, 14, 3, 2.5), (8, 14, 3, 6.0)]

@@ -3,13 +3,16 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from concurflow.compare import capacity_slack, certified_checks
 from concurflow.netmodel import (
+    CAP_TOLERANCE,
     Commodity,
     Edge,
     Flow,
@@ -26,14 +29,13 @@ from concurflow.netmodel import (
     enumerate_paths,
     flow_value,
     infer_traversals,
-    is_feasible,
     min_ratio,
-    validate_path,
 )
 from concurflow.generator import generate_instance
 from concurflow.oracle import lp_emcfpsc, lp_grouped_max, lp_mmfp_exact
 from concurflow.packing import pack_paths, solve_mmfp
 from concurflow.simplex import left_sum
+from concurflow.solver import solve
 from conftest import compiled, edge_groups, make_network, make_system, reference_layout
 
 
@@ -52,6 +54,17 @@ def chain_net():
     )
 
 
+def path_check(network, path):
+    """``PathSystem``'s verdict on ``path`` as its commodity's only path: ``None`` or the error."""
+    groups = [()] * network.k
+    groups[path.commodity - 1] = (path,)
+    try:
+        PathSystem(network, tuple(groups))
+    except PathRuleError as exc:
+        return str(exc)
+    return None
+
+
 class TestConstruction:
     def test_duplicate_edge_id_rejected(self):
         with pytest.raises(ModelError, match="duplicate edge id"):
@@ -59,8 +72,7 @@ class TestConstruction:
 
     def test_edge_lookup(self, chain_net):
         for edge in chain_net.edges:
-            assert chain_net.edge(edge.id) is edge and chain_net.has_edge(edge.id)
-        assert not chain_net.has_edge("e9")
+            assert chain_net.edge(edge.id) is edge
         with pytest.raises(ModelError, match="^unknown edge id 'e9'$"):
             chain_net.edge("e9")
 
@@ -121,7 +133,6 @@ class TestConstruction:
             [("s", "t", 1.0)],
         )
         violation = f"step {step!r} at position 1 is not an (edge_id, forward) pair"
-        assert validate_path(net, Path(1, (step,))) == violation
         with pytest.raises(PathRuleError) as info:
             PathSystem(net, ((("e1",), Path(1, (step,))),))
         assert str(info.value) == f"commodity 1: invalid path ({violation})"
@@ -165,33 +176,33 @@ class TestRawPaths:
 
 class TestValidatePath:
     def test_single_edge_ok(self, chain_net):
-        assert validate_path(chain_net, Path(1, (Traversal("e1"),))) is None
+        assert path_check(chain_net, Path(1, (Traversal("e1"),))) is None
 
     def test_two_edge_chain_ok(self, chain_net):
-        assert validate_path(chain_net, Path(1, (Traversal("e2"), Traversal("e3")))) is None
+        assert path_check(chain_net, Path(1, (Traversal("e2"), Traversal("e3")))) is None
 
     def test_out_of_order_chain(self, chain_net):
-        got = validate_path(chain_net, Path(1, (Traversal("e3"), Traversal("e2"))))
-        assert got == "broken chain at position 1"
+        got = path_check(chain_net, Path(1, (Traversal("e3"), Traversal("e2"))))
+        assert got == "commodity 1: invalid path (broken chain at position 1)"
 
     def test_unknown_edge(self, chain_net):
-        got = validate_path(chain_net, Path(1, (Traversal("e9"),)))
-        assert "unknown edge id" in got
+        got = path_check(chain_net, Path(1, (Traversal("e9"),)))
+        assert got == "commodity 1: invalid path (unknown edge id 'e9' at position 1)"
 
     def test_directed_edge_backwards(self, chain_net):
-        got = validate_path(chain_net, Path(1, (Traversal("e2"), Traversal("e3", forward=False))))
-        assert "walked backwards" in got
+        got = path_check(chain_net, Path(1, (Traversal("e2"), Traversal("e3", forward=False))))
+        assert got == "commodity 1: invalid path (directed edge 'e3' walked backwards at position 2)"
 
     def test_undirected_edge_either_way(self):
         net = make_network(
             ["a", "b"], [("e", "a", "b", 1.0, False)], [("a", "b", 1), ("b", "a", 1)]
         )
-        assert validate_path(net, Path(1, (Traversal("e", True),))) is None
-        assert validate_path(net, Path(2, (Traversal("e", False),))) is None
+        assert path_check(net, Path(1, (Traversal("e", True),))) is None
+        assert path_check(net, Path(2, (Traversal("e", False),))) is None
 
     def test_wrong_sink(self, chain_net):
-        got = validate_path(chain_net, Path(1, (Traversal("e2"),)))
-        assert "expected sink" in got
+        got = path_check(chain_net, Path(1, (Traversal("e2"),)))
+        assert got == "commodity 1: invalid path (path ends at 'u', expected sink 't')"
 
     def test_repeated_node(self):
         net = make_network(
@@ -200,11 +211,18 @@ class TestValidatePath:
             [("s", "t", 1)],
         )
         walk = Path(1, (Traversal("a"), Traversal("b"), Traversal("a"), Traversal("c")))
-        assert validate_path(net, walk) == "repeated node on path"
+        assert path_check(net, walk) == "commodity 1: invalid path (repeated node on path)"
 
     def test_zero_capacity_edge(self):
         net = make_network(["s", "t"], [("e", "s", "t", 0.0, True)], [("s", "t", 1)])
-        assert "zero-capacity" in validate_path(net, Path(1, (Traversal("e"),)))
+        got = path_check(net, Path(1, (Traversal("e"),)))
+        assert got == "commodity 1: invalid path (zero-capacity edge 'e' at position 1)"
+
+    def test_path_filed_under_another_commodity(self, t1):
+        with pytest.raises(PathRuleError) as info:
+            PathSystem(t1.network, ((Path(2, (Traversal("e1"),)),), ()))
+        assert str(info.value) == "path filed under commodity 1 carries index 2"
+        assert (info.value.commodity, info.value.index) == (1, 0)
 
     def test_closed_walk_allowed(self):
         net = make_network(
@@ -212,7 +230,7 @@ class TestValidatePath:
             [("a", "s", "v", 1, True), ("b", "v", "s", 1, True)],
             [("s", "s", 1)],
         )
-        assert validate_path(net, Path(1, (Traversal("a"), Traversal("b")))) is None
+        assert path_check(net, Path(1, (Traversal("a"), Traversal("b")))) is None
 
 
 class TestInferTraversals:
@@ -289,17 +307,32 @@ class TestAccounting:
                     expected[eid] = expected.get(eid, 0.0) + v
         assert edge_loads(flow) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
+    @staticmethod
+    def feasible(system, x, bounds=None):
+        """``certified_checks``' ``feasible`` result for the flow ``x`` on ``system``."""
+        report = replace(solve(system, 0.1, subroutine="oracle"), flow=Flow(system, x))
+        return certified_checks(report, bounds or system.network.bounds(), None, None)[0]
+
+    # Every load below is exact in binary, so each margin is too.
     def test_feasibility_boundary(self, t1):
-        assert is_feasible(Flow(t1, [1.0, 0.0]))
+        # 2**-30 (9.3e-10) over the capacity of e1, within CAP_TOLERANCE.
+        check = self.feasible(t1, [0.5, 0.5 + 2**-30])
+        assert (check.name, check.passed, check.margin) == ("feasible", True, -(2**-30))
 
     def test_feasibility_violation_reported(self, t1):
-        report = is_feasible(Flow(t1, [1.0 + 1e-6, 0.0]))
-        assert not report
-        assert report.worst_edge == "e1"
-        assert report.worst_excess == pytest.approx(1e-6)
+        # 2**-29 (1.9e-9) over: about twice CAP_TOLERANCE.
+        check = self.feasible(t1, [0.5, 0.5 + 2**-29])
+        assert -2 * CAP_TOLERANCE < check.margin == -(2**-29) < -CAP_TOLERANCE
+        assert not check.passed
+
+    def test_branch_over_its_bound_fails(self, t1):
+        # Commodity 1 carries 0.75 against a bound of 0.5; e1 has 0.25 to spare.
+        check = self.feasible(t1, [0.75, 0.0], (0.5, 2.0))
+        assert capacity_slack(Flow(t1, [0.75, 0.0])) == 0.25
+        assert (check.passed, check.margin) == (False, -0.25)
 
     def test_two_half_paths_feasible(self, t1):
-        assert is_feasible(Flow(t1, [0.5, 0.5]))
+        assert capacity_slack(Flow(t1, [0.5, 0.5])) == 0.0
 
     def test_values_zero_flow(self, t1):
         zero = Flow(t1, np.zeros(2))
@@ -582,15 +615,14 @@ class TestEnumeratePaths:
         )
         paths = enumerate_paths(net, net.commodities[0], 4)
         assert paths, "expected at least one path"
-        for p in paths:
-            assert validate_path(net, p) is None
+        assert PathSystem(net, (tuple(paths),)).paths == (tuple(paths),)
 
 
-# --- randomized cross-check of validate_path against an independent walker ---
+# --- randomized cross-check of PathSystem's path check against an independent walker ---
 
 
 def brute_force_path_check(network, path):
-    """Re-derive path validity from the raw rules, independent of validate_path."""
+    """Re-derive path validity from the raw rules, independent of ``PathSystem``."""
     if not 1 <= path.commodity <= len(network.commodities):
         return False
     if not path.steps:
@@ -655,13 +687,13 @@ def small_network_and_path(draw):
 @given(small_network_and_path())
 def test_validate_path_matches_brute_force(case):
     net, path = case
-    assert (validate_path(net, path) is None) == brute_force_path_check(net, path)
+    assert (path_check(net, path) is None) == brute_force_path_check(net, path)
 
 
 # The two path checks as they stood before they became one lean pass each:
 # two method calls per step, a separate pass for capacities, and a fresh
-# Traversal per step. The current ones must give the same verdicts, the same
-# first violation and the same steps.
+# Traversal per step. ``PathSystem`` and ``infer_traversals`` must give the
+# same verdicts, the same first violation and the same steps.
 def reference_validate_path(network: Network, path: Path) -> str | None:
     """Check every path rule; return ``None`` when valid, else the first violation.
 
@@ -676,12 +708,13 @@ def reference_validate_path(network: Network, path: Path) -> str | None:
     com = network.commodities[path.commodity - 1]
     if not path.steps:
         return "empty path"
+    by_id = {e.id: e for e in network.edges}
     current = com.source
     sequence = [current]
     for pos, step in enumerate(path.steps, start=1):
-        if not network.has_edge(step.edge_id):
+        edge = by_id.get(step.edge_id)
+        if edge is None:
             return f"unknown edge id {step.edge_id!r} at position {pos}"
-        edge = network.edge(step.edge_id)
         if edge.directed and not step.forward:
             return f"directed edge {edge.id!r} walked backwards at position {pos}"
         start, end = (edge.tail, edge.head) if step.forward else (edge.head, edge.tail)
@@ -695,7 +728,7 @@ def reference_validate_path(network: Network, path: Path) -> str | None:
     if len(set(sequence[:-1])) != len(sequence) - 1 or len(set(sequence[1:])) != len(sequence) - 1:
         return "repeated node on path"
     for pos, step in enumerate(path.steps, start=1):
-        if not network.edge(step.edge_id).capacity > 0.0:
+        if not by_id[step.edge_id].capacity > 0.0:
             return f"zero-capacity edge {step.edge_id!r} at position {pos}"
     return None
 
@@ -707,12 +740,13 @@ def reference_infer_traversals(network: Network, source: str, edge_ids: list[str
     oriented away from the current node. Raises ``ModelError`` with a
     1-based position when the sequence does not chain.
     """
+    by_id = {e.id: e for e in network.edges}
     current = source
     steps: list[Traversal] = []
     for pos, edge_id in enumerate(edge_ids, start=1):
-        if not network.has_edge(edge_id):
+        edge = by_id.get(edge_id)
+        if edge is None:
             raise ModelError(f"unknown edge id {edge_id!r} at position {pos}")
-        edge = network.edge(edge_id)
         if edge.tail == current:
             forward = True
         elif not edge.directed and edge.head == current:
@@ -728,7 +762,9 @@ def reference_infer_traversals(network: Network, source: str, edge_ids: list[str
 @given(small_network_and_path())
 def test_validate_path_matches_reference(case):
     net, path = case
-    assert validate_path(net, path) == reference_validate_path(net, path)
+    violation = reference_validate_path(net, path)
+    expected = None if violation is None else f"commodity 1: invalid path ({violation})"
+    assert path_check(net, path) == expected
 
 
 def _outcome(fn, *args):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import concurflow.packing as packing
 from concurflow import generate_instance
-from concurflow.netmodel import Flow, branch_values, flow_value, is_feasible
+from concurflow.compare import capacity_slack
+from concurflow.netmodel import CAP_TOLERANCE, Flow, branch_values, flow_value
 from concurflow.oracle import lp_grouped_max, lp_mmfp_exact, lp_mmfpb_exact
 from concurflow.packing import (
     _BLOCK_STEPS,
@@ -74,19 +75,19 @@ class TestUnbounded:
     def test_single_path_close_to_capacity(self, t3):
         # Optimum 2.0 on the lone capacity-2 edge.
         flow = solve_mmfp(t3, 0.1)
-        assert is_feasible(flow)
+        assert capacity_slack(flow) >= -CAP_TOLERANCE
         assert 2.0 / 1.1 - 1e-9 <= flow_value(flow) <= 2.0 + 1e-9
 
     def test_unit_edge(self, t1):
         flow = solve_mmfp(t1, 0.1)
-        assert is_feasible(flow)
+        assert capacity_slack(flow) >= -CAP_TOLERANCE
         assert 1.0 / 1.1 - 1e-9 <= flow_value(flow) <= 1.0 + 1e-9
 
     def test_disjoint_edges(self, t2):
         opt, _ = lp_mmfp_exact(t2)
         assert opt == pytest.approx(1.5, abs=1e-9)
         flow = solve_mmfp(t2, 0.1)
-        assert is_feasible(flow)
+        assert capacity_slack(flow) >= -CAP_TOLERANCE
         assert flow_value(flow) >= opt / 1.1 - 1e-9
 
     def test_eps_out_of_range(self, t1):
@@ -104,7 +105,7 @@ class TestUnbounded:
 class TestBounded:
     def test_shared_edge_with_bounds(self, t1):
         flow = solve_mmfpb(t1, (1.0, 2.0), 0.1)
-        assert is_feasible(flow)
+        assert capacity_slack(flow) >= -CAP_TOLERANCE
         v = branch_values(flow)
         assert v[0] <= 1.0 + 1e-9
         assert v[1] <= 2.0 + 1e-9
@@ -116,7 +117,7 @@ class TestBounded:
 
     def test_bound_limited_edge(self, t3):
         flow = solve_mmfpb(t3, (1.0,), 0.25)
-        assert is_feasible(flow)
+        assert capacity_slack(flow) >= -CAP_TOLERANCE
         assert branch_values(flow)[0] <= 1.0 + 1e-9
         assert flow_value(flow) >= 1.0 / 1.25 - 1e-9
 
@@ -147,7 +148,7 @@ class TestGuarantee:
         bounds = (0.7, 1.3)
         opt, _ = lp_mmfpb_exact(diamond, bounds)
         flow = solve_mmfpb(diamond, bounds, eps)
-        assert is_feasible(flow)
+        assert capacity_slack(flow) >= -CAP_TOLERANCE
         for v, b in zip(branch_values(flow), bounds):
             assert v <= b + 1e-9
         assert flow_value(flow) >= opt / (1.0 + eps) - 1e-9
@@ -156,13 +157,13 @@ class TestGuarantee:
     def test_gap_against_oracle_unbounded(self, diamond, eps):
         opt, _ = lp_mmfp_exact(diamond)
         flow = solve_mmfp(diamond, eps)
-        assert is_feasible(flow)
+        assert capacity_slack(flow) >= -CAP_TOLERANCE
         assert flow_value(flow) >= opt / (1.0 + eps) - 1e-9
 
     def test_tiny_eps_still_sound(self, t1):
         # Exercises the log-space threshold and renormalization path.
         flow = solve_mmfpb(t1, (1.0, 2.0), 0.004)
-        assert is_feasible(flow)
+        assert capacity_slack(flow) >= -CAP_TOLERANCE
         assert flow_value(flow) >= 1.0 / 1.004 - 1e-9
 
 
@@ -449,7 +450,7 @@ class TestBoundSumExit:
         assert result.upper == left_sum(bounds)
         assert result.total >= result.upper / 1.1
         assert result.iterations == 2 * _BLOCK_STEPS
-        assert is_feasible(Flow(diamond, result.x))
+        assert capacity_slack(Flow(diamond, result.x)) >= -CAP_TOLERANCE
 
     def test_group_without_a_kept_path_adds_nothing(self):
         # Group 1's one path crosses the zero-capacity edge, so it has no bound
@@ -539,7 +540,7 @@ class TestStoppingEarly:
         assert result.iterations == _BLOCK_STEPS < full.iterations
         assert result.total < full.total * factor
         assert optimum <= result.upper * (1 + 1e-9)
-        assert is_feasible(Flow(diamond, result.x))
+        assert capacity_slack(Flow(diamond, result.x)) >= -CAP_TOLERANCE
 
     def test_a_failing_call_stops_long_before_its_gap(self):
         # The stored stop is +inf here until the lengths renormalize far
