@@ -33,8 +33,10 @@ from .simplex import left_sum
 from .solver import SolveReport, Subroutine, solve
 
 INTERVAL_TOL = 1e-7
-
-ORACLE_SIZE_WARNING = 200
+# The path count at which an oracle compare first takes about 1 s. On a
+# 2-vCPU VM, at eta 0.1, generate_instance(3, 16, 50, 8, paths / 8) took
+# 0.40 s at 2400 paths, 0.82-0.91 s at 4400-5200 and 2.6 s at 5600.
+ORACLE_SIZE_WARNING = 4800
 
 
 @dataclass(frozen=True)
@@ -119,11 +121,8 @@ def run_compare(
     """Solve, oracle-solve, and check one instance; never raises for oracle trouble."""
     system = instance.path_system
     if system.path_count > ORACLE_SIZE_WARNING:
-        warnings.warn(
-            f"instance {instance.name!r} has {system.path_count} paths; "
-            f"the exact oracle is intended for at most {ORACLE_SIZE_WARNING}",
-            stacklevel=2,
-        )
+        warnings.warn(f"instance {instance.name!r} has {system.path_count} paths; the exact oracle "
+                      f"is intended for at most {ORACLE_SIZE_WARNING}", stacklevel=2)
     bounds = system.network.bounds()
 
     t0 = time.perf_counter()

@@ -327,8 +327,8 @@ class SolutionData:
 
 
 def parse_solution(text: str) -> SolutionData:
-    """Read a solution file: each record at most once, every number finite, and
-    no counter, path index, ``branch`` or ``flow`` value negative (-0.0 is 0)."""
+    """Read a solution file: each record at most once and with its grammar's tokens, every
+    number finite, and no counter, path index, ``branch`` or ``flow`` value negative (-0.0 is 0)."""
     instance = ""
     scalars: dict[str, float] = {}
     counters: dict[str, int] = {}
@@ -338,16 +338,18 @@ def parse_solution(text: str) -> SolutionData:
     for lineno, kind, args in _records(text, FORMAT_SOLUTION, kinds, ("instance",)):
         try:
             if kind == "flow":
-                table, key, value = flows, (args[0], int(args[1])), float(args[2])
+                cid, index, text_value = args
+                table, key, value = flows, (cid, int(index)), float(text_value)
             elif kind == "branch":
-                table, key, value = branches, args[0], float(args[1])
+                key, text_value = args
+                table, value = branches, float(text_value)
             elif kind == "instance":
-                instance = args[0]
+                (instance,) = args
                 continue
             else:
-                number = _SOLUTION_RECORDS[kind][0]
-                table, key, value = scalars if number is float else counters, kind, number(args[0])
-        except (IndexError, ValueError):
+                number, (text_value,) = _SOLUTION_RECORDS[kind][0], args
+                table, key, value = scalars if number is float else counters, kind, number(text_value)
+        except ValueError:
             raise InstanceError(lineno, f"malformed {kind!r} record") from None
         if isinstance(value, float) and not math.isfinite(value):
             raise InstanceError(lineno, f"{kind} must be finite, got {value}")

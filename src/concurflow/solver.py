@@ -4,15 +4,15 @@ Given a path system, per-commodity demand bounds ``b`` and a quantum
 ``eta``, the solver certifies two levels. An outer search raises a common
 service level in steps of ``eta`` until the bounded-flow subroutine can no
 longer nearly saturate the scaled demands, fixing the terminal count
-``l_star``. An auxiliary network then splits every commodity's sink into a
-dedicated sink (capacity pinned to the certified per-commodity share) and
-one shared overflow sink; an inner search grows the overflow budget in
-steps of ``eta`` until value stops keeping up, fixing ``h_star``. The
-auxiliary network is two copies of the base system's compiled step rows and
-capacities, one per sink kind, and projection adds the two halves of the
-inner search's flat flow, giving an output whose total value, per-commodity
-caps, and worst service ratio are all sandwiched by closed-form functions of
-``l_star``, ``h_star`` and ``eta``.
+``l_star``. An auxiliary network then splits every commodity's flow into a
+dedicated part, pinned to its certified share, and one shared overflow
+sink; an inner search grows the overflow budget in steps of ``eta`` until
+value stops keeping up, fixing ``h_star``. The auxiliary network is the base
+system's compiled step rows and capacities twice, with one sink row per
+overflow copy; the dedicated share is the group's bound. Projection adds the
+two halves of the inner search's flat flow, giving an output whose total
+value, per-commodity caps, and worst service ratio are all sandwiched by
+closed-form functions of ``l_star``, ``h_star`` and ``eta``.
 
 Each stage takes only the result of the stage before it. ``solve`` reads
 the demand bounds from the system's network and hands them to
@@ -22,9 +22,9 @@ could return. ``build_auxiliary`` takes that result alone and keeps it as
 the ``AuxNetwork``'s ``outer``, from which ``find_hstar`` reads the rest.
 Both searches run one level loop, ``_search``, which checks ``eta`` and
 derives ``eps`` before its first call. The inner search's result at budget
-0 is the outer search's last passing call, ``outer.last``: there the
-auxiliary problem is that call's, with the dedicated copies carrying its
-values and the overflow copy nothing. Its flow meets the dedicated bounds
+0 is the outer search's last passing call, ``outer.last``: with the
+overflow group off, the auxiliary problem is that call's, row for row, the
+dedicated copies carrying its values. Its flow meets the dedicated bounds
 and passed the outer test at level ``l_star - 1``, all that the value and
 ratio floors ask of the result when ``h_star = 1``. When no overflow
 capacity is left (every ``b_i`` met in full by its dedicated share), that
@@ -234,14 +234,15 @@ def find_lstar(
 class AuxNetwork:
     """Sink-splitting extension of the outer search ``outer``.
 
-    ``groups`` is the base system's step rows twice, with a sink row after
-    each path of commodity i: ``("ded", i)`` of capacity
-    ``dedicated_bounds[i-1] = (l_star - 1) * eta * b_i`` in the dedicated
-    copy, ``("ovf", i)`` of capacity ``b_i - dedicated_bounds[i-1]`` in the
-    overflow copy. Tuple keys never collide with the string ids of the base
-    edges. The subroutine sees ``k + 1`` groups: one per dedicated sink
-    (bounded by its capacity) plus a single overflow group, the base paths
-    in commodity order, whose bound is the inner loop's moving budget.
+    ``groups`` is the base system's step rows twice, with one sink row per
+    overflow copy; the dedicated share is the group's bound. The dedicated
+    copies are the base paths as they are; each overflow copy of a path of
+    commodity i ends in ``("ovf", i)``, of capacity ``b_i -
+    dedicated_bounds[i-1]``, where ``dedicated_bounds[i-1] = (l_star - 1) *
+    eta * b_i``. Tuple keys never collide with the string ids of the base
+    edges. The subroutine sees ``k + 1`` groups: one dedicated copy per
+    commodity, bounded by its share, plus a single overflow group, the base
+    paths in commodity order, whose bound is the inner loop's moving budget.
     """
 
     outer: LstarResult
@@ -254,17 +255,14 @@ def build_auxiliary(outer: LstarResult) -> AuxNetwork:
     system, bounds = outer.system, outer.bounds
     scale = (outer.l_star - 1) * outer.eta
     dedicated_bounds = tuple(scale * b for b in bounds)
-    # Each path of the two copies takes its steps, then its sink's row: the
-    # dedicated sinks' rows follow the base edges, the overflow ones k on.
+    # The dedicated copies are the base paths; each overflow copy ends in its sink's row.
     base, k, n = system.grouped, system.k, system.path_count
-    sinks = np.repeat(np.arange(len(base.edges), len(base.edges) + 2 * k), base.sizes * 2)
-    lengths = np.concatenate((base.lengths, base.lengths))
-    rows = np.repeat(sinks, lengths + 1)  # every place of a path holds its sink row,
-    steps = np.arange(2 * base.rows.size) + np.repeat(np.arange(2 * n), lengths)
-    rows[steps] = np.concatenate((base.rows, base.rows))  # then the steps fill all but the last
-    labels = tuple((kind, i) for kind in ("ded", "ovf") for i in range(1, k + 1))
-    caps = np.concatenate((base.caps, dedicated_bounds, np.array(bounds) - dedicated_bounds))
-    groups = GroupedPaths(base.sizes + (n,), base.edges + labels, caps, rows, lengths + 1)
+    sinks = np.repeat(np.arange(len(base.edges), len(base.edges) + k), base.sizes)
+    overflow = np.insert(base.rows, np.cumsum(base.lengths), sinks)  # after each path's last step
+    rows, lengths = np.concatenate((base.rows, overflow)), np.concatenate((base.lengths, base.lengths + 1))
+    labels = tuple(("ovf", i) for i in range(1, k + 1))
+    caps = np.concatenate((base.caps, np.array(bounds) - dedicated_bounds))
+    groups = GroupedPaths(base.sizes + (n,), base.edges + labels, caps, rows, lengths)
     return AuxNetwork(outer, dedicated_bounds, groups)
 
 
@@ -284,12 +282,13 @@ def find_hstar(aux: AuxNetwork, subroutine: str | Subroutine = "fptas") -> Hstar
     ``eps`` as the outer search does. Stops at the first h >= 1 with ``h *
     eta > sum(b)`` or with subroutine value strictly below
     ``(sum(dedicated bounds) + h*eta) / (1+eps)``; returns the flow of the
-    last passing budget. At budget 0 the auxiliary problem is the base
-    system's under the dedicated bounds, the outer search's call at level
-    ``l_star - 1``. So ``aux.outer.last`` answers budget 0 with no call: its
-    flow is the result when the very first budget fails, the dedicated
-    copies carrying it and the overflow copy zeros (all zeros when no level
-    passed, as the engines return under zero bounds).
+    last passing budget. At budget 0 the overflow group is off, and the
+    auxiliary problem is, row for row, the base system's under the dedicated
+    bounds: the outer search's call at level ``l_star - 1``. So
+    ``aux.outer.last`` answers budget 0 with no call: its flow is the result
+    when the very first budget fails, the dedicated copies carrying it and
+    the overflow copy zeros (all zeros when no level passed, as the engines
+    return under zero bounds).
 
     When every overflow sink has capacity 0, no overflow path carries flow,
     so every budget's problem is budget 0's: each budget is answered from

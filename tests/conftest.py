@@ -3,6 +3,7 @@ from collections.abc import Hashable, Mapping, Sequence
 import numpy as np
 import pytest
 
+from concurflow.generator import GenerationError, generate_instance
 from concurflow.netmodel import (
     Commodity,
     Edge,
@@ -85,28 +86,40 @@ def aux_at(system, bounds, l_star: int, eta: float):
 
 
 def reference_aux_groups(system, bounds0, l_star: int, eta: float):
-    """The former ``build_auxiliary`` key-tuple construction, verbatim.
+    """The auxiliary groups as a key-tuple construction.
 
-    Returns its capacity mapping and its groups: every base path extended by
-    ``("ded", i)`` per commodity group, then all of them by ``("ovf", i)``
-    as the one overflow group.
+    Returns its capacity mapping and its groups: every base path as it is per
+    commodity group, then every base path extended by ``("ovf", i)`` as the
+    one overflow group. The dedicated shares are the groups' bounds, not rows.
     """
     scale = (l_star - 1) * eta
-    dedicated_bounds = tuple(scale * b for b in bounds0)
     capacities = system.capacities()
-    for i, (b, dedicated) in enumerate(zip(bounds0, dedicated_bounds), start=1):
-        capacities["ded", i] = dedicated
-        capacities["ovf", i] = b - dedicated
+    for i, b in enumerate(bounds0, start=1):
+        capacities["ovf", i] = b - scale * b
 
     base_groups = edge_groups(system)
-    dedicated_groups = tuple(
-        tuple(path + (("ded", i),) for path in group)
-        for i, group in enumerate(base_groups, start=1)
-    )
     overflow_group = tuple(
         path + (("ovf", i),) for i, group in enumerate(base_groups, start=1) for path in group
     )
-    return capacities, dedicated_groups + (overflow_group,)
+    return capacities, base_groups + (overflow_group,)
+
+
+# The acceptance corpus shapes: (nodes, edges, commodities, max paths).
+CORPUS_SHAPES = ((6, 9, 2, 4), (7, 11, 3, 4), (8, 13, 3, 5), (5, 8, 2, 5), (8, 14, 3, 6))
+
+
+def corpus_instances(count: int) -> list:
+    """The acceptance corpus's first ``count`` instances: seeds 0, 1, ... cycling the shapes."""
+    instances, seed = [], 0
+    while len(instances) < count:
+        shape = CORPUS_SHAPES[seed % len(CORPUS_SHAPES)]
+        try:
+            instances.append(generate_instance(seed, *shape, bound_range=(0.5, 3.0)))
+        except GenerationError:
+            pass
+        seed += 1
+    return instances
+
 
 def make_network(nodes, edges, commodities):
     """edges: (id, tail, head, cap, directed); commodities: (source, sink, bound)."""

@@ -23,24 +23,19 @@ import pytest
 
 from concurflow.cli import cli_main
 from concurflow.compare import capacity_slack, run_compare
-from concurflow.generator import GenerationError, generate_instance
+from concurflow.generator import generate_instance
 from concurflow.netmodel import CAP_TOLERANCE, GroupedResult, branch_values, flow_value
 from concurflow.oracle import lp_emcfp_lambda, lp_emcfpsc, lp_grouped_max, lp_mmfpb_exact
 from concurflow.packing import pack_paths, solve_mmfpb
 from concurflow.simplex import left_sum
 from concurflow.solver import solve
-from conftest import ACCEPTANCE_LINES, make_network, make_system, t1_system, t2_system, t3_system
+from conftest import (
+    ACCEPTANCE_LINES, corpus_instances, make_network, make_system, t1_system, t2_system, t3_system,
+)
 
 ETAS = (0.05, 0.1, 0.2)
 SUBROUTINE_EPS = (0.05, 0.1, 0.25)
 CORPUS_SIZE = 50
-CORPUS_PARAMS = (
-    (6, 9, 2, 4),
-    (7, 11, 3, 4),
-    (8, 13, 3, 5),
-    (5, 8, 2, 5),
-    (8, 14, 3, 6),
-)
 
 
 def _verdict(number, name, ok, detail):
@@ -51,23 +46,12 @@ def _verdict(number, name, ok, detail):
 
 @pytest.fixture(scope="session")
 def corpus():
-    instances = []
-    seed = 0
-    while len(instances) < CORPUS_SIZE and seed < 400:
-        n_nodes, n_edges, k, max_paths = CORPUS_PARAMS[seed % len(CORPUS_PARAMS)]
-        try:
-            inst = generate_instance(
-                seed, n_nodes, n_edges, k, max_paths, bound_range=(0.5, 3.0)
-            )
-        except GenerationError:
-            seed += 1
-            continue
+    instances = corpus_instances(CORPUS_SIZE)
+    for inst in instances:
         assert len(inst.network.nodes) <= 8
         assert len(inst.network.edges) <= 14
         assert inst.k <= 3
         assert inst.path_system.path_count <= 20
-        instances.append(inst)
-        seed += 1
     assert len(instances) == CORPUS_SIZE
     return instances
 

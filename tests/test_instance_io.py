@@ -345,6 +345,12 @@ class TestSolutionFile:
             parse_solution("value 1.0\n")
         with pytest.raises(InstanceError, match="line 2: malformed"):
             parse_solution("format concurflow-solution 1\nflow c1 zero\n")
+        # A record with a token more or fewer than its grammar is not read in part.
+        for record in ["instance a extra", "eta 0.1 junk", "l_star 3 4", "branch c1 0.5 0.7",
+                       "flow c1 0 0.5 9", "instance", "eta", "branch c1", "flow c1 0"]:
+            kind = record.split()[0]
+            with pytest.raises(InstanceError, match=f"^line 2: malformed '{kind}' record$"):
+                parse_solution(f"format concurflow-solution 1\n{record}\n")
 
     @pytest.mark.parametrize(
         "record", ["value nan", "eta inf", "flow c1 0 inf", "branch c1 -inf", "min_ratio NaN"]

@@ -484,7 +484,7 @@ class TestGroupedProblem:
 # --- GroupedPaths.columns against the former key-walking layout ---
 
 # String ids beside the auxiliary network's tuple keys.
-EDGE_KEYS = ("a", "b", "c", "d", ("ded", 1), ("ovf", 1), ("ded", 2))
+EDGE_KEYS = ("a", "b", "c", "d", ("ovf", 1), ("ovf", 2), ("ovf", 3))
 
 
 @st.composite
@@ -498,7 +498,7 @@ def grouped_input(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(grouped_input())
-@example(({"a": 1.0, "b": 0.0, ("ded", 1): 2.0}, [[("b", "a")], [], [("a", ("ded", 1), "a")]]))
+@example(({"a": 1.0, "b": 0.0, ("ovf", 2): 2.0}, [[("b", "a")], [], [("a", ("ovf", 2), "a")]]))
 @example(({"a": 1.0, "b": 1.0, ("ovf", 1): 0.0}, [[("b",)], [("a", "b"), (("ovf", 1), "a")]]))
 def test_columns_match_reference_layout(case):
     caps, groups = case

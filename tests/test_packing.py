@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import concurflow.packing as packing
 from concurflow import generate_instance
 from concurflow.compare import capacity_slack
-from concurflow.netmodel import CAP_TOLERANCE, Flow, branch_values, flow_value
+from concurflow.netmodel import CAP_TOLERANCE, Flow, GroupedProblem, branch_values, flow_value
 from concurflow.oracle import lp_grouped_max, lp_mmfp_exact, lp_mmfpb_exact
 from concurflow.packing import (
     _BLOCK_STEPS,
@@ -29,6 +29,7 @@ from conftest import (
     aux_at,
     bits,
     compiled,
+    corpus_instances,
     edge_groups,
     make_network,
     make_system,
@@ -161,10 +162,33 @@ class TestGuarantee:
         assert flow_value(flow) >= opt / (1.0 + eps) - 1e-9
 
     def test_tiny_eps_still_sound(self, t1):
-        # Exercises the log-space threshold and renormalization path.
+        # Exercises the log-space threshold: the stop, e**825, is stored as
+        # +inf. The run ends at its gap after 6496 steps, before any
+        # renormalization; TestRenormalization covers that.
         flow = solve_mmfpb(t1, (1.0, 2.0), 0.004)
         assert capacity_slack(flow) >= -CAP_TOLERANCE
         assert flow_value(flow) >= 1.0 / 1.004 - 1e-9
+
+
+class TestRenormalization:
+    """Renormalizing scales the stored lengths and dual by a power of two, which is exact."""
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 0.02])
+    def test_a_smaller_shift_changes_no_bit(self, monkeypatch, eps, bounded):
+        # The stored dual starts at the row count, and every corpus case has
+        # more than 2**2 rows, so at a shift of 2 its first step renormalizes.
+        # The paper-stop case has 2 rows but ends at the paper's stop, once
+        # its dual reaches e**4.93, so it renormalizes and then reads its stop.
+        cases = [engine_case("paper-stop")]
+        for instance in corpus_instances(4):
+            paths = instance.path_system.grouped
+            bounds = list(instance.network.bounds()) if bounded else None
+            assert len(GroupedProblem.build(paths.capacities, paths, bounds).rows) > 2**2
+            cases.append((paths.capacities, paths, bounds, eps))
+        expected = [bits(pack_paths(*case)) for case in cases]
+        monkeypatch.setattr(packing, "_RENORM_SHIFT", 2)
+        assert [bits(pack_paths(*case)) for case in cases] == expected
 
 
 class TestDeterminism:
@@ -404,7 +428,8 @@ def _aux_case():
 REFERENCE_CASES = {
     "diamond-bounded": lambda: _system_case(diamond_system(), (0.7, 1.3), 0.1),
     "diamond-unbounded": lambda: _system_case(diamond_system(), None, 0.05),
-    # Small enough that the lengths renormalize (three shifts of 2**-332).
+    # Named for the three shifts of 2**-332 it made before runs ended at their
+    # gap; it now ends at its gap after 6496 steps, with no shift.
     "t1-renormalizing": lambda: _system_case(t1_system(), (1.0, 2.0), 0.004),
     "diamond-zero-bound": lambda: _system_case(diamond_system(), (0.0, 1.3), 0.1),
     "zero-capacity-path": lambda: ({"e1": 0.0, "e2": 1.0}, [[("e1",), ("e2",)]], [5.0], 0.1),

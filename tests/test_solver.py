@@ -9,7 +9,9 @@ import concurflow.netmodel
 from concurflow import generate_instance
 from concurflow.compare import capacity_slack
 from concurflow.instance_io import Instance, parse_solution, serialize_solution
-from concurflow.netmodel import CAP_TOLERANCE, Flow, GroupedPaths, PathMatrix, branch_values, flow_value
+from concurflow.netmodel import (
+    CAP_TOLERANCE, Flow, GroupedPaths, GroupedProblem, PathMatrix, branch_values, flow_value,
+)
 from concurflow.oracle import lp_emcfpsc, lp_grouped_max, lp_mmfp_exact, lp_mmfpb_exact
 from concurflow.packing import solve_mmfp, solve_mmfpb
 from concurflow.simplex import left_sum
@@ -25,8 +27,10 @@ from concurflow.solver import (
     solve,
 )
 from conftest import (
+    CORPUS_SHAPES,
     aux_at,
     bits,
+    corpus_instances,
     make_network,
     make_system,
     reference_aux_groups,
@@ -104,10 +108,11 @@ class TestAuxiliary:
         scale = (3 - 1) * 0.1
         assert aux.dedicated_bounds == (scale * 1.0, scale * 2.0)
         caps = aux.groups.capacities
-        assert caps["ded", 1] == scale * 1.0
         assert caps["ovf", 1] == 1.0 - scale * 1.0
-        assert caps["ded", 2] == scale * 2.0
         assert caps["ovf", 2] == 2.0 - scale * 2.0
+        # The dedicated shares are the groups' bounds alone: one sink row per
+        # overflow copy, none per dedicated copy.
+        assert aux.groups.edges == t1.grouped.edges + (("ovf", 1), ("ovf", 2))
 
     def test_degenerate_level_one(self, t1):
         aux = aux_at(t1, (1.0, 2.0), 1, 0.1)
@@ -315,6 +320,31 @@ class TestInnerStart:
         last = resolve_subroutine(engine)(base.capacities, base, bounds, report.eps)
         assert bits(outer.last) == bits(last)
         assert_certificates(report, system, report.bounds0)
+
+    def test_budget_zero_is_the_outer_call(self, engine):
+        # With the overflow group off, the auxiliary problem is, row for row,
+        # the outer search's call at level l_star - 1: each dedicated share is
+        # its group's bound and nothing else.
+        run, cases = resolve_subroutine(engine), 0
+        for instance in corpus_instances(20):
+            system, bounds0 = instance.path_system, instance.network.bounds()
+            outer = find_lstar(system, bounds0, 0.2, engine)
+            if outer.l_star == 1:
+                continue
+            aux, base, n = build_auxiliary(outer), system.grouped, system.path_count
+            budget_zero, dedicated = [*aux.dedicated_bounds, 0.0], list(aux.dedicated_bounds)
+            got = GroupedProblem.build(aux.groups.capacities, aux.groups, budget_zero)
+            want = GroupedProblem.build(base.capacities, base, dedicated)
+            for a, b in [(got.matrix.a, want.matrix.a), (got.matrix.caps, want.matrix.caps)]:
+                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+            assert len(got.rows) == len(want.rows)
+            for (coeffs, _, rhs), (want_coeffs, _, want_rhs) in zip(got.rows, want.rows):
+                assert coeffs.tobytes() == want_coeffs.tobytes() and rhs == want_rhs
+            x = run(aux.groups.capacities, aux.groups, budget_zero, compute_epsilon(0.2, bounds0)).x
+            assert x[:n].tobytes() == outer.last.x.tobytes()
+            assert not x[n:].any()
+            cases += 1
+        assert cases >= 15
 
     def test_level_one_starts_from_zero(self, engine, t1):
         run = resolve_subroutine(engine)
@@ -626,7 +656,6 @@ class TestDefaultStopsFailingCalls:
     equal those of a subroutine that never passes one.
     """
 
-    SHAPES = ((6, 9, 2, 4), (7, 11, 3, 4), (8, 13, 3, 5), (5, 8, 2, 5), (8, 14, 3, 6))
     # Default-bound instances at eta 0.25 where both searches pass at least twice.
     WIDE = ((0, (6, 9, 2, 4)), (3, (6, 9, 2, 4)), (1, (7, 11, 3, 4)))
 
@@ -646,7 +675,7 @@ class TestDefaultStopsFailingCalls:
         full_run = lambda c, g, b, e: packing.pack_paths(c, g, b, e)  # noqa: E731
         instances = []
         for seed in range(12):
-            shape = self.SHAPES[seed % len(self.SHAPES)]
+            shape = CORPUS_SHAPES[seed % len(CORPUS_SHAPES)]
             try:
                 instances.append(generate_instance(seed, *shape, bound_range=(0.2, 0.6)))
             except concurflow.generator.GenerationError:
@@ -681,7 +710,7 @@ class TestDefaultStopsFailingCalls:
             return result
 
         for seed in range(6):
-            shape = self.SHAPES[seed % len(self.SHAPES)]
+            shape = CORPUS_SHAPES[seed % len(CORPUS_SHAPES)]
             try:
                 instance = generate_instance(seed, *shape, bound_range=(0.2, 0.6))
             except concurflow.generator.GenerationError:
