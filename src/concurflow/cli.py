@@ -12,7 +12,6 @@ The environment variable ``CONCURFLOW_SEED``, when set, overrides the
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 
@@ -36,16 +35,12 @@ from .oracle import (
 )
 from .packing import PackingError
 from .simplex import SimplexError
-from .solver import _SUBROUTINES, solve
+from .solver import _SUBROUTINES, DEFAULT_SUBROUTINE, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_INTERNAL = 3
-
-
-# ``--subroutine`` names one of ``solve``'s engines and defaults as ``solve`` does.
-_DEFAULT_SUBROUTINE = inspect.signature(solve).parameters["subroutine"].default
 
 
 class _UsageError(Exception):
@@ -65,7 +60,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--eta", required=True, type=float)
     p_solve.add_argument("--output", default=None, help="solution file (default stdout)")
-    p_solve.add_argument("--subroutine", choices=tuple(_SUBROUTINES), default=_DEFAULT_SUBROUTINE)
+    p_solve.add_argument("--subroutine", choices=tuple(_SUBROUTINES), default=DEFAULT_SUBROUTINE)
 
     p_oracle = sub.add_parser("oracle", help="solve exactly by LP")
     p_oracle.add_argument("--input", required=True)
@@ -88,7 +83,7 @@ def _build_parser() -> _Parser:
     p_cmp.add_argument("--input", required=True)
     p_cmp.add_argument("--eta", required=True, type=float)
     p_cmp.add_argument("--csv", default=None, help="append a CSV row to this file")
-    p_cmp.add_argument("--subroutine", choices=tuple(_SUBROUTINES), default=_DEFAULT_SUBROUTINE)
+    p_cmp.add_argument("--subroutine", choices=tuple(_SUBROUTINES), default=DEFAULT_SUBROUTINE)
     return parser
 
 

@@ -30,7 +30,7 @@ from .instance_io import Instance
 from .netmodel import CAP_TOLERANCE, Flow, branch_values, edge_loads, min_ratio
 from .oracle import OracleError, lp_emcfpsc
 from .simplex import left_sum
-from .solver import SolveReport, Subroutine, solve
+from .solver import DEFAULT_SUBROUTINE, SolveReport, Subroutine, solve
 
 INTERVAL_TOL = 1e-7
 # The path count at which an oracle compare first takes about 1 s. On a
@@ -116,7 +116,7 @@ def certified_checks(
 def run_compare(
     instance: Instance,
     eta: float,
-    subroutine: str | Subroutine = "fptas",
+    subroutine: str | Subroutine = DEFAULT_SUBROUTINE,
 ) -> CompareRow:
     """Solve, oracle-solve, and check one instance; never raises for oracle trouble."""
     system = instance.path_system

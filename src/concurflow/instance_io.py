@@ -66,11 +66,11 @@ class InstanceError(ValueError):
 class Instance:
     """A parsed instance: the model plus file-level naming metadata.
 
-    The name and every node, edge and commodity id must be one token (not
-    empty, no whitespace, no ``#``), and there is one distinct commodity id
-    per commodity, so that ``serialize_instance`` writes text that
-    ``parse_instance`` reads back. A breach raises ``ValueError`` naming the
-    field.
+    ``network`` must equal the path system's own network. The name and every
+    node, edge and commodity id must be one token (not empty, no whitespace,
+    no ``#``), and there is one distinct commodity id per commodity, so that
+    ``serialize_instance`` writes text that ``parse_instance`` reads back. A
+    breach raises ``ValueError`` naming the field.
     """
 
     name: str
@@ -80,6 +80,8 @@ class Instance:
     commodity_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if self.network != self.path_system.network:
+            raise ValueError("network: not the network of path_system")
         ids = self.commodity_ids
         fields = (
             ("name", (self.name,)),

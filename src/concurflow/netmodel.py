@@ -617,7 +617,7 @@ class PathSystem:
 
 @dataclass(frozen=True, eq=False)
 class Flow:
-    """Nonnegative value per path of a path system, path after path in group order.
+    """Finite nonnegative value per path of a path system, path after path in group order.
 
     ``x`` is a read-only copy of the values given, one per path of the
     system, as the engines lay out their results. ``values`` splits it per
@@ -633,6 +633,8 @@ class Flow:
             raise ModelError("flow values do not match the path list")
         if not x.min(initial=0.0) >= 0.0:  # a NaN fails too
             raise ModelError(f"negative path value {x[~(x >= 0.0)][0]}")
+        if x.max(initial=0.0) == math.inf:
+            raise ModelError("path value inf is not finite")
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
 

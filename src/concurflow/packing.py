@@ -51,7 +51,6 @@ its dual bound is at least that total, and the exit above never reads
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -73,30 +72,9 @@ class PackingError(RuntimeError):
     """Iteration cap exceeded, or a result that contradicts its bound or its early stop."""
 
 
-@dataclass(frozen=True)
-class FptasConfig:
-    """Resolved parameters of one packing run.
-
-    ``log_delta`` is the natural log of the initial length scale (the scale
-    itself may underflow a double, so it is never materialized).
-    """
-
-    eps_user: float
-    eps_int: float
-    log_delta: float
-    max_iterations: int
-
-    @classmethod
-    def for_run(cls, eps: float, m: int) -> "FptasConfig":
-        if not 0.0 < eps <= 0.5:
-            raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
-        eps_int = min(eps / 3.0, 0.5)
-        try:
-            max_iterations = 10 * math.ceil(m * math.log(m + 1) / eps_int**2) + 100
-        except (ZeroDivisionError, OverflowError):  # eps_int**2 underflows, or the cap overflows
-            raise ValueError(f"eps {eps} is too small: the packing iteration cap is not finite") from None
-        log_delta = math.log1p(eps_int) - math.log((1.0 + eps_int) * m) / eps_int
-        return cls(eps, eps_int, log_delta, max_iterations)
+def _iteration_cap(m: int, eps_int: float) -> int:
+    """Packing steps allowed to one run over ``m`` rows at internal accuracy ``eps_int``."""
+    return 10 * math.ceil(m * math.log(m + 1) / eps_int**2) + 100
 
 
 def pack_paths(
@@ -141,8 +119,11 @@ def pack_paths(
     # C order matters: np.dot rounds differently on an F-order incidence.
     incidence = np.ascontiguousarray(np.vstack(problem.blocks).T)
     n_paths, m = incidence.shape
-    config = FptasConfig.for_run(eps, m)
-    eps_int = config.eps_int
+    eps_int = eps / 3.0  # the internal accuracy (module docstring)
+    try:
+        cap = _iteration_cap(m, eps_int)
+    except (ZeroDivisionError, OverflowError):  # eps_int**2 underflows, or the cap overflows
+        raise ValueError(f"eps {eps} is too small: the packing iteration cap is not finite") from None
 
     on = incidence > 0.0
     # The bound rows follow the edge rows. With every kept path in one, no
@@ -157,14 +138,18 @@ def pack_paths(
 
     # Lengths with delta factored out; the true length is delta * 2**shift * stored.
     length = 1.0 / cap_arr
-    theta = -config.log_delta  # stop once log of the true dual objective >= 0
+    # delta = (1+eps_int) * ((1+eps_int)*m) ** (-1/eps_int) may underflow a
+    # double, so only its log, -theta, is kept. A run that ends at the paper's
+    # stop divides its raw flow by log base 1+eps_int of (1+eps_int)/delta.
+    log_term = math.log((1.0 + eps_int) * m)
+    theta = log_term / eps_int - math.log1p(eps_int)  # stop once log of the true dual objective >= 0
+    scale_down = log_term / (eps_int * math.log1p(eps_int))
     dual = float(m)  # stored-scale dual objective, sum of cap * length
     shifts = 0
     raw = [0.0] * n_paths
     path_len = np.empty(n_paths)
     dot, argmin, item = incidence.dot, path_len.argmin, path_len.item
     renorm_cut = 2.0**_RENORM_SHIFT
-    scale_down = math.log((1.0 + eps_int) * m) / (eps_int * math.log1p(eps_int))
 
     def threshold() -> float:
         exponent = theta - shifts * (_RENORM_SHIFT * math.log(2.0))
@@ -174,7 +159,6 @@ def pack_paths(
         """``D(l)/alpha(l)``: a bound on the optimum by weak duality, at any stored scale."""
         return float(cap_arr @ length) / path_len.min().item()
 
-    cap = config.max_iterations
     stop_at = threshold()
     iterations = 0
     stopped = False

@@ -48,6 +48,8 @@ import numpy as np
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-8
 PIVOT_TOL = 1e-9
+# Ratio-test ties: one value for cold solves and replayed walks, as replay needs.
+TIE_TOL = 1e-12
 
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
@@ -95,13 +97,15 @@ class RowBlocks(tuple):
     """Coefficient blocks of one set of ``<=`` rows, with their recorded pivot paths.
 
     Stacked top to bottom the arrays are the rows' coefficients. ``roots``
-    maps an objective and update form to the first round of every solve
+    maps an objective's bytes to the first round of every solve under it
     over these blocks, a tree that ``solve_lp`` walks and extends while it
-    holds fewer than ``REPLAY_ROUNDS`` rounds; ``rounds`` counts them. A
-    branch is built in full before one ``dict.setdefault`` installs it, and
-    every branch holds what a cold solve computes, so the blocks may be
-    shared across threads. There the count may miss a concurrent branch,
-    which lets the tree pass the cap by that branch; no result depends on it.
+    holds fewer than ``REPLAY_ROUNDS`` rounds; ``rounds`` counts them. The
+    objective's length and the blocks' row count fix the column count, and
+    so the update form a path is recorded in. A branch is built in full
+    before one ``dict.setdefault`` installs it, and every branch holds what
+    a cold solve computes, so the blocks may be shared across threads.
+    There the count may miss a concurrent branch, which lets the tree pass
+    the cap by that branch; no result depends on it.
     """
 
     def __new__(cls, arrays: Sequence[np.ndarray]) -> RowBlocks:
@@ -150,7 +154,7 @@ def _walk(node: _Round, rhs: np.ndarray) -> tuple[_Round, list]:
         low = ratios.min()
         if not math.isfinite(low):
             break  # the cold solve's tie set may be empty
-        row = node.rows.item((ratios <= low + 1e-12).argmax())
+        row = node.rows.item((ratios <= low + TIE_TOL).argmax())
         branch = node.leaving.get(row)
         if branch is None:
             break
@@ -206,7 +210,7 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
             raise ValueError("coefficient blocks do not match the rows")
         ncols = n + m
         if isinstance(blocks, RowBlocks) and b.max() <= REPLAY_LIMIT:
-            key = (c.tobytes(), ncols >= ROW_UPDATE_MIN_COLUMNS)
+            key = c.tobytes()
             anchor = blocks.roots.get(key)
             if anchor is not None:
                 replayed = b.copy()
@@ -327,7 +331,7 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
                 raise SimplexError("unbounded objective")
             entries = column[rows_ok]
             ratios = rhs[rows_ok] / entries
-            tied = rows_ok[ratios <= ratios.min() + 1e-12]
+            tied = rows_ok[ratios <= ratios.min() + TIE_TOL]
             row = min(tied.tolist(), key=basis.item)  # Bland on ties.
             if not recording:
                 pivot(row, col)

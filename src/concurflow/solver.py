@@ -110,6 +110,8 @@ def _oracle(capacities: Mapping, groups: GroupedPaths, bounds: list, eps: float)
 # Both look their engine up in its module at call time, so a patched
 # ``packing.pack_paths`` or ``oracle.lp_grouped_max`` reaches ``solve``.
 _SUBROUTINES: dict[str, Subroutine] = {"fptas": _fptas, "oracle": _oracle}
+# The engine every search, ``solve`` and ``compare`` use unless told otherwise.
+DEFAULT_SUBROUTINE = "fptas"
 
 
 def resolve_subroutine(subroutine: str | Subroutine) -> Subroutine:
@@ -213,7 +215,7 @@ def find_lstar(
     system: PathSystem,
     bounds: Sequence[float],
     eta: float,
-    subroutine: str | Subroutine = "fptas",
+    subroutine: str | Subroutine = DEFAULT_SUBROUTINE,
 ) -> LstarResult:
     """Outer search: first level l at which scaled demands stop saturating.
 
@@ -275,7 +277,7 @@ class HstarResult:
     calls: int
 
 
-def find_hstar(aux: AuxNetwork, subroutine: str | Subroutine = "fptas") -> HstarResult:
+def find_hstar(aux: AuxNetwork, subroutine: str | Subroutine = DEFAULT_SUBROUTINE) -> HstarResult:
     """Inner search: first overflow budget the auxiliary value cannot keep up with.
 
     Reads ``eta`` and the bounds ``b`` from ``aux.outer`` and derives
@@ -346,7 +348,7 @@ class SolveReport:
 def solve(
     system: PathSystem,
     eta: float,
-    subroutine: str | Subroutine = "fptas",
+    subroutine: str | Subroutine = DEFAULT_SUBROUTINE,
 ) -> SolveReport:
     """Run the full pipeline on the network's demand bounds; return the flow and its certified report."""
     started = time.perf_counter()

@@ -128,6 +128,35 @@ path c1 e3 e2
         with pytest.raises(InstanceError, match="line 7: bound must be positive and finite"):
             parse_instance(text)
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (T1_TEXT.replace("name t1", "name a b"), 2, "name takes exactly one token"),
+            (T1_TEXT.replace("node s\n", "node a b\n"), 3, "node takes exactly one id"),
+            (
+                T1_TEXT.replace("1.0 directed", "1.0"),
+                5,
+                "edge takes: id tail head capacity directed|undirected",
+            ),
+            (
+                T1_TEXT.replace("1.0 directed", "1.0 sideways"),
+                5,
+                "edge mode must be directed|undirected, got 'sideways'",
+            ),
+            (T1_TEXT.replace("c1 s t 1.0", "c1 s t"), 6, "commodity takes: id source sink bound"),
+            (T1_TEXT.replace("c1 s t 1.0", "c1 s t x"), 6, "bad bound 'x'"),
+            (T1_TEXT.replace("c1 s t 1.0", "c1 s u 1.0"), 6, "unknown node 'u'"),
+            (T1_TEXT.split("commodity")[0], None, "instance declares no commodities"),
+        ],
+        ids=["name-two", "node-two", "edge-four", "edge-mode", "commodity-three", "bound-x",
+             "unknown-sink", "no-commodity"],
+    )
+    def test_record_rejected_at_its_line(self, text, line, message):
+        with pytest.raises(InstanceError) as raised:
+            parse_instance(text)
+        assert raised.value.line == line
+        assert str(raised.value) == (message if line is None else f"line {line}: {message}")
+
     def test_bad_capacity_token(self):
         text = T1_TEXT.replace("1.0 directed", "abc directed")
         with pytest.raises(InstanceError, match="bad capacity"):
@@ -293,6 +322,14 @@ class TestInstanceFields:
         net = make_network([node, "t"], [(edge, node, "t", 1.0, True)], [(node, "t", 1.0)])
         with pytest.raises(ValueError, match=message):
             instance_from_system(make_system(net, [[[edge]]]), "x")
+
+    def test_network_must_be_the_path_systems(self):
+        # t1's paths written over t2's edges would not read back; an equal
+        # network built apart is the same network.
+        with pytest.raises(ValueError, match="^network: not the network of path_system$"):
+            Instance("mix", None, t2_system().network, t1_system(), ("c1", "c2"))
+        inst = Instance("t1", None, t1_system().network, t1_system(), ("c1", "c2"))
+        assert serialize_instance(parse_instance(serialize_instance(inst))) == serialize_instance(inst)
 
     def test_accepted_instance_round_trips(self):
         inst = instance_from_system(t2_system(), 'a,"b"', ("c,1", 'c"2'))

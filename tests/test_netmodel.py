@@ -106,6 +106,11 @@ class TestConstruction:
             with pytest.raises(ModelError, match=f"^negative path value {value}$"):
                 Flow(t1, [0.0, value])
 
+    def test_infinite_flow_value_rejected(self, t1):
+        # It would load its edge with inf and read capacity slack -inf.
+        with pytest.raises(ModelError, match="^path value inf is not finite$"):
+            Flow(t1, [0.0, math.inf])
+
     @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], [[0.5], [0.5]]], ids=["short", "long", "nested"])
     def test_flow_of_wrong_length_rejected(self, t1, x):
         # One value per path, flat: the old nested per-commodity form is rejected too.

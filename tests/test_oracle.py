@@ -140,6 +140,12 @@ class TestTwoStage:
         assert lam == pytest.approx(0.0, abs=1e-12)
         assert total == pytest.approx(lp_mmfpb_exact(system)[0], abs=1e-9)
 
+    def test_no_paths_at_all(self):
+        # Both commodities listed without a path: no saturation LP to solve.
+        net = make_network(["s", "t"], [("e1", "s", "t", 1.0, True)], [("s", "t", 1.0), ("s", "t", 2.0)])
+        lam, total, flow = lp_emcfpsc(make_system(net, [[], []]))
+        assert (lam, total, flow.x.tolist()) == (0.0, 0.0, [])
+
     def test_capacity_doubling_is_monotone(self):
         base = _grid_system()
         lam0, total0, _ = lp_emcfpsc(base)

@@ -17,7 +17,6 @@ from concurflow.packing import (
     _BLOCK_STEPS,
     _RENORM_SHIFT,
     _STOP_MARGIN,
-    FptasConfig,
     PackingError,
     pack_paths,
     solve_mmfp,
@@ -206,15 +205,7 @@ class TestDeterminism:
 
 def starved_cap(monkeypatch, cap):
     """Make every packing run's iteration cap ``cap``."""
-    import concurflow.packing as packing
-
-    real = FptasConfig.for_run
-
-    def for_run(cls_eps, m):
-        cfg = real(cls_eps, m)
-        return FptasConfig(cfg.eps_user, cfg.eps_int, cfg.log_delta, cap)
-
-    monkeypatch.setattr(packing.FptasConfig, "for_run", for_run)
+    monkeypatch.setattr(packing, "_iteration_cap", lambda m, eps_int: cap)
 
 
 class TestIterationGrowth:
@@ -227,9 +218,9 @@ class TestIterationGrowth:
         assert 2.0 <= ratio <= 8.0
 
     def test_cap_formula(self):
-        config = FptasConfig.for_run(0.3, 12)
-        assert config.eps_int == pytest.approx(0.1)
-        assert config.max_iterations > 12 / 0.1**2
+        # m = 12 rows at eps 0.3, so at internal accuracy 0.1.
+        assert packing._iteration_cap(12, 0.1) == 10 * math.ceil(12 * math.log(13) / 0.1**2) + 100
+        assert packing._iteration_cap(12, 0.1) > 12 / 0.1**2
 
     def test_iteration_cap_raises(self, monkeypatch, diamond):
         starved_cap(monkeypatch, 1)
@@ -237,17 +228,10 @@ class TestIterationGrowth:
             solve_mmfp(diamond, 0.2)
 
     def test_early_stop_fails_its_certificate(self, monkeypatch, diamond):
-        import concurflow.packing as packing
-
-        real = FptasConfig.for_run
-
-        def stop_at_once(cls_eps, m):
-            cfg = real(cls_eps, m)
-            # A start scale above 1 is past the stop threshold before any step.
-            return FptasConfig(cfg.eps_user, cfg.eps_int, 1.0, cfg.max_iterations)
-
-        monkeypatch.setattr(packing.FptasConfig, "for_run", stop_at_once)
-        with pytest.raises(PackingError, match="below its bound"):
+        # A margin of -1 doubles the total every gap test reads, so the first
+        # block exits with a flow short of its bound; the final check must say so.
+        monkeypatch.setattr(packing, "_STOP_MARGIN", -1.0)
+        with pytest.raises(PackingError, match=r"^packing total \S+ is below its bound \S+ / \(1 \+ 0\.2\)$"):
             solve_mmfp(diamond, 0.2)
 
 
@@ -276,7 +260,6 @@ class ReferenceResult:
     group_totals: tuple[float, ...]
     total: float
     iterations: int
-    config: FptasConfig | None
 
 
 # The packing loop as it stood before each path got a precomputed growth row:
@@ -327,7 +310,7 @@ def reference_pack_paths(
     zero_totals = tuple(0.0 for _ in groups)
     if not path_key:
         return ReferenceResult(
-            tuple(tuple(v) for v in values_dense), zero_totals, 0.0, 0, None
+            tuple(tuple(v) for v in values_dense), zero_totals, 0.0, 0
         )
 
     bounded = [g for g, js in enumerate(keep) if js and group_bound(g) is not None]
@@ -338,8 +321,11 @@ def reference_pack_paths(
     # C order matters: np.dot rounds differently on an F-order incidence.
     incidence = np.ascontiguousarray(np.vstack((matrix.a, matrix.g[bounded])).T)
     n_paths, m = incidence.shape
-    config = FptasConfig.for_run(eps, m)
-    eps_int = config.eps_int
+    # The paper's parameters: the loop runs at eps/3, from the initial length
+    # scale delta, up to a step cap of 10 * ceil(m ln(m+1) / eps_int**2) + 100.
+    eps_int = eps / 3.0
+    log_delta = math.log1p(eps_int) - math.log((1.0 + eps_int) * m) / eps_int
+    max_iterations = 10 * math.ceil(m * math.log(m + 1) / eps_int**2) + 100
 
     edge_cols = [np.flatnonzero(row) for row in incidence]
     bottleneck = np.array([cap_arr[cols].min() for cols in edge_cols])
@@ -349,7 +335,7 @@ def reference_pack_paths(
     raw = np.zeros(n_paths)
     path_len = np.empty(n_paths)
 
-    theta = -config.log_delta  # stop once log of the true dual objective >= 0
+    theta = -log_delta  # stop once log of the true dual objective >= 0
     dual = float(m)  # stored-scale dual objective, sum of cap * length
     shifts = 0
     renorm_cut = 2.0**_RENORM_SHIFT
@@ -362,9 +348,9 @@ def reference_pack_paths(
     iterations = 0
     scale_down = math.log((1.0 + eps_int) * m) / (eps_int * math.log1p(eps_int))
     while dual < stop_at:
-        if iterations >= config.max_iterations:
+        if iterations >= max_iterations:
             raise PackingError(
-                f"packing exceeded {config.max_iterations} iterations (m={m}, eps={eps})"
+                f"packing exceeded {max_iterations} iterations (m={m}, eps={eps})"
             )
         iterations += 1
         np.dot(incidence, length, out=path_len)
@@ -408,7 +394,6 @@ def reference_pack_paths(
         group_totals,
         float(left_sum(group_totals)),
         iterations,
-        config,
     )
 
 
