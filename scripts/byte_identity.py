@@ -29,15 +29,18 @@ When the files differ, ``--diff`` says where:
     python3 scripts/byte_identity.py --diff parent.json change.json
 
 prints, per workload, the cases whose ``system``, ``lp_emcfpsc``,
-``solve_mmfpb`` or call list differ; of the differing call lists, those
-that differ only in the steps of ``pack`` entries, with the number of such
-entries and their iterations on each side; and the solution lines that
-differ, counted by their first word. It exits 1 when anything differs.
+``solve_mmfpb`` or call list differ; of the differing ``lp_emcfpsc``
+records, how many differ in the ratio and the largest relative difference
+in the total value; of the differing call lists, those that differ only in
+the steps of ``pack`` entries, with the number of such entries and their
+iterations on each side; and the solution lines that differ, counted by
+their first word. It exits 1 when anything differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import sys
@@ -155,6 +158,17 @@ def step_pairs(a: list, b: list) -> list[tuple[list, list]]:
     return pairs
 
 
+def emcfpsc_moves(pairs: list[tuple[str, str]]) -> str:
+    """How far differing ``lp_emcfpsc`` records moved: ratios that differ, largest relative total change."""
+    ratios, largest = 0, 0.0
+    for ra, rb in pairs:
+        (lam_a, total_a, _), (lam_b, total_b, _) = ast.literal_eval(ra), ast.literal_eval(rb)
+        ratios += lam_a != lam_b
+        if total_a != total_b:
+            largest = max(largest, abs(total_a - total_b) / max(abs(total_a), abs(total_b)))
+    return f" (lambda {ratios}, V_opt up to {largest:.2g} relative)"
+
+
 def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
     """Per workload, what differs between two record lists; and whether anything does."""
     fields = ("system", "lp_emcfpsc", "solve_mmfpb", "calls")
@@ -167,10 +181,13 @@ def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
         counts = dict.fromkeys(fields, 0)
         packs = [0, 0, 0, 0]  # cases, pack entries, iterations in a, in b
         words: dict[str, int] = {}
+        moved = []  # differing lp_emcfpsc record pairs
         for key in shared:
             ra, rb = a_cases[key], b_cases[key]
             for field in fields:
                 counts[field] += ra.get(field) != rb.get(field)
+            if "lp_emcfpsc" in ra and "lp_emcfpsc" in rb and ra["lp_emcfpsc"] != rb["lp_emcfpsc"]:
+                moved.append((ra["lp_emcfpsc"], rb["lp_emcfpsc"]))
             pairs = step_pairs(ra["calls"], rb["calls"])
             if pairs:
                 packs[0] += 1
@@ -184,7 +201,10 @@ def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
                     words[word] = words.get(word, 0) + 1
         only = len(keys) - len(shared)
         differs = differs or only > 0 or any(counts.values()) or bool(words)
-        parts = ", ".join(f"{field} {count}" for field, count in counts.items())
+        parts = ", ".join(
+            f"{field} {count}" + (emcfpsc_moves(moved) if field == "lp_emcfpsc" and count else "")
+            for field, count in counts.items()
+        )
         solution = ", ".join(f"{word} {count}" for word, count in words.items()) or "none"
         lines.append(
             f"{workload}: {len(shared)} cases in both, {only} in one only; "

@@ -35,7 +35,8 @@ from .solver import DEFAULT_SUBROUTINE, SolveReport, Subroutine, solve
 INTERVAL_TOL = 1e-7
 # The path count at which an oracle compare first takes about 1 s. On a
 # 2-vCPU VM, at eta 0.1, generate_instance(3, 16, 50, 8, paths / 8) took
-# 0.40 s at 2400 paths, 0.82-0.91 s at 4400-5200 and 2.6 s at 5600.
+# 0.19-0.22 s at 2400 paths, 0.71-0.80 s at 4400-5200 and 2.2-2.4 s at 5600
+# (three runs each), of which lp_emcfpsc took 0.04-0.05, 0.10-0.19 and 0.21-0.22 s.
 ORACLE_SIZE_WARNING = 4800
 
 

@@ -215,13 +215,16 @@ def _walk(
     current node (a directed edge only from its tail). Then, unless ``sink``
     is None, come the whole path's rules, in ``PathSystem``'s order. Appends
     each step's position in ``network.edges`` to ``rows``. Returns the first
-    violation (``None`` if none; positions are 1-based) and the oriented steps.
+    violation (``None`` if none; positions are 1-based) and the oriented steps,
+    the network's shared ``Traversal`` objects, a loop's walked forward.
     """
     first = len(rows)
     current = source
     nodes = [current]
     visit, record = nodes.append, rows.append  # bound once: the loops run per step
     walks = network._walks
+    taken = []
+    take = taken.append
     if moves is None:
         step, text = None, str
         try:
@@ -232,23 +235,21 @@ def _walk(
                 walk = walks.get(edge_id)
                 if walk is None:
                     return f"unknown edge id {edge_id!r} at position {len(nodes)}", steps
-                tail, head, directed, _, _, number = walk
-                if forward:
-                    start, end = tail, head
-                elif directed:
-                    return f"directed edge {edge_id!r} walked backwards at position {len(nodes)}", steps
-                else:
-                    start, end = head, tail
+                start, end, directed, ahead, back, number = walk
+                if not forward:
+                    if directed:
+                        return f"directed edge {edge_id!r} walked backwards at position {len(nodes)}", steps
+                    if start != end:  # a loop is stored forward, as ``_moves`` walks it
+                        start, end, ahead = end, start, back
                 if start != current:
                     return f"broken chain at position {len(nodes)}", steps
                 current = end
+                take(ahead)
                 visit(end)
                 record(number)
         except (TypeError, ValueError):  # the step is no (edge_id, forward) pair
             return f"step {step!r} at position {len(nodes)} is not an (edge_id, forward) pair", steps
     else:
-        taken = []
-        take = taken.append
         try:
             for edge_id in steps:
                 current, step, number = moves[current][edge_id]
@@ -259,7 +260,7 @@ def _walk(
             if edge_id in walks:
                 return f"broken chain at position {len(nodes)}", steps
             return f"unknown edge id {edge_id!r} at position {len(nodes)}", steps
-        steps = tuple(taken)
+    steps = tuple(taken)
     if sink is None:
         return None, steps
     if not steps:
@@ -518,16 +519,16 @@ class PathSystem:
     Every listed path must validate and paths are distinct within their
     commodity. Commodities may carry empty lists. A path is a ``Path``, whose
     steps are a tuple of ``Traversal``s or of the plain tuples they equal, or
-    a tuple of raw edge ids, which is oriented as ``infer_traversals`` does
-    and stored as a ``Path``; after construction ``paths`` holds ``Path``s
-    only. It is the one path check: a ``Path`` carries its commodity's
-    index and a tuple of steps; then, in one walk from the source, each step
-    names a known edge, walked in a legal direction, that chains on; the
-    path is not empty and ends at the sink; no node repeats, except that
-    source may equal sink; no edge has zero capacity. The walk records each
-    step's edge number, from which ``grouped`` compiles on first use. A
-    broken rule raises ``PathRuleError``, which locates the path.
-    ``matrix`` and ``capacities()`` read ``grouped``.
+    a tuple of raw edge ids, which is oriented as ``infer_traversals`` does.
+    Either is stored as a ``Path`` of the network's shared ``Traversal``s, a
+    loop walked forward. It is the one path check: a ``Path`` carries its
+    commodity's index and a tuple of steps; then, in one walk from the
+    source, each step names a known edge, walked in a legal direction, that
+    chains on; the path is not empty and ends at the sink; no node repeats,
+    except that source may equal sink; no edge has zero capacity. The walk
+    records each step's edge number, from which ``grouped`` compiles on
+    first use. A broken rule raises ``PathRuleError``, which locates the
+    path. ``matrix`` and ``capacities()`` read ``grouped``.
     """
 
     network: Network
@@ -563,6 +564,7 @@ class PathSystem:
                             j,
                         )
                     violation, steps = _walk(network, com.source, com.sink, path.steps, None, rows)
+                    path = Path(i, steps)
                 else:
                     raise PathRuleError(
                         f"commodity {i}: path {j + 1} is a {type(path).__name__}, "

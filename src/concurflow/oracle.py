@@ -36,34 +36,22 @@ def _clip(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def _path_rows(
-    matrix: PathMatrix,
-    bounds: Sequence[float | None],
-    ratio: bool = False,
-    floor: float = 0.0,
-) -> list:
-    """The rows of the ratio and saturation LPs, over one incidence matrix.
+def _ratio_rows(matrix: PathMatrix, bounds: Sequence[float]) -> list:
+    """The rows of the ratio LP, over one incidence matrix.
 
-    ``bounds`` are positive and finite. In order: one ``V_e <= cap_e`` row
-    per edge; then, per group, ``V_g <= b_g``, followed when ``floor > 0``
-    and the group has paths by ``V_g >= floor * b_g``; last, with
-    ``ratio``, one ``ratio * b_g - V_g <= 0`` row per group. With ``ratio``
-    variable 0 is the ratio and the path columns follow.
+    Variable 0 is the ratio ``r`` and the path columns follow. ``bounds``
+    are positive and finite. In order: one ``V_e <= cap_e`` row per edge;
+    one ``V_g <= b_g`` row per group; one ``r * b_g - V_g <= 0`` row per
+    group.
     """
-    a, g = matrix.a, matrix.g
-    if ratio:
-        a = np.hstack((np.zeros((a.shape[0], 1)), a))
-        g = np.hstack((np.zeros((g.shape[0], 1)), g))
+    a = np.hstack((np.zeros((matrix.a.shape[0], 1)), matrix.a))
+    g = np.hstack((np.zeros((matrix.g.shape[0], 1)), matrix.g))
     rows = [(coeffs, "<=", cap) for coeffs, cap in zip(a, matrix.caps)]
+    rows += [(coeffs, "<=", bound) for coeffs, bound in zip(g, bounds)]
     for i, bound in enumerate(bounds):
-        rows.append((g[i], "<=", bound))
-        if floor > 0 and g[i].any():
-            rows.append((g[i], ">=", floor * bound))
-    if ratio:
-        for i, bound in enumerate(bounds):
-            coeffs = 0.0 - g[i]  # not -g[i]: absent paths keep a +0.0 coefficient
-            coeffs[0] = bound
-            rows.append((coeffs, "<=", 0.0))
+        coeffs = 0.0 - g[i]  # not -g[i]: absent paths keep a +0.0 coefficient
+        coeffs[0] = bound
+        rows.append((coeffs, "<=", 0.0))
     return rows
 
 
@@ -111,40 +99,47 @@ def lp_mmfpb_exact(system: PathSystem, bounds: Sequence[float] | None = None) ->
     return result.total, Flow(system, result.x)
 
 
+def _ratio_stage(system: PathSystem, bounds: Sequence[float] | None):
+    """Solve the ratio LP: its rows, its result, and the ratio clipped to [0, 1]."""
+    if bounds is None:
+        bounds = system.network.bounds()
+    _check_bounds(bounds, system.k)
+    rows = _ratio_rows(system.matrix, bounds)
+    try:
+        res = solve_lp(np.r_[1.0, np.zeros(system.path_count)], rows)
+    except SimplexError as exc:
+        raise OracleError(f"ratio LP failed: {exc}") from exc
+    return rows, res, float(min(max(res.value, 0.0), 1.0))
+
+
 def lp_emcfp_lambda(system: PathSystem, bounds: Sequence[float] | None = None) -> float:
     """Exact best worst-case service ratio ``max min_i V_i / b_i`` with V_i <= b_i.
 
     Bounds must be positive and finite; an empty path list pins the ratio to zero.
     """
-    if bounds is None:
-        bounds = system.network.bounds()
-    _check_bounds(bounds, system.k)
-    objective = np.zeros(system.path_count + 1)
-    objective[0] = 1.0
-    try:
-        res = solve_lp(objective, _path_rows(system.matrix, bounds, ratio=True))
-    except SimplexError as exc:
-        raise OracleError(f"ratio LP failed: {exc}") from exc
-    return float(min(max(res.value, 0.0), 1.0))
+    return _ratio_stage(system, bounds)[2]
 
 
 def lp_emcfpsc(system: PathSystem, bounds: Sequence[float] | None = None) -> tuple[float, float, Flow]:
     """Two-stage exact solve: best ratio first, then maximum total value at it.
 
-    Stage 2 re-imposes ``V_i >= (ratio - STAGE_SLACK) * b_i`` and maximizes
-    the total value, returning ``(ratio, total, flow)``.
+    Stage 2 keeps the ratio LP's rows, adds ``r >= ratio - STAGE_SLACK``
+    when that floor is positive, and maximizes the total path value from
+    the ratio LP's optimal basis: its pivots are stage 2's start, and the
+    floor row's right-hand side after them is about ``STAGE_SLACK``.
+    Returns ``(ratio, total, flow)``. An empty group forces the ratio to 0,
+    and so gets no floor.
     """
-    if bounds is None:
-        bounds = system.network.bounds()
-    lam = lp_emcfp_lambda(system, bounds)
+    rows, res, lam = _ratio_stage(system, bounds)
     n = system.path_count
     if n == 0:
         return lam, 0.0, Flow(system, np.zeros(n))
-    # An empty group forces ratio 0 and gets no floor row.
-    rows = _path_rows(system.matrix, bounds, floor=lam - STAGE_SLACK)
+    floor = lam - STAGE_SLACK
+    if floor > 0:
+        rows = [*rows, (np.r_[-1.0, np.zeros(n)], "<=", -floor)]  # r >= floor
     try:
-        res = solve_lp(np.ones(n), rows)
+        res = solve_lp(np.r_[0.0, np.ones(n)], rows, start=res.pivots)
     except SimplexError as exc:
         raise OracleError(f"saturation LP failed: {exc}") from exc
-    x = _clip(res.x)
+    x = _clip(res.x[1:])
     return lam, float(x.sum()), Flow(system, x)

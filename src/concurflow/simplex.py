@@ -1,10 +1,11 @@
-"""Dense two-phase primal simplex with Bland's rule.
+"""Dense primal simplex with Bland's rule.
 
-Solves  max c.x  subject to rows of the form  a.x (<=|>=|==) rhs  with x >= 0.
-Built for desk-scale problems (at most a few hundred variables and rows),
-where the plain tableau method in double precision is robust. Bland's
-entering/leaving rule precludes cycling, so every solve terminates; the
-iteration cap only guards against pathological floating-point behaviour.
+Solves  max c.x  subject to rows  a.x <= rhs  with x >= 0, from the slack
+basis or from the basis a caller's start pivots reach. Built for desk-scale
+problems (at most a few hundred variables and rows), where the plain
+tableau method in double precision is robust. Bland's entering/leaving rule
+precludes cycling, so every solve terminates; the iteration cap only guards
+against pathological floating-point behaviour.
 
 The basis is an index array. Each iteration prices every column with one
 vector-matrix product, takes the first eligible column, and breaks
@@ -12,9 +13,9 @@ ratio-test ties on the lowest basic index. A pivot on a wide tableau updates
 only the rows with a nonzero entry in the pivot column; on a narrow one, where
 gathering those rows costs more than it saves, it is one outer-product update
 of every row. Both give the same bits (the comment at ``skip_zero_rows`` says
-why). A caller that solves one set of ``<=`` rows under changing right-hand
-sides may pass their coefficients as the blocks it already holds, and the
-initial tableau is copied from those.
+why). A caller that solves one set of rows under changing right-hand sides
+may pass their coefficients as the blocks it already holds, and the initial
+tableau is copied from those.
 
 Passed as ``RowBlocks``, the blocks also keep the pivot path of each solve,
 and a later right-hand side replays it without a tableau. From the slack
@@ -51,13 +52,10 @@ PIVOT_TOL = 1e-9
 # Ratio-test ties: one value for cold solves and replayed walks, as replay needs.
 TIE_TOL = 1e-12
 
+# ``solve_lp`` takes ``<=`` rows only. ``EQUAL`` is kept for code outside the
+# package that tells rows apart by sense.
 LESS_EQUAL = "<="
-GREATER_EQUAL = ">="
 EQUAL = "=="
-_SENSES = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
-# Per sense, the coefficient of the row's slack column; 0.0 means none. A row
-# multiplied by -1 swaps <= and >=, which negates it.
-_SLACK_SIGNS = (1.0, -1.0, 0.0)
 # Tableaux with at least this many columns update only the rows a pivot changes.
 ROW_UPDATE_MIN_COLUMNS = 128
 # Largest right-hand side a replayed solve divides or starts from; its square
@@ -70,7 +68,7 @@ REPLAY_ROUNDS = 256
 
 
 class SimplexError(RuntimeError):
-    """Infeasible, unbounded, or stalled solve."""
+    """Unbounded or stalled solve, or a start that leaves an infeasible basis."""
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -88,9 +86,13 @@ def left_sum(values: Iterable[float]) -> float:
 
 @dataclass(frozen=True)
 class LpResult:
+    """``x``, its ``value``, the pricing rounds (a replayed pivot counts, a start's
+    do not) and every ``(row, col)`` pivot made, in order, a start's first."""
+
     x: np.ndarray
     value: float
     iterations: int
+    pivots: list
 
 
 class RowBlocks(tuple):
@@ -174,23 +176,32 @@ def _iteration_cap(m: int, ncols: int) -> int:
     return 2000 + 200 * (m + ncols)
 
 
-def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpResult:
-    """Maximize ``objective . x`` over ``rows`` of (coefficients, sense, rhs).
+def solve_lp(
+    objective,
+    rows,
+    blocks: Sequence[np.ndarray] | None = None,
+    start: Iterable[tuple[int, int]] | None = None,
+) -> LpResult:
+    """Maximize ``objective . x`` over ``rows`` of (coefficients, ``<=``, rhs).
 
     Every coefficient vector has one entry per variable; a row of any other
-    length or with an unknown sense raises ``ValueError``. Raises
-    ``SimplexError`` for infeasible or unbounded problems and when the
-    iteration cap is exceeded.
+    length or sense raises ``ValueError`` (the first bad row decides, its
+    length before its sense). Raises ``SimplexError`` for unbounded problems
+    and when the iteration cap is exceeded.
 
-    ``blocks``, if given, stacked top to bottom are the coefficient vectors
-    of ``rows``, whose senses must all be ``<=``, or ``ValueError`` is
-    raised before any solve. A caller that solves those rows under changing
-    right-hand sides passes the arrays it keeps, and unless a right-hand
-    side is negative the initial tableau is copied from them, not from the
-    rows. The pivots and results are the same bits. Given as ``RowBlocks``,
-    the solve first walks the pivot paths recorded with them, returns
-    without a tableau if a path runs to its end, and otherwise continues
-    cold from the pivots the walk proved and records the new branch.
+    ``start``, if given, are ``(row, col)`` pivots, as ``pivots`` lists them,
+    made on the slack basis (slack ``i`` is column ``len(objective) + i``)
+    before any pricing. After them every right-hand side must be at least
+    ``-FEASIBILITY_TOL * (1 + max|rhs|)``, or ``SimplexError`` is raised.
+    Without a start a negative right-hand side raises ``ValueError``.
+
+    ``blocks``, if given and no ``start`` is, stacked top to bottom are the
+    coefficient vectors of ``rows``, and the initial tableau is copied from
+    them: the same bits. A caller that solves those rows under changing
+    right-hand sides passes the arrays it keeps. Given as ``RowBlocks``, the
+    solve first walks the pivot paths recorded with them, returns without a
+    tableau if a path runs to its end, and otherwise continues cold from the
+    pivots the walk proved and records the new branch.
     """
     c = np.asarray(objective, dtype=float)
     n = c.size
@@ -199,74 +210,53 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
         raise SimplexError("no constraint rows; problem is unbounded or trivial")
 
     coeffs, senses, rhs = zip(*rows)
-    if blocks is not None and senses.count(LESS_EQUAL) != m:
-        raise ValueError("rows given with coefficient blocks must all be <=")
-    b = np.array(rhs, dtype=float)
-    walked: list = []  # (row, col) pivots a replay proved
-    rounds = None
-    recording = False
-    if blocks is not None and not (b < 0).any():
+    if blocks is not None:
+        if start is not None:
+            raise ValueError("a start is not taken with coefficient blocks")
+        if senses.count(LESS_EQUAL) != m:
+            raise ValueError("rows given with coefficient blocks must all be <=")
         if sum(map(len, blocks)) != m:
             raise ValueError("coefficient blocks do not match the rows")
-        ncols = n + m
-        if isinstance(blocks, RowBlocks) and b.max() <= REPLAY_LIMIT:
-            key = c.tobytes()
-            anchor = blocks.roots.get(key)
-            if anchor is not None:
-                replayed = b.copy()
-                anchor, walked = _walk(anchor, replayed)
-                if anchor.col < 0:
-                    x = np.zeros(ncols)
-                    x[anchor.basis] = replayed
-                    solution = x[:n]
-                    return LpResult(solution, float(c @ solution), len(walked) + 1)
-            # This solve's rounds from ``anchor`` on (from a new root if
-            # None), and the (row, branch) by which each but the last left.
-            recording, rounds, branches = blocks.rounds < REPLAY_ROUNDS, [], []
-        # Every row is <= with its slack basic: copy in the blocks and slacks.
-        tableau = np.zeros((m, ncols + 1))
-        top = 0
-        for block in blocks:
-            tableau[top : top + len(block), :n] = block
-            top += len(block)
-        basis = np.arange(n, ncols)
-        tableau[np.arange(m), basis] = 1.0
-        tableau[:, -1] = b
-        art_cols = basis[:0]
     else:
         for size, sense in zip(map(len, coeffs), senses):
             if size > n:
                 raise ValueError("constraint row longer than the objective")
             if size < n:
                 raise ValueError("constraint row shorter than the objective")
-            if sense not in _SENSES:
+            if sense != LESS_EQUAL:
                 raise ValueError(f"unknown sense {sense!r}")
-        a = np.array(coeffs, dtype=float)
-        signs = np.array([_SLACK_SIGNS[_SENSES.index(sense)] for sense in senses])
-
-        # Normalize to nonnegative right-hand sides; <= and >= swap on those rows.
-        flip = (b < 0).nonzero()[0]
-        a[flip] *= -1.0
-        b[flip] = -b[flip]
-        signs[flip] *= -1.0
-
-        # Column layout: structural | slack/surplus | artificial | rhs. The rows
-        # with a slack (<=, >=) or an artificial (>=, ==) take the columns of
-        # that block in row order; a row's artificial, if any, starts basic.
-        slack_rows = (signs != 0.0).nonzero()[0]
-        art_rows = (signs <= 0.0).nonzero()[0]
-        art_start = n + slack_rows.size
-        slack_cols = np.arange(n, art_start)
-        art_cols = np.arange(art_start, art_start + art_rows.size)
-        ncols = art_start + art_rows.size
-        tableau = np.zeros((m, ncols + 1))
-        tableau[:, :n] = a
-        tableau[:, -1] = b
-        tableau[slack_rows, slack_cols] = signs[slack_rows]
-        tableau[art_rows, art_cols] = 1.0
-        basis = np.empty(m, dtype=np.intp)
-        basis[slack_rows] = slack_cols
-        basis[art_rows] = art_cols
+    b = np.array(rhs, dtype=float)
+    if start is None and (b < 0).any():
+        raise ValueError("negative right-hand side without a start")
+    ncols = n + m
+    made: list = []  # every (row, col) pivot, in order
+    rounds, recording = None, False
+    if isinstance(blocks, RowBlocks) and b.max() <= REPLAY_LIMIT:
+        key = c.tobytes()
+        anchor = blocks.roots.get(key)
+        if anchor is not None:
+            replayed = b.copy()
+            anchor, made = _walk(anchor, replayed)
+            if anchor.col < 0:
+                x = np.zeros(ncols)
+                x[anchor.basis] = replayed
+                solution = x[:n]
+                return LpResult(solution, float(c @ solution), len(made) + 1, made)
+        # This solve's rounds from ``anchor`` on (from a new root if None),
+        # and the (row, branch) by which each but the last left.
+        recording, rounds, branches = blocks.rounds < REPLAY_ROUNDS, [], []
+    # Every row is <= with its slack basic: copy in the coefficients and slacks.
+    tableau = np.zeros((m, ncols + 1))
+    if blocks is None:
+        tableau[:, :n] = coeffs
+    else:
+        top = 0
+        for block in blocks:
+            tableau[top : top + len(block), :n] = block
+            top += len(block)
+    basis = np.arange(n, ncols)
+    tableau[np.arange(m), basis] = 1.0
+    tableau[:, -1] = b
     body, rhs = tableau[:, :ncols], tableau[:, -1]
     # Skipping a row whose pivot-column entry is +-0 keeps every nonzero entry
     # that the full update computes (x - 0*y == x). The two differ only in the
@@ -275,14 +265,14 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
     # variable is structural, and each such row got it as the pivot row. The
     # full update leaves a pivot row no -0.0 right-hand side, and no update
     # makes a -0.0 of a +0.0. So wide tableaux skip rows until a divided pivot
-    # row is not finite or has a -0.0 right-hand side (a given -0.0, or +0.0
-    # divided by the negative drive-out divisor); from then on every pivot
-    # updates all rows.
+    # row is not finite or has a -0.0 right-hand side (a given -0.0, or a
+    # +0.0 divided by a negative pivot, which only a start may take); from
+    # then on every pivot updates all rows.
     skip_zero_rows = ncols >= ROW_UPDATE_MIN_COLUMNS
     update = None  # one pivot's products, allocated on the first pivot
 
     max_iterations = _iteration_cap(m, ncols)
-    iterations = len(walked)
+    iterations = len(made)
 
     def pivot(row: int, col: int) -> None:
         nonlocal skip_zero_rows, update
@@ -311,70 +301,55 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
         line[col] = 1.0
         basis[row] = col
 
-    def run_phase(costs: np.ndarray, allowed: np.ndarray) -> None:
-        nonlocal iterations, recording
-        while True:
-            if iterations > max_iterations:
-                raise SimplexError("iteration cap exceeded; solve stalled")
-            iterations += 1
-            reduced = costs - costs[basis] @ body
-            reduced[basis] = 0.0
-            candidates = (allowed & (reduced > OPTIMALITY_TOL)).nonzero()[0]
-            if candidates.size == 0:
-                if recording:
-                    rounds.append(_Round(-1, basis=basis.copy()))
-                return
-            col = int(candidates[0])  # Bland: smallest eligible index.
-            column = tableau[:, col]
-            rows_ok = (column > PIVOT_TOL).nonzero()[0]
-            if rows_ok.size == 0:
-                raise SimplexError("unbounded objective")
-            entries = column[rows_ok]
-            ratios = rhs[rows_ok] / entries
-            tied = rows_ok[ratios <= ratios.min() + TIE_TOL]
-            row = min(tied.tolist(), key=basis.item)  # Bland on ties.
-            if not recording:
-                pivot(row, col)
-                continue
-            order = basis[rows_ok].argsort()
-            rounds.append(_Round(col, rows_ok[order], entries[order]))
-            p = column.item(row)
-            r = rhs.item(row) / p
-            factors = column.copy()
-            factors[row] = 0.0
-            wide = skip_zero_rows
-            hit = factors.nonzero()[0] if wide else slice(None)
-            pivot(row, col)
-            line = tableau[row]
-            if _replays(r) and (not wide or line @ line <= REPLAY_LIMIT**2):
-                branches.append((row, (p, hit, factors[hit])))
-            else:
-                recording = False  # a walk stops here, or the update form changed
-
-    allowed = np.ones(ncols, dtype=bool)
-    if art_cols.size:
-        art_mask = np.zeros(ncols, dtype=bool)
-        art_mask[art_cols] = True
-        phase1_costs = np.zeros(ncols)
-        phase1_costs[art_cols] = -1.0
-        run_phase(phase1_costs, allowed)
-        # Added in row order: the rounding of the feasibility test.
-        art_total = left_sum(rhs[art_mask[basis]].tolist())
-        if art_total > FEASIBILITY_TOL * (1.0 + float(np.max(b, initial=0.0))):
-            raise SimplexError("infeasible constraint system")
-        allowed = ~art_mask
-        # Drive leftover artificial basics out on any usable structural column.
-        for i in art_mask[basis].nonzero()[0].tolist():
-            row_cols = (allowed & (np.abs(body[i]) > PIVOT_TOL)).nonzero()[0]
-            if row_cols.size:
-                pivot(i, int(row_cols[0]))
-            # Otherwise the row is redundant; the artificial stays basic at 0.
-
-    phase2_costs = np.zeros(ncols)
-    phase2_costs[:n] = c
-    for row, col in walked:
+    for row, col in made:
         pivot(row, col)
-    run_phase(phase2_costs, allowed)
+    if start is not None:
+        for row, col in start:
+            pivot(row, col)
+            made.append((row, col))
+        if rhs.min() < -FEASIBILITY_TOL * (1.0 + float(np.abs(b).max())):
+            raise SimplexError("start leaves a negative right-hand side")
+
+    costs = np.zeros(ncols)
+    costs[:n] = c
+    while True:
+        if iterations > max_iterations:
+            raise SimplexError("iteration cap exceeded; solve stalled")
+        iterations += 1
+        reduced = costs - costs[basis] @ body
+        reduced[basis] = 0.0
+        candidates = (reduced > OPTIMALITY_TOL).nonzero()[0]
+        if candidates.size == 0:
+            if recording:
+                rounds.append(_Round(-1, basis=basis.copy()))
+            break
+        col = int(candidates[0])  # Bland: smallest eligible index.
+        column = tableau[:, col]
+        rows_ok = (column > PIVOT_TOL).nonzero()[0]
+        if rows_ok.size == 0:
+            raise SimplexError("unbounded objective")
+        entries = column[rows_ok]
+        ratios = rhs[rows_ok] / entries
+        tied = rows_ok[ratios <= ratios.min() + TIE_TOL]
+        row = min(tied.tolist(), key=basis.item)  # Bland on ties.
+        made.append((row, col))
+        if not recording:
+            pivot(row, col)
+            continue
+        order = basis[rows_ok].argsort()
+        rounds.append(_Round(col, rows_ok[order], entries[order]))
+        p = column.item(row)
+        r = rhs.item(row) / p
+        factors = column.copy()
+        factors[row] = 0.0
+        wide = skip_zero_rows
+        hit = factors.nonzero()[0] if wide else slice(None)
+        pivot(row, col)
+        line = tableau[row]
+        if _replays(r) and (not wide or line @ line <= REPLAY_LIMIT**2):
+            branches.append((row, (p, hit, factors[hit])))
+        else:
+            recording = False  # a walk stops here, or the update form changed
 
     if rounds and (anchor is None or branches):
         for i, (row, branch) in enumerate(branches):
@@ -389,4 +364,4 @@ def solve_lp(objective, rows, blocks: Sequence[np.ndarray] | None = None) -> LpR
     x = np.zeros(ncols)
     x[basis] = rhs
     solution = x[:n]
-    return LpResult(solution, float(c @ solution), iterations)
+    return LpResult(solution, float(c @ solution), iterations, made)

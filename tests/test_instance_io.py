@@ -362,14 +362,14 @@ class TestSolutionFile:
         assert "wall" not in serialize_solution(report, inst)
 
     def test_plain_tuple_steps_solve_alike(self):
-        # A plain (edge_id, forward) step validates like a Traversal, so every
-        # reader must take it too.
+        # A plain (edge_id, forward) step validates like a Traversal and is
+        # stored as the network's shared one.
         system = t2_system()
         plain = PathSystem(system.network, tuple(
             tuple(Path(p.commodity, tuple(tuple(step) for step in p.steps)) for p in group)
             for group in system.paths
         ))
-        assert type(plain.paths[0][0].steps[0]) is tuple
+        assert plain.paths[0][0].steps[0] is system.paths[0][0].steps[0]
         texts = []
         for each in (system, plain):
             inst = instance_from_system(each, "t2")

@@ -179,6 +179,25 @@ class TestRawPaths:
         assert (info.value.commodity, info.value.index) == (1, 1)
 
 
+class TestExplicitSteps:
+    def test_plain_steps_stored_as_shared_traversals(self):
+        net = make_network(["s", "t"], [("e1", "s", "t", 1.0, True)], [("s", "t", 1.0)])
+        system = PathSystem(net, ((Path(1, (("e1", True),)),),))
+        step = system.paths[0][0].steps[0]
+        assert step.edge_id == "e1" and step.forward
+        assert step is infer_traversals(net, "s", ("e1",))[0]
+
+    def test_loop_walked_either_way_is_one_path(self):
+        net = make_network(["s"], [("L", "s", "s", 1.0, False)], [("s", "s", 1.0)])
+        backward = Path(1, (Traversal("L", False),))
+        system = PathSystem(net, ((backward,),))
+        assert system.paths[0][0].steps == (Traversal("L", True),)
+        with pytest.raises(PathRuleError) as info:
+            PathSystem(net, ((Path(1, (Traversal("L", True),)), backward),))
+        assert str(info.value) == "commodity 1: duplicate path ('L',)"
+        assert (info.value.commodity, info.value.index) == (1, 1)
+
+
 class TestValidatePath:
     def test_single_edge_ok(self, chain_net):
         assert path_check(chain_net, Path(1, (Traversal("e1"),))) is None

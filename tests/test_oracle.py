@@ -17,6 +17,7 @@ from concurflow.netmodel import (
     min_ratio,
 )
 from concurflow.oracle import (
+    STAGE_SLACK,
     lp_emcfp_lambda,
     lp_emcfpsc,
     lp_grouped_max,
@@ -25,7 +26,7 @@ from concurflow.oracle import (
 )
 from concurflow.packing import pack_paths
 from concurflow.simplex import solve_lp
-from conftest import bits, compiled, edge_groups, make_network, make_system, t1_system, t2_system, t3_system
+from conftest import bits, compiled, corpus_instances, edge_groups, make_network, make_system, t1_system, t2_system, t3_system
 
 
 class TestBoundedMax:
@@ -153,6 +154,38 @@ class TestTwoStage:
         lam1, total1, _ = lp_emcfpsc(doubled)
         assert lam1 >= lam0 - 1e-9
         assert total1 >= total0 - 1e-9
+
+    @pytest.mark.parametrize(
+        "instances",
+        [lambda: corpus_instances(50), lambda: [generate_instance(3, 16, 50, 8, 25)]],
+        ids=["corpus", "200-paths"],
+    )
+    def test_matches_highs(self, instances):
+        # HiGHS solves both stages cold, from an incidence matrix built here.
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        for instance in instances():
+            system = instance.path_system
+            edges = [e.id for e in system.network.edges]
+            paths = [path for group in system.paths for path in group]
+            a = np.array([[float(e in path.edge_ids()) for path in paths] for e in edges])
+            g = np.array([[float(path.commodity == i + 1) for path in paths] for i in range(system.k)])
+            caps = np.array([e.capacity for e in system.network.edges])
+            b = np.array(system.network.bounds())
+            k, n = g.shape
+            ratio_rows = np.block([[np.zeros((len(edges), 1)), a], [np.zeros((k, 1)), g], [b[:, None], -g]])
+            res = linprog(-np.eye(n + 1)[0], A_ub=ratio_rows, b_ub=np.concatenate([caps, b, np.zeros(k)]))
+            assert res.status == 0
+            lam_highs = -res.fun
+            floor = lam_highs - STAGE_SLACK
+            res = linprog(-np.ones(n), A_ub=np.vstack([a, g, -g]), b_ub=np.concatenate([caps, b, -floor * b]))
+            assert res.status == 0
+            v_highs = -res.fun
+
+            lam, total, flow = lp_emcfpsc(system)
+            assert lam == pytest.approx(lam_highs, rel=1e-9, abs=1e-9)
+            assert total == pytest.approx(v_highs, rel=1e-9, abs=1e-9)
+            assert np.all(a @ flow.x <= caps + CAP_TOLERANCE)
+            assert np.all(g @ flow.x >= (lam - STAGE_SLACK) * b - 1e-12)
 
     def test_no_sampled_flow_at_ratio_beats_saturation(self):
         system = _grid_system()

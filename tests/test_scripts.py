@@ -1,7 +1,9 @@
 """Smoke runs of the scripts under scripts/, each in its own interpreter."""
 
+import ast
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -106,6 +108,28 @@ def test_byte_identity_diff_counts_what_differs(tmp_path):
         "solution lines differing: subroutine_calls 1, flow 2",
         "packing-fullrun: 1 cases in both, 1 in one only; cases differing in system 0, "
         f"lp_emcfpsc 0, solve_mmfpb 1, calls 0; {no_steps}; solution lines differing: none",
+    ]
+
+
+def test_byte_identity_diff_says_how_far_lp_emcfpsc_moved(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ("--src", str(ROOT / "src"), "--seeds", "1", "--limit", "3", "--out", str(a))
+    proc = run_script("byte_identity.py", *args, "--workloads", "corpus-oracle")
+    assert proc.returncode == 0, proc.stderr
+    records = json.loads(a.read_text())
+    # The first case's total moves by 1.5e-15 relative and the second's
+    # ratio by one step; the third is left as it is.
+    (lam, total, values), second = (ast.literal_eval(r["lp_emcfpsc"]) for r in records[:2])
+    records[0]["lp_emcfpsc"] = repr((lam, total * (1 + 1.5e-15), values))
+    records[1]["lp_emcfpsc"] = repr((math.nextafter(second[0], 0.0), *second[1:]))
+    b.write_text(json.dumps(records))
+    proc = run_script("byte_identity.py", "--diff", str(a), str(b))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "corpus-oracle: 3 cases in both, 0 in one only; cases differing in system 0, "
+        "lp_emcfpsc 2 (lambda 1, V_opt up to 1.6e-15 relative), solve_mmfpb 0, calls 0; "
+        "calls differing only in pack steps: 0 cases, 0 pack entries, 0 -> 0 iterations; "
+        "solution lines differing: none"
     ]
 
 

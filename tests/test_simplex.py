@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -7,11 +8,9 @@ import pytest
 import concurflow.oracle
 import concurflow.simplex
 from concurflow import Flow, generate_instance, lp_emcfpsc, solve
-from concurflow.oracle import lp_grouped_max, lp_mmfpb_exact
+from concurflow.oracle import STAGE_SLACK, lp_grouped_max, lp_mmfpb_exact
 from concurflow.simplex import (
-    EQUAL,
     FEASIBILITY_TOL,
-    GREATER_EQUAL,
     LESS_EQUAL,
     OPTIMALITY_TOL,
     PIVOT_TOL,
@@ -21,6 +20,7 @@ from concurflow.simplex import (
     LpResult,
     RowBlocks,
     SimplexError,
+    _Round,
     solve_lp,
 )
 
@@ -35,29 +35,6 @@ def test_shared_budget():
     res = solve_lp([2.0, 1.0], [([1, 1], "<=", 1.0)])
     assert res.value == pytest.approx(2.0, abs=1e-12)
     assert res.x == pytest.approx([1.0, 0.0])
-
-
-def test_greater_equal_two_phase():
-    # max x + y  s.t.  x + y <= 4,  x >= 1,  y >= 2
-    res = solve_lp(
-        [1.0, 1.0],
-        [([1, 1], "<=", 4.0), ([1, 0], ">=", 1.0), ([0, 1], ">=", 2.0)],
-    )
-    assert res.value == pytest.approx(4.0, abs=1e-12)
-    assert res.x[0] >= 1.0 - 1e-9
-    assert res.x[1] >= 2.0 - 1e-9
-
-
-def test_equality_constraint():
-    # max x  s.t.  x + y == 2,  x <= 1.5
-    res = solve_lp([1.0, 0.0], [([1, 1], "==", 2.0), ([1, 0], "<=", 1.5)])
-    assert res.value == pytest.approx(1.5, abs=1e-12)
-    assert res.x == pytest.approx([1.5, 0.5])
-
-
-def test_infeasible_detected():
-    with pytest.raises(SimplexError, match="infeasible"):
-        solve_lp([1.0], [([1], "<=", 1.0), ([1], ">=", 2.0)])
 
 
 def test_unbounded_detected():
@@ -77,21 +54,6 @@ def test_degenerate_rows_terminate():
         ],
     )
     assert res.value == pytest.approx(1.5, abs=1e-9)
-
-
-def test_negative_rhs_normalized():
-    # -x <= -1 is x >= 1.
-    res = solve_lp([-1.0], [([-1], "<=", -1.0), ([1], "<=", 3.0)])
-    assert res.value == pytest.approx(-1.0, abs=1e-12)
-    assert res.x == pytest.approx([1.0])
-
-
-def test_redundant_equality_rows():
-    res = solve_lp(
-        [1.0, 1.0],
-        [([1, 1], "==", 2.0), ([2, 2], "==", 4.0), ([1, 0], "<=", 1.0)],
-    )
-    assert res.value == pytest.approx(2.0, abs=1e-9)
 
 
 def test_fractional_vertex():
@@ -143,8 +105,13 @@ def _brute_force_best(c, a, b):
 # The simplex as it stood before it kept its basis as an index array and set
 # up its slack and artificial columns with index arrays: one Python loop per
 # row, ``flatnonzero`` for the entering column and ``min`` with a key for
-# Bland's leaving row. The current solver must make the same pivots and
-# return the same bits.
+# Bland's leaving row. On ``<=`` rows with nonnegative right-hand sides the
+# current solver must make the same pivots and return the same bits. The
+# reference keeps the ``>=`` and ``==`` rows and the phase 1 that the solver
+# dropped, so it solves a saturation LP cold.
+GREATER_EQUAL, EQUAL = ">=", "=="
+
+
 def reference_solve_lp(
     objective,
     rows,
@@ -218,8 +185,10 @@ def reference_solve_lp(
     if max_iterations is None:
         max_iterations = 2000 + 200 * (m + ncols)
     iterations = 0
+    pivots = []
 
     def pivot(row: int, col: int) -> None:
+        pivots.append((row, col))
         tableau[row] /= tableau[row, col]
         factors = tableau[:, col].copy()
         factors[row] = 0.0
@@ -282,7 +251,7 @@ def reference_solve_lp(
     for i in range(m):
         x[basis[i]] = tableau[i, -1]
     solution = x[:n]
-    return LpResult(solution, float(c @ solution), iterations)
+    return LpResult(solution, float(c @ solution), iterations, pivots)
 
 
 def _outcome(fn, objective, rows, **kwargs):
@@ -290,7 +259,7 @@ def _outcome(fn, objective, rows, **kwargs):
         res = fn(objective, rows, **kwargs)
     except (SimplexError, ValueError) as exc:
         return type(exc), str(exc)
-    return res.iterations, res.x.tobytes(), res.value
+    return res.iterations, res.x.tobytes(), res.value, res.pivots
 
 
 def _existing_lps():
@@ -298,11 +267,6 @@ def _existing_lps():
     lps = {
         "box": ([1.0, 1.0], [([1, 0], "<=", 1.0), ([0, 1], "<=", 2.0)]),
         "shared-budget": ([2.0, 1.0], [([1, 1], "<=", 1.0)]),
-        "greater-equal": (
-            [1.0, 1.0], [([1, 1], "<=", 4.0), ([1, 0], ">=", 1.0), ([0, 1], ">=", 2.0)]
-        ),
-        "equality": ([1.0, 0.0], [([1, 1], "==", 2.0), ([1, 0], "<=", 1.5)]),
-        "infeasible": ([1.0], [([1], "<=", 1.0), ([1], ">=", 2.0)]),
         "unbounded": ([1.0, 0.0], [([0, 1], "<=", 1.0)]),
         "degenerate": (
             [1.0, 1.0, 1.0],
@@ -312,10 +276,6 @@ def _existing_lps():
                 ([1, 1, 1], "<=", 3.0),
                 ([0, 0, 1], "<=", 0.5),
             ],
-        ),
-        "negative-rhs": ([-1.0], [([-1], "<=", -1.0), ([1], "<=", 3.0)]),
-        "redundant-equalities": (
-            [1.0, 1.0], [([1, 1], "==", 2.0), ([2, 2], "==", 4.0), ([1, 0], "<=", 1.0)]
         ),
         "fractional": ([1.0, 1.0], [([2, 1], "<=", 1.0), ([1, 2], "<=", 1.0)]),
     }
@@ -329,28 +289,13 @@ def _existing_lps():
     return lps
 
 
-# Phase 1, sign flips, leftover artificial basics, ties, failures and the cap.
-PHASE_AND_EDGE_LPS = {
-    "ge-and-eq-need-phase-1": (
-        [1.0, 2.0, -1.0],
-        [([1, 1, 1], "==", 3.0), ([1, 0, 0], ">=", 0.5), ([0, 1, 1], "<=", 2.5)],
-    ),
-    "negative-rhs-every-sense": (
-        [1.0, 1.0],
-        [([-1, 0], ">=", -3.0), ([0, -1], "<=", -1.0), ([1, -1], "==", -0.5)],
-    ),
-    # The third row repeats the first two; its artificial stays basic at 0.
-    "redundant-artificial-stays-basic": (
-        [1.0, 1.0, 0.0],
-        [([1, 1, 0], "==", 2.0), ([0, 0, 1], "==", 1.0), ([1, 1, 1], "==", 3.0)],
-    ),
+# Ties, and the rejections the reference makes alike.
+EDGE_LPS = {
     "degenerate-ties": (
         [1.0, 1.0, 1.0, 1.0],
         [([1, 1, 0, 0], "<=", 1.0), ([1, 0, 1, 0], "<=", 1.0), ([0, 1, 0, 1], "<=", 1.0),
          ([0, 0, 1, 1], "<=", 1.0), ([1, 1, 1, 1], "<=", 2.0)],
     ),
-    "infeasible-equalities": ([1.0, 1.0], [([1, 1], "==", 1.0), ([1, 1], "==", 2.0)]),
-    "unbounded-after-phase-1": ([0.0, 1.0], [([1, -1], ">=", 1.0), ([1, 0], "<=", 3.0)]),
     "no-rows": ([1.0], []),
     "row-too-long": ([1.0], [([1, 1], "<=", 1.0)]),
     "unknown-sense": ([1.0], [([1], "<", 1.0)]),
@@ -375,11 +320,6 @@ WIDE_EDGE_LPS = {
         _unit(_W, 0) + _unit(_W, 1),
         [(_unit(_W, 0), "<=", -0.0), (_unit(_W, 1), "<=", -0.0), (np.ones(_W), "<=", 5.0)],
     ),
-    # The artificial of -x1 == 0 stays basic through phase 1. The drive-out
-    # divides its +0.0 right-hand side by -1, and x1 stays basic at that value.
-    "drive-out-on-negative-entry": (
-        np.ones(_W), [(np.ones(_W), "<=", 4.0), (_unit(_W, 1, -1.0), "==", 0.0)]
-    ),
     # 1e300 / 2e-9 overflows, and the full update turns x1's row into NaN,
     # on which the rest of the solve runs.
     "non-finite-pivot-row": (
@@ -394,18 +334,13 @@ ITERATION_CAP_LP = (
 
 
 def _random_lps(count=300, seed=11):
-    """Small integer LPs of every sense: many ties, infeasible and unbounded ones."""
+    """Small integer LPs of ``<=`` rows with right-hand sides 0..3: many ties and unbounded ones."""
     rng = np.random.default_rng(seed)
-    senses = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
     lps = []
     for _ in range(count):
         n, m = rng.integers(1, 6), rng.integers(1, 6)
         rows = [
-            (
-                rng.integers(-2, 3, size=n).astype(float),
-                senses[rng.integers(0, 3)],
-                float(rng.integers(-3, 4)),
-            )
+            (rng.integers(-2, 3, size=n).astype(float), LESS_EQUAL, float(rng.integers(0, 4)))
             for _ in range(m)
         ]
         lps.append((rng.integers(-2, 3, size=n).astype(float), rows))
@@ -415,13 +350,11 @@ def _random_lps(count=300, seed=11):
 def _wide_random_lps(count=40, seed=5):
     """LPs with more than ``ROW_UPDATE_MIN_COLUMNS`` columns, so pivots update rows.
 
-    Sparse integer rows of every sense with right-hand sides in -3..3 (the
-    negative ones flipped), mostly under a budget row, now and then a -0.0 right-hand side, a repeated
-    row (degenerate ties) or a ``-x_j == 0`` or ``-x_j >= 0`` row, whose
-    artificial stays basic through phase 1 and is driven out on the -1.
+    Sparse integer ``<=`` rows with right-hand sides in 0..3, mostly under a
+    budget row, now and then a -0.0 right-hand side, a repeated row
+    (degenerate ties) or a ``-x_j <= 0`` row.
     """
     rng = np.random.default_rng(seed)
-    senses = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
     lps = []
     for _ in range(count):
         n = int(rng.integers(ROW_UPDATE_MIN_COLUMNS + 1, ROW_UPDATE_MIN_COLUMNS + 30))
@@ -429,7 +362,7 @@ def _wide_random_lps(count=40, seed=5):
         rows = [(np.ones(n), LESS_EQUAL, 5.0)] if rng.random() < 0.7 else []
         for _ in range(int(rng.integers(4, 14))):
             coeffs = rng.integers(-2, 3, size=n) * (rng.random(n) < 0.08)
-            rhs = float(rng.integers(-3, 4))
+            rhs = float(rng.integers(0, 4))
             roll = rng.random()
             if roll < 0.1:
                 rhs = -0.0
@@ -439,7 +372,7 @@ def _wide_random_lps(count=40, seed=5):
                 coeffs = np.zeros(n)
                 coeffs[rng.integers(0, n)] = -1.0
                 rhs = 0.0
-            rows.append((coeffs.astype(float), senses[rng.integers(0, 3)], rhs))
+            rows.append((coeffs.astype(float), LESS_EQUAL, rhs))
         lps.append((rng.integers(-2, 3, size=n).astype(float), rows))
     return lps
 
@@ -447,14 +380,14 @@ def _wide_random_lps(count=40, seed=5):
 def _captured_lps(system, etas):
     """Every LP the oracle subroutine and ``lp_emcfpsc`` hand the simplex for ``system``.
 
-    One ``(objective, rows, result, blocks)`` entry per call: ``result`` is
-    what the oracle got, ``blocks`` what it passed (or ``None``).
+    One ``(objective, rows, result, blocks, start)`` entry per call: ``result``
+    is what the oracle got, ``blocks`` and ``start`` what it passed (or ``None``).
     """
     captured = []
 
     def recording(objective, rows, *args, **kwargs):
         result = solve_lp(objective, rows, *args, **kwargs)
-        captured.append((objective, rows, result, kwargs.get("blocks")))
+        captured.append((objective, rows, result, kwargs.get("blocks"), kwargs.get("start")))
         return result
 
     with pytest.MonkeyPatch.context() as mp:
@@ -537,10 +470,84 @@ def test_short_row_rejected(rows):
         solve_lp([1.0, 1.0, 1.0], rows)
 
 
+@pytest.mark.parametrize(
+    "objective, rows, kwargs, message",
+    [
+        ([1.0, 1.0], [([1, 1], "<=", 4.0), ([1, 0], ">=", 1.0)], {}, "unknown sense '>='"),
+        ([1.0, 0.0], [([1, 1], "==", 2.0), ([1, 0], "<=", 1.5)], {}, "unknown sense '=='"),
+        ([-1.0], [([-1], "<=", -1.0), ([1], "<=", 3.0)], {}, "negative right-hand side without a start"),
+        ([1.0], [([1], "<=", 1.0)], {"blocks": (np.ones((1, 1)),), "start": [(0, 0)]},
+         "a start is not taken with coefficient blocks"),
+    ],
+    ids=["greater-equal", "equality", "negative-rhs", "start-with-blocks"],
+)
+def test_rejected(objective, rows, kwargs, message):
+    # Only <= rows, and a feasible slack basis unless a start is given.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_lp(objective, rows, **kwargs)
+
+
+def _solved_lps():
+    """The LPs above that solve, narrow and wide."""
+    lps = [*_existing_lps().values(), *_random_lps(), *_wide_random_lps(), *WIDE_EDGE_LPS.values()]
+    with np.errstate(all="ignore"):
+        outcomes = [_outcome(solve_lp, c, rows)[0] for c, rows in lps]
+    return [lp for lp, first in zip(lps, outcomes) if first not in (SimplexError, ValueError)]
+
+
+@pytest.mark.parametrize("part", ["all", "first-half"])
+def test_start_from_own_pivots_reproduces_the_solve(part):
+    # The pivots after a start are the ones the solve made next, so any
+    # prefix of a solve's pivots, as a start, gives the same bits.
+    count = 0
+    with np.errstate(all="ignore"):
+        for objective, rows in _solved_lps():
+            res = solve_lp(objective, rows)
+            taken = len(res.pivots) if part == "all" else len(res.pivots) // 2
+            again = solve_lp(objective, rows, start=res.pivots[:taken])
+            assert (again.x.tobytes(), again.value, again.pivots) == (res.x.tobytes(), res.value, res.pivots)
+            assert again.iterations == res.iterations - taken
+            count += taken > 0
+    assert count > 50
+
+
+def test_start_serves_a_negative_right_hand_side():
+    # -x <= -1 is x >= 1: the start's pivot on the -1 makes the basis feasible.
+    res = solve_lp([-1.0], [([-1], "<=", -1.0), ([1], "<=", 3.0)], start=[(0, 0)])
+    assert (res.x.tolist(), res.value, res.pivots) == ([1.0], -1.0, [(0, 0)])
+
+
+def test_start_leaving_a_negative_right_hand_side_raises():
+    # x enters on the row x <= 2, and x + y <= 1 is left at -1.
+    rows = [([1, 1], "<=", 1.0), ([1, 0], "<=", 2.0)]
+    with pytest.raises(SimplexError, match="^start leaves a negative right-hand side$"):
+        solve_lp([1.0, 1.0], rows, start=[(1, 0)])
+    # Within FEASIBILITY_TOL * (1 + max|rhs|), 3e-9 here, a start may leave one.
+    tiny = -0.5 * FEASIBILITY_TOL * 3.0
+    res = solve_lp([1.0, 1.0], [([1, 1], "<=", 2.0 + tiny), ([1, 0], "<=", 2.0)], start=[(1, 0)])
+    assert res.value == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "rhs", [[math.inf, math.inf], [-math.inf, 1.0], [1.0, math.nan]], ids=["inf", "minus-inf", "nan"]
+)
+def test_walk_stops_on_a_non_finite_ratio(rhs):
+    # A recorded round with a branch on its row 0. Under a NaN the least
+    # ratio is NaN and a cold solve's tie set is empty: only the stop keeps
+    # the walk from taking row 0's branch.
+    final = _Round(-1, basis=np.array([0, 2]))
+    node = _Round(0, rows=np.array([0, 1]), column=np.array([1.0, 1.0]))
+    node.leaving[0] = (1.0, slice(None), np.array([0.0, 1.0]), final)
+    rhs = np.array(rhs)
+    before = rhs.tobytes()
+    stopped, pivots = concurflow.simplex._walk(node, rhs)
+    assert (stopped, pivots, rhs.tobytes()) == (node, [], before)
+
+
 class TestReferenceSolver:
-    @pytest.mark.parametrize("name", sorted(_existing_lps()) + sorted(PHASE_AND_EDGE_LPS))
+    @pytest.mark.parametrize("name", sorted(_existing_lps()) + sorted(EDGE_LPS))
     def test_named_lps_match_reference(self, name):
-        objective, rows = {**_existing_lps(), **PHASE_AND_EDGE_LPS}[name]
+        objective, rows = {**_existing_lps(), **EDGE_LPS}[name]
         expected = _outcome(reference_solve_lp, objective, rows)
         assert _outcome(solve_lp, objective, rows) == expected
 
@@ -560,11 +567,7 @@ class TestReferenceSolver:
             assert _outcome(solve_lp, objective, rows) == expected
             kinds.add(expected[1] if expected[0] is SimplexError else "solved")
         # The sample reaches every exit.
-        assert kinds == {
-            "solved",
-            "infeasible constraint system",
-            "unbounded objective",
-        }
+        assert kinds == {"solved", "unbounded objective"}
 
     def test_wide_random_lps_match_reference(self):
         kinds = set()
@@ -572,13 +575,13 @@ class TestReferenceSolver:
             expected = _outcome(reference_solve_lp, objective, rows)
             assert _outcome(solve_lp, objective, rows) == expected
             kinds.add(expected[1] if expected[0] is SimplexError else "solved")
-        assert kinds == {"solved", "infeasible constraint system", "unbounded objective"}
+        assert kinds == {"solved", "unbounded objective"}
 
     def test_row_updates_on_every_lp_match_reference(self, monkeypatch):
-        # With no width threshold, every pivot of these small LPs, flipped rows,
-        # -0.0 right-hand sides and drive-outs included, may take the row update.
+        # With no width threshold, every pivot of these small LPs, -0.0
+        # right-hand sides included, may take the row update.
         monkeypatch.setattr(concurflow.simplex, "ROW_UPDATE_MIN_COLUMNS", 0)
-        lps = [*_existing_lps().values(), *PHASE_AND_EDGE_LPS.values(), *_random_lps()]
+        lps = [*_existing_lps().values(), *EDGE_LPS.values(), *_random_lps()]
         for objective, rows in lps:
             expected = _outcome(reference_solve_lp, objective, rows)
             assert _outcome(solve_lp, objective, rows) == expected
@@ -593,18 +596,20 @@ class TestReferenceSolver:
     @pytest.mark.parametrize("width", [3, ROW_UPDATE_MIN_COLUMNS + 20])
     def test_blocks_match_reference(self, width):
         # Coefficients passed as two blocks, under new right-hand sides: zero
-        # ones (degenerate), -0.0 ones, and a negative one, which the rows serve.
+        # ones (degenerate) and -0.0 ones. A negative one is rejected.
         rng = np.random.default_rng(width)
         coeffs = (rng.integers(0, 3, size=(6, width)) * (rng.random((6, width)) < 0.3)).astype(float)
         objective = rng.integers(1, 3, size=width).astype(float)
         blocks = (coeffs[:4], coeffs[4:])
         rhs_sets = [[2.0, 1.0, 3.0, 1.0, 2.0, 2.0], [0.0, 1.0, 0.0, 1.0, 2.0, 0.0],
-                    [-0.0, -0.0, 1.0, -0.0, 0.5, 1.0], [1.0, 1.0, -1.0, 2.0, 2.0, 1.0],
-                    [2.5, 0.5, 1.5, 1.0, 0.25, 3.0]]
+                    [-0.0, -0.0, 1.0, -0.0, 0.5, 1.0], [2.5, 0.5, 1.5, 1.0, 0.25, 3.0]]
         for rhs in rhs_sets:
             rows = [(row, LESS_EQUAL, b) for row, b in zip(coeffs, rhs)]
             expected = _outcome(reference_solve_lp, objective, rows)
             assert _outcome(solve_lp, objective, rows, blocks=blocks) == expected
+        rows = [(row, LESS_EQUAL, b) for row, b in zip(coeffs, [1.0, 1.0, -1.0, 2.0, 2.0, 1.0])]
+        with pytest.raises(ValueError, match="^negative right-hand side without a start$"):
+            solve_lp(objective, rows, blocks=blocks)
 
     def test_blocks_of_other_rows_rejected(self):
         rows = [([1.0, 0.0], LESS_EQUAL, 1.0), ([0.0, 1.0], LESS_EQUAL, 1.0)]
@@ -613,11 +618,10 @@ class TestReferenceSolver:
 
     @pytest.mark.parametrize("make_blocks", [tuple, RowBlocks], ids=["tuple", "RowBlocks"])
     def test_blocks_beside_a_row_that_is_not_le_rejected(self, make_blocks):
-        # Minimize x subject to x >= 1 and x <= 3: x = 1 without blocks, and
-        # x = 0 if the >= row were solved as <=.
+        # Minimize x subject to x >= 1 and x <= 3: x = 0 if the >= row were
+        # solved as <=.
         objective = [-1.0]
         rows = [([1.0], GREATER_EQUAL, 1.0), ([1.0], LESS_EQUAL, 3.0)]
-        assert solve_lp(objective, rows).x.tolist() == [1.0]
         blocks = make_blocks([np.array([[1.0], [1.0]])])
         with pytest.raises(ValueError, match="^rows given with coefficient blocks must all be <=$"):
             solve_lp(objective, rows, blocks=blocks)
@@ -633,16 +637,28 @@ class TestReferenceSolver:
     )
     def test_oracle_lps_match_reference(self, args, etas):
         # What the oracle got, mostly from blocks kept within a search, is
-        # what the reference and the rows alone make of the same LP.
+        # what the reference and the rows alone make of the same LP. The last
+        # LP, ``lp_emcfpsc``'s saturation stage, starts from the ratio LP's
+        # pivots and may end at another optimal vertex than the reference's
+        # cold solve: its value agrees to 1e-12.
         system = generate_instance(*args).path_system
         lps = _captured_lps(system, etas)
         assert len(lps) > len(etas)
-        kept = [id(blocks) for *_, blocks in lps if blocks is not None]
+        kept = [id(blocks) for *_, blocks, _ in lps if blocks is not None]
         assert len(kept) - len(set(kept)) > len(lps) // 2
-        for objective, rows, result, _ in lps:
+        assert [start is None for *_, start in lps] == [True] * (len(lps) - 1) + [False]
+        for objective, rows, result, _, _ in lps[:-1]:
             expected = _outcome(reference_solve_lp, objective, rows)
-            assert (result.iterations, result.x.tobytes(), result.value) == expected
+            assert (result.iterations, result.x.tobytes(), result.value, result.pivots) == expected
             assert _outcome(solve_lp, objective, rows) == expected
+        objective, rows, result, _, start = lps[-1]
+        ratio_rows, ratio = lps[-2][1], lps[-2][2]
+        assert start == ratio.pivots and rows[:-1] == ratio_rows
+        assert rows[-1][2] == -(ratio.value - STAGE_SLACK) < 0  # the floor row
+        cold = reference_solve_lp(objective, rows)
+        assert result.value == pytest.approx(cold.value, rel=1e-12, abs=0.0)
+        again = _outcome(solve_lp, objective, rows, start=start)
+        assert again == (result.iterations, result.x.tobytes(), result.value, result.pivots)
 
 
 class TestReplay:
