@@ -9,8 +9,9 @@ For every case of the four perfbench workloads (or those named with
 - a digest of the parsed path system: every step's ``(edge_id, forward)``
   and the compiled ``grouped.edges``, ``rows`` and ``lengths``;
 - ``compare`` workloads: the ``serialize_solution`` text of the workload's
-  named subroutine and the ``repr`` of ``lp_emcfpsc`` (ratio, total value
-  and flow values);
+  named subroutine, the ``repr`` of ``lp_emcfpsc`` (ratio, total value
+  and flow values), and ``[name, passed, repr(margin)]`` for each of the
+  five ``certified_checks``;
 - ``mmfpb`` workloads: the ``repr`` of the ``solve_mmfpb`` values;
 - every ``solve_lp`` call the case makes, as its pivot count and a digest
   of the bytes of ``x``; the ``iterations`` of every ``pack_paths`` call,
@@ -29,7 +30,7 @@ When the files differ, ``--diff`` says where:
     python3 scripts/byte_identity.py --diff parent.json change.json
 
 prints, per workload, the cases whose ``system``, ``lp_emcfpsc``,
-``solve_mmfpb`` or call list differ; of the differing ``lp_emcfpsc``
+``solve_mmfpb``, checks or call list differ; of the differing ``lp_emcfpsc``
 records, how many differ in the ratio and the largest relative difference
 in the total value; of the differing call lists, those that differ only in
 the steps of ``pack`` entries, with the number of such entries and their
@@ -140,9 +141,11 @@ def case_record(workload, case) -> dict:
         if workload.kind == "compare":
             report = concurflow.solve(system, case.param, subroutine=workload.subroutine)
             lam, total, flow = concurflow.lp_emcfpsc(system, bounds)
+            checks = concurflow.certified_checks(report, bounds, lam, total)
             outputs = {
                 "solution": concurflow.serialize_solution(report, instance),
                 "lp_emcfpsc": repr((lam, total, flow.values)),
+                "checks": [[c.name, c.passed, repr(c.margin)] for c in checks],
             }
         else:
             flow = concurflow.solve_mmfpb(system, bounds, case.param)
@@ -171,7 +174,7 @@ def emcfpsc_moves(pairs: list[tuple[str, str]]) -> str:
 
 def diff_lines(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
     """Per workload, what differs between two record lists; and whether anything does."""
-    fields = ("system", "lp_emcfpsc", "solve_mmfpb", "calls")
+    fields = ("system", "lp_emcfpsc", "solve_mmfpb", "checks", "calls")
     index = lambda records: {(r["workload"], r["seed"], r["case"]): r for r in records}  # noqa: E731
     a_cases, b_cases = index(a), index(b)
     lines, differs = [], False

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import time
 import warnings
 from dataclasses import dataclass
@@ -77,8 +78,9 @@ class CompareRow:
 
 def capacity_slack(flow: Flow) -> float:
     """Least capacity minus load over the edges used (0.0 with none); ``>= -CAP_TOLERANCE`` passes."""
-    caps = flow.system.capacities()
-    return min((caps[eid] - load for eid, load in edge_loads(flow).items()), default=0.0)
+    caps = flow.system.matrix.caps.tolist()
+    # edge_loads follows the layout's edge order, so the pairs line up by position.
+    return min(map(operator.sub, caps, edge_loads(flow).values()), default=0.0)
 
 
 def certified_checks(

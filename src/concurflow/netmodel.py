@@ -14,19 +14,21 @@ those numbers; ``GroupedPaths`` lays out each live-group mask's
 ``GroupedPaths.build`` compiles grouped edge keys, in one walk over the
 keys. ``GroupedProblem`` is the one reader of the input both bounded-flow
 engines take: a ``GroupedPaths`` beside its own ``capacities`` view, whose
-columns a call reuses, checking only its bounds. It builds the one bounded
-LP both engines solve, the exact engine by simplex and the packing engine
-by its loop, and lays each result out as one flat array over every input
-path: the ``x`` a ``Flow`` holds.
+columns a call reuses, checking only its bounds, where ``None`` is the one
+spelling of unbounded. It builds the one bounded LP both engines solve, the
+exact engine by simplex and the packing engine by its loop, and lays each
+result out as one flat array over every input path: the ``x`` a ``Flow``
+holds.
 
 Everything in this module is immutable after construction and safe to share
-across threads; the operations are pure functions. ``GroupedPaths`` fills
-caches, each entry set once to a value any caller would have computed: the
-layouts, and the rows of each bound pattern's LP. The exact engine's pivot
-paths over those rows grow with each new right-hand side, one finished
-branch per ``dict.setdefault``, up to a fixed number of rounds, and a
-replayed solve gives the bits of a cold one, so no result depends on which
-calls came first.
+across threads; the operations are pure functions. ``GroupedPaths`` builds
+its ``capacities`` view with its arrays and fills caches, each entry set
+once to a value any caller would have computed: the layouts, and the rows
+of each bound pattern's LP. The exact engine's pivot paths over those rows
+grow with each new right-hand side, one finished branch per
+``dict.setdefault``, up to a fixed number of rounds, and a replayed solve
+gives the bits of a cold one, so no result depends on which calls came
+first.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, islice
+from numbers import Real
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -339,13 +342,15 @@ class GroupedPaths:
 
     A search asks the same question about one path system with changing
     bounds only, so it passes one of these as the ``groups`` of every engine
-    call, with its ``capacities`` beside it. The paths are integer step
-    ``rows`` into ``edges``, ``lengths`` steps per path and ``sizes`` paths
-    per group, and ``caps`` holds each edge's capacity, finite and
-    nonnegative; construction makes the arrays read-only. ``build`` numbers
-    grouped edge keys in one walk, where no path may be empty. Each live-group
-    mask's columns are laid out on first use, and each bound pattern's LP
-    rows, with the exact engine's recorded pivot paths, in ``lps``.
+    call, with its ``capacities`` beside it: ``caps`` by edge key, read-only,
+    the one mapping the engines accept beside these paths. The paths are
+    integer step ``rows`` into ``edges``, ``lengths`` steps per path and
+    ``sizes`` paths per group, and ``caps`` holds each edge's capacity, finite
+    and nonnegative; construction makes the arrays read-only and builds
+    ``capacities``. ``build`` numbers grouped edge keys in one walk, where no
+    path may be empty and every capacity must be a real number. Each
+    live-group mask's columns are laid out on first use, and each bound
+    pattern's LP rows, with the exact engine's recorded pivot paths, in ``lps``.
     """
 
     sizes: tuple[int, ...]
@@ -353,22 +358,18 @@ class GroupedPaths:
     caps: np.ndarray
     rows: np.ndarray
     lengths: np.ndarray
+    capacities: Mapping[Hashable, float] = field(init=False, repr=False)
     _columns: dict = field(default_factory=dict, init=False, repr=False)
     lps: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for key, cap in zip(self.edges, self.caps.tolist()):
+        caps = self.caps.tolist()
+        for key, cap in zip(self.edges, caps):
             if not (math.isfinite(cap) and cap >= 0):
                 raise ValueError(f"edge {key!r} has capacity {cap}, not finite and >= 0")
         for arr in (self.caps, self.rows, self.lengths):
             arr.flags.writeable = False
-
-    @cached_property
-    def capacities(self) -> Mapping[Hashable, float]:
-        """``caps`` by edge key, read-only: the one mapping the engines accept beside these paths."""
-        view = MappingProxyType(dict(zip(self.edges, self.caps.tolist())))
-        # Threads that race to the first read all get the view installed first.
-        return self.__dict__.setdefault("capacities", view)
+        object.__setattr__(self, "capacities", MappingProxyType(dict(zip(self.edges, caps))))
 
     @classmethod
     def build(
@@ -385,10 +386,13 @@ class GroupedPaths:
         row_of = defaultdict(count().__next__)  # an unseen key takes the next row
         rows = np.fromiter(map(row_of.__getitem__, chain.from_iterable(paths)), int, lengths.sum())
         try:
-            caps = np.array([capacities[key] for key in row_of], dtype=float)
+            caps = [capacities[key] for key in row_of]
         except KeyError as exc:
             raise ValueError(f"path uses edge {exc.args[0]!r} with no capacity entry") from None
-        return cls(tuple(map(len, groups)), tuple(row_of), caps, rows, lengths)
+        for key, cap in zip(row_of, caps):
+            if not isinstance(cap, Real):  # NumPy would read the string "1.5" as 1.5
+                raise TypeError(f"edge {key!r} has capacity {cap!r}, not a real number")
+        return cls(tuple(map(len, groups)), tuple(row_of), np.array(caps, dtype=float), rows, lengths)
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -420,13 +424,13 @@ class GroupedPaths:
 class GroupedProblem:
     """Checked grouped path input, compiled to the bounded LP of its kept paths.
 
-    ``bounds`` holds one cap per group: ``None`` for unbounded (given as
-    ``None`` or ``+inf``), 0 for a group switched off; a NaN or negative
-    bound is rejected. A path is kept when its group is on and it crosses no
-    zero-capacity edge. ``matrix`` covers only the kept paths, in input
-    order (so its edges follow their first use among them), and ``keep``
-    marks them among all input paths. ``paths`` is the compiled input the
-    columns come from.
+    A call's bounds hold one cap per group: ``None`` for unbounded, 0 for a
+    group switched off; a NaN, negative or infinite bound is rejected, so
+    ``None`` is the one spelling of unbounded. A path is kept when its group
+    is on and it crosses no zero-capacity edge. ``matrix`` covers only the
+    kept paths, in input order (so its edges follow their first use among
+    them), and ``keep`` marks them among all input paths. ``paths`` is the
+    compiled input the columns come from.
 
     Both engines maximize the total over the kept paths subject to
     ``rows``, ``(coeffs, "<=", rhs)`` triples: one per row of ``matrix.a``
@@ -439,7 +443,6 @@ class GroupedProblem:
 
     paths: GroupedPaths
     matrix: PathMatrix
-    bounds: tuple[float | None, ...]
     keep: np.ndarray
     rows: list[tuple[np.ndarray, str, float]]
     blocks: RowBlocks
@@ -471,7 +474,9 @@ class GroupedProblem:
                     raise ValueError(f"NaN bound for group {g}")
                 if bound < 0:
                     raise ValueError(f"negative bound {bound} for group {g}")
-                bound = None if math.isinf(bound) else float(bound)
+                if bound == math.inf:
+                    raise ValueError(f"infinite bound for group {g}; None means unbounded")
+                bound = float(bound)
             checked.append(bound)
         matrix, keep = groups.columns(tuple(bound != 0 for bound in checked))
         pattern = tuple(None if bound is None else bound > 0 for bound in checked)
@@ -486,7 +491,7 @@ class GroupedProblem:
             lp = groups.lps.setdefault(pattern, lp)
         edge_rows, bound_rows, blocks = lp
         rows = edge_rows + [(coeffs, "<=", checked[i]) for i, coeffs in bound_rows]
-        return cls(groups, matrix, tuple(checked), keep, rows, blocks)
+        return cls(groups, matrix, keep, rows, blocks)
 
     def result(
         self, values: Sequence[float], iterations: int, upper: float | None = None
@@ -528,7 +533,8 @@ class PathSystem:
     except that source may equal sink; no edge has zero capacity. The walk
     records each step's edge number, from which ``grouped`` compiles on
     first use. A broken rule raises ``PathRuleError``, which locates the
-    path. ``matrix`` and ``capacities()`` read ``grouped``.
+    path. ``matrix`` reads ``grouped``: the edges the paths use, in first-use
+    order, with their capacities ``caps``.
     """
 
     network: Network
@@ -612,10 +618,6 @@ class PathSystem:
         """Incidence over the edges the paths use: ``grouped``'s all-groups columns."""
         return self.grouped.columns((True,) * self.k)[0]
 
-    def capacities(self) -> dict[str, float]:
-        """A fresh dict of the capacities of the edges the paths use, in first-use order."""
-        return dict(zip(self.matrix.edges, self.matrix.caps.tolist()))
-
 
 @dataclass(frozen=True, eq=False)
 class Flow:
@@ -630,7 +632,12 @@ class Flow:
     x: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.array(self.x, dtype=float)
+        x = np.asarray(self.x)
+        if x.dtype.kind not in "biuf":  # NumPy would read the string "0.5" as 0.5
+            for value in np.asarray(self.x, dtype=object).ravel().tolist():
+                if not isinstance(value, Real):
+                    raise TypeError(f"path value {value!r} is not a real number")
+        x = np.array(x, dtype=float)
         if x.shape != (self.system.path_count,):
             raise ModelError("flow values do not match the path list")
         if not x.min(initial=0.0) >= 0.0:  # a NaN fails too
@@ -644,9 +651,7 @@ class Flow:
     def values(self) -> tuple[tuple[float, ...], ...]:
         """``x`` as one tuple of floats per commodity, split once, on first read."""
         flat = iter(self.x.tolist())
-        view = tuple(tuple(islice(flat, len(group))) for group in self.system.paths)
-        # Threads that race to the first read all get the view installed first.
-        return self.__dict__.setdefault("values", view)
+        return tuple(tuple(islice(flat, len(group))) for group in self.system.paths)
 
 
 def edge_loads(flow: Flow) -> dict[str, float]:
@@ -687,12 +692,6 @@ def _check_bounds(bounds: Sequence[float], k: int | None = None) -> None:
     for b in bounds:
         if not (math.isfinite(b) and b > 0.0):
             raise ValueError(f"bounds must be positive and finite, got {b}")
-
-
-def _check_finite(bounds: Sequence[float]) -> None:
-    """Reject a ``+inf`` commodity bound, which ``GroupedProblem`` would read as unbounded."""
-    if math.inf in bounds:
-        raise ValueError("bounds must be finite, got inf")
 
 
 def enumerate_paths(

@@ -18,9 +18,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .netmodel import (
-    Flow, GroupedPaths, GroupedProblem, GroupedResult, PathMatrix, PathSystem, _check_bounds, _check_finite,
-)
+from .netmodel import Flow, GroupedPaths, GroupedProblem, GroupedResult, PathMatrix, PathSystem, _check_bounds
 from .simplex import SimplexError, solve_lp
 
 # Slack subtracted from the stage-1 ratio before stage 2 re-imposes it,
@@ -63,8 +61,8 @@ def lp_grouped_max(
     """Maximize total value over grouped paths under edge caps and group bounds.
 
     ``groups`` is a ``GroupedPaths`` and ``capacities`` its ``capacities``
-    view; ``bounds[g]`` caps group g's total value (``None`` or ``+inf``
-    means unbounded, 0 drops the group). Input is read as by
+    view; ``bounds[g]`` caps group g's total value (``None`` means
+    unbounded, 0 drops the group, ``+inf`` is rejected). Input is read as by
     :func:`pack_paths`, through ``GroupedProblem``, and the LP solved is its
     ``rows``; synthetic key groups are compiled with ``GroupedPaths.build``
     first. This is the engine behind the public solvers.
@@ -90,11 +88,10 @@ def lp_mmfpb_exact(system: PathSystem, bounds: Sequence[float] | None = None) ->
     """Exact maximum total path flow with per-commodity value caps.
 
     ``bounds`` defaults to the network's commodity bounds; entries must be
-    finite and nonnegative.
+    finite and nonnegative, or ``None`` for unbounded.
     """
     if bounds is None:
         bounds = system.network.bounds()
-    _check_finite(bounds)
     result = lp_grouped_max(system.grouped.capacities, system.grouped, bounds)
     return result.total, Flow(system, result.x)
 

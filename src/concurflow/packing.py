@@ -55,7 +55,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .netmodel import Flow, GroupedPaths, GroupedProblem, GroupedResult, PathSystem, _check_finite
+from .netmodel import Flow, GroupedPaths, GroupedProblem, GroupedResult, PathSystem
 from .simplex import left_sum
 
 # Lengths renormalize by 2**-_RENORM_SHIFT whenever the scaled dual
@@ -88,8 +88,8 @@ def pack_paths(
     """Approximately maximize total value over grouped paths.
 
     ``groups`` is a ``GroupedPaths`` and ``capacities`` its ``capacities``
-    view; ``bounds[g]`` caps group g's total (``None`` or ``+inf`` for
-    unbounded, ``0`` shuts the group off). ``GroupedProblem`` checks the
+    view; ``bounds[g]`` caps group g's total (``None`` for unbounded, ``0``
+    shuts the group off; ``+inf`` is rejected). ``GroupedProblem`` checks the
     input and drops the paths that cannot carry flow; ``x`` covers them all.
 
     The final lengths certify the result: ``upper = D(l)/alpha(l)``, the
@@ -229,7 +229,6 @@ def solve_mmfp(system: PathSystem, eps: float) -> Flow:
 
 
 def solve_mmfpb(system: PathSystem, bounds: Sequence[float], eps: float) -> Flow:
-    """Like :func:`solve_mmfp` but with per-commodity value caps ``bounds``, each finite."""
-    _check_finite(bounds)
+    """Like :func:`solve_mmfp` but with per-commodity value caps ``bounds``, each finite or ``None``."""
     result = pack_paths(system.grouped.capacities, system.grouped, list(bounds), eps)
     return Flow(system, result.x)

@@ -93,7 +93,7 @@ def reference_aux_groups(system, bounds0, l_star: int, eta: float):
     one overflow group. The dedicated shares are the groups' bounds, not rows.
     """
     scale = (l_star - 1) * eta
-    capacities = system.capacities()
+    capacities = dict(system.grouped.capacities)
     for i, b in enumerate(bounds0, start=1):
         capacities["ovf", i] = b - scale * b
 

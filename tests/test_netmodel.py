@@ -106,6 +106,14 @@ class TestConstruction:
             with pytest.raises(ModelError, match=f"^negative path value {value}$"):
                 Flow(t1, [0.0, value])
 
+    @pytest.mark.parametrize(
+        "x", [["0.5", 0.5], [0.5, "0.5"], np.array(["0.5", "0.5"])], ids=["first", "second", "array"]
+    )
+    def test_string_flow_value_rejected(self, t1, x):
+        # NumPy would read the string as 0.5; Edge and Commodity refuse strings too.
+        with pytest.raises(TypeError, match="^path value '0.5' is not a real number$"):
+            Flow(t1, x)
+
     def test_infinite_flow_value_rejected(self, t1):
         # It would load its edge with inf and read capacity slack -inf.
         with pytest.raises(ModelError, match="^path value inf is not finite$"):
@@ -455,13 +463,19 @@ class TestGroupedProblem:
         # The path over zero-capacity "z" and the switched-off group drop out;
         # edges follow first use among the kept paths only.
         caps = {"z": 0.0, "b": 1.0, "a": 2.0}
-        problem = GroupedProblem.build(*compiled(caps, [[("z", "b"), ("a", "b")], [("b",)]]), [math.inf, 0])
-        assert problem.bounds == (None, 0.0)
+        problem = GroupedProblem.build(*compiled(caps, [[("z", "b"), ("a", "b")], [("b",)]]), [None, 0])
         assert problem.matrix.edges == ("a", "b")
+        # Edge rows only: neither the unbounded group nor the switched-off one gets a bound row.
+        assert [rhs for *_, rhs in problem.rows] == [2.0, 1.0]
         assert problem.keep.tolist() == [False, True, False]
         result = problem.result(np.array([0.5]), 3)
         assert (result.x.tolist(), result.total, result.iterations, result.upper) == ([0.0, 0.5, 0.0], 0.5, 3, 0.5)
         assert not result.x.flags.writeable
+
+    def test_build_rejects_a_string_capacity(self):
+        # NumPy would read the string as 1.5; the message names the edge key.
+        with pytest.raises(TypeError, match="^edge 'b' has capacity '1.5', not a real number$"):
+            GroupedPaths.build({"a": 1.0, "b": "1.5"}, [[("a",), ("b",)]])
 
     def test_capacities_view_is_built_once(self, t1):
         caps = {"a": 1.0, "b": 2.0}
@@ -927,4 +941,5 @@ def test_path_system_capacities_keep_first_use_order():
     )
     system = make_system(net, [[["e3", "e1"], ["e4"]]])
     assert system.grouped.edges == ("e1", "e2", "e3", "e4")
-    assert list(system.capacities().items()) == [("e3", 3.0), ("e1", 1.0), ("e4", 4.0)]
+    assert system.matrix.edges == ("e3", "e1", "e4")
+    assert system.matrix.caps.tolist() == [3.0, 1.0, 4.0]

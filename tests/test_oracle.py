@@ -231,7 +231,7 @@ class TestGroupedCore:
         # enough for row updates) on one GroupedPaths; each gets a fresh
         # compile's result.
         system = generate_instance(3, 16, 50, 8, 25).path_system
-        caps, groups = system.capacities(), edge_groups(system)
+        caps, groups = system.grouped.capacities, edge_groups(system)
         patterns = [[scale * b for b in system.network.bounds()] for scale in (0.1, 0.3, 0.6)]
         patterns.append([None, *patterns[0][1:]])
         expected = [bits(lp_grouped_max(*compiled(caps, groups), bounds)) for bounds in patterns]
@@ -254,7 +254,7 @@ class TestGroupedCore:
         # its own order, so they walk and extend its recorded pivot paths
         # together; each gets a fresh compile's result.
         system = generate_instance(3, 16, 50, 8, 25).path_system
-        caps, groups = system.capacities(), edge_groups(system)
+        caps, groups = system.grouped.capacities, edge_groups(system)
         bounds = system.network.bounds()
         patterns = [[scale * b for b in bounds] for scale in np.linspace(0.05, 0.6, 12)]
         expected = [bits(lp_grouped_max(*compiled(caps, groups), bounds)) for bounds in patterns]
@@ -413,7 +413,7 @@ def _scaled_feasible(system, raw_rows):
     """Scale raw nonnegative values down until every capacity holds exactly."""
     flow = Flow(system, np.concatenate(raw_rows))
     worst = 1.0
-    caps = system.capacities()
+    caps = system.grouped.capacities
     from concurflow.netmodel import edge_loads
 
     for eid, load in edge_loads(flow).items():

@@ -240,18 +240,25 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="NaN bound"):
             solve_mmfpb(t1, (math.nan, 1.0), 0.1)
 
-    @pytest.mark.parametrize(
-        "solver", [lambda system, bounds: solve_mmfpb(system, bounds, 0.1), lp_mmfpb_exact], ids=["packing", "exact"]
-    )
-    def test_infinite_commodity_bound_rejected(self, t2, solver):
+    @pytest.mark.parametrize("name", ["packing", "exact", "packing-engine", "exact-engine"])
+    def test_infinite_commodity_bound_rejected(self, t2, name):
+        # Each wrapper and engine under given bounds, and its run with no bounds at all.
+        caps, groups = t2.grouped.capacities, t2.grouped
+        bounded, unbounded = {
+            "packing": (lambda b: solve_mmfpb(t2, b, 0.1).x.tolist(), lambda: solve_mmfp(t2, 0.1).x.tolist()),
+            "exact": (lambda b: lp_mmfpb_exact(t2, b)[1].x.tolist(), lambda: lp_mmfp_exact(t2)[1].x.tolist()),
+            "packing-engine": (
+                lambda b: bits(pack_paths(caps, groups, b, 0.1)), lambda: bits(pack_paths(caps, groups, None, 0.1))
+            ),
+            "exact-engine": (
+                lambda b: bits(lp_grouped_max(caps, groups, b)), lambda: bits(lp_grouped_max(caps, groups, None))
+            ),
+        }[name]
         # Read as unbounded, +inf would let the first commodity fill its edge: 1.5, not 1.0.
-        with pytest.raises(ValueError, match="^bounds must be finite, got inf$"):
-            solver(t2, [math.inf, 1.0])
-
-    def test_infinite_bound_means_unbounded(self, t1):
-        caps, groups, bounds = t1.grouped.capacities, t1.grouped, [math.inf, None]
-        assert bits(pack_paths(caps, groups, bounds, 0.1)) == bits(pack_paths(caps, groups, None, 0.1))
-        assert bits(lp_grouped_max(caps, groups, bounds)) == bits(lp_grouped_max(caps, groups, None))
+        with pytest.raises(ValueError, match="^infinite bound for group 0; None means unbounded$"):
+            bounded([math.inf, 1.0])
+        # None is the one spelling of unbounded.
+        assert bounded([None, None]) == unbounded()
 
 
 @dataclass(frozen=True)
@@ -398,7 +405,7 @@ def reference_pack_paths(
 
 
 def _system_case(system, bounds, eps):
-    return system.capacities(), edge_groups(system), bounds, eps
+    return system.grouped.capacities, edge_groups(system), bounds, eps
 
 
 def _aux_case():
@@ -471,11 +478,10 @@ class TestBoundSumExit:
         assert (result.x.tolist(), result.total, result.upper) == ([0.5, 0.0], 0.5, 0.5)
         assert result.iterations == _BLOCK_STEPS
 
-    @pytest.mark.parametrize("unbounded", [None, math.inf])
-    def test_unbounded_live_group_keeps_the_dual_bound(self, diamond, unbounded):
+    def test_unbounded_live_group_keeps_the_dual_bound(self, diamond):
         # The bits of the loop without the bounds' sum exit.
         caps, groups = diamond.grouped.capacities, diamond.grouped
-        result = pack_paths(caps, groups, (unbounded, 0.3), 0.1)
+        result = pack_paths(caps, groups, (None, 0.3), 0.1)
         assert (result.total, result.upper, result.iterations) == (1.7993605115907247, 1.9618857300437524, 288)
         assert result.x[0] == 0.7841726618705038
 

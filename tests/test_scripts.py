@@ -64,10 +64,14 @@ def test_byte_identity_records_every_call(tmp_path):
     for record in records:
         kinds = {call[0] for call in record["calls"]}
         if record["workload"] == "packing-fullrun":
-            assert kinds == {"pack", "layout"} and "solve_mmfpb" in record
+            assert kinds == {"pack", "layout"} and "solve_mmfpb" in record and "checks" not in record
         else:
             assert record["solution"].startswith("format concurflow-solution 1\n")
             assert {"lp", "layout"} <= kinds and "lp_emcfpsc" in record
+            names = ["feasible", "value_sandwich", "min_ratio_lb", "lambda_localized", "vopt_localized"]
+            assert [name for name, *_ in record["checks"]] == names
+            for _, passed, margin in record["checks"]:
+                assert passed is True and math.isfinite(float(margin))
         layouts = [call for call in record["calls"] if call[0] == "layout"]
         assert all(len(call) == 2 and len(call[1]) == 64 for call in layouts)
         if record["workload"] in ("fptas-search", "packing-fullrun"):
@@ -85,8 +89,8 @@ def test_byte_identity_diff_counts_what_differs(tmp_path):
     proc = run_script("byte_identity.py", "--diff", str(a), str(a))
     assert proc.returncode == 0, proc.stderr
     none = (
-        "system 0, lp_emcfpsc 0, solve_mmfpb 0, calls 0; calls differing only in pack "
-        "steps: 0 cases, 0 pack entries, 0 -> 0 iterations; solution lines differing: none"
+        "system 0, lp_emcfpsc 0, solve_mmfpb 0, checks 0, calls 0; calls differing only in "
+        "pack steps: 0 cases, 0 pack entries, 0 -> 0 iterations; solution lines differing: none"
     )
     assert proc.stdout.splitlines() == [
         f"{name}: 1 cases in both, 0 in one only; cases differing in {none}"
@@ -104,10 +108,10 @@ def test_byte_identity_diff_counts_what_differs(tmp_path):
     no_steps = "calls differing only in pack steps: 0 cases, 0 pack entries, 0 -> 0 iterations"
     assert proc.stdout.splitlines() == [
         "corpus-oracle: 1 cases in both, 0 in one only; cases differing in system 0, "
-        f"lp_emcfpsc 0, solve_mmfpb 0, calls 1; {no_steps}; "
+        f"lp_emcfpsc 0, solve_mmfpb 0, checks 0, calls 1; {no_steps}; "
         "solution lines differing: subroutine_calls 1, flow 2",
         "packing-fullrun: 1 cases in both, 1 in one only; cases differing in system 0, "
-        f"lp_emcfpsc 0, solve_mmfpb 1, calls 0; {no_steps}; solution lines differing: none",
+        f"lp_emcfpsc 0, solve_mmfpb 1, checks 0, calls 0; {no_steps}; solution lines differing: none",
     ]
 
 
@@ -127,9 +131,29 @@ def test_byte_identity_diff_says_how_far_lp_emcfpsc_moved(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines() == [
         "corpus-oracle: 3 cases in both, 0 in one only; cases differing in system 0, "
-        "lp_emcfpsc 2 (lambda 1, V_opt up to 1.6e-15 relative), solve_mmfpb 0, calls 0; "
-        "calls differing only in pack steps: 0 cases, 0 pack entries, 0 -> 0 iterations; "
+        "lp_emcfpsc 2 (lambda 1, V_opt up to 1.6e-15 relative), solve_mmfpb 0, checks 0, "
+        "calls 0; calls differing only in pack steps: 0 cases, 0 pack entries, 0 -> 0 iterations; "
         "solution lines differing: none"
+    ]
+
+
+def test_byte_identity_diff_counts_check_margins(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ("--src", str(ROOT / "src"), "--seeds", "1", "--limit", "2", "--out", str(a))
+    proc = run_script("byte_identity.py", *args, "--workloads", "corpus-oracle")
+    assert proc.returncode == 0, proc.stderr
+    records = json.loads(a.read_text())
+    # The first case's feasible margin moves by one step; nothing else changes.
+    name, passed, margin = records[0]["checks"][0]
+    assert name == "feasible"
+    records[0]["checks"][0] = [name, passed, repr(math.nextafter(float(margin), -math.inf))]
+    b.write_text(json.dumps(records))
+    proc = run_script("byte_identity.py", "--diff", str(a), str(b))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "corpus-oracle: 2 cases in both, 0 in one only; cases differing in system 0, "
+        "lp_emcfpsc 0, solve_mmfpb 0, checks 1, calls 0; calls differing only in pack steps: "
+        "0 cases, 0 pack entries, 0 -> 0 iterations; solution lines differing: none"
     ]
 
 
@@ -158,7 +182,7 @@ def test_byte_identity_diff_counts_pack_iterations(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines() == [
         "fptas-search: 3 cases in both, 0 in one only; cases differing in system 0, "
-        "lp_emcfpsc 0, solve_mmfpb 0, calls 2; calls differing only in pack steps: "
+        "lp_emcfpsc 0, solve_mmfpb 0, checks 0, calls 2; calls differing only in pack steps: "
         f"1 cases, 2 pack entries, {sum(iterations)} -> {sum(iterations) - 14} iterations; "
         "solution lines differing: none"
     ]
